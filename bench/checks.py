@@ -90,8 +90,9 @@ def _check_map(out, problems):
 
 def _check_optimize(out, problems):
     payload = _json(out / "operating_point.json")
-    if payload["evaluated"] != 70:
-        problems.append(f"optimizer evaluated {payload['evaluated']} candidates, want 70")
+    want = workloads.OPT_CANDIDATES
+    if payload["evaluated"] != want:
+        problems.append(f"optimizer evaluated {payload['evaluated']} candidates, want {want}")
     if not _fidelity_ok(payload["average_fidelity"]):
         problems.append(f"average fidelity {payload['average_fidelity']} outside [0, 1]")
     for _, value in payload["accepted_plateau_rad_per_us"]:

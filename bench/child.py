@@ -6,8 +6,9 @@ The first thing this process does is import ``rydberg_receiver.cli`` from the
 checkout's ``src/`` and read the system-wide monotonic clock, so the parent
 can measure set-up time from spawn to import. It then calls ``cli.main`` for
 each planned command, as a cold CLI call would, and writes per-command exit
-codes and times. With TRACE_DIR, the layers are wrapped (see ``tracer.py``)
-and the spans are written there at exit.
+codes and times. Each command runs on the CPUs its plan step names. With
+TRACE_DIR, the layers are wrapped (see ``tracer.py``) and the spans are
+written there at exit.
 """
 
 import os
@@ -36,8 +37,11 @@ def main(plan_path, result_path, trace_dir=None):
         tracer = tracing.Tracer(trace_dir, run_id=os.path.basename(trace_dir))
         tracing.install(tracer)
     commands = []
+    home = os.sched_getaffinity(0)
     for step in plan:
-        start = time.perf_counter()
+        # a pooled command's workers inherit the CPUs it is given
+        os.sched_setaffinity(0, step["cpus"])
+        start = time.clock_gettime(time.CLOCK_MONOTONIC)
         try:
             code = cli.main(step["argv"])
         except SystemExit as exc:  # argparse usage errors
@@ -45,8 +49,10 @@ def main(plan_path, result_path, trace_dir=None):
         except Exception:  # a traceback is a failed operation, not a crash of the run
             traceback.print_exc()
             code = "exception"
+        end = time.clock_gettime(time.CLOCK_MONOTONIC)
+        os.sched_setaffinity(0, home)
         commands.append(
-            {"label": step["label"], "code": code, "s": time.perf_counter() - start}
+            {"label": step["label"], "code": code, "start": start, "end": end, "s": end - start}
         )
         sys.stdout.flush()
     if tracer is not None:

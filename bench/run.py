@@ -1,7 +1,7 @@
 """Benchmark of the rydberg-receiver command line, run as cold processes.
 
-    python3 bench/run.py --workload landscape --seed 1 --seconds 25 --trace 0
-    python3 bench/run.py --workload all --seed 1 --seconds 25
+    python3 bench/run.py --workload landscape --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload all --seed 1 --seconds 30
 
 Run from the root of a checkout; the package is imported from its ``src/``.
 Each iteration spawns a fresh interpreter (``child.py``) that imports
@@ -9,11 +9,16 @@ Each iteration spawns a fresh interpreter (``child.py``) that imports
 commands in order: a closed loop with one client. After one warm-up
 iteration, which is checked but not timed, iterations repeat until
 ``--seconds`` have passed (at least three, four when traced), and the
-end-to-end metrics are medians over them. With ``--trace 1``, traced and
-untraced iterations alternate and the per-layer metrics come from the traced
-ones. ``--workload all`` runs every workload in both modes and prints
-everything. The last line of standard output is one JSON object with the
-metrics named in ``BENCHMARK.json``. See ``bench/README.md``.
+end-to-end metrics are medians over them. Their times are scaled to a
+reference machine speed, which a sampler thread measures on each CPU all
+through the run (``SpeedSampler``); the times as the clocks read them are
+printed and stored beside them. With ``--trace 0`` each iteration is
+followed by an import-only process, so ``setup_s`` gets two samples per
+iteration. With ``--trace 1``, traced and untraced iterations alternate and
+the per-layer metrics come from the traced ones. ``--workload all`` runs
+every workload in both modes and prints everything. The last line of
+standard output is one JSON object with the metrics named in
+``BENCHMARK.json``. See ``bench/README.md``.
 """
 
 import argparse
@@ -46,13 +51,66 @@ BENCHMARK_FILE = ROOT / "BENCHMARK.json"
 #: One BLAS thread per process: the pooled map runs 2 workers on 2 cores,
 #: so processes x threads never exceeds the cores measured on.
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(THREAD_ENV)  # before this process loads numpy for the sampler
 MIN_ITERATIONS = {0: 3, 1: 4}
 CHILD_TIMEOUT_S = 150
+SAMPLE_INTERVAL_S = 0.05
+SAMPLE_LOOPS = 8
+#: CPU time of one sampler pass at the reference speed. It sets the scale of
+#: the scaled times, not their ratios; on the 2-CPU Xeon (KVM guest, cores
+#: shared with other tenants) the baseline was measured on, passes took
+#: 2-8 ms, about 3 ms in the median.
+REFERENCE_PASS_S = 2.5e-3
 
 
 def monotonic():
     # child.py reads the same system-wide clock after its import
     return time.clock_gettime(time.CLOCK_MONOTONIC)
+
+
+class SpeedSampler(threading.Thread):
+    """Samples how fast each CPU runs a fixed kernel while the workload runs.
+
+    Every ``SAMPLE_INTERVAL_S`` the sampler moves to the next CPU and times
+    one short pass of small dense algebra and interpreter work by its own
+    CPU time, so time it spends preempted does not count. A CPU whose
+    hardware is shared with a busy neighbour runs the pass slower, and the
+    workload on it too.
+    """
+
+    def __init__(self, cpus):
+        super().__init__(daemon=True)
+        self.cpus = sorted(cpus)
+        self.samples = {cpu: [] for cpu in self.cpus}
+        self.halt = threading.Event()
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        self.np = np
+        self.a = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36)) + 8 * np.eye(36)
+        self.s, self.v = rng.standard_normal((6, 6)), rng.standard_normal(36)
+
+    def pass_time(self):
+        np, a = self.np, self.a
+        start = time.thread_time()
+        for _ in range(SAMPLE_LOOPS):
+            x = np.linalg.solve(a + np.kron(self.s, self.s), self.v)
+            np.linalg.svd(a @ a, compute_uv=False)
+            ",".join(f"{t:.9g}" for t in x.real)
+            sum(i * i for i in range(300))
+        return time.thread_time() - start
+
+    def run(self):
+        k = 0
+        while not self.halt.wait(SAMPLE_INTERVAL_S):
+            cpu = self.cpus[k % len(self.cpus)]
+            k += 1
+            os.sched_setaffinity(0, {cpu})
+            self.samples[cpu].append((monotonic(), self.pass_time()))
+
+    def stop(self):
+        self.halt.set()
+        self.join()
 
 
 def child_env():
@@ -106,13 +164,42 @@ class Run:
         scheme_text = (PACKAGE / "data" / "cesium_six_level.ini").read_text()
         self.plan, self.files = workloads.generate(workload, seed, self.dir / "inputs", scheme_text)
         self.iterations = []
+        self.probe_problems = []
+        # Serial work runs on one CPU, so the samples of that CPU apply to it.
+        self.cpus = sorted(os.sched_getaffinity(0))
+        self.serial = self.cpus[:1]
+        self.speed = None
 
     def _plan_for(self, out_root):
         return [
             {**step, "argv": [a.replace(workloads.OUT, str(out_root)) for a in step["argv"]],
-             "out": step["out"].replace(workloads.OUT, str(out_root))}
+             "out": step["out"].replace(workloads.OUT, str(out_root)),
+             "cpus": self.cpus if "--workers" in step["argv"] else self.serial}
             for step in self.plan
         ]
+
+    def _spans(self, plan, start, end, result):
+        """Split a workload process's life into serial and pooled (start, end) spans."""
+        pooled_labels = {step["label"] for step in plan if step["cpus"] != self.serial}
+        commands = result["commands"] if result else []
+        pooled = [(c["start"], c["end"]) for c in commands if c["label"] in pooled_labels]
+        serial, at = [], start
+        for a, b in pooled:
+            serial.append((at, a))
+            at = b
+        serial.append((at, end))
+        return {"serial": serial, "pooled": pooled}
+
+    def _child(self, it_dir, name, plan, trace_dir=None):
+        """Run child.py on ``plan``; return (start, end, exit code, usage, result or None)."""
+        plan_path, result_path = it_dir / f"{name}-plan.json", it_dir / f"{name}-result.json"
+        plan_path.write_text(json.dumps(plan))
+        argv = [str(BENCH_DIR / "child.py"), str(plan_path), str(result_path)]
+        if trace_dir is not None:
+            argv.append(str(trace_dir))
+        start, end, code, usage = spawn(argv, it_dir / f"{name}-log.txt")
+        result = json.loads(result_path.read_text()) if result_path.exists() else None
+        return start, end, code, usage, result
 
     def iterate(self, traced, warm_up=False):
         import checks
@@ -122,12 +209,10 @@ class Run:
         out_root = it_dir / "out"
         plan = self._plan_for(out_root)
         it_dir.mkdir(parents=True)
-        (it_dir / "plan.json").write_text(json.dumps(plan))
-        argv = [str(BENCH_DIR / "child.py"), str(it_dir / "plan.json"), str(it_dir / "result.json")]
+        trace_dir = it_dir / "trace" if traced else None
         if traced:
-            (it_dir / "trace").mkdir()
-            argv.append(str(it_dir / "trace"))
-        start, end, code, usage = spawn(argv, it_dir / "log.txt")
+            trace_dir.mkdir()
+        start, end, code, usage, result = self._child(it_dir, "workload", plan, trace_dir)
         record = {
             "traced": traced,
             "warm_up": warm_up,
@@ -136,11 +221,11 @@ class Run:
             "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024.0,  # max over the process tree, KiB on Linux
         }
-        result_path = it_dir / "result.json"
-        result = json.loads(result_path.read_text()) if result_path.exists() else None
         codes = {c["label"]: c["code"] for c in result["commands"]} if result else {}
+        record["setup_s"] = [result["imported_at"] - start] if result else []
+        record["spans"] = self._spans(plan, start, end, result)
+        record["setup_spans"] = [[(start, result["imported_at"])]] if result else []
         if result:
-            record["setup_s"] = result["imported_at"] - start
             record["command_s"] = {c["label"]: c["s"] for c in result["commands"]}
         record["problems"] = {
             step["label"]: checks.check_command(
@@ -148,6 +233,13 @@ class Run:
             )
             for step in plan
         }
+        if not self.trace and not warm_up:
+            # A second set-up sample: the same import, with no command after it.
+            start, _, code, _, result = self._child(it_dir, "import", [])
+            if result:
+                record["setup_s"].append(result["imported_at"] - start)
+                record["setup_spans"].append([(start, result["imported_at"])])
+            record["problems"]["import"] = [] if code == 0 and result else [f"exit code {code}"]
         record["out_dirs"] = {step["label"]: step["out"] for step in plan}
         record["digest"], record["bytes"] = tree_digest(out_root) if out_root.exists() else ("", 0)
         if not any(record["problems"].values()):
@@ -165,10 +257,36 @@ class Run:
     def measure(self):
         # The first iteration fills the bytecode and page caches, which a
         # user pays once, not on every call; it is checked but not timed.
-        self.iterate(traced=False, warm_up=True)
-        deadline = monotonic() + self.seconds
-        while len(self.iterations) <= MIN_ITERATIONS[self.trace] or monotonic() < deadline:
-            self.iterate(traced=bool(self.trace) and len(self.iterations) % 2 == 0)
+        sampler = SpeedSampler(self.cpus)
+        sampler.start()
+        os.sched_setaffinity(0, self.serial)  # inherited by every child
+        try:
+            self.iterate(traced=False, warm_up=True)
+            deadline = monotonic() + self.seconds
+            while len(self.iterations) <= MIN_ITERATIONS[self.trace] or monotonic() < deadline:
+                self.iterate(traced=bool(self.trace) and len(self.iterations) % 2 == 0)
+        finally:
+            os.sched_setaffinity(0, self.cpus)
+            sampler.stop()
+        self.speed = sampler.samples
+
+    def at_reference_speed(self, spans):
+        """Seconds the ``spans`` would take at the reference speed.
+
+        ``spans`` maps "serial" and "pooled" to lists of (start, end). Each
+        kind is scaled by the mean sampler pass over its CPUs and its spans.
+        """
+        total = 0.0
+        for kind, windows in spans.items():
+            cpus = self.serial if kind == "serial" else self.cpus
+            inside = [
+                t for cpu in cpus for at, t in self.speed[cpu]
+                if any(a <= at <= b for a, b in windows)
+            ]
+            if not inside:  # a span shorter than the sampling interval
+                inside = [t for cpu in cpus for _, t in self.speed[cpu]]
+            total += sum(b - a for a, b in windows) * REFERENCE_PASS_S / statistics.fmean(inside)
+        return total
 
     def importtime(self):
         import tracer
@@ -177,7 +295,8 @@ class Run:
         log = self.dir / "importtime.txt"
         _, _, status, _ = spawn(["-c", code], log, extra_flags=("-X", "importtime"))
         if status != 0:
-            raise RuntimeError(f"import-time probe exited {status}")
+            self.probe_problems.append(f"import-time probe exited {status}")
+            return {}
         return tracer.importtime_metrics(log.read_text())
 
 
@@ -193,12 +312,28 @@ def timed(run, traced):
     return [it for it in run.iterations if it["traced"] == traced and not it["warm_up"]]
 
 
-def end_to_end(run):
+def as_timed(run):
+    """The untraced samples as the clocks read them."""
     plain = timed(run, traced=False)
     return {
         "wall_s": [it["wall_s"] for it in plain],
-        "setup_s": [it["setup_s"] for it in plain if "setup_s" in it],
+        "setup_s": [s for it in plain for s in it["setup_s"]],
         "cpu_s": [it["cpu_s"] for it in plain],
+        "peak_rss_mb": [it["peak_rss_mb"] for it in plain],
+    }
+
+
+def end_to_end(run):
+    """The untraced samples, times at the reference speed (see ``SpeedSampler``)."""
+    plain = timed(run, traced=False)
+    walls = [run.at_reference_speed(it["spans"]) for it in plain]
+    return {
+        "wall_s": walls,
+        "setup_s": [
+            run.at_reference_speed({"serial": span}) for it in plain for span in it["setup_spans"]
+        ],
+        # the process tree's CPU time, scaled like its wall time
+        "cpu_s": [it["cpu_s"] * wall / it["wall_s"] for it, wall in zip(plain, walls)],
         "peak_rss_mb": [it["peak_rss_mb"] for it in plain],
     }
 
@@ -213,8 +348,11 @@ def per_layer(run, import_metrics):
         for name in names
     }
     layers.update(import_metrics)
-    plain = [it["wall_s"] for it in timed(run, traced=False)]
-    layers["trace.overhead_s"] = median([it["wall_s"] for it in traced]) - median(plain)
+    plain = timed(run, traced=False)
+    layers["trace.overhead_s"] = (
+        median([run.at_reference_speed(it["spans"]) for it in traced])
+        - median([run.at_reference_speed(it["spans"]) for it in plain])
+    )
     return layers
 
 
@@ -239,7 +377,7 @@ def correctness(run):
     import checks
 
     attempted = failed = 0
-    problems = []
+    problems = list(run.probe_problems)
     for k, it in enumerate(run.iterations):
         for label, found in it["problems"].items():
             attempted += 1
@@ -269,7 +407,7 @@ def describe(values):
     )
 
 
-def report(run, e2e, layers, attempted, failed, problems):
+def report(run, e2e, raw, layers, attempted, failed, problems):
     out = [
         f"== {run.workload}  seed {run.seed}  trace {run.trace}  "
         f"{len(run.iterations) - 1} iterations after a warm-up  (closed loop, 1 client; "
@@ -278,7 +416,9 @@ def report(run, e2e, layers, attempted, failed, problems):
     units = {"wall_s": "s", "setup_s": "s", "cpu_s": "s", "peak_rss_mb": "MB"}
     for name, values in e2e.items():
         out.append(f"  {name:<14} {describe(values)}  {units[name]}, lower is better")
-    out.append(f"  {'failed_ops':<14} {failed}/{attempted} commands")
+    for name in ("wall_s", "setup_s", "cpu_s"):
+        out.append(f"  {name + ' timed':<14} {describe(raw[name])}  {units[name]}, as the clocks read")
+    out.append(f"  {'failed_ops':<14} {failed}/{attempted} commands and import-only processes")
     points = [it["failed_points"] for it in run.iterations if "failed_points" in it]
     if points:
         bad, total = points[0]
@@ -313,10 +453,10 @@ def run_one(workload, seed, seconds, trace):
     run = Run(workload, seed, seconds, trace)
     run.measure()
     import_metrics = run.importtime() if trace else {}
-    e2e = end_to_end(run)
+    e2e, raw = end_to_end(run), as_timed(run)
     layers = per_layer(run, import_metrics) if trace else {}
     attempted, failed, problems = correctness(run)
-    print(report(run, e2e, layers, attempted, failed, problems), flush=True)
+    print(report(run, e2e, raw, layers, attempted, failed, problems), flush=True)
 
     e2e_units, layer_units = declared_metrics()
     values = {name: median(e2e[name]) for name in e2e_units} if not trace else {
@@ -324,13 +464,18 @@ def run_one(workload, seed, seconds, trace):
     }
     units = layer_units if trace else e2e_units
     missing = sorted(name for name, value in values.items() if not math.isfinite(value))
-    if missing:
+    correct = failed == 0 and not problems
+    if missing and correct:
         raise RuntimeError(f"metrics not measured: {', '.join(missing)}")
+    # A broken program reports what was measured, with correct false.
     result = {
-        "correct": failed == 0 and not problems,
+        "correct": correct,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {name: {"value": values[name], "unit": units[name]} for name in units},
+        "metrics": {
+            name: {"value": values[name], "unit": units[name]}
+            for name in units if name not in missing
+        },
     }
     RESULTS.mkdir(parents=True, exist_ok=True)
     record = {
@@ -344,12 +489,14 @@ def run_one(workload, seed, seconds, trace):
         "inputs": run.files,
         "argv": [step["argv"] for step in run.plan],
         "end_to_end_samples": e2e,
+        "timed_samples": raw,
         "per_layer": layers,
         "iterations": [
             {k: v for k, v in it.items() if k not in ("out_dirs", "layers")}
             for it in run.iterations
         ],
         "problems": problems,
+        "speed_samples": {str(cpu): samples for cpu, samples in run.speed.items()},
         "result": result,
     }
     path = RESULTS / f"{workload}-seed{seed}-trace{trace}.json"

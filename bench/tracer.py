@@ -11,8 +11,9 @@ Three kinds of hook sit beside the spans:
 
 * light wrappers count calls and time without a span, for functions called
   tens of thousands of times (the exponential integral, the blackbody
-  density, the FIR designers); their time is charged to the enclosing span
-  as child time so that span's self time stays honest;
+  density, the FIR designers, the time-dependent generator's evaluation);
+  their time is charged to the enclosing span as child time so that span's
+  self time stays honest;
 * file writes: the package's modules get an ``open`` that times each file
   opened for writing, from open to close, as a ``cli.io.write`` span;
 * the fidelity module's process pool is replaced by a subclass that times
@@ -102,7 +103,11 @@ class Tracer:
         return wrapper
 
     def light(self, name, fn, after=None):
-        """Wrap ``fn`` to count calls and time without recording spans."""
+        """Wrap ``fn`` to count calls and time without recording spans.
+
+        The ``after`` hook receives the tracer, the positional arguments and
+        the result.
+        """
         tracer = self
         calls, seconds = f"{name}.calls", f"{name}.s"
 
@@ -119,7 +124,7 @@ class Tracer:
                 if tracer.stack:
                     tracer.spans[tracer.stack[-1]][LIGHT] += elapsed
             if after is not None:
-                after(tracer, result)
+                after(tracer, args, result)
             return result
 
         return wrapper
@@ -200,12 +205,30 @@ def _evolve_name(arguments):
     return f"lindblad.evolve.{kind}"
 
 
+def _before_evolve(tracer, arguments):
+    tracer.context["generator_times"] = []
+
+
 def _after_evolve(tracer, arguments, trajectory):
-    if _is_time_dependent(arguments["generator"]):
-        steps = int(round(arguments["t_end"] / arguments["dt"]))
-        tracer.add("lindblad.evolve.td.rk4_steps", steps)
-    else:
+    if not _is_time_dependent(arguments["generator"]):
         tracer.add("lindblad.evolve.const.snapshots", len(trajectory.times))
+
+
+def _after_generator(tracer, args, matrix):
+    # One RK4 step evaluates the generator at t, t + h/2 and t + h, in that
+    # order. Steps are counted from the evaluation times the integrator
+    # asks for, so an integrator with other stages reads 0 RK4 steps and
+    # shows its own work in the evaluation count.
+    times = tracer.context.setdefault("generator_times", [])
+    times.append(args[1])
+    if len(times) < 3:
+        return
+    t0, t1, t2 = times
+    if t2 > t0 and abs(2.0 * t1 - t0 - t2) <= 1e-6 * (t2 - t0):
+        tracer.add("lindblad.evolve.td.rk4_steps", 1)
+        times.clear()
+    else:
+        del times[0]
 
 
 def _after_rho21(tracer, arguments, rho21):
@@ -240,7 +263,7 @@ def _before_demod(tracer, arguments):
 def _fir_macs(arms):
     # iq_demodulate runs the bandpass once and the lowpass on both arms,
     # each as a full-length convolution over the record.
-    def after(tracer, taps):
+    def after(tracer, args, taps):
         tracer.add("receiver.fir_macs", arms * len(taps) * tracer.context.get("demod_samples", 0))
 
     return after
@@ -263,7 +286,7 @@ LAYERS = [
     ("scheme", "cesium_scheme", "scheme.load", None, None),
     ("lindblad", "make_generator", "lindblad.make_generator", None, None),
     ("lindblad", "steady_state", "lindblad.steady_state", None, None),
-    ("lindblad", "evolve", _evolve_name, _after_evolve, None),
+    ("lindblad", "evolve", _evolve_name, _after_evolve, _before_evolve),
     ("numerics", "null_space", "numerics.null_space", None, None),
     ("numerics", "psd_sqrt", "numerics.psd_sqrt", None, None),
     ("analytic", "analytic_steady_state", "analytic.analytic_steady_state", None, None),
@@ -291,6 +314,12 @@ COUNTED = [
     ("receiver", "_kaiser_lowpass", "receiver.fir_design", _fir_macs(2)),
 ]
 
+#: (module, class, method, counter name, after hook): counted, no span each
+COUNTED_METHODS = [
+    ("lindblad", "TimeDependentLiouvillian", "matrix", "lindblad.td_generator",
+     _after_generator),
+]
+
 
 def _rebind(modules, original, wrapped):
     for module in modules:
@@ -313,6 +342,9 @@ def install(tracer, package="rydberg_receiver"):
     for mod, attr, name, after in COUNTED:
         original = getattr(modules[mod], attr)
         _rebind(targets, original, tracer.light(name, original, after=after))
+    for mod, cls_name, attr, name, after in COUNTED_METHODS:
+        cls = getattr(modules[mod], cls_name)
+        setattr(cls, attr, tracer.light(name, vars(cls)[attr], after=after))
     for module in targets:
         module.open = tracer.open
 
@@ -410,10 +442,13 @@ def summarize(dumps):
     layer("lindblad.evolve.const", "calls", "self_s")
     m["lindblad.evolve.const.snapshots"] = counts.get("lindblad.evolve.const.snapshots", 0)
     layer("lindblad.evolve.td", "calls", "self_s")
+    m["lindblad.td_generator.calls"] = counts.get("lindblad.td_generator.calls", 0)
+    m["lindblad.td_generator.self_s"] = counts.get("lindblad.td_generator.s", 0.0)
     steps = counts.get("lindblad.evolve.td.rk4_steps", 0)
     m["lindblad.evolve.td.rk4_steps"] = steps
+    # the whole span per step, generator evaluations included
     m["lindblad.evolve.td.us_per_step"] = (
-        1e6 * m["lindblad.evolve.td.self_s"] / steps if steps else 0.0
+        1e6 * total.get("lindblad.evolve.td", 0.0) / steps if steps else 0.0
     )
     layer("numerics.null_space", "calls", "self_s")
     layer("numerics.psd_sqrt", "calls", "self_s")

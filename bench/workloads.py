@@ -10,6 +10,7 @@ lengths are constants of this file.
 every command, so the program under test only ever sees generated files.
 """
 
+import math
 import random
 
 WORKLOADS = ("landscape", "transient", "link")
@@ -20,10 +21,11 @@ OUT = "{out}"
 AXIS_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 #: Work sizes. Changing any of these changes the benchmark, not the program.
-MAP_RESOLUTION = 31          # 31 x 31 = 961 points per fidelity map
+MAP_RESOLUTION = 25          # 25 x 25 = 625 points per fidelity map
 MAP_WORKERS = 2              # the pooled map; equals the 2 cores measured here
-OPT_AXIS_STEPS = 4           # candidates k * step, k = 0..4, sum(k) <= 4: 70
-TD_T_END_US = 4.0            # 40,000 RK4 steps at dt = 1e-4 us
+OPT_AXIS_STEPS = 3           # candidates k * step on 4 axes, k = 0..3, sum(k) <= 3
+OPT_CANDIDATES = math.comb(OPT_AXIS_STEPS + 4, 4)  # 35
+TD_T_END_US = 3.0            # 30,000 RK4 steps at dt = 1e-4 us
 TD_SNAPSHOTS = 101
 CONST_T_END_US = 10.0
 CONST_SNAPSHOTS = 1001
@@ -86,8 +88,9 @@ def _landscape(rng):
         "search_lo_mhz = 0\n"
         f"search_hi_mhz = {step * OPT_AXIS_STEPS:.6g}\n"
         f"grid_step_mhz = {step:.6g}\n"
-        # sums are whole multiples of the step, so 4.5 steps admits exactly
-        # the 70 candidates with sum(k) <= 4 without a rounding edge
+        # sums are whole multiples of the step, so half a step more admits
+        # exactly the candidates with sum(k) <= OPT_AXIS_STEPS, with no
+        # rounding edge
         f"sum_constraint_mhz = {step * (OPT_AXIS_STEPS + 0.5):.6g}\n"
         f"half_widths_khz = {_list(half_widths)}\n"
         "samples_per_axis = 3\n"
