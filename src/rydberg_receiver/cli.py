@@ -9,13 +9,14 @@ reproduce the documented cesium operating point), writes its products into
 parameters and output names. Manifests and data files carry no timestamps
 or absolute paths, so identical invocations produce byte-identical trees.
 
-Exit codes: 0 success, 1 computation or validation failure, 2 usage or
-configuration errors.
+Exit codes: 0 success, 1 usage, configuration or scheme errors (and an
+invalid ``validate-scheme`` report), 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -38,12 +39,14 @@ from .lindblad import (
     evolve,
     make_generator,
     steady_state_numerical,
+    vectorize,
 )
 from .analytic import AnalyticContext, analytic_steady_state
 from .receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
     VaporCellParams,
+    _rabi_per_field,
     gain_coefficients,
     iq_demodulate,
     linearization_discrepancy,
@@ -57,6 +60,7 @@ from .scheme import (
     SchemeFileError,
     cesium_scheme,
     load_scheme,
+    require_hybrid_six,
     validate_scheme,
 )
 
@@ -213,6 +217,10 @@ def _load_inputs(args, command):
     else:
         cfg = parse_config("", schema, origin="<defaults>")
     scheme = load_scheme(args.scheme) if args.scheme else cesium_scheme()
+    try:
+        require_hybrid_six(scheme)
+    except ValueError as exc:
+        raise SchemeFileError(f"{args.scheme}: {exc}") from None
     return cfg, scheme
 
 
@@ -296,8 +304,6 @@ def cmd_steady_state(args):
             dt=cfg["steady_state"]["dt"],
         )
         generator = make_generator(drive, scheme)
-        from .lindblad import vectorize
-
         residual = float(
             np.linalg.norm(generator.matrix @ vectorize(rho.matrix))
             if not hasattr(generator, "delta")
@@ -321,10 +327,8 @@ def cmd_steady_state(args):
             comparison = {"unavailable": str(exc)}
 
     out = _out_dir(args)
-    import csv as _csv
-
     with open(out / "steady_state.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["i", "j", "re", "im"])
         for i in range(6):
             for j in range(6):
@@ -491,8 +495,6 @@ def cmd_waveform(args):
 
     amplitudes = sig["amplitudes"]
     if amplitudes is None:
-        from .receiver import _rabi_per_field
-
         amplitudes = tuple(
             sig["modulation_index"] * drive.rf_rabi[n - 1] / _rabi_per_field(n, scheme)
             for n in range(1, 5)
@@ -533,10 +535,8 @@ def cmd_waveform(args):
             [spec.offsets[n - 1] for n in active],
             [spec.bandwidths[n - 1] for n in active],
         )
-        import csv as _csv
-
         with open(out / "demod.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["channel", "t", "re", "im"])
             for n, ch in zip(active, demods):
                 for t, z in zip(ch.times, ch.baseband):

@@ -22,12 +22,13 @@ stay O(1e-3 .. 1e2) and ``t = 10`` is a round number.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import null_space, NULL_SPACE_TOL
-from .scheme import Architecture, LevelScheme
+from .scheme import require_hybrid_six
 
 __all__ = [
     "DriveConfig",
@@ -35,9 +36,7 @@ __all__ = [
     "Liouvillian",
     "TimeDependentLiouvillian",
     "Trajectory",
-    "build_hamiltonian_resonant",
-    "build_hamiltonian_general",
-    "build_liouvillian",
+    "build_hamiltonian",
     "make_generator",
     "evolve",
     "steady_state",
@@ -191,59 +190,38 @@ def unvectorize(v, dim=6):
 
 
 # ----------------------------------------------------------------------
-# Hamiltonians
+# Hamiltonian
 
-#: RF channel n (1-based) couples this zero-based (row, col) upper-triangle
-#: element; channel 4 is the loop-closing branch between levels 3 and 6.
-_RF_ELEMENTS = ((2, 3), (3, 4), (4, 5), (2, 5))
-_LOOP_ELEMENT = (2, 5)
+#: Zero-based index of the loop-closing RF channel (channel 4, edge 3-6).
+_LOOP = 3
 
 
-def build_hamiltonian_resonant(drive, scheme=None):
-    """Six-level rotating-frame Hamiltonian with every detuning zero.
+def build_hamiltonian(drive, scheme, t=0.0):
+    """Rotating-frame Hamiltonian of the six-level hybrid at time ``t``.
 
-    Zero diagonal; couplings ``Omega/2 * exp(i phi)`` on the ladder elements
-    (1,2), (2,3), (3,4), (4,5), (5,6) and the loop branch (3,6), plus
-    conjugates. Entries are rad/us (hbar = 1 internally).
+    Couplings ``Omega/2 * exp(i phi)`` sit on the upper triangle: the probe
+    on (1,2), the coupling laser on (2,3), and RF channel n on the edge of
+    the scheme's transition n. The loop branch (channel 4) also carries
+    ``exp(-i delta t)`` with the closed-loop detuning ``delta``, so the
+    operator is Hermitian for every t and time independent when delta = 0.
+    The diagonal accumulates detunings down the ladder:
+    ``(0, -Dp, -(Dp+Dc), -(Dp+Dc+D1), -(Dp+Dc+D1+D2), -(Dp+Dc+D1+D2+D3))``.
+    Entries are rad/us (hbar = 1 internally).
 
     Raises
     ------
     ValueError
-        If any detuning in ``drive`` is nonzero; use
-        :func:`build_hamiltonian_general` for that case.
+        If ``scheme`` is not the six-level hybrid.
     """
-    if not drive.is_resonant:
-        raise ValueError(
-            "build_hamiltonian_resonant: drive carries nonzero detunings; "
-            "use build_hamiltonian_general"
-        )
+    require_hybrid_six(scheme)
     h = np.zeros((6, 6), dtype=complex)
     h[0, 1] = drive.omega_p / 2.0
     h[1, 2] = drive.omega_c / 2.0
-    for n in range(4):
-        i, j = _RF_ELEMENTS[n]
-        h[i, j] += (drive.rf_rabi[n] / 2.0) * np.exp(1j * drive.rf_phases[n])
-    return h + h.conj().T
-
-
-def build_hamiltonian_general(drive, scheme=None, t=0.0):
-    """Rotating-frame Hamiltonian with detunings and loop phase at time t.
-
-    The diagonal accumulates detunings down the ladder:
-    ``(0, -Dp, -(Dp+Dc), -(Dp+Dc+D1), -(Dp+Dc+D1+D2), -(Dp+Dc+D1+D2+D3))``.
-    The loop branch (3,6) carries ``exp(-i delta t)`` with the closed-loop
-    detuning ``delta``; both triangles get the factor 1/2, keeping the
-    operator Hermitian for every t.
-    """
-    h = np.zeros((6, 6), dtype=complex)
-    h[0, 1] = drive.omega_p / 2.0
-    h[1, 2] = drive.omega_c / 2.0
-    for n in range(4):
-        i, j = _RF_ELEMENTS[n]
+    for n, tr in enumerate(scheme.rf_transitions):
         coupling = (drive.rf_rabi[n] / 2.0) * np.exp(1j * drive.rf_phases[n])
-        if (i, j) == _LOOP_ELEMENT:
+        if n == _LOOP:
             coupling = coupling * np.exp(-1j * drive.closed_loop_delta * t)
-        h[i, j] += coupling
+        h[tr.lower - 1, tr.upper - 1] += coupling
     h = h + h.conj().T
     dp, dc = drive.delta_p, drive.delta_c
     d1, d2, d3, _d4 = drive.rf_detunings
@@ -265,22 +243,20 @@ def _hamiltonian_superop(x):
     return -1j * (np.kron(eye, x) - np.kron(x.T, eye))
 
 
-def _dissipator(scheme, dim=6):
-    """Sum of decay dissipators in vectorized form."""
+@functools.lru_cache(maxsize=8)
+def _dissipator(decay_channels, dim):
+    """Sum of decay dissipators in vectorized form, built once per scheme
+    and shared read-only by every generator."""
     eye = np.eye(dim)
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for (src, dst, rate) in scheme.decay_channels:
-        if rate < 0:
-            raise ValueError(
-                f"build_liouvillian: decay rate for {src}->{dst} is negative ({rate}); "
-                "invalid scheme"
-            )
+    for (src, dst, rate) in decay_channels:
         jump = np.zeros((dim, dim), dtype=complex)
         jump[dst - 1, src - 1] = 1.0
         jj = jump.conj().T @ jump
         out += rate * (
             np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
         )
+    out.setflags(write=False)
     return out
 
 
@@ -357,35 +333,28 @@ class TimeDependentLiouvillian:
         )
 
 
-def build_liouvillian(h, scheme):
-    """Assemble the constant Liouvillian for Hamiltonian ``h`` and the
-    scheme's decay channels.
+def make_generator(drive, scheme):
+    """Generator for the given drive: constant if the loop detuning is
+    zero, otherwise the explicit three-part time-dependent form.
 
     Raises
     ------
     ValueError
-        Non-Hermitian ``h`` or a negative decay rate.
+        If ``scheme`` is not the six-level hybrid.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (6, 6) or np.max(np.abs(h - h.conj().T)) > _HERM_TOL:
-        raise ValueError("build_liouvillian: h must be 6x6 Hermitian")
-    return Liouvillian(_hamiltonian_superop(h) + _dissipator(scheme, dim=6))
-
-
-def make_generator(drive, scheme, t_origin=0.0):
-    """Generator for the given drive: constant if the loop detuning is
-    zero, otherwise the explicit three-part time-dependent form."""
+    h = build_hamiltonian(drive, scheme)
+    dissipator = _dissipator(scheme.decay_channels, scheme.size)
     delta = drive.closed_loop_delta
     if delta == 0.0:
-        return build_liouvillian(build_hamiltonian_general(drive, scheme, t=t_origin), scheme)
-    h_static = build_hamiltonian_general(drive, scheme, t=0.0)
-    loop = np.zeros((6, 6), dtype=complex)
-    i, j = _LOOP_ELEMENT
-    loop[i, j] = (drive.rf_rabi[3] / 2.0) * np.exp(1j * drive.rf_phases[3])
-    h_static[i, j] -= loop[i, j]
-    h_static[j, i] -= np.conj(loop[i, j])
+        return Liouvillian(_hamiltonian_superop(h) + dissipator)
+    # Split the loop branch off the t = 0 Hamiltonian.
+    loop_edge = scheme.rf_transitions[_LOOP]
+    i, j = loop_edge.lower - 1, loop_edge.upper - 1
+    loop = np.zeros_like(h)
+    loop[i, j] = h[i, j]
+    h[i, j] = h[j, i] = 0.0
     return TimeDependentLiouvillian(
-        constant=_hamiltonian_superop(h_static) + _dissipator(scheme, dim=6),
+        constant=_hamiltonian_superop(h) + dissipator,
         loop_lower=_hamiltonian_superop(loop),
         loop_raise=_hamiltonian_superop(loop.conj().T),
         delta=delta,

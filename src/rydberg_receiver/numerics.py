@@ -2,8 +2,7 @@
 
 Everything in this module is physics-agnostic: Hermitian eigendecomposition
 with a multiply-back guarantee, SVD-based null spaces, positive-semidefinite
-matrix square roots, the exponential integral E1, and a classical fixed-step
-fourth-order Runge-Kutta update.
+matrix square roots and the exponential integral E1.
 
 Storage convention
 ------------------
@@ -33,7 +32,6 @@ __all__ = [
     "psd_sqrt",
     "exp_integral_e1",
     "exp_e1_scaled",
-    "rk4_step",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
@@ -245,29 +243,3 @@ def exp_e1_scaled(x):
     if x <= 1.0:
         return math.exp(x) * _e1_series(x)
     return _e1_cf(x)
-
-
-def rk4_step(deriv, state, dt):
-    """One classical fourth-order Runge-Kutta step of an autonomous system.
-
-    Parameters
-    ----------
-    deriv : callable
-        Vector field; maps a state array to its time derivative.
-    state : numpy.ndarray
-        Current state.
-    dt : float
-        Step size, strictly positive.
-
-    Returns
-    -------
-    numpy.ndarray
-        State advanced by ``dt``.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"rk4_step: dt must be positive, got {dt}")
-    k1 = deriv(state)
-    k2 = deriv(state + (0.5 * dt) * k1)
-    k3 = deriv(state + (0.5 * dt) * k2)
-    k4 = deriv(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

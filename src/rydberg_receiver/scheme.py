@@ -115,10 +115,10 @@ class LevelScheme:
         Unique, contiguous indices starting at 1.
     architecture : Architecture
     rf_transitions : tuple of RfTransition
-        Each must satisfy the parity rule (checked here).
+        RF channel n is entry n; a six-level hybrid lists exactly
+        :data:`HYBRID_SIX_EDGES` in that order (checked here).
     decay_channels : tuple of (int, int, float)
-        ``(from_level, to_level, rate)`` with rates in rad/us. Rate signs
-        are validated where the Liouvillian is assembled.
+        ``(from_level, to_level, rate)`` with nonnegative rates in rad/us.
     """
 
     levels: tuple
@@ -129,7 +129,7 @@ class LevelScheme:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "rf_transitions", tuple(self.rf_transitions))
-        object.__setattr__(self, "decay_channels", tuple(self.decay_channels))
+        object.__setattr__(self, "decay_channels", tuple(tuple(ch) for ch in self.decay_channels))
         indices = sorted(lv.index for lv in self.levels)
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError(f"LevelScheme: level indices must be 1..K contiguous, got {indices}")
@@ -137,15 +137,19 @@ class LevelScheme:
         for tr in self.rf_transitions:
             if tr.upper > k:
                 raise ValueError(f"LevelScheme: transition ({tr.lower},{tr.upper}) exceeds K={k}")
-        for (src, dst, _rate) in self.decay_channels:
+        for (src, dst, rate) in self.decay_channels:
             if not (1 <= dst < src <= k):
                 raise ValueError(f"LevelScheme: decay ({src},{dst}) must go downward within 1..{k}")
+            if rate < 0:
+                raise ValueError(
+                    f"LevelScheme: decay rate for {src}->{dst} is negative ({rate} rad/us)"
+                )
         if self.architecture is Architecture.HYBRID and k == 6:
-            edges = tuple(sorted((tr.lower, tr.upper) for tr in self.rf_transitions))
-            if edges != tuple(sorted(HYBRID_SIX_EDGES)):
+            edges = tuple((tr.lower, tr.upper) for tr in self.rf_transitions)
+            if edges != HYBRID_SIX_EDGES:
                 raise ValueError(
                     "LevelScheme: six-level hybrid must carry exactly the RF edges "
-                    f"{HYBRID_SIX_EDGES}, got {edges}"
+                    f"{HYBRID_SIX_EDGES} as transitions 1..4, got {edges}"
                 )
 
     @property
@@ -313,6 +317,20 @@ def validate_scheme(scheme):
     return ValidationReport(parity_violations=tuple(violations), odd_loops=loops)
 
 
+def require_hybrid_six(scheme):
+    """Raise ValueError unless ``scheme`` is the six-level hybrid.
+
+    The master-equation engine simulates only that scheme. Its RF channel
+    order is already checked by :class:`LevelScheme`.
+    """
+    if scheme.architecture is not Architecture.HYBRID or scheme.size != 6:
+        raise ValueError(
+            "only the six-level hybrid scheme can be simulated; got "
+            f"{scheme.architecture.value} with K={scheme.size} and "
+            f"{len(scheme.rf_transitions)} RF transitions"
+        )
+
+
 def closed_loop_detuning(scheme):
     """Net detuning around the RF loop 3-4-5-6-3 (rad/us).
 
@@ -322,17 +340,11 @@ def closed_loop_detuning(scheme):
     Raises
     ------
     ValueError
-        For non-hybrid schemes or hybrid manifolds other than K=6.
+        For anything but the six-level hybrid scheme.
     """
-    if scheme.architecture is not Architecture.HYBRID:
-        raise ValueError(
-            f"closed_loop_detuning: defined only for the hybrid architecture, "
-            f"got {scheme.architecture.value}"
-        )
-    if scheme.size != 6:
-        raise ValueError(f"closed_loop_detuning: implemented for K=6, got K={scheme.size}")
-    det = {(tr.lower, tr.upper): tr.detuning for tr in scheme.rf_transitions}
-    return det[(3, 6)] - (det[(3, 4)] + det[(4, 5)] + det[(5, 6)])
+    require_hybrid_six(scheme)
+    d1, d2, d3, d4 = (tr.detuning for tr in scheme.rf_transitions)
+    return d4 - (d1 + d2 + d3)
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +381,10 @@ def parse_scheme(text, origin="<string>"):
     ``carrier_<unit>``, ``dipole_ea0``, optional ``detuning_<unit>`` and
     ``band``; one ``[decay.S-D]`` per decay channel with ``rate_<unit>``.
     All frequencies are ordinary (not angular) and converted on load.
+
+    RF channel N is section ``[transition.N]``. A six-level hybrid numbers
+    its transitions 3-4, 4-5, 5-6, 3-6 (the loop branch is channel 4); any
+    other numbering is rejected.
     """
     cp = configparser.ConfigParser()
     try:
@@ -439,8 +455,6 @@ def parse_scheme(text, origin="<string>"):
             raise SchemeFileError(f"{origin}: unknown section [{name}]")
 
     levels.sort(key=lambda lv: lv.index)
-    # RF channel numbering follows the [transition.N] section numbers, which
-    # is how drives, detunings, and dipoles line up with channels 1..4.
     transitions.sort(key=lambda pair: pair[0])
     try:
         return LevelScheme(

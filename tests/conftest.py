@@ -2,6 +2,7 @@
 the documented operating point."""
 
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def scheme():
     return rr.cesium_scheme()
+
+
+@pytest.fixture(scope="session")
+def scheme_text():
+    """The bundled scheme file's text."""
+    return resources.files("rydberg_receiver").joinpath("data/cesium_six_level.ini").read_text()
+
+
+@pytest.fixture(scope="session")
+def renumbered_scheme_text(scheme_text):
+    """The bundled scheme file with transitions 1 (3-4) and 4 (3-6) swapped."""
+    return (
+        scheme_text.replace("[transition.1]", "[transition.x]")
+        .replace("[transition.4]", "[transition.1]")
+        .replace("[transition.x]", "[transition.4]")
+    )
 
 
 @pytest.fixture(scope="session")

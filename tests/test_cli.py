@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rydberg_receiver.cli import main
+from rydberg_receiver.cli import SCHEMAS, main
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,6 +77,34 @@ class TestValidateScheme:
     def test_unreadable_scheme_exits_1(self, tmp_path, capsys):
         code = main(["validate-scheme", "--scheme", str(tmp_path / "none.ini")])
         assert code == 1
+
+    def test_cascade_scheme_valid_but_not_simulated(self, tmp_path, capsys, scheme_text):
+        cut = slice(scheme_text.index("[transition.4]"), scheme_text.index("[decay.2-1]"))
+        cascade = scheme_text.replace(scheme_text[cut], "")
+        path = tmp_path / "cascade.ini"
+        path.write_text(cascade.replace("architecture = Hybrid", "architecture = CRS"))
+        assert main(["validate-scheme", "--scheme", str(path)]) == 0
+        for command in ("steady-state", "sumrate"):
+            capsys.readouterr()
+            code = main([command, "--scheme", str(path), "--out", str(tmp_path / command)])
+            assert code == 1
+            assert "CRS with K=6 and 3 RF transitions" in capsys.readouterr().err
+
+    def test_misnumbered_or_negative_rate_scheme_exits_1(
+        self, tmp_path, capsys, scheme_text, renumbered_scheme_text
+    ):
+        renumbered = tmp_path / "renumbered.ini"
+        renumbered.write_text(renumbered_scheme_text)
+        negative = tmp_path / "negative.ini"
+        negative.write_text(scheme_text.replace("rate_khz = 0.8", "rate_khz = -0.8"))
+        cases = [(renumbered, list(SCHEMAS), "RF edges"),
+                 (negative, ["validate-scheme", "steady-state"], "negative")]
+        for path, names, message in cases:
+            for command in names:
+                capsys.readouterr()
+                code = main([command, "--scheme", str(path), "--out", str(tmp_path / "o")])
+                assert code == 1
+                assert message in capsys.readouterr().err
 
 
 class TestSteadyState:

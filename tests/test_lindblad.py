@@ -12,9 +12,7 @@ from rydberg_receiver.lindblad import (
     DriveConfig,
     Liouvillian,
     TimeDependentLiouvillian,
-    build_hamiltonian_general,
-    build_hamiltonian_resonant,
-    build_liouvillian,
+    build_hamiltonian,
 )
 from rydberg_receiver.scheme import Architecture, LevelScheme
 
@@ -45,8 +43,8 @@ class TestDriveConfig:
 
 
 class TestHamiltonian:
-    def test_resonant_elements(self, op_drive):
-        h = build_hamiltonian_resonant(op_drive)
+    def test_resonant_elements(self, op_drive, scheme):
+        h = build_hamiltonian(op_drive, scheme)
         # probe element is half the Rabi amplitude
         assert h[0, 1] == pytest.approx(np.pi * 5.7, rel=1e-15)
         assert h[1, 2] == pytest.approx(np.pi * 0.97, rel=1e-15)
@@ -59,7 +57,7 @@ class TestHamiltonian:
         assert np.count_nonzero(h) == 12
         assert np.allclose(np.diag(h), 0.0)
 
-    def test_general_diagonal_accumulates_detunings(self):
+    def test_general_diagonal_accumulates_detunings(self, scheme):
         d = DriveConfig(
             omega_p=1.0,
             omega_c=1.0,
@@ -68,22 +66,12 @@ class TestHamiltonian:
             delta_c=0.2,
             rf_detunings=(0.3, 0.4, 0.5, 1.2),
         )
-        h = build_hamiltonian_general(d)
+        h = build_hamiltonian(d, scheme)
         assert np.allclose(
             np.real(np.diag(h)), [0.0, -0.1, -0.3, -0.6, -1.0, -1.5], atol=1e-15
         )
 
-    def test_resonant_general_agree_on_resonance(self, op_drive):
-        assert np.allclose(
-            build_hamiltonian_resonant(op_drive), build_hamiltonian_general(op_drive)
-        )
-
-    def test_resonant_builder_rejects_detuned_drive(self):
-        d = DriveConfig(omega_p=1.0, omega_c=1.0, rf_rabi=(1, 1, 1, 1), delta_p=0.5)
-        with pytest.raises(ValueError, match="general"):
-            build_hamiltonian_resonant(d)
-
-    def test_loop_element_oscillates_at_delta(self):
+    def test_loop_element_oscillates_at_delta(self, scheme):
         # delta = 0.4 - (0.1 + 0.1 + 0.1) = 0.1; at t = pi/delta the loop
         # element flips sign relative to t = 0
         d = DriveConfig(
@@ -92,19 +80,31 @@ class TestHamiltonian:
             rf_rabi=(1, 1, 1, 2),
             rf_detunings=(0.1, 0.1, 0.1, 0.4),
         )
-        h0 = build_hamiltonian_general(d, t=0.0)
-        h1 = build_hamiltonian_general(d, t=np.pi / 0.1)
+        h0 = build_hamiltonian(d, scheme, t=0.0)
+        h1 = build_hamiltonian(d, scheme, t=np.pi / 0.1)
         assert h1[2, 5] == pytest.approx(-h0[2, 5], rel=1e-10)
         assert h0[2, 5] == pytest.approx(1.0, rel=1e-12)
 
-    def test_loop_phase_convention(self):
+    def test_loop_phase_convention(self, scheme):
         d = DriveConfig(
             omega_p=1.0, omega_c=1.0, rf_rabi=(1, 1, 1, 2), rf_phases=(0, 0, 0, np.pi / 2)
         )
-        h = build_hamiltonian_general(d)
+        h = build_hamiltonian(d, scheme)
         # upper-triangle carries e^{+i phi}
         assert h[2, 5] == pytest.approx(1.0j, rel=1e-12)
         assert h[5, 2] == pytest.approx(-1.0j, rel=1e-12)
+
+
+    def test_only_hybrid_six_simulated(self, op_drive, scheme):
+        cascade = LevelScheme(
+            levels=scheme.levels,
+            architecture=Architecture.CRS,
+            rf_transitions=scheme.rf_transitions[:3],
+            decay_channels=scheme.decay_channels,
+        )
+        for build in (rr.build_hamiltonian, rr.make_generator):
+            with pytest.raises(ValueError, match="CRS with K=6 and 3 RF transitions"):
+                build(op_drive, cascade)
 
 
 class TestVectorization:
@@ -119,12 +119,12 @@ class TestVectorization:
 
 class TestLiouvillian:
     def test_trace_preservation_functional(self, op_drive, scheme):
-        lv = build_liouvillian(build_hamiltonian_resonant(op_drive), scheme)
+        lv = rr.make_generator(op_drive, scheme)
         ones = rr.vectorize(np.eye(6))
         assert np.linalg.norm(ones.conj() @ lv.matrix) < 1e-10 * lv.norm()
 
     def test_spectrum_stable(self, op_drive, scheme):
-        lv = build_liouvillian(build_hamiltonian_resonant(op_drive), scheme)
+        lv = rr.make_generator(op_drive, scheme)
         zero_abs, max_rest = lv.spectral_report()
         # one eigenvalue pinned at zero, everything else strictly decaying
         assert zero_abs < 1e-10 * lv.norm()

@@ -10,7 +10,6 @@ from rydberg_receiver.numerics import (
     hermitian_eig,
     null_space,
     psd_sqrt,
-    rk4_step,
 )
 
 
@@ -129,32 +128,3 @@ class TestPsdSqrt:
     def test_genuinely_indefinite_rejected(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.diag([1.0, -0.5]))
-
-
-class TestRk4Step:
-    def test_fourth_order_convergence(self):
-        # global error on y' = -y over [0, 1] must drop ~16x when dt halves
-        def deriv(y):
-            return -y
-
-        def integrate(n):
-            y, dt = np.array([1.0]), 1.0 / n
-            for _ in range(n):
-                y = rk4_step(deriv, y, dt)
-            return y[0]
-
-        err_coarse = abs(integrate(50) - np.exp(-1.0))
-        err_fine = abs(integrate(100) - np.exp(-1.0))
-        assert 12.0 < err_coarse / err_fine < 20.0
-
-    def test_matrix_state(self):
-        # linear matrix ODE keeps shape and matches the scalar solution
-        a = np.diag([-1.0, -2.0])
-
-        def deriv(y):
-            return a @ y
-
-        y = np.eye(2)
-        for _ in range(1000):
-            y = rk4_step(deriv, y, 1e-3)
-        assert np.allclose(np.diag(y), np.exp([-1.0, -2.0]), rtol=1e-10)

@@ -121,7 +121,7 @@ class TestValidation:
         assert len(report.odd_loops[0]) % 2 == 1
         assert "odd" in report.summary().lower()
 
-    def test_hybrid_six_requires_canonical_edges(self, scheme):
+    def test_hybrid_six_requires_canonical_edges(self, scheme, renumbered_scheme_text):
         with pytest.raises(ValueError, match="RF edges"):
             LevelScheme(
                 levels=scheme.levels,
@@ -129,6 +129,9 @@ class TestValidation:
                 rf_transitions=scheme.rf_transitions[:3],
                 decay_channels=scheme.decay_channels,
             )
+        # the right edges under the wrong channel numbers
+        with pytest.raises(SchemeFileError, match="RF edges"):
+            parse_scheme(renumbered_scheme_text)
 
     def test_upward_decay_rejected(self, scheme):
         with pytest.raises(ValueError, match="downward"):
@@ -137,6 +140,13 @@ class TestValidation:
                 architecture=Architecture.HYBRID,
                 rf_transitions=scheme.rf_transitions,
                 decay_channels=((1, 2, 1.0),),
+            )
+        with pytest.raises(ValueError, match="negative"):
+            LevelScheme(
+                levels=scheme.levels,
+                architecture=Architecture.HYBRID,
+                rf_transitions=scheme.rf_transitions,
+                decay_channels=((3, 2, -1.0),),
             )
 
     def test_transition_ordering_validated(self):
