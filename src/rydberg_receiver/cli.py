@@ -35,6 +35,7 @@ from .fidelity import (
 from .lindblad import (
     DEFAULT_DT,
     DriveConfig,
+    TimeDependentLiouvillian,
     basis_state,
     evolve,
     make_generator,
@@ -42,6 +43,7 @@ from .lindblad import (
     vectorize,
 )
 from .analytic import AnalyticContext, analytic_steady_state
+from .numerics import TWO_PI
 from .receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
@@ -63,8 +65,6 @@ from .scheme import (
     require_hybrid_six,
     validate_scheme,
 )
-
-TWO_PI = 6.283185307179586
 
 _DRIVE_SCHEMA = {
     "omega_p": Field("angular_frequency", TWO_PI * 5.7),
@@ -216,6 +216,15 @@ def _load_inputs(args, command):
         cfg = load_config(args.config, schema)
     else:
         cfg = parse_config("", schema, origin="<defaults>")
+    # Every section with an integrator step also has a horizon. Reject a
+    # step or horizon evolve cannot integrate over here, with the key named.
+    for section, values in cfg.items():
+        if "dt" in values:
+            dt, t_end = values["dt"], values["t_end"]
+            if not (np.isfinite(dt) and dt > 0):
+                raise ConfigError(f"[{section}] dt must be finite and > 0, got {dt:g} us")
+            if not (np.isfinite(t_end) and t_end >= 0):
+                raise ConfigError(f"[{section}] t_end must be finite and >= 0, got {t_end:g} us")
     scheme = load_scheme(args.scheme) if args.scheme else cesium_scheme()
     try:
         require_hybrid_six(scheme)
@@ -304,11 +313,12 @@ def cmd_steady_state(args):
             dt=cfg["steady_state"]["dt"],
         )
         generator = make_generator(drive, scheme)
-        residual = float(
-            np.linalg.norm(generator.matrix @ vectorize(rho.matrix))
-            if not hasattr(generator, "delta")
-            else np.linalg.norm(generator.matrix(0.0) @ vectorize(rho.matrix))
+        matrix = (
+            generator.matrix(0.0)
+            if isinstance(generator, TimeDependentLiouvillian)
+            else generator.matrix
         )
+        residual = float(np.linalg.norm(matrix @ vectorize(rho.matrix)))
     else:
         raise ConfigError(
             f"[steady_state] method must be null_space, evolve, or analytic, got {method!r}"

@@ -22,7 +22,7 @@ from scipy.constants import c as c_light
 from scipy.constants import epsilon_0, hbar, k
 
 from .lindblad import DriveConfig
-from .numerics import exp_e1_scaled
+from .numerics import TWO_PI, exp_e1_scaled
 from .receiver import DEFAULT_CELL, gain_coefficients, photodetector_output
 from .scheme import Architecture
 
@@ -44,7 +44,6 @@ __all__ = [
     "compare_architectures",
 ]
 
-TWO_PI = 6.283185307179586
 LN2 = math.log(2.0)
 
 #: Reference LO amplitude sets (rad/us): a probe-heavy point and a

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from scipy.constants import e as e_charge
 from scipy.constants import physical_constants
 
+from .numerics import TWO_PI
+
 __all__ = ["ConfigError", "Field", "MISSING", "parse_config", "load_config"]
 
-TWO_PI = 6.283185307179586
 _EA0 = e_charge * physical_constants["Bohr radius"][0]
 
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import AnalyticContext, analytic_steady_state
 from .lindblad import DEFAULT_DT, DensityMatrix, DriveConfig, steady_state_numerical
-from .numerics import psd_sqrt
+from .numerics import TWO_PI, psd_sqrt
 
 __all__ = [
     "fidelity",
@@ -37,8 +37,6 @@ __all__ = [
     "optimize_operating_point",
     "TWO_PI",
 ]
-
-TWO_PI = 6.283185307179586
 
 
 def fidelity(rho_n, rho_a):

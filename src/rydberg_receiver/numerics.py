@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
+    "TWO_PI",
     "HermitianEigenResult",
     "hermitian_eig",
     "null_space",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286061
+TWO_PI = 6.283185307179586
 
 # Default relative tolerances; see the module docstring of each consumer for
 # why these are safe (the zero mode of a valid generator is separated from

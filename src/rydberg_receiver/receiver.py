@@ -30,6 +30,7 @@ from scipy.constants import e as e_charge
 
 from .analytic import AnalyticContext, analytic_rho21, rho21_from_amplitudes
 from .lindblad import DriveConfig, steady_state_numerical
+from .numerics import TWO_PI
 
 __all__ = [
     "EA0",
@@ -53,8 +54,6 @@ __all__ = [
 
 #: One atomic dipole unit e*a0 in C*m.
 EA0 = e_charge * physical_constants["Bohr radius"][0]
-
-TWO_PI = 6.283185307179586
 
 #: Demodulator filter plan: linear-phase FIR, bandpass width 1.2 B, lowpass
 #: cutoff 0.6 B, >= 60 dB stopband (we design for 65), transition 1.5 B.

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
+from .numerics import TWO_PI
+
 __all__ = [
     "Architecture",
     "Level",
@@ -29,8 +31,6 @@ __all__ = [
     "load_scheme",
     "cesium_scheme",
 ]
-
-TWO_PI = 6.283185307179586
 
 # rad/us per unit of ordinary frequency
 _FREQ_SUFFIXES = {

@@ -230,6 +230,31 @@ class TestTimeDependent:
         traj = rr.evolve(rr.ground_state(), td, t_end=1.0, dt=1e-4, max_snapshots=2)
         assert np.max(np.abs(rr.vectorize(traj.final.matrix) - sol.y[:, -1])) < 1e-7
 
+    @pytest.mark.parametrize(
+        "n_steps, max_snapshots",
+        [
+            (2500, 2),  # one gap, longer than a phase block, not a multiple of it
+            (1000, 11),
+        ],
+    )
+    def test_matches_literal_rk4_stepping(self, scheme, literal_rk4, n_steps, max_snapshots):
+        # a fast loop phase (delta = 2pi x 2.8 MHz: 0.7 turns over the
+        # 2500-step run) and RF phases, so every Laurent power matters
+        drive = DriveConfig(
+            omega_p=TWO_PI * 5.7,
+            omega_c=TWO_PI * 0.97,
+            rf_rabi=(TWO_PI * 2, TWO_PI * 7, TWO_PI * 1, TWO_PI * 6),
+            rf_detunings=(TWO_PI * 0.3, -TWO_PI * 0.2, TWO_PI * 0.1, TWO_PI * 3.0),
+            rf_phases=(0.3, -1.1, 2.0, 0.7),
+        )
+        td = rr.make_generator(drive, scheme)
+        dt = 1e-4
+        traj = rr.evolve(
+            rr.ground_state(), td, t_end=n_steps * dt, dt=dt, max_snapshots=max_snapshots
+        )
+        assert len(traj.times) == max_snapshots
+        assert literal_rk4(traj, td, dt) <= 1e-12
+
     def test_open_loop_coherence_keeps_oscillating(self, op_drive, scheme):
         # 50 kHz loop mismatch: rho_63 never settles, it keeps beating at delta.
         # Amplitude over the last 2 us of a 10 us run must exceed 10% of its

@@ -1,5 +1,6 @@
 """Property tests: invariants of the generator over random drives, and the
-CLI's exit-code contract over random mutations of the bundled scheme file."""
+CLI's exit-code contract over random mutations of the bundled scheme file
+and over bad integrator times."""
 
 import re
 import tempfile
@@ -44,7 +45,7 @@ def _trace_defect(matrix):
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(drive=drives(), t=st.floats(0.0, 20.0))
-def test_generator_invariants(drive, t):
+def test_generator_invariants(literal_rk4, drive, t):
     h = rr.build_hamiltonian(drive, _SCHEME, t)
     assert np.array_equal(h, h.conj().T)
 
@@ -53,6 +54,10 @@ def test_generator_invariants(drive, t):
         assert isinstance(generator, rr.TimeDependentLiouvillian)
         assert _trace_defect(generator.constant) < 1e-10
         assert _trace_defect(generator.matrix(t)) < 1e-10
+        # 50 steps at half the stability bound against the literal RK4 loop
+        dt = 0.05 / generator.norm()
+        traj = rr.evolve(rr.ground_state(), generator, t_end=50 * dt, dt=dt, max_snapshots=2)
+        assert literal_rk4(traj, generator, dt) <= 1e-12
         return
     assert isinstance(generator, rr.Liouvillian)
     assert _trace_defect(generator.matrix) < 1e-10
@@ -99,4 +104,21 @@ def test_mutated_scheme_exit_codes(scheme_text, edits):
         path = Path(tmp) / "scheme.ini"
         path.write_text(_mutate(scheme_text, edits))
         code = main(["steady-state", "--scheme", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    dt=st.sampled_from([0.0, -1e-4, float("nan"), float("inf"), 1e-4, 0.5]),
+    t_end=st.sampled_from([0.0, -1.0, float("nan"), float("inf"), 0.01, 0.01005]),
+    max_snapshots=st.sampled_from([0, 1, 3]),
+)
+def test_dynamics_time_inputs_exit_codes(dt, t_end, max_snapshots):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(
+            f"[dynamics]\ndt_us = {dt!r}\nt_end_us = {t_end!r}\n"
+            f"max_snapshots = {max_snapshots}\n"
+        )
+        code = main(["dynamics", "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
