@@ -21,7 +21,6 @@ from .comms import (
     ARCH_CHANNELS,
     RABI_SET1,
     RABI_SET2,
-    ArchitectureComparison,
     ChannelModel,
     EnvironmentParams,
     blackbody_psd,
@@ -44,12 +43,10 @@ from .fidelity import (
     optimize_operating_point,
 )
 from .lindblad import (
-    DEFAULT_DT,
     DensityMatrix,
     DriveConfig,
     Liouvillian,
     TimeDependentLiouvillian,
-    Trajectory,
     basis_state,
     build_hamiltonian,
     evolve,
@@ -64,18 +61,15 @@ from .lindblad import (
 from .numerics import (
     exp_e1_scaled,
     exp_integral_e1,
-    hermitian_eig,
     null_space,
     psd_sqrt,
 )
 from .receiver import (
     DEFAULT_CELL,
     EA0,
-    DemodChannel,
     GainVector,
     RfSignalSpec,
     VaporCellParams,
-    Waveform,
     gain_coefficients,
     heterodyne_rabi,
     iq_demodulate,
@@ -91,7 +85,6 @@ from .scheme import (
     LevelScheme,
     RfTransition,
     SchemeFileError,
-    ValidationReport,
     cesium_scheme,
     channel_count,
     closed_loop_detuning,
@@ -105,7 +98,6 @@ __all__ = [
     # numerics
     "exp_e1_scaled",
     "exp_integral_e1",
-    "hermitian_eig",
     "null_space",
     "psd_sqrt",
     # scheme
@@ -114,7 +106,6 @@ __all__ = [
     "LevelScheme",
     "RfTransition",
     "SchemeFileError",
-    "ValidationReport",
     "cesium_scheme",
     "channel_count",
     "closed_loop_detuning",
@@ -122,12 +113,10 @@ __all__ = [
     "parse_scheme",
     "validate_scheme",
     # lindblad
-    "DEFAULT_DT",
     "DensityMatrix",
     "DriveConfig",
     "Liouvillian",
     "TimeDependentLiouvillian",
-    "Trajectory",
     "basis_state",
     "build_hamiltonian",
     "evolve",
@@ -155,11 +144,9 @@ __all__ = [
     # receiver
     "DEFAULT_CELL",
     "EA0",
-    "DemodChannel",
     "GainVector",
     "RfSignalSpec",
     "VaporCellParams",
-    "Waveform",
     "gain_coefficients",
     "heterodyne_rabi",
     "iq_demodulate",
@@ -172,7 +159,6 @@ __all__ = [
     "ARCH_CHANNELS",
     "RABI_SET1",
     "RABI_SET2",
-    "ArchitectureComparison",
     "ChannelModel",
     "EnvironmentParams",
     "blackbody_psd",

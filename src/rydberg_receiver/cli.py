@@ -38,8 +38,9 @@ from .lindblad import (
     TimeDependentLiouvillian,
     basis_state,
     evolve,
+    ground_state,
     make_generator,
-    steady_state_numerical,
+    steady_state,
     vectorize,
 )
 from .analytic import AnalyticContext, analytic_steady_state
@@ -305,14 +306,17 @@ def cmd_steady_state(args):
         rho = analytic_steady_state(AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1)))
         residual = None
     elif method in ("null_space", "evolve"):
-        rho = steady_state_numerical(
-            drive,
-            scheme,
-            method=method,
-            t_end=cfg["steady_state"]["t_end"],
-            dt=cfg["steady_state"]["dt"],
-        )
         generator = make_generator(drive, scheme)
+        if method == "null_space":
+            rho = steady_state(generator)
+        else:
+            rho = evolve(
+                ground_state(),
+                generator,
+                t_end=cfg["steady_state"]["t_end"],
+                dt=cfg["steady_state"]["dt"],
+                max_snapshots=2,
+            ).final
         matrix = (
             generator.matrix(0.0)
             if isinstance(generator, TimeDependentLiouvillian)
@@ -424,9 +428,11 @@ def cmd_fidelity_map(args):
         dt=scan_cfg["dt"],
         workers=args.workers,
     )
+    finite = scan.fidelities[np.isfinite(scan.fidelities)]
+    if finite.size == 0:
+        raise ValueError(f"fidelity-map: all {scan.fidelities.size} grid points failed")
     out = _out_dir(args)
     scan.write_csv(out / "fidelity_map.csv")
-    finite = scan.fidelities[np.isfinite(scan.fidelities)]
     i_min, j_min = scan.min_point()
     min_drive = scan.drive_at(i_min, j_min)
     min_fid = scan.fidelities[i_min, j_min]

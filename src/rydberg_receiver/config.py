@@ -64,7 +64,6 @@ _SUFFIXES = {
 _LIST_KINDS = {
     "angular_frequency_list": "angular_frequency",
     "ordinary_frequency_list": "ordinary_frequency",
-    "power_list": "power",
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -109,13 +108,6 @@ def _scalar(kind, raw, where):
         raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
     if kind == "str":
         return raw
-    if kind == "seed":
-        if raw == "" or raw.lower() == "none":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected an integer seed or 'none', got {raw!r}") from None
     raise ConfigError(f"{where}: unsupported kind {kind!r}")
 
 
@@ -150,7 +142,7 @@ def _key_table(section_schema, section, origin):
         elif kind in _LIST_KINDS:
             for suffix, factor in _SUFFIXES[_LIST_KINDS[kind]].items():
                 table[f"{base}_{suffix}"] = (base, "float_list", factor)
-        elif kind in ("float", "int", "bool", "str", "seed"):
+        elif kind in ("float", "int", "bool", "str"):
             table[base] = (base, kind, None)
         elif kind == "float_list":
             table[base] = (base, "float_list", None)

@@ -107,12 +107,27 @@ def _point_fidelity(drive, scheme, method, t_end, dt):
     return fidelity(numerical, analytic)
 
 
-def _scan_worker(task):
-    (i, j, drive, scheme, method, t_end, dt) = task
+def _fidelity_or_nan(task):
     try:
-        return i, j, _point_fidelity(drive, scheme, method, t_end, dt)
+        return _point_fidelity(*task)
     except (ValueError, np.linalg.LinAlgError):
-        return i, j, float("nan")
+        return float("nan")
+
+
+def _fidelities(drives, scheme, method, t_end, dt, workers):
+    """Fidelity at each drive of an iterable, in order; NaN where a point fails.
+
+    Serially the drives are consumed one at a time. With ``workers > 1``
+    they are spread over a process pool; every value is computed the same
+    way, so the result does not depend on the worker count.
+    """
+    tasks = ((drive, scheme, method, t_end, dt) for drive in drives)
+    if workers and workers > 1:
+        tasks = list(tasks)
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_fidelity_or_nan, tasks, chunksize=chunk))
+    return [_fidelity_or_nan(task) for task in tasks]
 
 
 @dataclass(frozen=True)
@@ -205,32 +220,20 @@ def fidelity_scan(
         for (lo, hi), n in zip(ranges, res)
     )
 
-    tasks = []
-    for i, v0 in enumerate(values[0]):
-        for j, v1 in enumerate(values[1]):
+    drives = []
+    for v0 in values[0]:
+        for v1 in values[1]:
             rf = list(fixed.rf_rabi)
             rf[a0 - 1] = float(v0)
             rf[a1 - 1] = float(v1)
-            tasks.append(
-                (i, j, fixed.with_rf_rabi(rf), scheme, steady_state_method, t_end, dt)
-            )
-
-    grid = np.full((len(values[0]), len(values[1])), np.nan)
-    if workers and workers > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, j, val in pool.map(_scan_worker, tasks, chunksize=chunk):
-                grid[i, j] = val
-    else:
-        for task in tasks:
-            i, j, val = _scan_worker(task)
-            grid[i, j] = val
+            drives.append(fixed.with_rf_rabi(rf))
+    grid = _fidelities(drives, scheme, steady_state_method, t_end, dt, workers)
 
     return FidelityScan(
         axes=(a0, a1),
         axis_values=values,
         fixed=fixed,
-        fidelities=grid,
+        fidelities=np.array(grid, dtype=float).reshape(len(values[0]), len(values[1])),
         steady_state_method=steady_state_method,
     )
 
@@ -272,24 +275,6 @@ class OperatingPointResult:
     accepted: tuple
     evaluated: int
     failures: tuple = ()
-
-
-def _candidate_objective(task):
-    (candidate, base_drive, scheme, region_spec, method, t_end, dt) = task
-    drive = base_drive.with_rf_rabi(candidate)
-    try:
-        if region_spec is None:
-            return candidate, _point_fidelity(drive, scheme, method, t_end, dt)
-        half_widths, samples = region_spec
-        # Shrink the template toward the axes so the region never leaves
-        # the physical quadrant for near-zero candidates.
-        hw = tuple(min(h, c) for h, c in zip(half_widths, candidate))
-        region = PerturbationRegion(center=candidate, half_widths=hw, samples_per_axis=samples)
-        return candidate, average_fidelity(
-            region, base_drive, scheme, steady_state_method=method, t_end=t_end, dt=dt
-        )
-    except (ValueError, np.linalg.LinAlgError):
-        return candidate, float("nan")
 
 
 def optimize_operating_point(
@@ -345,19 +330,34 @@ def optimize_operating_point(
     # Tie-break order: smallest total amplitude, then lexicographic.
     candidates.sort(key=lambda c: (sum(c), c))
 
-    region_spec = None
-    if region_template is not None:
-        region_spec = (tuple(region_template.half_widths), region_template.samples_per_axis)
-    tasks = [
-        (c, base_drive, scheme, region_spec, steady_state_method, t_end, dt)
-        for c in candidates
-    ]
-    if workers and workers > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_candidate_objective, tasks, chunksize=chunk))
-    else:
-        results = [_candidate_objective(t) for t in tasks]
+    # Every candidate's point set goes into one flat batch, built as it is
+    # consumed so a serial search holds one candidate's drives at a time;
+    # counts[k] is candidate k's share. A negative candidate amplitude is
+    # rejected by DriveConfig and raises rather than counting as a failure.
+    counts = []
+
+    def drives():
+        for c in candidates:
+            points = [base_drive.with_rf_rabi(c)]
+            if region_template is not None:
+                # Shrink the template toward the axes so the region never
+                # leaves the physical quadrant for near-zero candidates.
+                hw = tuple(min(h, v) for h, v in zip(region_template.half_widths, c))
+                region = PerturbationRegion(
+                    center=c, half_widths=hw, samples_per_axis=region_template.samples_per_axis
+                )
+                points = [base_drive.with_rf_rabi(point) for point in region.grid()]
+            counts.append(len(points))
+            yield from points
+
+    values = iter(_fidelities(drives(), scheme, steady_state_method, t_end, dt, workers))
+    results = []
+    for c, count in zip(candidates, counts):
+        # Left-to-right sum, as in average_fidelity; any NaN fails the candidate.
+        total = 0.0
+        for _ in range(count):
+            total += next(values)
+        results.append((c, total / count))
 
     best = None
     best_val = -np.inf

@@ -1,8 +1,7 @@
 """Dense complex linear-algebra kernels and special functions.
 
-Everything in this module is physics-agnostic: Hermitian eigendecomposition
-with a multiply-back guarantee, SVD-based null spaces, positive-semidefinite
-matrix square roots and the exponential integral E1.
+Everything in this module is physics-agnostic: SVD-based null spaces,
+positive-semidefinite matrix square roots and the exponential integral E1.
 
 Storage convention
 ------------------
@@ -20,15 +19,12 @@ this convention; do not mix in row-major flattening.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
     "TWO_PI",
-    "HermitianEigenResult",
-    "hermitian_eig",
     "null_space",
     "psd_sqrt",
     "exp_integral_e1",
@@ -46,63 +42,11 @@ NULL_SPACE_TOL = 1e-9
 PSD_CLAMP = -1e-10
 
 
-@dataclass(frozen=True)
-class HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Attributes
-    ----------
-    eigenvalues : numpy.ndarray
-        Real eigenvalues in ascending order.
-    eigenvectors : numpy.ndarray
-        Unitary matrix whose columns are the corresponding eigenvectors,
-        so ``eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T``
-        reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_square(m, name):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
     return m
-
-
-def hermitian_eig(m, hermiticity_tol=HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix with validation.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix, Hermitian within ``hermiticity_tol`` (max elementwise
-        deviation of ``m - m.conj().T``).
-    hermiticity_tol : float, optional
-        Acceptance threshold for the Hermiticity check.
-
-    Returns
-    -------
-    HermitianEigenResult
-        Ascending real eigenvalues and orthonormal eigenvector columns.
-
-    Raises
-    ------
-    ValueError
-        If the input is not square or not Hermitian within tolerance.
-    """
-    m = _as_square(m, "hermitian_eig")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > hermiticity_tol:
-        raise ValueError(
-            f"hermitian_eig: input is not Hermitian (max |m - m^H| = {dev:.3e} "
-            f"exceeds {hermiticity_tol:.1e})"
-        )
-    # Symmetrize before factorizing so round-off in the input cannot leak
-    # into complex eigenvalues.
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return HermitianEigenResult(eigenvalues=w, eigenvectors=v)
 
 
 def null_space(m, tol=NULL_SPACE_TOL):
@@ -157,10 +101,20 @@ def psd_sqrt(m, clamp=PSD_CLAMP, hermiticity_tol=HERMITICITY_TOL):
     Raises
     ------
     ValueError
-        If the input is not Hermitian or has an eigenvalue below ``clamp``.
+        If the input is not square, not Hermitian within
+        ``hermiticity_tol`` (max elementwise ``|m - m^H|``), or has an
+        eigenvalue below ``clamp``.
     """
-    eig = hermitian_eig(m, hermiticity_tol=hermiticity_tol)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    m = _as_square(m, "psd_sqrt")
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if dev > hermiticity_tol:
+        raise ValueError(
+            f"psd_sqrt: input is not Hermitian (max |m - m^H| = {dev:.3e} "
+            f"exceeds {hermiticity_tol:.1e})"
+        )
+    # Symmetrize before factorizing so round-off in the input cannot leak
+    # into complex eigenvalues.
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     if w.size and float(w[0]) < clamp:
         raise ValueError(
             f"psd_sqrt: matrix is not PSD (min eigenvalue {w[0]:.3e} below "

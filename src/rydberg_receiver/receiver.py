@@ -250,6 +250,16 @@ def validate_heterodyne(spec, lo, scheme, max_ratio=0.01):
     return worst
 
 
+def _carrier(spec, n, t):
+    """Beat carrier of channel ``n``: ``cos(delta_omega_n t + delta_phi_n)``,
+    or ``Re(env e^{i(delta_omega_n t + delta_phi_n)})`` with an envelope."""
+    phase = spec.offsets[n - 1] * t + spec.phases[n - 1]
+    env = spec.envelopes[n - 1]
+    if env is None:
+        return np.cos(phase)
+    return np.real(np.asarray(env) * np.exp(1j * phase))
+
+
 def heterodyne_rabi(n, t, spec, lo, scheme, max_ratio=0.01):
     """Effective Rabi amplitude of channel ``n`` at time(s) ``t`` (us).
 
@@ -262,12 +272,14 @@ def heterodyne_rabi(n, t, spec, lo, scheme, max_ratio=0.01):
     amp = spec.amplitudes[n - 1]
     if amp == 0.0:
         return np.broadcast_to(base, t.shape).copy() if t.shape else base
-    carrier = np.cos(spec.offsets[n - 1] * t + spec.phases[n - 1])
-    env = spec.envelopes[n - 1]
-    if env is not None:
-        env = np.asarray(env)
-        carrier = np.real(env * np.exp(1j * (spec.offsets[n - 1] * t + spec.phases[n - 1])))
-    return base + _rabi_per_field(n, scheme) * amp * carrier
+    return base + _rabi_per_field(n, scheme) * amp * _carrier(spec, n, t)
+
+
+def _detector_current(cell, omega_p, rho21):
+    """``R (P0/2) exp(2 Xi0 Im rho_21)`` for a scalar or array coherence."""
+    return cell.responsivity * (cell.probe_power / 2.0) * np.exp(
+        2.0 * cell.xi0(omega_p) * rho21.imag
+    )
 
 
 def photodetector_output(drive, cell, scheme, model="analytic"):
@@ -288,12 +300,7 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
         rho21 = steady_state_numerical(drive, scheme, method="null_space").coherence(2, 1)
     else:
         raise ValueError(f"photodetector_output: unknown model {model!r}")
-    xi0 = cell.xi0(drive.omega_p)
-    return cell.responsivity * (cell.probe_power / 2.0) * float(np.exp(2.0 * xi0 * rho21.imag))
-
-
-def _y_of_rf(lo, cell, scheme, model, rf):
-    return photodetector_output(lo.with_rf_rabi(rf), cell, scheme, model=model)
+    return float(_detector_current(cell, drive.omega_p, rho21))
 
 
 def gain_coefficients(lo, cell, scheme, model="analytic", step=TWO_PI * 1e-3):
@@ -317,19 +324,14 @@ def gain_coefficients(lo, cell, scheme, model="analytic", step=TWO_PI * 1e-3):
         rf = list(lo.rf_rabi)
         base = rf[n - 1]
         if base >= step:
-            rf[n - 1] = base + step
-            y_plus = _y_of_rf(lo, cell, scheme, model, rf)
-            rf[n - 1] = base - step
-            y_minus = _y_of_rf(lo, cell, scheme, model, rf)
-            dy = (y_plus - y_minus) / (2.0 * step)
+            stencil = ((step, 1.0), (-step, -1.0))
         else:
-            y0 = _y_of_rf(lo, cell, scheme, model, list(lo.rf_rabi))
-            rf[n - 1] = base + step
-            y1 = _y_of_rf(lo, cell, scheme, model, rf)
-            rf[n - 1] = base + 2.0 * step
-            y2 = _y_of_rf(lo, cell, scheme, model, rf)
-            dy = (-3.0 * y0 + 4.0 * y1 - y2) / (2.0 * step)
-        g = mu_over_hbar * dy
+            stencil = ((0.0, -3.0), (step, 4.0), (2.0 * step, -1.0))
+        dy = 0.0
+        for shift, weight in stencil:
+            rf[n - 1] = base + shift
+            dy += weight * photodetector_output(lo.with_rf_rabi(rf), cell, scheme, model=model)
+        g = mu_over_hbar * (dy / (2.0 * step))
         if not np.isfinite(g):
             raise ValueError(f"gain_coefficients: non-finite derivative on channel {n}")
         gains.append(g)
@@ -403,22 +405,13 @@ def synthesize_pd_waveform(
         rho21 = rho21_from_amplitudes(
             lo.omega_p, lo.omega_c, rf_t, scheme.decay_rate(2, 1)
         )
-        xi0 = cell.xi0(lo.omega_p)
-        samples = (
-            cell.responsivity * (cell.probe_power / 2.0) * np.exp(2.0 * xi0 * rho21.imag)
-        )
+        samples = _detector_current(cell, lo.omega_p, rho21)
     elif mode == "linearized":
         if gains is None:
             gains = gain_coefficients(lo, cell, scheme, model="analytic")
         samples = np.full(n_samples, y_lo)
         for n in spec.active_channels():
-            carrier = np.cos(spec.offsets[n - 1] * t + spec.phases[n - 1])
-            env = spec.envelopes[n - 1]
-            if env is not None:
-                carrier = np.real(
-                    np.asarray(env) * np.exp(1j * (spec.offsets[n - 1] * t + spec.phases[n - 1]))
-                )
-            samples = samples + gains[n] * spec.amplitudes[n - 1] * carrier
+            samples = samples + gains[n] * spec.amplitudes[n - 1] * _carrier(spec, n, t)
         if noise_std > 0.0:
             samples = samples + np.random.default_rng(seed).normal(0.0, noise_std, n_samples)
     else:

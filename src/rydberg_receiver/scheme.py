@@ -175,10 +175,6 @@ class LevelScheme:
                 return rate
         return 0.0
 
-    def decay_dict(self):
-        """Decay channels as ``{(src, dst): rate}``."""
-        return {(s, d): r for (s, d, r) in self.decay_channels}
-
 
 def channel_count(architecture, k):
     """Number of simultaneously accessible RF channels for K levels.

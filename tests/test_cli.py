@@ -224,6 +224,14 @@ class TestFidelityMap:
         cfg = "[scan]\naxes = 1, 2, 3\n"
         assert run(tmp_path, "fidelity-map", "--out", str(tmp_path / "o"), config=cfg) == 1
 
+    def test_all_points_failed_exits_2(self, tmp_path, capsys):
+        # t_end is not a multiple of dt, so every evolve point raises
+        cfg = "[scan]\nresolution = 2\nmethod = evolve\nt_end_us = 0.01005\n"
+        out = tmp_path / "out"
+        assert run(tmp_path, "fidelity-map", "--out", str(out), config=cfg) == 2
+        assert "fidelity-map: all 4 grid points failed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptimizeLo:
     def test_tiny_window(self, tmp_path, capsys):

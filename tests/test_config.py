@@ -13,7 +13,6 @@ SCHEMA = {
         "rf_rabi": Field("angular_frequency_list", default=(1.0, 2.0, 3.0, 4.0)),
         "label": Field("str", default="op"),
         "use_loop": Field("bool", default=True),
-        "seed": Field("seed", default=None),
         "points": Field("int", default=3),
         "weights": Field("float_list", default=(1.0,)),
     },
@@ -36,7 +35,6 @@ omega_p_mhz = 5.7
 rf_rabi_khz = 2000, 7000, 1000, 6000
 label = set one
 use_loop = no
-seed = 17
 points = 5
 weights = 0.5, 0.5
 
@@ -61,7 +59,6 @@ class TestUnitConversions:
         )
         assert drive["label"] == "set one"
         assert drive["use_loop"] is False
-        assert drive["seed"] == 17
         assert drive["points"] == 5
         assert drive["weights"] == (0.5, 0.5)
         assert cell["length"] == pytest.approx(0.02, rel=1e-12)
@@ -91,16 +88,11 @@ class TestUnitConversions:
         ea0 = e * physical_constants["Bohr radius"][0]
         assert out["cell"]["dipole"] == pytest.approx(3.17 * ea0, rel=1e-12)
 
-    def test_seed_none(self):
-        out = parse_config("[drive]\nseed = none\n" + CELL_REQUIRED, SCHEMA)
-        assert out["drive"]["seed"] is None
-
 
 class TestDefaults:
     def test_empty_text_fills_defaults(self):
         out = parse_config("[cell]\nlength_m = 0.02\ndipole_ea0 = 1\n", SCHEMA)
         assert out["drive"]["omega_p"] == TWO_PI * 5.7
-        assert out["drive"]["seed"] is None
         assert out["cell"]["temperature"] == 300.0
 
     def test_missing_required_raises(self):
@@ -149,10 +141,6 @@ class TestValueErrors:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="expected a boolean"):
             parse_config("[drive]\nuse_loop = maybe\n" + CELL_REQUIRED, SCHEMA)
-
-    def test_bad_seed(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config("[drive]\nseed = abc\n" + CELL_REQUIRED, SCHEMA)
 
     def test_bad_list(self):
         with pytest.raises(ConfigError, match="comma-separated numbers"):

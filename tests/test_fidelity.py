@@ -259,6 +259,23 @@ class TestOptimizer:
             point_only.average_fidelity, abs=1e-12
         )
 
+    def test_worker_count_bit_identical(self, scheme):
+        # 3 samples on two axes; the all-zero candidate fails on the analytic side
+        template = PerturbationRegion(
+            center=(TWO_PI,) * 4, half_widths=(TWO_PI * 0.1, TWO_PI * 0.1, 0.0, 0.0),
+            samples_per_axis=3,
+        )
+        kwargs = dict(base_drive=self._base(), scheme=scheme, grid_step=TWO_PI)
+        serial = optimize_operating_point((0.0, TWO_PI * 2.0), TWO_PI * 3.0, template,
+                                          workers=1, **kwargs)
+        pooled = optimize_operating_point((0.0, TWO_PI * 2.0), TWO_PI * 3.0, template,
+                                          workers=2, **kwargs)
+        assert serial.failures == ((0.0, 0.0, 0.0, 0.0),)
+        assert pooled.point == serial.point
+        assert pooled.average_fidelity == serial.average_fidelity
+        assert pooled.accepted == serial.accepted
+        assert pooled.failures == serial.failures
+
     def test_empty_feasible_set(self, scheme):
         with pytest.raises(ValueError, match="empty feasible"):
             optimize_operating_point(

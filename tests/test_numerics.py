@@ -1,4 +1,4 @@
-"""Linear-algebra wrappers and the exponential integral kernel."""
+"""Linear-algebra kernels and the exponential integral."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,9 @@ from scipy.special import exp1
 from rydberg_receiver.numerics import (
     exp_e1_scaled,
     exp_integral_e1,
-    hermitian_eig,
     null_space,
     psd_sqrt,
 )
-
-
-def _random_hermitian(rng, n):
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (m + m.conj().T) / 2.0
 
 
 class TestExpIntegral:
@@ -58,29 +52,6 @@ class TestExpIntegral:
         x, h = 3.7, 1e-6
         fd = (exp_e1_scaled(x + h) - exp_e1_scaled(x - h)) / (2 * h)
         assert fd == pytest.approx(exp_e1_scaled(x) - 1 / x, rel=1e-7)
-
-
-class TestHermitianEig:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        m = _random_hermitian(rng, 6)
-        res = hermitian_eig(m)
-        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(m), rtol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(8)
-        m = _random_hermitian(rng, 5)
-        res = hermitian_eig(m)
-        rebuilt = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
-        assert np.allclose(rebuilt, m, atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.zeros((2, 3)))
 
 
 class TestNullSpace:
@@ -128,3 +99,12 @@ class TestPsdSqrt:
     def test_genuinely_indefinite_rejected(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_rejects_non_hermitian(self):
+        # PSD once symmetrized, so only the Hermiticity check can reject it
+        with pytest.raises(ValueError, match="not Hermitian"):
+            psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            psd_sqrt(np.zeros((2, 3)))

@@ -153,6 +153,18 @@ class TestHeterodyne:
             lo.rf_rabi[0], rel=1e-6
         )
 
+    def test_constant_envelope_halves_beat(self, lo, scheme):
+        amp = signal_amplitude(2, lo, scheme, modulation_index=5e-3)
+        t = np.linspace(0.0, 5.0, 256)
+        kw = dict(amplitudes=(0, amp, 0, 0), offsets=FOUR_OFFSETS, phases=(0, 0.7, 0, 0))
+        plain = RfSignalSpec(**kw)
+        halved = RfSignalSpec(**kw, envelopes=(None, np.full(t.size, 0.5), None, None))
+        base = lo.rf_rabi[1]
+        beat = heterodyne_rabi(2, t, plain, lo, scheme) - base
+        half = heterodyne_rabi(2, t, halved, lo, scheme) - base
+        assert np.max(np.abs(beat)) > 1e-3 * base
+        assert np.allclose(half, 0.5 * beat, rtol=0.0, atol=1e-13 * base)
+
     def test_silent_channel_constant(self, lo, scheme):
         spec = RfSignalSpec(amplitudes=(1e-9, 0, 0, 0), offsets=FOUR_OFFSETS)
         t = np.linspace(0.0, 5.0, 64)
