@@ -60,7 +60,6 @@ from .lindblad import (
 )
 from .numerics import (
     exp_e1_scaled,
-    exp_integral_e1,
     null_space,
     psd_sqrt,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "__version__",
     # numerics
     "exp_e1_scaled",
-    "exp_integral_e1",
     "null_space",
     "psd_sqrt",
     # scheme

@@ -16,7 +16,6 @@ invalid ``validate-scheme`` report), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -34,6 +33,7 @@ from .fidelity import (
 )
 from .lindblad import (
     DEFAULT_DT,
+    STEADY_STATE_METHODS,
     DriveConfig,
     TimeDependentLiouvillian,
     basis_state,
@@ -217,21 +217,35 @@ def _load_inputs(args, command):
         cfg = load_config(args.config, schema)
     else:
         cfg = parse_config("", schema, origin="<defaults>")
-    # Every section with an integrator step also has a horizon. Reject a
-    # step or horizon evolve cannot integrate over here, with the key named.
+    # Reject, with the key named, any non-finite number, a step or horizon
+    # evolve cannot integrate over (every section with a step has a
+    # horizon) and an unknown steady-state protocol.
     for section, values in cfg.items():
+        for key, value in values.items():
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not np.isfinite(v) for v in entries):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value}")
         if "dt" in values:
-            dt, t_end = values["dt"], values["t_end"]
-            if not (np.isfinite(dt) and dt > 0):
-                raise ConfigError(f"[{section}] dt must be finite and > 0, got {dt:g} us")
-            if not (np.isfinite(t_end) and t_end >= 0):
-                raise ConfigError(f"[{section}] t_end must be finite and >= 0, got {t_end:g} us")
+            _require(section, values, ">", "dt")
+            _require(section, values, ">=", "t_end")
+        methods = STEADY_STATE_METHODS + (("analytic",) if section == "steady_state" else ())
+        if "method" in values and values["method"] not in methods:
+            raise ConfigError(f"[{section}] method must be one of {', '.join(methods)}")
     scheme = load_scheme(args.scheme) if args.scheme else cesium_scheme()
     try:
         require_hybrid_six(scheme)
     except ValueError as exc:
         raise SchemeFileError(f"{args.scheme}: {exc}") from None
     return cfg, scheme
+
+
+def _require(section, values, op, *keys):
+    """Reject the first of ``keys`` whose value, or any entry of whose
+    list, is not ``op`` 0 (``op`` is ">" or ">=")."""
+    for key in keys:
+        entries = values[key] if isinstance(values[key], tuple) else (values[key],)
+        if not all(v > 0 if op == ">" else v >= 0 for v in entries):
+            raise ConfigError(f"[{section}] {key} must be {op} 0")
 
 
 def _resolve_drive(drive_cfg, scheme):
@@ -305,7 +319,7 @@ def cmd_steady_state(args):
     if method == "analytic":
         rho = analytic_steady_state(AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1)))
         residual = None
-    elif method in ("null_space", "evolve"):
+    else:
         generator = make_generator(drive, scheme)
         if method == "null_space":
             rho = steady_state(generator)
@@ -323,10 +337,6 @@ def cmd_steady_state(args):
             else generator.matrix
         )
         residual = float(np.linalg.norm(matrix @ vectorize(rho.matrix)))
-    else:
-        raise ConfigError(
-            f"[steady_state] method must be null_space, evolve, or analytic, got {method!r}"
-        )
 
     comparison = None
     if cfg["steady_state"]["compare_analytic"] and method != "analytic":
@@ -341,14 +351,16 @@ def cmd_steady_state(args):
             comparison = {"unavailable": str(exc)}
 
     out = _out_dir(args)
+    i, j = np.indices(rho.matrix.shape).reshape(2, -1)
     with open(out / "steady_state.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "re", "im"])
-        for i in range(6):
-            for j in range(6):
-                writer.writerow(
-                    [i + 1, j + 1, f"{rho.matrix[i, j].real:.12g}", f"{rho.matrix[i, j].imag:.12g}"]
-                )
+        np.savetxt(
+            fh,
+            np.column_stack([i + 1, j + 1, rho.matrix.real.ravel(), rho.matrix.imag.ravel()]),
+            fmt="%d,%d,%.12g,%.12g",
+            newline="\r\n",
+            header="i,j,re,im",
+            comments="",
+        )
     summary = {
         "method": method,
         "populations": [rho.population(k) for k in range(1, 7)],
@@ -463,6 +475,10 @@ def cmd_optimize_lo(args):
     hw = opt["half_widths"]
     if len(hw) != 4:
         raise ConfigError("[optimize] half_widths must have four entries")
+    _require("optimize", opt, ">=", "search_lo", "half_widths", "plateau_tolerance")
+    _require("optimize", opt, ">", "grid_step", "sum_constraint", "samples_per_axis")
+    if not opt["search_hi"] >= opt["search_lo"]:
+        raise ConfigError("[optimize] search_hi must be >= search_lo")
     template = PerturbationRegion(
         center=hw, half_widths=hw, samples_per_axis=opt["samples_per_axis"]
     )
@@ -508,6 +524,7 @@ def cmd_waveform(args):
     cell = _resolve_cell(cfg["cell"])
     sig = cfg["signal"]
     wf_cfg = cfg["waveform"]
+    _require("waveform", wf_cfg, ">=", "noise_std")
 
     amplitudes = sig["amplitudes"]
     if amplitudes is None:
@@ -552,11 +569,14 @@ def cmd_waveform(args):
             [spec.bandwidths[n - 1] for n in active],
         )
         with open(out / "demod.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel", "t", "re", "im"])
+            fh.write("channel,t,re,im\r\n")
             for n, ch in zip(active, demods):
-                for t, z in zip(ch.times, ch.baseband):
-                    writer.writerow([n, f"{t:.9g}", f"{z.real:.12g}", f"{z.imag:.12g}"])
+                np.savetxt(
+                    fh,
+                    np.column_stack([ch.times, ch.baseband.real, ch.baseband.imag]),
+                    fmt=f"{n},%.9g,%.12g,%.12g",
+                    newline="\r\n",
+                )
         outputs.append("demod.csv")
         for n, ch in zip(active, demods):
             expected = gains[n] * spec.amplitudes[n - 1] * np.exp(1j * spec.phases[n - 1])
@@ -610,8 +630,8 @@ def cmd_sumrate(args):
         raise ConfigError(f"[sumrate] rabi_set must be set1 or set2, got {sr['rabi_set']!r}")
     if not sr["power_max_dbm"] >= sr["power_min_dbm"]:
         raise ConfigError("[sumrate] power_max_dbm must be >= power_min_dbm")
-    if not sr["power_step_db"] > 0:
-        raise ConfigError("[sumrate] power_step_db must be > 0")
+    _require("sumrate", sr, ">", "power_step_db", "bandwidths", "power_sweep_bandwidth")
+    _require("sumrate", sr, ">", "temperature", "beta")
     n_steps = int(round((sr["power_max_dbm"] - sr["power_min_dbm"]) / sr["power_step_db"]))
     powers = sr["power_min_dbm"] + sr["power_step_db"] * np.arange(n_steps + 1)
     bandwidths_hz = np.asarray(sr["bandwidths"]) * 1e6  # MHz -> Hz

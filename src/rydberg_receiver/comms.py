@@ -13,7 +13,6 @@ it inherits the receiver calibration exactly like the signal does.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -118,15 +117,16 @@ class ChannelModel:
 
     ``sigma_i_sq`` (intrinsic/shot) and ``sigma_e_sq`` (extrinsic/blackbody)
     start at zero; :meth:`with_noise` fills them from an environment so the
-    total variance is their sum by construction.
+    total variance is their sum by construction. Array ``transmit_power``
+    or ``bandwidth`` describe a sweep, over which everything broadcasts.
 
     Attributes
     ----------
     gain : float
         RF-to-electrical gain (A per V/m).
-    transmit_power : float
+    transmit_power : float or numpy.ndarray
         Transmit power P_T (W).
-    bandwidth : float
+    bandwidth : float or numpy.ndarray
         Channel bandwidth (Hz).
     rf_frequency : float
         RF carrier angular frequency (rad/s).
@@ -145,15 +145,15 @@ class ChannelModel:
     def __post_init__(self):
         if not np.isfinite(self.gain):
             raise ValueError("ChannelModel: gain must be finite")
-        if self.transmit_power < 0:
+        if np.any(self.transmit_power < 0):
             raise ValueError("ChannelModel: transmit_power must be >= 0")
-        if not self.bandwidth > 0:
+        if not np.all(self.bandwidth > 0):
             raise ValueError("ChannelModel: bandwidth must be > 0")
         if not self.rf_frequency > 0:
             raise ValueError("ChannelModel: rf_frequency must be > 0")
         if not self.fading_scale > 0:
             raise ValueError("ChannelModel: fading_scale must be > 0")
-        if self.sigma_i_sq < 0 or self.sigma_e_sq < 0:
+        if np.any(self.sigma_i_sq < 0) or np.any(self.sigma_e_sq < 0):
             raise ValueError("ChannelModel: noise variances must be >= 0")
 
     @property
@@ -168,10 +168,8 @@ class ChannelModel:
 
     @property
     def mean_snr(self):
-        """Average SNR over fading, ``gain^2 P_T beta / sigma^2``."""
-        if not self.sigma_sq > 0:
-            raise ValueError("ChannelModel: zero noise variance")
-        return self.gain**2 * self.transmit_power * self.fading_scale / self.sigma_sq
+        """Average SNR over fading: :func:`snr` at ``|h|^2 = beta``."""
+        return snr(self, self.fading_scale)
 
 
 def noise_variances(channel, env):
@@ -193,7 +191,7 @@ def snr(channel, fading_power):
     fading_power = np.asarray(fading_power, dtype=float)
     if np.any(fading_power < 0):
         raise ValueError("snr: fading power must be >= 0")
-    if not channel.sigma_sq > 0:
+    if not np.all(channel.sigma_sq > 0):
         raise ValueError("snr: zero noise variance (call with_noise first)")
     out = channel.gain**2 * channel.transmit_power * fading_power / channel.sigma_sq
     return out if out.ndim else float(out)
@@ -217,17 +215,18 @@ def ergodic_sum_rate(channels):
     :attr:`ChannelModel.mean_snr`, evaluated through the overflow-free
     scaled exponential integral. A channel with zero transmit power
     contributes zero (the continuous limit); negative average SNR is an
-    error.
+    error. Channels over a power or bandwidth sweep give the rate at every
+    sweep point as an array.
     """
     total = 0.0
     for ch in channels:
-        gam = ch.mean_snr
-        if gam < 0:
+        gam = np.asarray(ch.mean_snr)
+        if np.any(gam < 0):
             raise ValueError("ergodic_sum_rate: negative average SNR")
-        if gam == 0.0:
-            continue
-        total += ch.bandwidth / LN2 * exp_e1_scaled(1.0 / gam)
-    return total
+        on = gam != 0.0
+        scaled = np.where(on, exp_e1_scaled(1.0 / np.where(on, gam, 1.0)), 0.0)
+        total = total + ch.bandwidth / LN2 * scaled
+    return total if np.ndim(total) else float(total)
 
 
 def rayleigh_power_samples(n, fading_scale=1.0, seed=None):
@@ -249,8 +248,7 @@ def monte_carlo_sum_rate(channels, n_samples, seed=None):
         if ch.transmit_power == 0.0:
             continue
         h = rng.exponential(ch.fading_scale, int(n_samples))
-        gam = ch.gain**2 * ch.transmit_power * h / ch.sigma_sq
-        total += ch.bandwidth / LN2 * float(np.mean(np.log1p(gam)))
+        total += ch.bandwidth / LN2 * float(np.mean(np.log1p(snr(ch, h))))
     return total
 
 
@@ -318,29 +316,16 @@ class ArchitectureComparison:
         sweep at the fixed sweep power; each row is fully self-describing.
         """
         order = (Architecture.HYBRID, Architecture.CRS, Architecture.PRS)
+        sweeps = (
+            (self.power_dbm, self.power_sweep_bandwidth_hz, self.power_rates),
+            (self.bandwidth_sweep_power_dbm, self.bandwidth_hz, self.bandwidth_rates),
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["architecture", "p_t_dbm", "bandwidth_hz", "rate_bps"])
-            for arch in order:
-                for i, p in enumerate(self.power_dbm):
-                    writer.writerow(
-                        [
-                            arch.value,
-                            f"{p:.9g}",
-                            f"{self.power_sweep_bandwidth_hz:.9g}",
-                            f"{self.power_rates[arch][i]:.12g}",
-                        ]
-                    )
-            for arch in order:
-                for i, b in enumerate(self.bandwidth_hz):
-                    writer.writerow(
-                        [
-                            arch.value,
-                            f"{self.bandwidth_sweep_power_dbm:.9g}",
-                            f"{b:.9g}",
-                            f"{self.bandwidth_rates[arch][i]:.12g}",
-                        ]
-                    )
+            fh.write("architecture,p_t_dbm,bandwidth_hz,rate_bps\r\n")
+            for p_dbm, b_hz, rates in sweeps:
+                for arch in order:
+                    table = np.column_stack(np.broadcast_arrays(p_dbm, b_hz, rates[arch]))
+                    np.savetxt(fh, table, fmt=f"{arch.value},%.9g,%.9g,%.12g", newline="\r\n")
 
 
 def compare_architectures(
@@ -376,38 +361,27 @@ def compare_architectures(
     if np.any(bandwidth_range_hz <= 0):
         raise ValueError("compare_architectures: bandwidths must be > 0")
 
+    power_w = dbm_to_watts(power_range_dbm)
+    sweep_power_w = dbm_to_watts(bandwidth_sweep_power_dbm)
     gains = {}
     y_lo = {}
-    environments = {}
+    power_rates = {}
+    bandwidth_rates = {}
     for arch, active in ARCH_CHANNELS.items():
         lo = _masked_drive(omega_p, omega_c, rabi_set, active)
         gains[arch] = gain_coefficients(lo, cell, scheme, model="numerical")
         y_lo[arch] = photodetector_output(lo, cell, scheme, model="numerical")
-        environments[arch] = EnvironmentParams(
+        env = EnvironmentParams(
             y_lo=y_lo[arch],
             temperature=temperature,
             omega_probe=cell.probe_angular_frequency,
         )
-
-    def arch_rate(arch, p_dbm, b_hz):
-        p_t = dbm_to_watts(p_dbm)
-        channels = _arch_channels(
-            scheme, gains[arch], ARCH_CHANNELS[arch], p_t, b_hz, environments[arch], beta
+        power_rates[arch] = ergodic_sum_rate(
+            _arch_channels(scheme, gains[arch], active, power_w, power_sweep_bandwidth_hz, env, beta)
         )
-        return ergodic_sum_rate(channels)
-
-    power_rates = {
-        arch: np.array(
-            [arch_rate(arch, p, power_sweep_bandwidth_hz) for p in power_range_dbm]
+        bandwidth_rates[arch] = ergodic_sum_rate(
+            _arch_channels(scheme, gains[arch], active, sweep_power_w, bandwidth_range_hz, env, beta)
         )
-        for arch in ARCH_CHANNELS
-    }
-    bandwidth_rates = {
-        arch: np.array(
-            [arch_rate(arch, bandwidth_sweep_power_dbm, b) for b in bandwidth_range_hz]
-        )
-        for arch in ARCH_CHANNELS
-    }
     return ArchitectureComparison(
         rabi_set=tuple(float(v) for v in rabi_set),
         gains=gains,

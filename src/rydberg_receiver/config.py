@@ -199,7 +199,10 @@ def parse_config(text, schema, origin="<config>"):
                 elif mode == "int_list":
                     values[base] = _int_list(raw_value, where)
                 elif factor is not None:
-                    values[base] = _apply(factor, _scalar("float", raw_value, where))
+                    try:
+                        values[base] = _apply(factor, _scalar("float", raw_value, where))
+                    except OverflowError:
+                        raise ConfigError(f"{where}: {raw_value.strip()!r} is out of range") from None
                 else:
                     values[base] = _scalar(mode, raw_value, where)
                 seen_raw[base] = raw_key

@@ -17,14 +17,19 @@ comparison.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import AnalyticContext, analytic_steady_state
-from .lindblad import DEFAULT_DT, DensityMatrix, DriveConfig, steady_state_numerical
+from .lindblad import (
+    DEFAULT_DT,
+    STEADY_STATE_METHODS,
+    DensityMatrix,
+    DriveConfig,
+    steady_state_numerical,
+)
 from .numerics import TWO_PI, psd_sqrt
 
 __all__ = [
@@ -119,8 +124,11 @@ def _fidelities(drives, scheme, method, t_end, dt, workers):
 
     Serially the drives are consumed one at a time. With ``workers > 1``
     they are spread over a process pool; every value is computed the same
-    way, so the result does not depend on the worker count.
+    way, so the result does not depend on the worker count. An unknown
+    ``method`` raises before any point is evaluated.
     """
+    if method not in STEADY_STATE_METHODS:
+        raise ValueError(f"unknown steady-state method {method!r}")
     tasks = ((drive, scheme, method, t_end, dt) for drive in drives)
     if workers and workers > 1:
         tasks = list(tasks)
@@ -160,16 +168,17 @@ class FidelityScan:
     def write_csv(self, path):
         """Long-form export: one row per grid point with the full RF
         4-vector and the fidelity."""
+        rf = [self.drive_at(i, j).rf_rabi for i, j in np.ndindex(self.fidelities.shape)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["omega1", "omega2", "omega3", "omega4", "fidelity"])
-            for i in range(self.fidelities.shape[0]):
-                for j in range(self.fidelities.shape[1]):
-                    rf = self.drive_at(i, j).rf_rabi
-                    val = self.fidelities[i, j]
-                    writer.writerow(
-                        [f"{v:.12g}" for v in rf] + [f"{val:.12g}" if np.isfinite(val) else "nan"]
-                    )
+            np.savetxt(
+                fh,
+                np.column_stack([rf, self.fidelities.ravel()]),
+                fmt="%.12g",
+                delimiter=",",
+                newline="\r\n",
+                header="omega1,omega2,omega3,omega4,fidelity",
+                comments="",
+            )
 
 
 def fidelity_scan(

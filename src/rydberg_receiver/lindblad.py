@@ -21,7 +21,6 @@ stay O(1e-3 .. 1e2) and ``t = 10`` is a round number.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, replace
 
@@ -53,6 +52,9 @@ __all__ = [
 #: norm is a few tens of rad/us, so 1e-4 sits two orders below the
 #: stability bound dt <= 0.1 / ||L||.
 DEFAULT_DT = 1e-4
+
+#: Protocols of :func:`steady_state_numerical`.
+STEADY_STATE_METHODS = ("null_space", "evolve")
 
 _HERM_TOL = 1e-9
 _TRACE_TOL = 1e-9
@@ -470,29 +472,25 @@ class Trajectory:
         """Export ``t, rho11..rho66, re_rho21, im_rho21`` (and optionally
         every strictly-lower coherence) as CSV."""
         dim = self.matrices.shape[1]
-        header = ["t"] + [f"rho{k}{k}" for k in range(1, dim + 1)] + ["re_rho21", "im_rho21"]
-        extra = []
+        pairs = [(2, 1)]
         if all_coherences:
-            extra = [
-                (i, j)
-                for i in range(1, dim + 1)
-                for j in range(1, i)
-                if (i, j) != (2, 1)
-            ]
-            for (i, j) in extra:
-                header += [f"re_rho{i}{j}", f"im_rho{i}{j}"]
+            pairs += [(i, j) for i in range(1, dim + 1) for j in range(1, i) if (i, j) != (2, 1)]
+        header = ["t"] + [f"rho{k}{k}" for k in range(1, dim + 1)]
+        columns = [self.times, *self.populations().T]
+        for (i, j) in pairs:
+            header += [f"re_rho{i}{j}", f"im_rho{i}{j}"]
+            c = self.coherence(i, j)
+            columns += [c.real, c.imag]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            pops = self.populations()
-            for k, t in enumerate(self.times):
-                row = [f"{t:.9g}"] + [f"{p:.12g}" for p in pops[k]]
-                c21 = self.matrices[k, 1, 0]
-                row += [f"{c21.real:.12g}", f"{c21.imag:.12g}"]
-                for (i, j) in extra:
-                    c = self.matrices[k, i - 1, j - 1]
-                    row += [f"{c.real:.12g}", f"{c.imag:.12g}"]
-                writer.writerow(row)
+            np.savetxt(
+                fh,
+                np.column_stack(columns),
+                fmt=["%.9g"] + ["%.12g"] * (len(columns) - 1),
+                delimiter=",",
+                newline="\r\n",
+                header=",".join(header),
+                comments="",
+            )
 
 
 def _snapshot_boundaries(n_steps, max_snapshots):
@@ -632,9 +630,9 @@ def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DE
     to ``t_end`` and returns the final snapshot, which is what a
     fixed-horizon experiment sees.
     """
+    if method not in STEADY_STATE_METHODS:
+        raise ValueError(f"steady_state_numerical: unknown method {method!r}")
     gen = make_generator(drive, scheme)
     if method == "null_space":
         return steady_state(gen)
-    if method == "evolve":
-        return evolve(ground_state(), gen, t_end=t_end, dt=dt, max_snapshots=2).final
-    raise ValueError(f"steady_state_numerical: unknown method {method!r}")
+    return evolve(ground_state(), gen, t_end=t_end, dt=dt, max_snapshots=2).final

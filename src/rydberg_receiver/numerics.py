@@ -27,7 +27,6 @@ __all__ = [
     "TWO_PI",
     "null_space",
     "psd_sqrt",
-    "exp_integral_e1",
     "exp_e1_scaled",
 ]
 
@@ -162,40 +161,24 @@ def _e1_cf(x, max_iter=200):
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise RuntimeError(f"exp_integral_e1: continued fraction failed to converge at x={x}")
-
-
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = integral_x^inf exp(-t)/t dt for x > 0.
-
-    Uses the convergent power series for ``x <= 1`` and a modified-Lentz
-    continued fraction for ``x > 1``; relative error is below 1e-10 on both
-    branches.
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0`` (E1 has a branch cut on the nonpositive axis).
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"exp_integral_e1: domain requires x > 0, got {x}")
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_cf(x)
+    raise RuntimeError(f"exp_e1_scaled: continued fraction failed to converge at x={x}")
 
 
 def exp_e1_scaled(x):
-    """Overflow-free scaled exponential integral exp(x) * E1(x).
+    """Overflow-free scaled exponential integral exp(x) * E1(x), elementwise.
 
-    For large ``x`` the product stays O(1/x) while its factors overflow and
-    underflow; the continued fraction computes the product directly. Used by
-    the ergodic-rate closed form, whose argument is an inverse SNR that can
-    be enormous at low transmit power.
+    The power series serves ``x <= 1``; for larger ``x``, where the product
+    stays O(1/x) while its factors overflow and underflow, a modified-Lentz
+    continued fraction computes the product directly. Used by the
+    ergodic-rate closed form, whose argument is an inverse SNR that can be
+    enormous at low transmit power. Raises ``ValueError`` unless every
+    ``x > 0`` (E1 has a branch cut on the nonpositive axis).
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"exp_e1_scaled: domain requires x > 0, got {x}")
-    if x <= 1.0:
-        return math.exp(x) * _e1_series(x)
-    return _e1_cf(x)
+    x = np.asarray(x, dtype=float)
+    bad = x[~(x > 0.0)]
+    if bad.size:
+        raise ValueError(f"exp_e1_scaled: domain requires x > 0, got {bad[0]}")
+    out = np.array(
+        [math.exp(v) * _e1_series(v) if v <= 1.0 else _e1_cf(v) for v in x.ravel().tolist()]
+    ).reshape(x.shape)
+    return out if out.ndim else float(out)

@@ -19,7 +19,6 @@ them (gains, shot-noise variance) is calibration-dependent in the same way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,18 +565,26 @@ def write_waveform_csv(path, exact, linearized):
     if exact.times.shape != linearized.times.shape:
         raise ValueError("write_waveform_csv: waveforms must share a time base")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y_exact", "y_linearized"])
-        for t, ye, yl in zip(exact.times, exact.samples, linearized.samples):
-            writer.writerow([f"{t:.9g}", f"{ye:.12g}", f"{yl:.12g}"])
+        np.savetxt(
+            fh,
+            np.column_stack([exact.times, exact.samples, linearized.samples]),
+            fmt="%.9g,%.12g,%.12g",
+            newline="\r\n",
+            header="t,y_exact,y_linearized",
+            comments="",
+        )
 
 
 def write_spectrogram_csv(path, waveform, nperseg=256):
     """Export a long-form spectrogram CSV with columns ``t, f, power_db``."""
     times, freqs, power_db = spectrogram_data(waveform, nperseg=nperseg)
+    t, f = np.meshgrid(times, freqs, indexing="ij")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f", "power_db"])
-        for j, t in enumerate(times):
-            for i, f in enumerate(freqs):
-                writer.writerow([f"{t:.9g}", f"{f:.9g}", f"{power_db[i, j]:.6g}"])
+        np.savetxt(
+            fh,
+            np.column_stack([t.ravel(), f.ravel(), power_db.T.ravel()]),
+            fmt="%.9g,%.9g,%.6g",
+            newline="\r\n",
+            header="t,f,power_db",
+            comments="",
+        )

@@ -1,7 +1,11 @@
 """Shared fixtures: the bundled scheme, a probe-decay-only variant, the
-documented operating point, and the stage-by-stage RK4 reference."""
+documented operating point, the stage-by-stage RK4 reference and the
+row-by-row CSV reference."""
 
+import csv
+import io
 import sys
+from types import SimpleNamespace
 from importlib import resources
 
 import numpy as np
@@ -101,3 +105,108 @@ def literal_rk4():
         return worst
 
     return check
+
+
+def _csv_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def _trajectory_csv(trajectory, all_coherences=False):
+    dim = trajectory.matrices.shape[1]
+    header = ["t"] + [f"rho{k}{k}" for k in range(1, dim + 1)] + ["re_rho21", "im_rho21"]
+    extra = []
+    if all_coherences:
+        extra = [(i, j) for i in range(1, dim + 1) for j in range(1, i) if (i, j) != (2, 1)]
+        for (i, j) in extra:
+            header += [f"re_rho{i}{j}", f"im_rho{i}{j}"]
+    rows = []
+    pops = trajectory.populations()
+    for k, t in enumerate(trajectory.times):
+        row = [f"{t:.9g}"] + [f"{p:.12g}" for p in pops[k]]
+        c21 = trajectory.matrices[k, 1, 0]
+        row += [f"{c21.real:.12g}", f"{c21.imag:.12g}"]
+        for (i, j) in extra:
+            c = trajectory.matrices[k, i - 1, j - 1]
+            row += [f"{c.real:.12g}", f"{c.imag:.12g}"]
+        rows.append(row)
+    return _csv_bytes(header, rows)
+
+
+def _fidelity_scan_csv(scan):
+    rows = []
+    for i in range(scan.fidelities.shape[0]):
+        for j in range(scan.fidelities.shape[1]):
+            rf = scan.drive_at(i, j).rf_rabi
+            val = scan.fidelities[i, j]
+            rows.append([f"{v:.12g}" for v in rf] + [f"{val:.12g}" if np.isfinite(val) else "nan"])
+    return _csv_bytes(["omega1", "omega2", "omega3", "omega4", "fidelity"], rows)
+
+
+def _comparison_csv(comparison):
+    order = (Architecture.HYBRID, Architecture.CRS, Architecture.PRS)
+    rows = []
+    for arch in order:
+        for i, p in enumerate(comparison.power_dbm):
+            rows.append([arch.value, f"{p:.9g}", f"{comparison.power_sweep_bandwidth_hz:.9g}",
+                         f"{comparison.power_rates[arch][i]:.12g}"])
+    for arch in order:
+        for i, b in enumerate(comparison.bandwidth_hz):
+            rows.append([arch.value, f"{comparison.bandwidth_sweep_power_dbm:.9g}", f"{b:.9g}",
+                         f"{comparison.bandwidth_rates[arch][i]:.12g}"])
+    return _csv_bytes(["architecture", "p_t_dbm", "bandwidth_hz", "rate_bps"], rows)
+
+
+def _waveform_csv(exact, linearized):
+    rows = [
+        [f"{t:.9g}", f"{ye:.12g}", f"{yl:.12g}"]
+        for t, ye, yl in zip(exact.times, exact.samples, linearized.samples)
+    ]
+    return _csv_bytes(["t", "y_exact", "y_linearized"], rows)
+
+
+def _spectrogram_csv(times, freqs, power_db):
+    rows = [
+        [f"{t:.9g}", f"{f:.9g}", f"{power_db[i, j]:.6g}"]
+        for j, t in enumerate(times)
+        for i, f in enumerate(freqs)
+    ]
+    return _csv_bytes(["t", "f", "power_db"], rows)
+
+
+def _steady_state_csv(matrix):
+    rows = [
+        [i + 1, j + 1, f"{matrix[i, j].real:.12g}", f"{matrix[i, j].imag:.12g}"]
+        for i in range(6)
+        for j in range(6)
+    ]
+    return _csv_bytes(["i", "j", "re", "im"], rows)
+
+
+def _demod_csv(active, demods):
+    rows = [
+        [n, f"{t:.9g}", f"{z.real:.12g}", f"{z.imag:.12g}"]
+        for n, ch in zip(active, demods)
+        for t, z in zip(ch.times, ch.baseband)
+    ]
+    return _csv_bytes(["channel", "t", "re", "im"], rows)
+
+
+@pytest.fixture(scope="session")
+def literal_csv():
+    """Each CSV file of the package as bytes, written row by row with
+    ``csv.writer`` and per-cell format strings: the reference for the
+    ``np.savetxt`` writers."""
+    return SimpleNamespace(
+        trajectory=_trajectory_csv,
+        fidelity_scan=_fidelity_scan_csv,
+        comparison=_comparison_csv,
+        waveform=_waveform_csv,
+        spectrogram=_spectrogram_csv,
+        steady_state=_steady_state_csv,
+        demod=_demod_csv,
+    )

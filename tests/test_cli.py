@@ -7,7 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from rydberg_receiver.cli import SCHEMAS, main
+from rydberg_receiver import cli
+from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
+from rydberg_receiver.config import parse_config
+from rydberg_receiver.lindblad import make_generator, steady_state
+from rydberg_receiver.receiver import iq_demodulate
 
 TWO_PI = 2.0 * np.pi
 
@@ -166,6 +170,13 @@ class TestSteadyState:
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
 
+    def test_csv_bytes_match_row_writer(self, tmp_path, scheme, literal_csv):
+        out = tmp_path / "out"
+        assert main(["steady-state", "--out", str(out)]) == 0
+        drive = _resolve_drive(parse_config("", SCHEMAS["steady-state"])["drive"], scheme)
+        rho = steady_state(make_generator(drive, scheme))
+        assert (out / "steady_state.csv").read_bytes() == literal_csv.steady_state(rho.matrix)
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["steady-state", "--out", str(out), "--dry-run"]) == 0
@@ -278,6 +289,30 @@ class TestWaveform:
         demod_header = (out / "demod.csv").read_text().splitlines()[0]
         assert demod_header == "channel,t,re,im"
 
+    def test_demod_csv_bytes_match_row_writer(self, tmp_path, monkeypatch, literal_csv):
+        demodulated = []
+
+        def capture(*args, **kwargs):
+            demodulated.append(iq_demodulate(*args, **kwargs))
+            return demodulated[-1]
+
+        monkeypatch.setattr(cli, "iq_demodulate", capture)
+        out = tmp_path / "out"
+        cfg = "[waveform]\nspectrogram = false\n"
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
+        expected = literal_csv.demod((1, 2, 3, 4), demodulated[0])
+        assert (out / "demod.csv").read_bytes() == expected
+
+    def test_empty_demod_set_writes_header(self, tmp_path, literal_csv):
+        out = tmp_path / "out"
+        cfg = (
+            "[signal]\namplitudes = 0, 0, 0, 0\n"
+            "[waveform]\nduration_us = 50\nspectrogram = false\n"
+        )
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
+        assert (out / "demod.csv").read_bytes() == literal_csv.demod((), [])
+        assert json.loads((out / "summary.json").read_text())["channels"] == []
+
     def test_overlapping_signal_plan_exits_2(self, tmp_path, capsys):
         cfg = "[signal]\noffsets_mhz = 0.2, 0.25, 0.8, 1.1\n"
         assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
@@ -316,3 +351,63 @@ class TestSumrate:
     def test_bad_power_range_exits_1(self, tmp_path, capsys):
         cfg = "[sumrate]\npower_min_dbm = 0\npower_max_dbm = -10\n"
         assert run(tmp_path, "sumrate", "--out", str(tmp_path / "o"), config=cfg) == 1
+
+
+def _ini(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+#: Small valid runs of the commands whose keys the load-time checks guard.
+SMALL_RUNS = {
+    "optimize-lo": {
+        "optimize": {
+            "search_lo_mhz": "5", "search_hi_mhz": "6", "grid_step_mhz": "1",
+            "sum_constraint_mhz": "30", "samples_per_axis": "1",
+        },
+    },
+    "fidelity-map": {"scan": {"resolution": "2", "method": "null_space"}},
+    "sumrate": {
+        "sumrate": {
+            "rabi_set": "set2", "power_min_dbm": "-10", "power_max_dbm": "0",
+            "power_step_db": "5", "bandwidths_mhz": "0.05, 0.1",
+        },
+    },
+    "waveform": {"waveform": {"spectrogram": "false"}},
+}
+
+
+class TestLoadTimeChecks:
+    @pytest.mark.parametrize(
+        "command, section, key, raw, named",
+        [
+            ("optimize-lo", "optimize", "search_lo_mhz", "-1", "search_lo"),
+            ("optimize-lo", "optimize", "grid_step_mhz", "0", "grid_step"),
+            ("optimize-lo", "optimize", "search_hi_mhz", "inf", "search_hi"),
+            ("optimize-lo", "optimize", "search_hi_mhz", "nan", "search_hi"),
+            ("optimize-lo", "optimize", "plateau_tolerance", "nan", "plateau_tolerance"),
+            ("optimize-lo", "optimize", "samples_per_axis", "0", "samples_per_axis"),
+            ("optimize-lo", "optimize", "method", "bogus", "method"),
+            ("fidelity-map", "scan", "method", "bogus", "method"),
+            ("sumrate", "sumrate", "beta", "0", "beta"),
+            ("sumrate", "sumrate", "temperature_k", "-5", "temperature"),
+            ("sumrate", "sumrate", "power_step_db", "inf", "power_step_db"),
+            ("sumrate", "sumrate", "bandwidth_sweep_power_dbm", "nan", "bandwidth_sweep_power_dbm"),
+            ("sumrate", "sumrate", "bandwidths_mhz", "0.05, 0", "bandwidths"),
+            ("sumrate", "sumrate", "power_sweep_bandwidth_mhz", "0", "power_sweep_bandwidth"),
+            ("waveform", "signal", "modulation_index", "nan", "modulation_index"),
+            ("waveform", "waveform", "noise_std", "-1", "noise_std"),
+            ("waveform", "waveform", "noise_std", "nan", "noise_std"),
+            ("waveform", "cell", "probe_power_dbm", "4000", "probe_power_dbm"),
+        ],
+    )
+    def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, command, section, key, raw, named):
+        sections = {name: dict(keys) for name, keys in SMALL_RUNS[command].items()}
+        sections.setdefault(section, {})[key] = raw
+        out = tmp_path / "out"
+        assert run(tmp_path, command, "--out", str(out), config=_ini(sections)) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}] {named}" in err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 """Noise model, fading-averaged rates, and architecture comparison."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rydberg_receiver.comms import (
     snr,
     sum_rate,
 )
+from rydberg_receiver.receiver import DEFAULT_CELL
 from rydberg_receiver.scheme import Architecture
 
 TWO_PI = 2.0 * np.pi
@@ -194,6 +196,33 @@ class TestErgodicRate:
         rate = ergodic_sum_rate([unit_channel(1e-280)])
         assert 0.0 < rate < 1e-270
 
+    def test_array_sweeps_match_scalar_channels(self):
+        env = EnvironmentParams(y_lo=7e-23)
+        powers = dbm_to_watts(np.array([-4000.0, -30.0, -10.0, 0.0, 10.0]))
+        assert powers[0] == 0.0
+        bandwidths = np.array([1e4, 1e5, 3e5])
+
+        def channels(p_t, bandwidth):
+            return [
+                ChannelModel(gain=g, transmit_power=p_t, bandwidth=bandwidth,
+                             rf_frequency=TWO_PI * f).with_noise(env)
+                for g, f in ((3e-21, 3.054e9), (1e-22, 5.2e9))
+            ]
+
+        swept = ergodic_sum_rate(channels(powers, 1e5))
+        scalar = [ergodic_sum_rate(channels(float(p), 1e5)) for p in powers]
+        assert swept.shape == powers.shape and swept[0] == 0.0
+        np.testing.assert_allclose(swept, scalar, rtol=1e-15, atol=0.0)
+        swept = ergodic_sum_rate(channels(1e-3, bandwidths))
+        scalar = [ergodic_sum_rate(channels(1e-3, float(b))) for b in bandwidths]
+        np.testing.assert_allclose(swept, scalar, rtol=1e-15, atol=0.0)
+        snrs = np.array([1e-280, 0.0, 1.0, 100.0])
+        unit = ChannelModel(gain=1.0, transmit_power=snrs, bandwidth=1.0, rf_frequency=1.0,
+                            sigma_i_sq=1.0)
+        scalar = [ergodic_sum_rate([unit_channel(g)]) for g in snrs]
+        np.testing.assert_allclose(ergodic_sum_rate([unit]), scalar, rtol=1e-15, atol=0.0)
+        assert 0.0 < ergodic_sum_rate([unit])[0] < 1e-270
+
 
 class TestMonteCarlo:
     def test_rayleigh_sampler(self):
@@ -274,6 +303,47 @@ class TestArchitectureComparison:
         assert first[0] == Architecture.HYBRID.value
         assert float(first[1]) == -10.0
         assert float(first[2]) == 1e5
+
+    def test_sweeps_match_per_point_rates(self, scheme):
+        powers = np.arange(-30.0, 10.05, 0.1)
+        bandwidths = np.geomspace(1e4, 1e6, 7)
+        swept = compare_architectures(
+            scheme, RABI_SET1, powers, bandwidths,
+            omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
+        )
+        for arch, active in ARCH_CHANNELS.items():
+            env = EnvironmentParams(
+                y_lo=swept.y_lo[arch], omega_probe=DEFAULT_CELL.probe_angular_frequency
+            )
+
+            def rate(p_dbm, bandwidth):
+                return ergodic_sum_rate([
+                    ChannelModel(
+                        gain=swept.gains[arch][n], transmit_power=dbm_to_watts(p_dbm),
+                        bandwidth=bandwidth,
+                        rf_frequency=scheme.transition(n).carrier_frequency * 1e6,
+                    ).with_noise(env)
+                    for n in active
+                ])
+
+            per_point = [rate(p, swept.power_sweep_bandwidth_hz) for p in powers]
+            np.testing.assert_allclose(swept.power_rates[arch], per_point, rtol=1e-15, atol=0.0)
+            per_point = [rate(swept.bandwidth_sweep_power_dbm, b) for b in bandwidths]
+            np.testing.assert_allclose(
+                swept.bandwidth_rates[arch], per_point, rtol=1e-15, atol=0.0
+            )
+
+    def test_csv_bytes_match_row_writer(self, tmp_path, comparison, literal_csv):
+        odd = replace(
+            comparison,
+            power_dbm=np.array([-0.0, 3.5]),
+            power_rates={arch: np.array([-0.0, np.nan]) for arch in ARCH_CHANNELS},
+            bandwidth_sweep_power_dbm=-0.0,
+        )
+        path = tmp_path / "rates.csv"
+        for c in (comparison, odd):
+            c.write_csv(path)
+            assert path.read_bytes() == literal_csv.comparison(c)
 
     def test_bad_bandwidth_rejected(self, scheme):
         with pytest.raises(ValueError, match="bandwidths"):

@@ -1,5 +1,7 @@
 """Uhlmann fidelity, landscape scans, and the LO operating-point search."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,17 @@ class TestFidelityScan:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(self._fixed().rf_rabi[0])
 
+    def test_csv_bytes_match_row_writer(self, tmp_path, literal_csv):
+        scan = FidelityScan(
+            axes=(4, 2),
+            axis_values=(np.array([-0.0, TWO_PI * 3]), np.array([TWO_PI, TWO_PI * 2.5, 1e-7])),
+            fixed=self._fixed(),
+            fidelities=np.array([[0.99, np.nan, -0.0], [1.0, 0.123456789012345, 1e-20]]),
+        )
+        path = tmp_path / "scan.csv"
+        scan.write_csv(path)
+        assert path.read_bytes() == literal_csv.fidelity_scan(scan)
+
 
 class TestAverageFidelity:
     def test_zero_width_region_equals_point(self, scheme, op_drive):
@@ -193,6 +206,22 @@ class TestOptimizer:
     def _base(self):
         return DriveConfig(omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
                            rf_rabi=(TWO_PI, TWO_PI, TWO_PI, TWO_PI))
+
+    def test_unknown_method_raises_before_any_point(self, scheme, monkeypatch):
+        solves = []
+        monkeypatch.setattr(
+            importlib.import_module("rydberg_receiver.fidelity"),
+            "steady_state_numerical",
+            lambda *args, **kwargs: solves.append(args),
+        )
+        with pytest.raises(ValueError, match="method 'bogus'"):
+            optimize_operating_point(
+                (TWO_PI * 5.0, TWO_PI * 6.0), TWO_PI * 30.0,
+                base_drive=self._base(), scheme=scheme, steady_state_method="bogus",
+            )
+        with pytest.raises(ValueError, match="method 'bogus'"):
+            fidelity_scan(self._base(), (1, 2), scheme, resolution=2, steady_state_method="bogus")
+        assert solves == []
 
     def test_matches_brute_force_oracle(self, scheme):
         base = self._base()

@@ -12,6 +12,7 @@ from rydberg_receiver.lindblad import (
     DriveConfig,
     Liouvillian,
     TimeDependentLiouvillian,
+    Trajectory,
     build_hamiltonian,
 )
 from rydberg_receiver.scheme import Architecture, LevelScheme
@@ -360,3 +361,17 @@ class TestTrajectoryCsv:
         # 1 time + 6 populations + 15 lower-triangle coherences x (re, im)
         assert len(header) == 1 + 6 + 30
         assert "re_rho65" in header and "im_rho31" in header
+
+    @pytest.mark.parametrize("all_coherences", [False, True])
+    def test_bytes_match_row_writer(self, op_drive, scheme, tmp_path, literal_csv, all_coherences):
+        gen = rr.make_generator(op_drive, scheme)
+        traj = rr.evolve(rr.ground_state(), gen, t_end=0.01, dt=1e-3, max_snapshots=4)
+        matrices = traj.matrices.copy()
+        matrices[1, 1, 0] = complex(-0.0, np.nan)
+        matrices[2, 5, 5] = -0.0
+        matrices[2, 4, 2] = complex(np.inf, -0.0)
+        odd = Trajectory(times=np.array([-0.0, *traj.times[1:]]), matrices=matrices)
+        path = tmp_path / "traj.csv"
+        for trajectory in (traj, odd):
+            trajectory.write_csv(path, all_coherences=all_coherences)
+            assert path.read_bytes() == literal_csv.trajectory(trajectory, all_coherences)

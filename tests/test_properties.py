@@ -1,12 +1,15 @@
 """Property tests: invariants of the generator over random drives, and the
-CLI's exit-code contract over random mutations of the bundled scheme file
-and over bad integrator times."""
+CLI's exit-code contract over random mutations of the bundled scheme file,
+over bad integrator times and over bad values of range-checked keys."""
 
+import contextlib
+import io
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,3 +125,58 @@ def test_dynamics_time_inputs_exit_codes(dt, t_end, max_snapshots):
         )
         code = main(["dynamics", "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
+
+
+#: Range-checked keys of three commands, each with a valid value that keeps
+#: the run small; the optimizer's grid step stays coarse because the
+#: candidate grid grows as n^4.
+_CHECKED_KEYS = {
+    "optimize-lo": {
+        ("optimize", "search_lo_mhz"): "5",
+        ("optimize", "search_hi_mhz"): "6",
+        ("optimize", "grid_step_mhz"): "3",
+        ("optimize", "sum_constraint_mhz"): "30",
+        ("optimize", "samples_per_axis"): "1",
+        ("optimize", "plateau_tolerance"): "1e-5",
+    },
+    "sumrate": {
+        ("sumrate", "beta"): "1",
+        ("sumrate", "temperature_k"): "300",
+        ("sumrate", "bandwidths_mhz"): "0.1",
+        ("sumrate", "power_sweep_bandwidth_mhz"): "0.1",
+        ("sumrate", "power_step_db"): "10",
+        ("sumrate", "bandwidth_sweep_power_dbm"): "-10",
+    },
+    "waveform": {
+        ("signal", "modulation_index"): "5e-3",
+        ("waveform", "noise_std"): "1e-25",
+        ("waveform", "spectrogram"): "false",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHECKED_KEYS))
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_checked_keys_exit_codes(command, data):
+    keys = _CHECKED_KEYS[command]
+    spoiled = data.draw(
+        st.dictionaries(
+            st.sampled_from([k for k in keys if k[1] != "spectrogram"]),
+            st.sampled_from(["0", "-1", "nan", "inf"]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    sections = {}
+    for (section, key), valid in keys.items():
+        value = spoiled.get((section, key), valid)
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "run.ini"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -12,6 +12,7 @@ from rydberg_receiver.receiver import (
     GainVector,
     RfSignalSpec,
     VaporCellParams,
+    Waveform,
     _rabi_per_field,
     gain_coefficients,
     heterodyne_rabi,
@@ -444,3 +445,19 @@ class TestExports:
         assert lines[0] == "t,f,power_db"
         times, freqs, _power = spectrogram_data(exact, nperseg=64)
         assert len(lines) == 1 + len(times) * len(freqs)
+
+    def test_csv_bytes_match_row_writer(self, tmp_path, lo, scheme, literal_csv):
+        exact, lin = self._pair(lo, scheme)
+        path = tmp_path / "out.csv"
+        write_waveform_csv(path, exact, lin)
+        assert path.read_bytes() == literal_csv.waveform(exact, lin)
+        odd = Waveform(
+            times=np.array([-0.0, 0.0625, 0.125]),
+            samples=np.array([np.nan, -0.0, 7.0586443e-23]),
+            dc_level=7e-23,
+            sample_rate=16.0,
+        )
+        write_waveform_csv(path, odd, odd)
+        assert path.read_bytes() == literal_csv.waveform(odd, odd)
+        write_spectrogram_csv(path, exact, nperseg=64)
+        assert path.read_bytes() == literal_csv.spectrogram(*spectrogram_data(exact, nperseg=64))
