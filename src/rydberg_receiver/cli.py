@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .comms import RABI_SET1, RABI_SET2, compare_architectures
-from .config import MISSING, ConfigError, Field, load_config, parse_config
+from .config import ConfigError, Field, load_config, parse_config
 from .fidelity import (
     PerturbationRegion,
     average_fidelity,
@@ -186,6 +186,30 @@ SCHEMAS = {
     "validate-scheme": {},
 }
 
+#: Keys whose value, or every entry of whose list, must be > 0 or >= 0, in
+#: whichever section has them; a key left at None is not checked.
+_SIGNS = {
+    **dict.fromkeys(
+        ("dt", "resolution", "grid_step", "sum_constraint", "samples_per_axis",
+         "bandwidths", "duration", "sample_rate", "power_step_db",
+         "power_sweep_bandwidth", "temperature", "beta", *_CELL_SCHEMA),
+        ">",
+    ),
+    **dict.fromkeys(
+        ("omega_p", "omega_c", "rf_rabi", "rabi", "t_end", "search_lo",
+         "half_widths", "plateau_tolerance", "amplitudes", "modulation_index",
+         "noise_std"),
+        ">=",
+    ),
+}
+
+#: Allowed entry counts of list keys; a key left at None is not checked.
+_LENGTHS = {
+    **dict.fromkeys(("axes", "range_lo", "range_hi"), (2,)),
+    **dict.fromkeys(("half_widths", "amplitudes", "rabi"), (4,)),
+    "resolution": (1, 2),
+}
+
 
 def _jsonable(x):
     if isinstance(x, dict):
@@ -200,8 +224,6 @@ def _jsonable(x):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if x is MISSING:
-        return None
     return x
 
 
@@ -217,17 +239,25 @@ def _load_inputs(args, command):
         cfg = load_config(args.config, schema)
     else:
         cfg = parse_config("", schema, origin="<defaults>")
-    # Reject, with the key named, any non-finite number, a step or horizon
-    # evolve cannot integrate over (every section with a step has a
-    # horizon) and an unknown steady-state protocol.
+    # Reject, with the key named, any non-finite number, a value of the
+    # wrong sign or a list of the wrong length, scan axes that are not two
+    # distinct RF channels and an unknown steady-state protocol.
     for section, values in cfg.items():
         for key, value in values.items():
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not np.isfinite(v) for v in entries):
                 raise ConfigError(f"[{section}] {key} must be finite, got {value}")
-        if "dt" in values:
-            _require(section, values, ">", "dt")
-            _require(section, values, ">=", "t_end")
+            if value is None:
+                continue
+            if key in _LENGTHS and len(value) not in _LENGTHS[key]:
+                counts = " or ".join(str(n) for n in _LENGTHS[key])
+                raise ConfigError(f"[{section}] {key} must have {counts} entries")
+            op = _SIGNS.get(key)
+            if op and not all(v > 0 if op == ">" else v >= 0 for v in entries):
+                raise ConfigError(f"[{section}] {key} must be {op} 0")
+        axes = values.get("axes")
+        if axes and not (axes[0] != axes[1] and set(axes) <= {1, 2, 3, 4}):
+            raise ConfigError("[scan] axes must name two distinct RF channels in 1..4")
         methods = STEADY_STATE_METHODS + (("analytic",) if section == "steady_state" else ())
         if "method" in values and values["method"] not in methods:
             raise ConfigError(f"[{section}] method must be one of {', '.join(methods)}")
@@ -237,15 +267,6 @@ def _load_inputs(args, command):
     except ValueError as exc:
         raise SchemeFileError(f"{args.scheme}: {exc}") from None
     return cfg, scheme
-
-
-def _require(section, values, op, *keys):
-    """Reject the first of ``keys`` whose value, or any entry of whose
-    list, is not ``op`` 0 (``op`` is ">" or ">=")."""
-    for key in keys:
-        entries = values[key] if isinstance(values[key], tuple) else (values[key],)
-        if not all(v > 0 if op == ">" else v >= 0 for v in entries):
-            raise ConfigError(f"[{section}] {key} must be {op} 0")
 
 
 def _resolve_drive(drive_cfg, scheme):
@@ -421,12 +442,8 @@ def cmd_fidelity_map(args):
         return _dry_run(args, "fidelity-map", cfg, planned)
     drive = _resolve_drive(cfg["drive"], scheme)
     scan_cfg = cfg["scan"]
-    axes = tuple(scan_cfg["axes"])
-    if len(axes) != 2:
-        raise ConfigError("[scan] axes must name two RF channels")
+    axes = scan_cfg["axes"]
     lo, hi = scan_cfg["range_lo"], scan_cfg["range_hi"]
-    if len(lo) != 2 or len(hi) != 2:
-        raise ConfigError("[scan] range_lo and range_hi must each have two entries")
     res = scan_cfg["resolution"]
     resolution = res[0] if len(res) == 1 else tuple(res)
     scan = fidelity_scan(
@@ -473,10 +490,6 @@ def cmd_optimize_lo(args):
     drive = _resolve_drive(cfg["drive"], scheme)
     opt = cfg["optimize"]
     hw = opt["half_widths"]
-    if len(hw) != 4:
-        raise ConfigError("[optimize] half_widths must have four entries")
-    _require("optimize", opt, ">=", "search_lo", "half_widths", "plateau_tolerance")
-    _require("optimize", opt, ">", "grid_step", "sum_constraint", "samples_per_axis")
     if not opt["search_hi"] >= opt["search_lo"]:
         raise ConfigError("[optimize] search_hi must be >= search_lo")
     template = PerturbationRegion(
@@ -524,7 +537,6 @@ def cmd_waveform(args):
     cell = _resolve_cell(cfg["cell"])
     sig = cfg["signal"]
     wf_cfg = cfg["waveform"]
-    _require("waveform", wf_cfg, ">=", "noise_std")
 
     amplitudes = sig["amplitudes"]
     if amplitudes is None:
@@ -532,8 +544,6 @@ def cmd_waveform(args):
             sig["modulation_index"] * drive.rf_rabi[n - 1] / _rabi_per_field(n, scheme)
             for n in range(1, 5)
         )
-    if len(amplitudes) != 4:
-        raise ConfigError("[signal] amplitudes must have four entries")
     spec = RfSignalSpec(
         amplitudes=amplitudes,
         offsets=sig["offsets"],
@@ -620,8 +630,6 @@ def cmd_sumrate(args):
     sr = cfg["sumrate"]
     if sr["rabi"] is not None:
         rabi_set = sr["rabi"]
-        if len(rabi_set) != 4:
-            raise ConfigError("[sumrate] rabi must have four entries")
     elif sr["rabi_set"] == "set1":
         rabi_set = RABI_SET1
     elif sr["rabi_set"] == "set2":
@@ -630,8 +638,6 @@ def cmd_sumrate(args):
         raise ConfigError(f"[sumrate] rabi_set must be set1 or set2, got {sr['rabi_set']!r}")
     if not sr["power_max_dbm"] >= sr["power_min_dbm"]:
         raise ConfigError("[sumrate] power_max_dbm must be >= power_min_dbm")
-    _require("sumrate", sr, ">", "power_step_db", "bandwidths", "power_sweep_bandwidth")
-    _require("sumrate", sr, ">", "temperature", "beta")
     n_steps = int(round((sr["power_max_dbm"] - sr["power_min_dbm"]) / sr["power_step_db"]))
     powers = sr["power_min_dbm"] + sr["power_step_db"] * np.arange(n_steps + 1)
     bandwidths_hz = np.asarray(sr["bandwidths"]) * 1e6  # MHz -> Hz

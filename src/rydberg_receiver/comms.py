@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as c_light
-from scipy.constants import epsilon_0, hbar, k
 
+from .config import c_light, dbm_to_watts, epsilon_0, hbar, k_B
 from .lindblad import DriveConfig
 from .numerics import TWO_PI, exp_e1_scaled
 from .receiver import DEFAULT_CELL, gain_coefficients, photodetector_output
@@ -60,11 +59,6 @@ ARCH_CHANNELS = {
 }
 
 
-def dbm_to_watts(dbm):
-    """Convert dBm to watts."""
-    return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
 def blackbody_psd(omega, temperature):
     """One-sided blackbody field spectral density at ``omega`` (rad/s), T (K).
 
@@ -77,7 +71,7 @@ def blackbody_psd(omega, temperature):
         raise ValueError("blackbody_psd: omega must be > 0")
     if not temperature > 0:
         raise ValueError("blackbody_psd: temperature must be > 0")
-    x = hbar * omega / (k * temperature)
+    x = hbar * omega / (k_B * temperature)
     factor = 1.0 / np.tanh(x / 2.0)
     out = 4.0 * hbar * omega**3 / (epsilon_0 * c_light**3) * factor
     return out if out.ndim else float(out)
@@ -100,7 +94,7 @@ class EnvironmentParams:
 
     y_lo: float
     temperature: float = 300.0
-    omega_probe: float = TWO_PI * c_light / 852.35e-9
+    omega_probe: float = DEFAULT_CELL.probe_angular_frequency
 
     def __post_init__(self):
         if not self.y_lo > 0:

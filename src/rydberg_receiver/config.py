@@ -1,4 +1,5 @@
-"""Strict INI configuration parsing with unit-suffixed keys.
+"""Strict INI configuration parsing with unit-suffixed keys, and the
+package's physical constants and unit tables.
 
 Dimensioned values never appear bare: the key carries the unit as a
 suffix (``omega_p_mhz = 5.7``, ``duration_us = 200``) and the parser
@@ -7,6 +8,10 @@ rad/us, ordinary frequencies in MHz, times in us, powers in W, SI for
 everything else). Unknown sections, unknown keys, duplicate unit variants
 of the same key, and unparseable values are all hard errors naming the
 offending location, so a typo never silently falls back to a default.
+
+This is the one module that reads :mod:`scipy.constants`; the others take
+their SI constants (``hbar``, ``epsilon_0``, ``c_light``, ``k_B``,
+:data:`EA0`) and unit conversions from here.
 """
 
 from __future__ import annotations
@@ -14,50 +19,48 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
+from scipy.constants import c as c_light
 from scipy.constants import e as e_charge
-from scipy.constants import physical_constants
+from scipy.constants import epsilon_0, hbar, physical_constants
+from scipy.constants import k as k_B
 
 from .numerics import TWO_PI
 
-__all__ = ["ConfigError", "Field", "MISSING", "parse_config", "load_config"]
+__all__ = ["ConfigError", "Field", "parse_config", "load_config"]
 
-_EA0 = e_charge * physical_constants["Bohr radius"][0]
+#: One atomic dipole unit e*a0 in C*m.
+EA0 = e_charge * physical_constants["Bohr radius"][0]
 
 
 class ConfigError(ValueError):
     """Malformed configuration content."""
 
 
-class _Missing:
-    def __repr__(self):
-        return "MISSING"
+def dbm_to_watts(dbm):
+    """Convert dBm to watts."""
+    return 1e-3 * 10.0 ** (dbm / 10.0)
 
 
-#: Sentinel: a field with default MISSING must appear in the file.
-MISSING = _Missing()
-
-
-def _dbm_to_watts(x):
-    return 1e-3 * 10.0 ** (x / 10.0)
-
+#: rad/us per unit of ordinary frequency, by unit suffix.
+ANGULAR_FREQUENCY_SUFFIXES = {
+    "ghz": TWO_PI * 1e3,
+    "mhz": TWO_PI,
+    "khz": TWO_PI * 1e-3,
+    "hz": TWO_PI * 1e-9,
+}
 
 #: kind -> {suffix: factor or callable} mapping raw values to canonical
 #: units. Angular frequencies land in rad/us (the 2 pi is in the factor),
 #: ordinary frequencies in MHz, times in us, the rest in SI.
 _SUFFIXES = {
-    "angular_frequency": {
-        "ghz": TWO_PI * 1e3,
-        "mhz": TWO_PI,
-        "khz": TWO_PI * 1e-3,
-        "hz": TWO_PI * 1e-9,
-    },
+    "angular_frequency": ANGULAR_FREQUENCY_SUFFIXES,
     "ordinary_frequency": {"ghz": 1e3, "mhz": 1.0, "khz": 1e-3, "hz": 1e-6},
     "time": {"us": 1.0, "ms": 1e3, "s": 1e6},
-    "power": {"dbm": _dbm_to_watts, "mw": 1e-3, "w": 1.0},
+    "power": {"dbm": dbm_to_watts, "mw": 1e-3, "w": 1.0},
     "temperature": {"k": 1.0},
     "length": {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0},
     "density": {"per_cm3": 1e6, "per_m3": 1.0},
-    "dipole": {"ea0": _EA0},
+    "dipole": {"ea0": EA0},
     "responsivity": {"a_per_w": 1.0},
 }
 
@@ -75,12 +78,11 @@ class Field:
     """Schema entry for one config key.
 
     ``kind`` selects the converter (and, for dimensioned kinds, the set of
-    accepted unit suffixes); ``default`` of :data:`MISSING` makes the key
-    required.
+    accepted unit suffixes); ``default`` is the value of an absent key.
     """
 
     kind: str
-    default: object = MISSING
+    default: object
 
 
 def _apply(factor, value):
@@ -161,7 +163,7 @@ def parse_config(text, schema, origin="<config>"):
     ``schema`` maps section name -> {base key -> :class:`Field`}. Returns
     {section: {base key: converted value}} with every schema key present
     (defaults filled in). Sections absent from the file are returned as
-    pure defaults; required keys in absent sections still raise.
+    pure defaults.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -207,12 +209,7 @@ def parse_config(text, schema, origin="<config>"):
                     values[base] = _scalar(mode, raw_value, where)
                 seen_raw[base] = raw_key
         for base, field in section_schema.items():
-            if base not in values:
-                if field.default is MISSING:
-                    raise ConfigError(
-                        f"{origin}: [{section}] missing required key {base!r}"
-                    )
-                values[base] = field.default
+            values.setdefault(base, field.default)
         out[section] = values
     return out
 

@@ -206,7 +206,7 @@ def fidelity_scan(
         Per-axis sweep ranges in rad/us; defaults to [0, 2 pi * 10].
     resolution : int or (int, int)
         Grid points per axis (>= 2, or 1 for a degenerate single-point
-        scan).
+        scan); a count below 1 raises ``ValueError``.
     steady_state_method : {"evolve", "null_space"}
         Numerical-state protocol per grid point.
     workers : int, optional
@@ -224,6 +224,10 @@ def fidelity_scan(
     if ranges is None:
         ranges = ((0.0, TWO_PI * 10.0), (0.0, TWO_PI * 10.0))
     res = (resolution, resolution) if np.isscalar(resolution) else tuple(resolution)
+    if len(res) != 2 or min(res) < 1:
+        raise ValueError(
+            f"fidelity_scan: resolution must be one or two counts >= 1, got {resolution}"
+        )
     values = tuple(
         np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
         for (lo, hi), n in zip(ranges, res)

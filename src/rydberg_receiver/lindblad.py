@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import null_space, NULL_SPACE_TOL
+from .numerics import HERMITICITY_TOL, null_space
 from .scheme import require_hybrid_six
 
 __all__ = [
@@ -56,7 +56,6 @@ DEFAULT_DT = 1e-4
 #: Protocols of :func:`steady_state_numerical`.
 STEADY_STATE_METHODS = ("null_space", "evolve")
 
-_HERM_TOL = 1e-9
 _TRACE_TOL = 1e-9
 _EIG_TOL = -1e-8
 
@@ -140,7 +139,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"DensityMatrix: expected square matrix, got shape {m.shape}")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > _HERM_TOL:
+        if herm > HERMITICITY_TOL:
             raise ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {herm:.3e})")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > _TRACE_TOL:
@@ -593,7 +592,7 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     )
 
 
-def steady_state(liouvillian, tol=NULL_SPACE_TOL):
+def steady_state(liouvillian):
     """Stationary state from the generator's null space.
 
     Raises
@@ -611,7 +610,7 @@ def steady_state(liouvillian, tol=NULL_SPACE_TOL):
             "steady_state: generator is time dependent (nonzero closed-loop detuning); "
             "no stationary state exists in this frame"
         )
-    basis = null_space(liouvillian.matrix, tol=tol)
+    basis = null_space(liouvillian.matrix)
     if len(basis) != 1:
         raise ValueError(
             f"steady_state: degenerate steady state, null-space dimension {len(basis)}"

@@ -33,7 +33,7 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 TWO_PI = 6.283185307179586
 
-# Default relative tolerances; see the module docstring of each consumer for
+# Relative tolerances; see the module docstring of each consumer for
 # why these are safe (the zero mode of a valid generator is separated from
 # the slowest decay by ~9.4e-4 in the package's internal units).
 HERMITICITY_TOL = 1e-9
@@ -48,19 +48,18 @@ def _as_square(m, name):
     return m
 
 
-def null_space(m, tol=NULL_SPACE_TOL):
+def null_space(m):
     """Orthonormal basis of the numerical kernel of a square matrix.
 
-    Returns every right-singular vector ``v`` with ``norm(m @ v) <= tol *
-    norm(m)`` where ``norm(m)`` is the spectral norm (largest singular
-    value). For the zero matrix every direction qualifies.
+    Returns every right-singular vector ``v`` with ``norm(m @ v) <=
+    NULL_SPACE_TOL * norm(m)`` where ``norm(m)`` is the spectral norm
+    (largest singular value). For the zero matrix every direction
+    qualifies.
 
     Parameters
     ----------
     m : array_like
         Square complex matrix.
-    tol : float, optional
-        Relative singular-value threshold.
 
     Returns
     -------
@@ -74,22 +73,20 @@ def null_space(m, tol=NULL_SPACE_TOL):
     scale = s[0]
     if scale == 0.0:
         return [vh[i].conj() for i in range(m.shape[0])]
-    return [vh[i].conj() for i in range(len(s)) if s[i] <= tol * scale]
+    return [vh[i].conj() for i in range(len(s)) if s[i] <= NULL_SPACE_TOL * scale]
 
 
-def psd_sqrt(m, clamp=PSD_CLAMP, hermiticity_tol=HERMITICITY_TOL):
+def psd_sqrt(m):
     """Hermitian square root of a positive-semidefinite matrix.
 
-    Eigenvalues in ``[clamp, 0)`` are clamped to zero: numerically produced
-    steady states are PSD only up to solver noise. Anything below ``clamp``
-    is a genuine negativity and raises.
+    Eigenvalues in ``[PSD_CLAMP, 0)`` are clamped to zero: numerically
+    produced steady states are PSD only up to solver noise. Anything below
+    ``PSD_CLAMP`` is a genuine negativity and raises.
 
     Parameters
     ----------
     m : array_like
         Hermitian PSD matrix (within tolerances).
-    clamp : float, optional
-        Most negative eigenvalue still treated as zero.
 
     Returns
     -------
@@ -101,23 +98,23 @@ def psd_sqrt(m, clamp=PSD_CLAMP, hermiticity_tol=HERMITICITY_TOL):
     ------
     ValueError
         If the input is not square, not Hermitian within
-        ``hermiticity_tol`` (max elementwise ``|m - m^H|``), or has an
-        eigenvalue below ``clamp``.
+        ``HERMITICITY_TOL`` (max elementwise ``|m - m^H|``), or has an
+        eigenvalue below ``PSD_CLAMP``.
     """
     m = _as_square(m, "psd_sqrt")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > hermiticity_tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(
             f"psd_sqrt: input is not Hermitian (max |m - m^H| = {dev:.3e} "
-            f"exceeds {hermiticity_tol:.1e})"
+            f"exceeds {HERMITICITY_TOL:.1e})"
         )
     # Symmetrize before factorizing so round-off in the input cannot leak
     # into complex eigenvalues.
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w.size and float(w[0]) < clamp:
+    if w.size and float(w[0]) < PSD_CLAMP:
         raise ValueError(
             f"psd_sqrt: matrix is not PSD (min eigenvalue {w[0]:.3e} below "
-            f"clamp {clamp:.1e})"
+            f"clamp {PSD_CLAMP:.1e})"
         )
     w = np.clip(w, 0.0, None)
     r = (v * np.sqrt(w)) @ v.conj().T
@@ -138,7 +135,7 @@ def _e1_series(x):
     return total
 
 
-def _e1_cf(x, max_iter=200):
+def _e1_cf(x):
     # Modified Lentz evaluation of the continued fraction
     #   e^x E1(x) = 1/(x+1- 1^2/(x+3- 2^2/(x+5- ...)))
     # which converges fast for x > 1 and never overflows.
@@ -147,7 +144,7 @@ def _e1_cf(x, max_iter=200):
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, 200):
         a = -float(i * i)
         b += 2.0
         d = a * d + b

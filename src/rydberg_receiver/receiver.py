@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sp_signal
-from scipy.constants import epsilon_0, hbar, physical_constants
-from scipy.constants import c as c_light
-from scipy.constants import e as e_charge
 
 from .analytic import AnalyticContext, analytic_rho21, rho21_from_amplitudes
-from .lindblad import DriveConfig, steady_state_numerical
+from .config import EA0, c_light, epsilon_0, hbar
+from .lindblad import steady_state_numerical
 from .numerics import TWO_PI
 
 __all__ = [
@@ -51,15 +49,15 @@ __all__ = [
     "write_spectrogram_csv",
 ]
 
-#: One atomic dipole unit e*a0 in C*m.
-EA0 = e_charge * physical_constants["Bohr radius"][0]
-
 #: Demodulator filter plan: linear-phase FIR, bandpass width 1.2 B, lowpass
 #: cutoff 0.6 B, >= 60 dB stopband (we design for 65), transition 1.5 B.
 FILTER_STOPBAND_DB = 65.0
 BPF_HALF_WIDTH = 0.6
 LPF_CUTOFF = 0.6
 TRANSITION_BANDWIDTHS = 1.5
+
+#: Finite-difference step of :func:`gain_coefficients`: 2 pi x 1 kHz (rad/us).
+GAIN_STEP = TWO_PI * 1e-3
 
 
 @dataclass(frozen=True)
@@ -302,11 +300,11 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
     return float(_detector_current(cell, drive.omega_p, rho21))
 
 
-def gain_coefficients(lo, cell, scheme, model="analytic", step=TWO_PI * 1e-3):
+def gain_coefficients(lo, cell, scheme, model="analytic"):
     """Per-channel RF-to-electrical gains at the LO operating point.
 
     ``G_n = (mu_n / hbar) * dy/dOmega_n`` via central finite differences
-    with step 2 pi x 1 kHz (one-sided second-order stencil when the LO
+    with step :data:`GAIN_STEP` (one-sided second-order stencil when the LO
     amplitude sits closer than one step to zero). Units: A per (V/m).
 
     Raises
@@ -322,15 +320,15 @@ def gain_coefficients(lo, cell, scheme, model="analytic", step=TWO_PI * 1e-3):
             continue
         rf = list(lo.rf_rabi)
         base = rf[n - 1]
-        if base >= step:
-            stencil = ((step, 1.0), (-step, -1.0))
+        if base >= GAIN_STEP:
+            stencil = ((GAIN_STEP, 1.0), (-GAIN_STEP, -1.0))
         else:
-            stencil = ((0.0, -3.0), (step, 4.0), (2.0 * step, -1.0))
+            stencil = ((0.0, -3.0), (GAIN_STEP, 4.0), (2.0 * GAIN_STEP, -1.0))
         dy = 0.0
         for shift, weight in stencil:
             rf[n - 1] = base + shift
             dy += weight * photodetector_output(lo.with_rf_rabi(rf), cell, scheme, model=model)
-        g = mu_over_hbar * (dy / (2.0 * step))
+        g = mu_over_hbar * (dy / (2.0 * GAIN_STEP))
         if not np.isfinite(g):
             raise ValueError(f"gain_coefficients: non-finite derivative on channel {n}")
         gains.append(g)
@@ -499,7 +497,8 @@ def iq_demodulate(waveform, offsets, bandwidths):
     Raises
     ------
     ValueError
-        If any two channel bands overlap.
+        If any two channel bands overlap, or the record is shorter than a
+        channel's filters.
     """
     offsets = tuple(float(v) for v in offsets)
     bandwidths = tuple(float(v) for v in bandwidths)
@@ -522,6 +521,12 @@ def iq_demodulate(waveform, offsets, bandwidths):
         transition = TRANSITION_BANDWIDTHS * bw
         bpf = _kaiser_bandpass(f0, BPF_HALF_WIDTH * bw, transition, fs)
         lpf = _kaiser_lowpass(LPF_CUTOFF * bw, transition, fs)
+        taps = max(len(bpf), len(lpf))
+        if len(x) < taps:
+            raise ValueError(
+                f"iq_demodulate: record of {len(x)} samples is shorter than the "
+                f"{taps}-tap filters of the {bw:g} MHz channel"
+            )
         band = np.convolve(x, bpf, mode="same")
         i_arm = np.convolve(band * (2.0 * np.cos(offset * t)), lpf, mode="same")
         q_arm = np.convolve(band * (-2.0 * np.sin(offset * t)), lpf, mode="same")
@@ -546,16 +551,19 @@ def iq_demodulate(waveform, offsets, bandwidths):
 # Exports
 
 
-def spectrogram_data(waveform, nperseg=256, noverlap=None):
+def spectrogram_data(waveform, nperseg=256):
     """Spectrogram of the DC-removed waveform.
 
     Returns ``(segment_times_us, frequencies_mhz, power_db)`` with power in
-    dB relative to the strongest bin.
+    dB relative to the strongest bin, floored at -300 dB; a constant
+    waveform, with no strongest bin, reads -300 dB everywhere.
     """
     freqs, times, sxx = sp_signal.spectrogram(
-        waveform.ac(), fs=waveform.sample_rate, nperseg=nperseg, noverlap=noverlap
+        waveform.ac(), fs=waveform.sample_rate, nperseg=nperseg
     )
-    peak = float(np.max(sxx)) if sxx.size else 1.0
+    peak = float(np.max(sxx, initial=0.0))
+    if peak == 0.0:
+        return times, freqs, np.full(sxx.shape, -300.0)
     power_db = 10.0 * np.log10(np.maximum(sxx, peak * 1e-30) / peak)
     return times, freqs, power_db
 

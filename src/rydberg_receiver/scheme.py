@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .numerics import TWO_PI
+from .config import ANGULAR_FREQUENCY_SUFFIXES
 
 __all__ = [
     "Architecture",
@@ -31,14 +31,6 @@ __all__ = [
     "load_scheme",
     "cesium_scheme",
 ]
-
-# rad/us per unit of ordinary frequency
-_FREQ_SUFFIXES = {
-    "ghz": TWO_PI * 1e3,
-    "mhz": TWO_PI,
-    "khz": TWO_PI * 1e-3,
-    "hz": TWO_PI * 1e-9,
-}
 
 
 class Architecture(Enum):
@@ -99,10 +91,6 @@ class RfTransition:
 
 #: Canonical hybrid six-level RF graph: cascade 3-4-5-6 plus the 3-6 branch.
 HYBRID_SIX_EDGES = ((3, 4), (4, 5), (5, 6), (3, 6))
-
-#: Dominant decay pathways of the six-level scheme: nearest-neighbor cascade
-#: plus the loop-closing 6 -> 3 channel.
-SIX_LEVEL_DECAY_EDGES = ((2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (6, 3))
 
 
 @dataclass(frozen=True)
@@ -353,9 +341,10 @@ class SchemeFileError(ValueError):
 
 def _freq_value(section, items, prefix, where):
     """Read exactly one ``<prefix>_<unit>`` key and convert to rad/us."""
-    hits = [k for k in items if k == prefix or (k.startswith(prefix + "_") and k[len(prefix) + 1 :] in _FREQ_SUFFIXES)]
+    units = ANGULAR_FREQUENCY_SUFFIXES
+    hits = [k for k in items if k == prefix or (k.startswith(prefix + "_") and k[len(prefix) + 1 :] in units)]
     if not hits:
-        raise SchemeFileError(f"{where}: missing key '{prefix}_<unit>' (unit in {sorted(_FREQ_SUFFIXES)})")
+        raise SchemeFileError(f"{where}: missing key '{prefix}_<unit>' (unit in {sorted(units)})")
     if len(hits) > 1:
         raise SchemeFileError(f"{where}: duplicate frequency keys {hits}")
     key = hits[0]
@@ -365,7 +354,7 @@ def _freq_value(section, items, prefix, where):
         value = float(items[key])
     except ValueError:
         raise SchemeFileError(f"{where}: key '{key}' is not a number: {items[key]!r}") from None
-    return value * _FREQ_SUFFIXES[key[len(prefix) + 1 :]]
+    return value * units[key[len(prefix) + 1 :]]
 
 
 def parse_scheme(text, origin="<string>"):

@@ -313,6 +313,20 @@ class TestWaveform:
         assert (out / "demod.csv").read_bytes() == literal_csv.demod((), [])
         assert json.loads((out / "summary.json").read_text())["channels"] == []
 
+    def test_silent_signal_spectrogram_at_floor(self, tmp_path, recwarn):
+        out = tmp_path / "out"
+        cfg = "[signal]\namplitudes = 0, 0, 0, 0\n[waveform]\nduration_us = 50\n"
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
+        rows = (out / "spectrogram.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[2] for row in rows} == {"-300"}
+        assert not recwarn.list
+
+    def test_record_shorter_than_filters_exits_2(self, tmp_path, capsys):
+        cfg = "[waveform]\nduration_us = 1\n"
+        assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
+        err = capsys.readouterr().err
+        assert "record of 16 samples" in err and "425-tap filters" in err
+
     def test_overlapping_signal_plan_exits_2(self, tmp_path, capsys):
         cfg = "[signal]\noffsets_mhz = 0.2, 0.25, 0.8, 1.1\n"
         assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
@@ -401,6 +415,25 @@ class TestLoadTimeChecks:
             ("waveform", "waveform", "noise_std", "-1", "noise_std"),
             ("waveform", "waveform", "noise_std", "nan", "noise_std"),
             ("waveform", "cell", "probe_power_dbm", "4000", "probe_power_dbm"),
+            ("fidelity-map", "scan", "resolution", "0", "resolution"),
+            ("fidelity-map", "scan", "resolution", "-3", "resolution"),
+            ("fidelity-map", "scan", "resolution", "3, 4, 5", "resolution"),
+            ("fidelity-map", "scan", "axes", "1, 1", "axes"),
+            ("fidelity-map", "scan", "axes", "1, 5", "axes"),
+            ("fidelity-map", "scan", "range_lo_mhz", "0, 0, 0", "range_lo"),
+            ("waveform", "cell", "cell_length_m", "-1", "cell_length"),
+            ("waveform", "cell", "probe_power_dbm", "-4000", "probe_power"),
+            ("sumrate", "cell", "responsivity_a_per_w", "0", "responsivity"),
+            ("waveform", "drive", "rf_rabi_mhz", "2, -7, 1, 6", "rf_rabi"),
+            ("sumrate", "drive", "omega_c_mhz", "-0.97", "omega_c"),
+            ("sumrate", "sumrate", "rabi_mhz", "7, -1, 1, 1", "rabi"),
+            ("waveform", "signal", "modulation_index", "-1", "modulation_index"),
+            ("waveform", "signal", "amplitudes", "-1, 0, 0, 0", "amplitudes"),
+            ("waveform", "signal", "amplitudes", "0, 0, 0", "amplitudes"),
+            ("waveform", "signal", "bandwidths_mhz", "0, 0.1, 0.1, 0.1", "bandwidths"),
+            ("waveform", "waveform", "duration_us", "0", "duration"),
+            ("waveform", "waveform", "duration_us", "-5", "duration"),
+            ("waveform", "waveform", "sample_rate_mhz", "0", "sample_rate"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, command, section, key, raw, named):

@@ -107,6 +107,11 @@ class TestFidelityScan:
         with pytest.raises(ValueError, match="axes"):
             fidelity_scan(self._fixed(), (0, 3), scheme)
 
+    def test_resolution_validated(self, scheme):
+        for resolution in (0, -3, (2, 0), (3, 4, 5)):
+            with pytest.raises(ValueError, match="resolution"):
+                fidelity_scan(self._fixed(), (2, 3), scheme, resolution=resolution)
+
     def test_single_point_matches_direct_route(self, scheme):
         drive = self._fixed()
         scan = fidelity_scan(

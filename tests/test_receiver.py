@@ -406,6 +406,17 @@ class TestDemodulation:
         with pytest.raises(ValueError, match="transients"):
             chans[0].steady()
 
+    def test_record_shorter_than_filters_rejected(self, lo, scheme):
+        spec = RfSignalSpec(
+            amplitudes=(0.0, signal_amplitude(2, lo, scheme), 0.0, 0.0),
+            offsets=FOUR_OFFSETS,
+        )
+        wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
+                                      duration=1.0, sample_rate=16.0,
+                                      mode="linearized")
+        with pytest.raises(ValueError, match=r"record of 16 samples .* 425-tap filters"):
+            iq_demodulate(wave, offsets=(spec.offsets[1],), bandwidths=(0.1,))
+
 
 class TestExports:
     def _pair(self, lo, scheme):
@@ -436,6 +447,13 @@ class TestExports:
         times, freqs, power_db = spectrogram_data(exact, nperseg=64)
         assert power_db.shape == (len(freqs), len(times))
         assert np.max(power_db) == pytest.approx(0.0, abs=1e-9)
+
+    def test_spectrogram_of_constant_waveform_is_floor(self):
+        flat = Waveform(times=np.arange(512) / 16.0, samples=np.full(512, 3e-4),
+                        dc_level=3e-4, sample_rate=16.0)
+        times, freqs, power_db = spectrogram_data(flat, nperseg=64)
+        assert power_db.shape == (len(freqs), len(times)) and power_db.size
+        assert np.all(power_db == -300.0)
 
     def test_spectrogram_csv(self, tmp_path, lo, scheme):
         exact, _lin = self._pair(lo, scheme)
