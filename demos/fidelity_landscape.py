@@ -36,7 +36,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("--out", type=Path, default=Path("demo_out"))
     parser.add_argument("--resolution", type=int, default=21)
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -50,7 +49,6 @@ def main():
         fixed, (2, 3), scheme,
         resolution=args.resolution,
         steady_state_method="evolve",
-        workers=args.workers,
     )
     vals2, vals3 = scan.axis_values
     i, j = scan.min_point()

@@ -24,7 +24,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("--full", action="store_true",
                         help="unit-step grid (thousands of candidates) instead of the coarse preset")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     scheme = rr.cesium_scheme()
@@ -46,7 +45,6 @@ def main():
         base_drive=base,
         scheme=scheme,
         grid_step=step,
-        workers=args.workers,
     )
     elapsed = time.perf_counter() - t0
 

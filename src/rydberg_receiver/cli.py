@@ -203,11 +203,17 @@ _SIGNS = {
     ),
 }
 
-#: Allowed entry counts of list keys; a key left at None is not checked.
+#: Allowed entry counts of list keys by (section, key); a key left at None
+#: is not checked.
 _LENGTHS = {
-    **dict.fromkeys(("axes", "range_lo", "range_hi"), (2,)),
-    **dict.fromkeys(("half_widths", "amplitudes", "rabi"), (4,)),
-    "resolution": (1, 2),
+    **dict.fromkeys((("scan", "axes"), ("scan", "range_lo"), ("scan", "range_hi")), (2,)),
+    ("scan", "resolution"): (1, 2),
+    **dict.fromkeys(
+        (("drive", "rf_rabi"), ("drive", "rf_detunings"), ("drive", "rf_phases"),
+         ("optimize", "half_widths"), ("signal", "amplitudes"), ("signal", "offsets"),
+         ("signal", "phases"), ("signal", "bandwidths"), ("sumrate", "rabi")),
+        (4,),
+    ),
 }
 
 
@@ -240,8 +246,9 @@ def _load_inputs(args, command):
     else:
         cfg = parse_config("", schema, origin="<defaults>")
     # Reject, with the key named, any non-finite number, a value of the
-    # wrong sign or a list of the wrong length, scan axes that are not two
-    # distinct RF channels and an unknown steady-state protocol.
+    # wrong sign or a list of the wrong length, fewer than two trajectory
+    # snapshots, scan axes that are not two distinct RF channels and an
+    # unknown steady-state protocol.
     for section, values in cfg.items():
         for key, value in values.items():
             entries = value if isinstance(value, tuple) else (value,)
@@ -249,12 +256,15 @@ def _load_inputs(args, command):
                 raise ConfigError(f"[{section}] {key} must be finite, got {value}")
             if value is None:
                 continue
-            if key in _LENGTHS and len(value) not in _LENGTHS[key]:
-                counts = " or ".join(str(n) for n in _LENGTHS[key])
+            lengths = _LENGTHS.get((section, key))
+            if lengths and len(value) not in lengths:
+                counts = " or ".join(str(n) for n in lengths)
                 raise ConfigError(f"[{section}] {key} must have {counts} entries")
             op = _SIGNS.get(key)
             if op and not all(v > 0 if op == ">" else v >= 0 for v in entries):
                 raise ConfigError(f"[{section}] {key} must be {op} 0")
+        if values.get("max_snapshots", 2) < 2:
+            raise ConfigError(f"[{section}] max_snapshots must be >= 2")
         axes = values.get("axes")
         if axes and not (axes[0] != axes[1] and set(axes) <= {1, 2, 3, 4}):
             raise ConfigError("[scan] axes must name two distinct RF channels in 1..4")
@@ -455,7 +465,6 @@ def cmd_fidelity_map(args):
         steady_state_method=scan_cfg["method"],
         t_end=scan_cfg["t_end"],
         dt=scan_cfg["dt"],
-        workers=args.workers,
     )
     finite = scan.fidelities[np.isfinite(scan.fidelities)]
     if finite.size == 0:
@@ -506,7 +515,6 @@ def cmd_optimize_lo(args):
         t_end=opt["t_end"],
         dt=opt["dt"],
         plateau_tolerance=opt["plateau_tolerance"],
-        workers=args.workers,
     )
     out = _out_dir(args)
     payload = {
@@ -566,10 +574,7 @@ def cmd_waveform(args):
         seed=args.seed,
         gains=gains,
     )
-    out = _out_dir(args)
-    outputs = ["waveform.csv"]
-    write_waveform_csv(out / "waveform.csv", exact, linearized)
-
+    # Everything that can fail runs before the first file is written.
     channel_summaries = []
     if wf_cfg["demodulate"]:
         active = spec.active_channels()
@@ -578,16 +583,6 @@ def cmd_waveform(args):
             [spec.offsets[n - 1] for n in active],
             [spec.bandwidths[n - 1] for n in active],
         )
-        with open(out / "demod.csv", "w", newline="") as fh:
-            fh.write("channel,t,re,im\r\n")
-            for n, ch in zip(active, demods):
-                np.savetxt(
-                    fh,
-                    np.column_stack([ch.times, ch.baseband.real, ch.baseband.imag]),
-                    fmt=f"{n},%.9g,%.12g,%.12g",
-                    newline="\r\n",
-                )
-        outputs.append("demod.csv")
         for n, ch in zip(active, demods):
             expected = gains[n] * spec.amplitudes[n - 1] * np.exp(1j * spec.phases[n - 1])
             measured = np.mean(ch.steady())
@@ -599,10 +594,6 @@ def cmd_waveform(args):
                     "magnitude_ratio": float(np.abs(measured) / np.abs(expected)),
                 }
             )
-    if wf_cfg["spectrogram"]:
-        write_spectrogram_csv(out / "spectrogram.csv", exact)
-        outputs.append("spectrogram.csv")
-
     summary = {
         "dc_level": exact.dc_level,
         "samples": len(exact.times),
@@ -612,6 +603,24 @@ def cmd_waveform(args):
         "linearization_rms_over_dc": linearization_discrepancy(exact, linearized),
         "channels": channel_summaries,
     }
+
+    out = _out_dir(args)
+    outputs = ["waveform.csv"]
+    write_waveform_csv(out / "waveform.csv", exact, linearized)
+    if wf_cfg["demodulate"]:
+        with open(out / "demod.csv", "w", newline="") as fh:
+            fh.write("channel,t,re,im\r\n")
+            for n, ch in zip(active, demods):
+                np.savetxt(
+                    fh,
+                    np.column_stack([ch.times, ch.baseband.real, ch.baseband.imag]),
+                    fmt=f"{n},%.9g,%.12g,%.12g",
+                    newline="\r\n",
+                )
+        outputs.append("demod.csv")
+    if wf_cfg["spectrogram"]:
+        write_spectrogram_csv(out / "spectrogram.csv", exact)
+        outputs.append("spectrogram.csv")
     _dump_json(out / "summary.json", summary)
     outputs.append("summary.json")
     _write_manifest(out, "waveform", args, cfg, outputs)
@@ -701,7 +710,7 @@ def _add_common(sp):
     )
     sp.add_argument("--out", default=".", help="output directory (default: current)")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed for noisy synthesis")
-    sp.add_argument("--workers", type=int, default=None, help="parallel worker processes")
+    sp.add_argument("--workers", type=int, help="accepted and ignored; every run is serial")
     sp.add_argument(
         "--dry-run", action="store_true", help="resolve inputs and report without computing"
     )

@@ -17,7 +17,6 @@ comparison.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,32 +111,6 @@ def _point_fidelity(drive, scheme, method, t_end, dt):
     return fidelity(numerical, analytic)
 
 
-def _fidelity_or_nan(task):
-    try:
-        return _point_fidelity(*task)
-    except (ValueError, np.linalg.LinAlgError):
-        return float("nan")
-
-
-def _fidelities(drives, scheme, method, t_end, dt, workers):
-    """Fidelity at each drive of an iterable, in order; NaN where a point fails.
-
-    Serially the drives are consumed one at a time. With ``workers > 1``
-    they are spread over a process pool; every value is computed the same
-    way, so the result does not depend on the worker count. An unknown
-    ``method`` raises before any point is evaluated.
-    """
-    if method not in STEADY_STATE_METHODS:
-        raise ValueError(f"unknown steady-state method {method!r}")
-    tasks = ((drive, scheme, method, t_end, dt) for drive in drives)
-    if workers and workers > 1:
-        tasks = list(tasks)
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_fidelity_or_nan, tasks, chunksize=chunk))
-    return [_fidelity_or_nan(task) for task in tasks]
-
-
 @dataclass(frozen=True)
 class FidelityScan:
     """2-D fidelity landscape over two RF amplitude axes.
@@ -190,7 +163,6 @@ def fidelity_scan(
     steady_state_method="evolve",
     t_end=10.0,
     dt=DEFAULT_DT,
-    workers=None,
 ):
     """Fidelity landscape over two varying RF channels.
 
@@ -208,10 +180,8 @@ def fidelity_scan(
         Grid points per axis (>= 2, or 1 for a degenerate single-point
         scan); a count below 1 raises ``ValueError``.
     steady_state_method : {"evolve", "null_space"}
-        Numerical-state protocol per grid point.
-    workers : int, optional
-        Parallel processes; results are assembled by grid index, so the
-        output is bit-identical for any worker count.
+        Numerical-state protocol per grid point; an unknown name raises
+        ``ValueError`` before any point is evaluated.
 
     Returns
     -------
@@ -232,23 +202,23 @@ def fidelity_scan(
         np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
         for (lo, hi), n in zip(ranges, res)
     )
+    if steady_state_method not in STEADY_STATE_METHODS:
+        raise ValueError(f"unknown steady-state method {steady_state_method!r}")
 
-    drives = []
-    for v0 in values[0]:
-        for v1 in values[1]:
-            rf = list(fixed.rf_rabi)
-            rf[a0 - 1] = float(v0)
-            rf[a1 - 1] = float(v1)
-            drives.append(fixed.with_rf_rabi(rf))
-    grid = _fidelities(drives, scheme, steady_state_method, t_end, dt, workers)
-
-    return FidelityScan(
+    scan = FidelityScan(
         axes=(a0, a1),
         axis_values=values,
         fixed=fixed,
-        fidelities=np.array(grid, dtype=float).reshape(len(values[0]), len(values[1])),
+        fidelities=np.full((len(values[0]), len(values[1])), np.nan),
         steady_state_method=steady_state_method,
     )
+    for i, j in np.ndindex(scan.fidelities.shape):
+        drive = scan.drive_at(i, j)  # a negative amplitude raises here
+        try:
+            scan.fidelities[i, j] = _point_fidelity(drive, scheme, steady_state_method, t_end, dt)
+        except (ValueError, np.linalg.LinAlgError):
+            pass  # the point stays NaN
+    return scan
 
 
 def average_fidelity(
@@ -302,15 +272,15 @@ def optimize_operating_point(
     t_end=10.0,
     dt=DEFAULT_DT,
     plateau_tolerance=1e-5,
-    workers=None,
 ):
     """Exhaustive grid search for the best LO point under a total-drive cap.
 
     Candidates are the tensor grid ``search_range`` with spacing
     ``grid_step`` on each RF axis, pruned by ``sum(Omega) <=
-    sum_constraint``. The objective is the region-averaged fidelity when a
-    ``region_template`` (:class:`PerturbationRegion`, its center is
-    ignored) is given, else the fidelity at the candidate itself. Exact
+    sum_constraint``. Each candidate's objective is one
+    :func:`average_fidelity` call over the ``region_template``
+    (:class:`PerturbationRegion`, its center ignored) moved onto the
+    candidate, or over the candidate alone when no template is given. Exact
     objective ties are broken by the smallest amplitude sum, then
     lexicographically.
 
@@ -343,56 +313,40 @@ def optimize_operating_point(
     # Tie-break order: smallest total amplitude, then lexicographic.
     candidates.sort(key=lambda c: (sum(c), c))
 
-    # Every candidate's point set goes into one flat batch, built as it is
-    # consumed so a serial search holds one candidate's drives at a time;
-    # counts[k] is candidate k's share. A negative candidate amplitude is
-    # rejected by DriveConfig and raises rather than counting as a failure.
-    counts = []
+    if steady_state_method not in STEADY_STATE_METHODS:
+        raise ValueError(f"unknown steady-state method {steady_state_method!r}")
+    if region_template is None:
+        region_template = PerturbationRegion(center=(0.0,) * 4, half_widths=(0.0,) * 4)
 
-    def drives():
-        for c in candidates:
-            points = [base_drive.with_rf_rabi(c)]
-            if region_template is not None:
-                # Shrink the template toward the axes so the region never
-                # leaves the physical quadrant for near-zero candidates.
-                hw = tuple(min(h, v) for h, v in zip(region_template.half_widths, c))
-                region = PerturbationRegion(
-                    center=c, half_widths=hw, samples_per_axis=region_template.samples_per_axis
-                )
-                points = [base_drive.with_rf_rabi(point) for point in region.grid()]
-            counts.append(len(points))
-            yield from points
-
-    values = iter(_fidelities(drives(), scheme, steady_state_method, t_end, dt, workers))
     results = []
-    for c, count in zip(candidates, counts):
-        # Left-to-right sum, as in average_fidelity; any NaN fails the candidate.
-        total = 0.0
-        for _ in range(count):
-            total += next(values)
-        results.append((c, total / count))
-
-    best = None
-    best_val = -np.inf
-    failures = []
-    for candidate, val in results:
-        if not np.isfinite(val):
-            failures.append(candidate)
-            continue
-        if val > best_val:
-            best, best_val = candidate, val
-    if best is None:
-        raise ValueError("optimize_operating_point: every candidate failed to evaluate")
-    accepted = tuple(
-        sorted(
-            ((c, v) for c, v in results if np.isfinite(v) and v >= best_val - plateau_tolerance),
-            key=lambda cv: (-cv[1], sum(cv[0]), cv[0]),
+    for c in candidates:
+        # Shrink the template toward the axes so the region never leaves the
+        # physical quadrant for near-zero candidates. A negative candidate
+        # amplitude is rejected here and raises rather than counting as a
+        # failure; a point that fails to evaluate fails its candidate.
+        hw = tuple(min(h, v) for h, v in zip(region_template.half_widths, c))
+        region = PerturbationRegion(
+            center=c, half_widths=hw, samples_per_axis=region_template.samples_per_axis
         )
+        try:
+            value = average_fidelity(region, base_drive, scheme, steady_state_method, t_end, dt)
+        except (ValueError, np.linalg.LinAlgError):
+            value = float("nan")
+        results.append((c, value))
+
+    finite = [(c, v) for c, v in results if np.isfinite(v)]
+    if not finite:
+        raise ValueError("optimize_operating_point: every candidate failed to evaluate")
+    # max keeps the first of equal values, so ties go by the candidate order
+    best, best_val = max(finite, key=lambda cv: cv[1])
+    accepted = sorted(
+        (cv for cv in finite if cv[1] >= best_val - plateau_tolerance),
+        key=lambda cv: (-cv[1], sum(cv[0]), cv[0]),
     )
     return OperatingPointResult(
         point=best,
         average_fidelity=best_val,
-        accepted=accepted,
+        accepted=tuple(accepted),
         evaluated=len(results),
-        failures=tuple(failures),
+        failures=tuple(c for c, v in results if not np.isfinite(v)),
     )

@@ -493,9 +493,8 @@ class Trajectory:
 
 
 def _snapshot_boundaries(n_steps, max_snapshots):
-    stride = max(1, -(-n_steps // max(1, max_snapshots - 1)))
-    bounds = list(range(0, n_steps, stride)) + [n_steps]
-    return bounds
+    stride = -(-n_steps // (max_snapshots - 1))
+    return list(range(0, n_steps, stride)) + [n_steps]
 
 
 def _clean(vec, dim):
@@ -531,7 +530,7 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
         Step (us); finite and positive, and rejected if it violates the
         stability bound ``dt <= 0.1 / ||L||``.
     max_snapshots : int
-        Cap on stored states (first and last always included).
+        Cap on stored states, at least 2 (first and last always included).
 
     Returns
     -------
@@ -543,6 +542,8 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
         raise ValueError(f"evolve: dt must be finite and positive, got {dt}")
     if not (np.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"evolve: t_end must be finite and nonnegative, got {t_end}")
+    if max_snapshots < 2:
+        raise ValueError(f"evolve: max_snapshots must be >= 2, got {max_snapshots}")
     norm = generator.norm()
     if norm > 0 and dt > 0.1 / norm:
         raise ValueError(

@@ -381,7 +381,8 @@ def synthesize_pd_waveform(
     ------
     ValueError
         On undersampling (the rate must exceed four times the highest
-        occupied frequency) or heterodyne-condition violations.
+        occupied frequency), a record with no sample or
+        heterodyne-condition violations.
     """
     needed = 4.0 * max(
         (spec.offsets[n - 1] + np.pi * spec.bandwidths[n - 1]) / TWO_PI
@@ -394,6 +395,10 @@ def synthesize_pd_waveform(
         )
     validate_heterodyne(spec, lo, scheme, max_ratio=max_ratio)
     n_samples = int(round(duration * sample_rate))
+    if n_samples < 1:
+        raise ValueError(
+            f"synthesize_pd_waveform: {duration:g} us at {sample_rate:g} MHz holds no sample"
+        )
     t = np.arange(n_samples) / sample_rate
     y_lo = photodetector_output(lo, cell, scheme, model="analytic")
 

@@ -173,7 +173,7 @@ def test_criterion_06_fidelity_landscape_structure(scheme):
         rf_rabi=(TWO_PI * 5.0, 0.0, 0.0, TWO_PI * 5.0),
     )
     scan = rr.fidelity_scan(
-        fixed, (2, 3), scheme, resolution=21, steady_state_method="evolve", t_end=10.0, workers=2
+        fixed, (2, 3), scheme, resolution=21, steady_state_method="evolve", t_end=10.0
     )
     elapsed = time.perf_counter() - t0
     vals2, vals3 = scan.axis_values

@@ -231,6 +231,19 @@ class TestFidelityMap:
         assert 0.0 < summary["min_fidelity"] <= summary["max_fidelity"] <= 1.0 + 1e-9
         assert len(summary["min_point_rf_rabi"]) == 4
 
+    @pytest.mark.parametrize("workers", ["2", "0", "-3"])
+    def test_workers_flag_changes_nothing(self, tmp_path, capsys, workers):
+        cfg = "[scan]\nresolution = 3\nmethod = null_space\n"
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run(tmp_path, "fidelity-map", "--out", str(plain), config=cfg) == 0
+        assert run(
+            tmp_path, "fidelity-map", "--out", str(flagged), "--workers", workers, config=cfg
+        ) == 0
+        names = sorted(path.name for path in plain.iterdir())
+        assert names == sorted(path.name for path in flagged.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+
     def test_bad_axes_exits_1(self, tmp_path, capsys):
         cfg = "[scan]\naxes = 1, 2, 3\n"
         assert run(tmp_path, "fidelity-map", "--out", str(tmp_path / "o"), config=cfg) == 1
@@ -327,6 +340,17 @@ class TestWaveform:
         err = capsys.readouterr().err
         assert "record of 16 samples" in err and "425-tap filters" in err
 
+    @pytest.mark.parametrize(
+        "duration, message", [("1", "425-tap filters"), ("0.01", "holds no sample")]
+    )
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, duration, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = f"[waveform]\nduration_us = {duration}\n"
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_overlapping_signal_plan_exits_2(self, tmp_path, capsys):
         cfg = "[signal]\noffsets_mhz = 0.2, 0.25, 0.8, 1.1\n"
         assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
@@ -390,6 +414,7 @@ SMALL_RUNS = {
         },
     },
     "waveform": {"waveform": {"spectrogram": "false"}},
+    "dynamics": {"dynamics": {"t_end_us": "0.01", "max_snapshots": "3"}},
 }
 
 
@@ -434,6 +459,16 @@ class TestLoadTimeChecks:
             ("waveform", "waveform", "duration_us", "0", "duration"),
             ("waveform", "waveform", "duration_us", "-5", "duration"),
             ("waveform", "waveform", "sample_rate_mhz", "0", "sample_rate"),
+            ("waveform", "drive", "rf_rabi_mhz", "2, 7, 1", "rf_rabi"),
+            ("fidelity-map", "drive", "rf_rabi_mhz", "2, 7, 1, 6, 1", "rf_rabi"),
+            ("waveform", "drive", "rf_detunings_mhz", "0, 0", "rf_detunings"),
+            ("waveform", "drive", "rf_phases", "0, 0, 0", "rf_phases"),
+            ("waveform", "signal", "offsets_mhz", "0.2, 0.5, 0.8", "offsets"),
+            ("waveform", "signal", "phases", "0, 0, 0, 0, 0", "phases"),
+            ("waveform", "signal", "bandwidths_mhz", "0.1, 0.1, 0.1", "bandwidths"),
+            ("dynamics", "dynamics", "max_snapshots", "1", "max_snapshots"),
+            ("dynamics", "dynamics", "max_snapshots", "0", "max_snapshots"),
+            ("dynamics", "dynamics", "max_snapshots", "-4", "max_snapshots"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, command, section, key, raw, named):

@@ -142,15 +142,6 @@ class TestFidelityScan:
         assert drive.rf_rabi[2] == scan.axis_values[1][j]
         assert drive.rf_rabi[0] == self._fixed().rf_rabi[0]
 
-    def test_worker_count_bit_identical(self, scheme):
-        kw = dict(
-            ranges=((TWO_PI * 2, TWO_PI * 6), (TWO_PI * 2, TWO_PI * 6)),
-            resolution=2, steady_state_method="null_space",
-        )
-        serial = fidelity_scan(self._fixed(), (1, 4), scheme, workers=1, **kw)
-        pooled = fidelity_scan(self._fixed(), (1, 4), scheme, workers=2, **kw)
-        assert np.array_equal(serial.fidelities, pooled.fidelities)
-
     def test_failed_points_become_nan(self, scheme):
         # (0, 0) on axes (2, 3) with channels 1 and 4 silent: Lambda = 0 there
         fixed = DriveConfig(omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
@@ -161,6 +152,13 @@ class TestFidelityScan:
         )
         assert np.isnan(scan.fidelities[0, 0])
         assert np.isfinite(scan.fidelities[1, 1])
+
+    def test_negative_amplitude_raises_not_nan(self, scheme):
+        with pytest.raises(ValueError, match="Rabi amplitudes must be >= 0"):
+            fidelity_scan(
+                self._fixed(), (1, 4), scheme, ranges=((-TWO_PI, TWO_PI), (0.0, TWO_PI)),
+                resolution=2, steady_state_method="null_space",
+            )
 
     def test_csv_export(self, tmp_path, scheme):
         scan = fidelity_scan(
@@ -251,7 +249,7 @@ class TestOptimizer:
                         val = fidelity(num, ana)
                         if val > best_val:
                             best_val, best_pt = val, (w, x, y, z)
-        assert result.average_fidelity == pytest.approx(best_val, abs=1e-12)
+        assert result.average_fidelity == best_val
         assert result.point == pytest.approx(best_pt)
         assert result.evaluated == 81
 
@@ -289,26 +287,24 @@ class TestOptimizer:
             (TWO_PI * 5.0, TWO_PI * 6.0), TWO_PI * 30.0,
             base_drive=base, scheme=scheme, grid_step=TWO_PI * 1.0,
         )
-        assert with_region.average_fidelity == pytest.approx(
-            point_only.average_fidelity, abs=1e-12
-        )
+        assert with_region.average_fidelity == point_only.average_fidelity
 
-    def test_worker_count_bit_identical(self, scheme):
-        # 3 samples on two axes; the all-zero candidate fails on the analytic side
+    def test_accepted_objectives_are_shrunken_region_averages(self, scheme):
+        # 2 samples on two axes; the all-zero candidate fails on the analytic side
         template = PerturbationRegion(
             center=(TWO_PI,) * 4, half_widths=(TWO_PI * 0.1, TWO_PI * 0.1, 0.0, 0.0),
-            samples_per_axis=3,
+            samples_per_axis=2,
         )
-        kwargs = dict(base_drive=self._base(), scheme=scheme, grid_step=TWO_PI)
-        serial = optimize_operating_point((0.0, TWO_PI * 2.0), TWO_PI * 3.0, template,
-                                          workers=1, **kwargs)
-        pooled = optimize_operating_point((0.0, TWO_PI * 2.0), TWO_PI * 3.0, template,
-                                          workers=2, **kwargs)
-        assert serial.failures == ((0.0, 0.0, 0.0, 0.0),)
-        assert pooled.point == serial.point
-        assert pooled.average_fidelity == serial.average_fidelity
-        assert pooled.accepted == serial.accepted
-        assert pooled.failures == serial.failures
+        result = optimize_operating_point(
+            (0.0, TWO_PI * 2.0), TWO_PI * 3.0, template,
+            base_drive=self._base(), scheme=scheme, grid_step=TWO_PI, plateau_tolerance=1.0,
+        )
+        assert result.failures == ((0.0, 0.0, 0.0, 0.0),)
+        assert len(result.accepted) == result.evaluated - 1
+        for candidate, value in result.accepted:
+            hw = tuple(min(h, v) for h, v in zip(template.half_widths, candidate))
+            region = PerturbationRegion(center=candidate, half_widths=hw, samples_per_axis=2)
+            assert value == average_fidelity(region, self._base(), scheme)
 
     def test_empty_feasible_set(self, scheme):
         with pytest.raises(ValueError, match="empty feasible"):

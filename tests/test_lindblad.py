@@ -178,6 +178,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="dt"):
             rr.evolve(rr.ground_state(), gen, t_end=1.0, dt=0.5)
 
+    def test_fewer_than_two_snapshots_rejected(self, op_drive, scheme):
+        gen = rr.make_generator(op_drive, scheme)
+        for max_snapshots in (1, 0, -4):
+            with pytest.raises(ValueError, match="max_snapshots must be >= 2"):
+                rr.evolve(rr.ground_state(), gen, t_end=0.01, dt=1e-3, max_snapshots=max_snapshots)
+
     def test_non_multiple_t_end_rejected(self, op_drive, scheme):
         gen = rr.make_generator(op_drive, scheme)
         with pytest.raises(ValueError, match="multiple"):

@@ -252,6 +252,12 @@ class TestSynthesis:
             synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
                                    duration=10.0, sample_rate=4.0)
 
+    def test_record_without_samples_rejected(self, lo, scheme):
+        spec = self._single_tone(lo, scheme)
+        with pytest.raises(ValueError, match="holds no sample"):
+            synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
+                                   duration=0.01, sample_rate=16.0)
+
     def test_unknown_mode(self, lo, scheme):
         spec = self._single_tone(lo, scheme)
         with pytest.raises(ValueError, match="mode"):
