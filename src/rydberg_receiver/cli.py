@@ -27,7 +27,6 @@ from .comms import RABI_SET1, RABI_SET2, compare_architectures
 from .config import ConfigError, Field, load_config, parse_config
 from .fidelity import (
     PerturbationRegion,
-    average_fidelity,
     fidelity_scan,
     optimize_operating_point,
 )
@@ -53,7 +52,6 @@ from .receiver import (
     gain_coefficients,
     iq_demodulate,
     linearization_discrepancy,
-    photodetector_output,
     synthesize_pd_waveform,
     write_spectrogram_csv,
     write_waveform_csv,
@@ -68,42 +66,47 @@ from .scheme import (
 )
 
 _DRIVE_SCHEMA = {
-    "omega_p": Field("angular_frequency", TWO_PI * 5.7),
-    "omega_c": Field("angular_frequency", TWO_PI * 0.97),
+    "omega_p": Field("angular_frequency", TWO_PI * 5.7, sign=">="),
+    "omega_c": Field("angular_frequency", TWO_PI * 0.97, sign=">="),
     "rf_rabi": Field(
-        "angular_frequency_list", (TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0)
+        "angular_frequency_list",
+        (TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0),
+        sign=">=",
+        counts=(4,),
     ),
     "delta_p": Field("angular_frequency", 0.0),
     "delta_c": Field("angular_frequency", 0.0),
     # None: inherit the per-transition detunings declared by the scheme.
-    "rf_detunings": Field("angular_frequency_list", None),
-    "rf_phases": Field("float_list", (0.0, 0.0, 0.0, 0.0)),
+    "rf_detunings": Field("angular_frequency_list", None, counts=(4,)),
+    "rf_phases": Field("float_list", (0.0, 0.0, 0.0, 0.0), counts=(4,)),
 }
 
 _CELL_SCHEMA = {
-    "cell_length": Field("length", DEFAULT_CELL.cell_length),
-    "atomic_density": Field("density", DEFAULT_CELL.atomic_density),
-    "probe_dipole": Field("dipole", DEFAULT_CELL.probe_dipole),
-    "probe_wavelength": Field("length", DEFAULT_CELL.probe_wavelength),
-    "probe_power": Field("power", DEFAULT_CELL.probe_power),
-    "responsivity": Field("responsivity", DEFAULT_CELL.responsivity),
+    "cell_length": Field("length", DEFAULT_CELL.cell_length, sign=">"),
+    "atomic_density": Field("density", DEFAULT_CELL.atomic_density, sign=">"),
+    "probe_dipole": Field("dipole", DEFAULT_CELL.probe_dipole, sign=">"),
+    "probe_wavelength": Field("length", DEFAULT_CELL.probe_wavelength, sign=">"),
+    "probe_power": Field("power", DEFAULT_CELL.probe_power, sign=">"),
+    "responsivity": Field("responsivity", DEFAULT_CELL.responsivity, sign=">"),
 }
+
+_RABI_SETS = {"set1": RABI_SET1, "set2": RABI_SET2}
 
 SCHEMAS = {
     "steady-state": {
         "drive": _DRIVE_SCHEMA,
         "steady_state": {
-            "method": Field("str", "null_space"),
-            "t_end": Field("time", 10.0),
-            "dt": Field("time", DEFAULT_DT),
+            "method": Field("str", "null_space", choices=(*STEADY_STATE_METHODS, "analytic")),
+            "t_end": Field("time", 10.0, sign=">="),
+            "dt": Field("time", DEFAULT_DT, sign=">"),
             "compare_analytic": Field("bool", True),
         },
     },
     "dynamics": {
         "drive": _DRIVE_SCHEMA,
         "dynamics": {
-            "t_end": Field("time", 10.0),
-            "dt": Field("time", DEFAULT_DT),
+            "t_end": Field("time", 10.0, sign=">="),
+            "dt": Field("time", DEFAULT_DT, sign=">"),
             "max_snapshots": Field("int", 1001),
             "all_coherences": Field("bool", False),
             "initial_level": Field("int", 1),
@@ -112,32 +115,39 @@ SCHEMAS = {
     "fidelity-map": {
         "drive": _DRIVE_SCHEMA,
         "scan": {
-            "axes": Field("int_list", (1, 4)),
-            "range_lo": Field("angular_frequency_list", (0.0, 0.0)),
-            "range_hi": Field("angular_frequency_list", (TWO_PI * 10.0, TWO_PI * 10.0)),
-            "resolution": Field("int_list", (21,)),
-            "method": Field("str", "evolve"),
-            "t_end": Field("time", 10.0),
-            "dt": Field("time", DEFAULT_DT),
+            "axes": Field("int_list", (1, 4), counts=(2,)),
+            "range_lo": Field("angular_frequency_list", (0.0, 0.0), sign=">=", counts=(2,)),
+            "range_hi": Field(
+                "angular_frequency_list",
+                (TWO_PI * 10.0, TWO_PI * 10.0),
+                sign=">=",
+                counts=(2,),
+            ),
+            "resolution": Field("int_list", (21,), sign=">", counts=(1, 2)),
+            "method": Field("str", "evolve", choices=STEADY_STATE_METHODS),
+            "t_end": Field("time", 10.0, sign=">="),
+            "dt": Field("time", DEFAULT_DT, sign=">"),
         },
     },
     "optimize-lo": {
         "drive": _DRIVE_SCHEMA,
         "optimize": {
-            "search_lo": Field("angular_frequency", 0.0),
+            "search_lo": Field("angular_frequency", 0.0, sign=">="),
             "search_hi": Field("angular_frequency", TWO_PI * 10.0),
-            "grid_step": Field("angular_frequency", TWO_PI * 1.0),
-            "sum_constraint": Field("angular_frequency", TWO_PI * 16.0),
+            "grid_step": Field("angular_frequency", TWO_PI * 1.0, sign=">"),
+            "sum_constraint": Field("angular_frequency", TWO_PI * 16.0, sign=">"),
             # documented robustness region: 2 kHz perturbations per channel
             "half_widths": Field(
                 "angular_frequency_list",
                 (TWO_PI * 2e-3, TWO_PI * 2e-3, TWO_PI * 2e-3, TWO_PI * 2e-3),
+                sign=">=",
+                counts=(4,),
             ),
-            "samples_per_axis": Field("int", 3),
-            "method": Field("str", "null_space"),
-            "plateau_tolerance": Field("float", 1e-5),
-            "t_end": Field("time", 10.0),
-            "dt": Field("time", DEFAULT_DT),
+            "samples_per_axis": Field("int", 3, sign=">"),
+            "method": Field("str", "null_space", choices=STEADY_STATE_METHODS),
+            "plateau_tolerance": Field("float", 1e-5, sign=">="),
+            "t_end": Field("time", 10.0, sign=">="),
+            "dt": Field("time", DEFAULT_DT, sign=">"),
         },
     },
     "waveform": {
@@ -145,75 +155,72 @@ SCHEMAS = {
         "cell": _CELL_SCHEMA,
         "signal": {
             # None: calibrate amplitudes from modulation_index per channel.
-            "amplitudes": Field("float_list", None),
-            "modulation_index": Field("float", 5e-3),
+            "amplitudes": Field("float_list", None, sign=">=", counts=(4,)),
+            "modulation_index": Field("float", 5e-3, sign=">="),
             "offsets": Field(
                 "angular_frequency_list",
                 (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1),
+                counts=(4,),
             ),
-            "phases": Field("float_list", (0.0, 0.0, 0.0, 0.0)),
-            "bandwidths": Field("ordinary_frequency_list", (0.1, 0.1, 0.1, 0.1)),
+            "phases": Field("float_list", (0.0, 0.0, 0.0, 0.0), counts=(4,)),
+            "bandwidths": Field(
+                "ordinary_frequency_list", (0.1, 0.1, 0.1, 0.1), sign=">", counts=(4,)
+            ),
         },
         "waveform": {
-            "duration": Field("time", 200.0),
-            "sample_rate": Field("ordinary_frequency", 16.0),
-            "noise_std": Field("float", 0.0),
+            "duration": Field("time", 200.0, sign=">"),
+            "sample_rate": Field("ordinary_frequency", 16.0, sign=">"),
+            "noise_std": Field("float", 0.0, sign=">="),
             "spectrogram": Field("bool", True),
             "demodulate": Field("bool", True),
         },
     },
     "sumrate": {
-        "drive": {
-            "omega_p": Field("angular_frequency", TWO_PI * 5.7),
-            "omega_c": Field("angular_frequency", TWO_PI * 0.97),
-        },
+        "drive": {key: _DRIVE_SCHEMA[key] for key in ("omega_p", "omega_c")},
         "cell": _CELL_SCHEMA,
         "sumrate": {
-            "rabi_set": Field("str", "set1"),
-            "rabi": Field("angular_frequency_list", None),
+            "rabi_set": Field("str", "set1", choices=tuple(_RABI_SETS)),
+            "rabi": Field("angular_frequency_list", None, sign=">=", counts=(4,)),
             "power_min_dbm": Field("float", -30.0),
             "power_max_dbm": Field("float", 10.0),
-            "power_step_db": Field("float", 2.0),
+            "power_step_db": Field("float", 2.0, sign=">"),
+            # any number of bandwidths
             "bandwidths": Field(
-                "ordinary_frequency_list", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
+                "ordinary_frequency_list", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0), sign=">"
             ),
-            "power_sweep_bandwidth": Field("ordinary_frequency", 0.1),
+            "power_sweep_bandwidth": Field("ordinary_frequency", 0.1, sign=">"),
             "bandwidth_sweep_power_dbm": Field("float", -10.0),
-            "temperature": Field("temperature", 300.0),
-            "beta": Field("float", 1.0),
+            "temperature": Field("temperature", 300.0, sign=">"),
+            "beta": Field("float", 1.0, sign=">"),
         },
     },
     "validate-scheme": {},
 }
 
-#: Keys whose value, or every entry of whose list, must be > 0 or >= 0, in
-#: whichever section has them; a key left at None is not checked.
-_SIGNS = {
-    **dict.fromkeys(
-        ("dt", "resolution", "grid_step", "sum_constraint", "samples_per_axis",
-         "bandwidths", "duration", "sample_rate", "power_step_db",
-         "power_sweep_bandwidth", "temperature", "beta", *_CELL_SCHEMA),
-        ">",
-    ),
-    **dict.fromkeys(
-        ("omega_p", "omega_c", "rf_rabi", "rabi", "t_end", "search_lo",
-         "half_widths", "plateau_tolerance", "amplitudes", "modulation_index",
-         "noise_std"),
-        ">=",
-    ),
-}
+#: Rules that relate a section's keys to each other or to the scheme:
+#: (section, test of the section's values and the scheme size, message).
+_RULES = (
+    ("dynamics", lambda v, size: v["max_snapshots"] >= 2, "max_snapshots must be >= 2"),
+    ("dynamics", lambda v, size: 1 <= v["initial_level"] <= size,
+     "initial_level must be in 1..{size}"),
+    ("scan", lambda v, size: v["axes"][0] != v["axes"][1] and set(v["axes"]) <= {1, 2, 3, 4},
+     "axes must name two distinct RF channels in 1..4"),
+    ("optimize", lambda v, size: v["search_lo"] <= v["search_hi"],
+     "search_hi must be >= search_lo"),
+    ("sumrate", lambda v, size: v["power_min_dbm"] <= v["power_max_dbm"],
+     "power_max_dbm must be >= power_min_dbm"),
+)
 
-#: Allowed entry counts of list keys by (section, key); a key left at None
-#: is not checked.
-_LENGTHS = {
-    **dict.fromkeys((("scan", "axes"), ("scan", "range_lo"), ("scan", "range_hi")), (2,)),
-    ("scan", "resolution"): (1, 2),
-    **dict.fromkeys(
-        (("drive", "rf_rabi"), ("drive", "rf_detunings"), ("drive", "rf_phases"),
-         ("optimize", "half_widths"), ("signal", "amplitudes"), ("signal", "offsets"),
-         ("signal", "phases"), ("signal", "bandwidths"), ("sumrate", "rabi")),
-        (4,),
-    ),
+#: Files each command writes, as ``--dry-run`` reports them; None for
+#: ``validate-scheme``, which writes nothing.
+PLANNED = {
+    "steady-state": ["steady_state.csv", "summary.json", "manifest.json"],
+    "dynamics": ["trajectory.csv", "summary.json", "manifest.json"],
+    "fidelity-map": ["fidelity_map.csv", "summary.json", "manifest.json"],
+    "optimize-lo": ["operating_point.json", "manifest.json"],
+    "waveform": ["waveform.csv", "demod.csv", "spectrogram.csv", "summary.json", "manifest.json"],
+    "sumrate": ["rates.csv", "summary.json", "manifest.json"],
+    "validate-scheme": None,
 }
 
 
@@ -239,43 +246,38 @@ def _dump_json(path, obj):
         fh.write("\n")
 
 
-def _load_inputs(args, command):
-    schema = SCHEMAS[command]
+def _load_inputs(args):
+    schema = SCHEMAS[args.command]
     if args.config is not None:
         cfg = load_config(args.config, schema)
     else:
         cfg = parse_config("", schema, origin="<defaults>")
-    # Reject, with the key named, any non-finite number, a value of the
-    # wrong sign or a list of the wrong length, fewer than two trajectory
-    # snapshots, scan axes that are not two distinct RF channels and an
-    # unknown steady-state protocol.
+    # Every number must be finite, and every value but a None default must
+    # keep the rule its Field declares.
     for section, values in cfg.items():
         for key, value in values.items():
+            field = schema[section][key]
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not np.isfinite(v) for v in entries):
                 raise ConfigError(f"[{section}] {key} must be finite, got {value}")
             if value is None:
                 continue
-            lengths = _LENGTHS.get((section, key))
-            if lengths and len(value) not in lengths:
-                counts = " or ".join(str(n) for n in lengths)
+            if field.counts and len(value) not in field.counts:
+                counts = " or ".join(str(n) for n in field.counts)
                 raise ConfigError(f"[{section}] {key} must have {counts} entries")
-            op = _SIGNS.get(key)
-            if op and not all(v > 0 if op == ">" else v >= 0 for v in entries):
-                raise ConfigError(f"[{section}] {key} must be {op} 0")
-        if values.get("max_snapshots", 2) < 2:
-            raise ConfigError(f"[{section}] max_snapshots must be >= 2")
-        axes = values.get("axes")
-        if axes and not (axes[0] != axes[1] and set(axes) <= {1, 2, 3, 4}):
-            raise ConfigError("[scan] axes must name two distinct RF channels in 1..4")
-        methods = STEADY_STATE_METHODS + (("analytic",) if section == "steady_state" else ())
-        if "method" in values and values["method"] not in methods:
-            raise ConfigError(f"[{section}] method must be one of {', '.join(methods)}")
+            if field.sign and not all(v > 0 if field.sign == ">" else v >= 0 for v in entries):
+                raise ConfigError(f"[{section}] {key} must be {field.sign} 0")
+            if field.choices and value not in field.choices:
+                raise ConfigError(f"[{section}] {key} must be one of {', '.join(field.choices)}")
     scheme = load_scheme(args.scheme) if args.scheme else cesium_scheme()
-    try:
-        require_hybrid_six(scheme)
-    except ValueError as exc:
-        raise SchemeFileError(f"{args.scheme}: {exc}") from None
+    if args.command != "validate-scheme":
+        try:
+            require_hybrid_six(scheme)
+        except ValueError as exc:
+            raise SchemeFileError(f"{args.scheme}: {exc}") from None
+    for section, test, message in _RULES:
+        if section in cfg and not test(cfg[section], scheme.size):
+            raise ConfigError(f"[{section}] " + message.format(size=scheme.size))
     return cfg, scheme
 
 
@@ -294,57 +296,48 @@ def _resolve_drive(drive_cfg, scheme):
     )
 
 
-def _resolve_cell(cell_cfg):
-    return VaporCellParams(**cell_cfg)
+def _run(args):
+    """Load and check the inputs, compute, then write every product.
 
-
-def _dry_run(args, command, cfg, planned):
-    print(
-        json.dumps(
-            _jsonable(
-                {
-                    "command": command,
-                    "dry_run": True,
-                    "parameters": cfg,
-                    "would_write": planned,
-                }
-            ),
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return 0
-
-
-def _write_manifest(out_dir, command, args, cfg, outputs):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": Path(args.config).name if args.config else None,
-        "scheme": Path(args.scheme).name if args.scheme else "bundled:cesium-six-level",
-        "seed": args.seed,
-        "parameters": cfg,
-        "units": "angular frequencies rad/us, ordinary frequencies MHz, times us, powers W, SI otherwise",
-        "outputs": outputs,
-    }
-    _dump_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(args):
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    A command computes everything that can fail and returns ``({file name:
+    writer}, message)``; the files are written in order after it returns,
+    so a failed run writes none. A command whose verdict fails (an invalid
+    scheme) returns None for the files and the run exits 1.
+    """
+    cfg, scheme = _load_inputs(args)
+    planned = PLANNED[args.command]
+    if args.dry_run:
+        report = {"command": args.command, "dry_run": True}
+        if planned is not None:
+            report.update(parameters=cfg, would_write=planned)
+        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        return 0
+    files, message = args.func(cfg, scheme, args.seed)
+    if files:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            write(out / name)
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "config": Path(args.config).name if args.config else None,
+            "scheme": Path(args.scheme).name if args.scheme else "bundled:cesium-six-level",
+            "seed": args.seed,
+            "parameters": cfg,
+            "units": "angular frequencies rad/us, ordinary frequencies MHz, times us, powers W, SI otherwise",
+            "outputs": list(files),
+        }
+        _dump_json(out / "manifest.json", manifest)
+    print(message)
+    return 0 if files is not None else 1
 
 
 # ----------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (cfg, scheme, seed) and returns (files, message)
 
 
-def cmd_steady_state(args):
-    cfg, scheme = _load_inputs(args, "steady-state")
-    planned = ["steady_state.csv", "summary.json", "manifest.json"]
-    if args.dry_run:
-        return _dry_run(args, "steady-state", cfg, planned)
+def cmd_steady_state(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     method = cfg["steady_state"]["method"]
     if method == "analytic":
@@ -381,17 +374,18 @@ def cmd_steady_state(args):
         except ValueError as exc:
             comparison = {"unavailable": str(exc)}
 
-    out = _out_dir(args)
-    i, j = np.indices(rho.matrix.shape).reshape(2, -1)
-    with open(out / "steady_state.csv", "w", newline="") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([i + 1, j + 1, rho.matrix.real.ravel(), rho.matrix.imag.ravel()]),
-            fmt="%d,%d,%.12g,%.12g",
-            newline="\r\n",
-            header="i,j,re,im",
-            comments="",
-        )
+    def write_states(path):
+        i, j = np.indices(rho.matrix.shape).reshape(2, -1)
+        with open(path, "w", newline="") as fh:
+            np.savetxt(
+                fh,
+                np.column_stack([i + 1, j + 1, rho.matrix.real.ravel(), rho.matrix.imag.ravel()]),
+                fmt="%d,%d,%.12g,%.12g",
+                newline="\r\n",
+                header="i,j,re,im",
+                comments="",
+            )
+
     summary = {
         "method": method,
         "populations": [rho.population(k) for k in range(1, 7)],
@@ -399,34 +393,27 @@ def cmd_steady_state(args):
         "liouvillian_residual": residual,
         "analytic_comparison": comparison,
     }
-    _dump_json(out / "summary.json", summary)
-    _write_manifest(out, "steady-state", args, cfg, planned[:-1])
     pops = ", ".join(f"{rho.population(k):.6f}" for k in range(1, 7))
-    print(f"steady-state ({method}): populations [{pops}]")
-    print(f"rho21 = {rho.coherence(2, 1):.6e}")
-    return 0
+    files = {
+        "steady_state.csv": write_states,
+        "summary.json": lambda path: _dump_json(path, summary),
+    }
+    return files, (
+        f"steady-state ({method}): populations [{pops}]\n"
+        f"rho21 = {rho.coherence(2, 1):.6e}"
+    )
 
 
-def cmd_dynamics(args):
-    cfg, scheme = _load_inputs(args, "dynamics")
-    planned = ["trajectory.csv", "summary.json", "manifest.json"]
-    if args.dry_run:
-        return _dry_run(args, "dynamics", cfg, planned)
+def cmd_dynamics(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     dyn = cfg["dynamics"]
-    if not 1 <= dyn["initial_level"] <= scheme.size:
-        raise ConfigError(f"[dynamics] initial_level must be in 1..{scheme.size}")
-    rho0 = basis_state(dyn["initial_level"], dim=scheme.size)
-    generator = make_generator(drive, scheme)
     trajectory = evolve(
-        rho0,
-        generator,
+        basis_state(dyn["initial_level"], dim=scheme.size),
+        make_generator(drive, scheme),
         t_end=dyn["t_end"],
         dt=dyn["dt"],
         max_snapshots=dyn["max_snapshots"],
     )
-    out = _out_dir(args)
-    trajectory.write_csv(out / "trajectory.csv", all_coherences=dyn["all_coherences"])
     final = trajectory.final
     summary = {
         "t_end": dyn["t_end"],
@@ -436,20 +423,19 @@ def cmd_dynamics(args):
         "final_populations": [final.population(k) for k in range(1, 7)],
         "final_rho21": final.coherence(2, 1),
     }
-    _dump_json(out / "summary.json", summary)
-    _write_manifest(out, "dynamics", args, cfg, planned[:-1])
-    print(
+    files = {
+        "trajectory.csv": lambda path: trajectory.write_csv(
+            path, all_coherences=dyn["all_coherences"]
+        ),
+        "summary.json": lambda path: _dump_json(path, summary),
+    }
+    return files, (
         f"dynamics: {len(trajectory.times)} snapshots to t={dyn['t_end']:g} us, "
         f"trace drift {trajectory.max_trace_drift:.3e}"
     )
-    return 0
 
 
-def cmd_fidelity_map(args):
-    cfg, scheme = _load_inputs(args, "fidelity-map")
-    planned = ["fidelity_map.csv", "summary.json", "manifest.json"]
-    if args.dry_run:
-        return _dry_run(args, "fidelity-map", cfg, planned)
+def cmd_fidelity_map(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     scan_cfg = cfg["scan"]
     axes = scan_cfg["axes"]
@@ -469,8 +455,6 @@ def cmd_fidelity_map(args):
     finite = scan.fidelities[np.isfinite(scan.fidelities)]
     if finite.size == 0:
         raise ValueError(f"fidelity-map: all {scan.fidelities.size} grid points failed")
-    out = _out_dir(args)
-    scan.write_csv(out / "fidelity_map.csv")
     i_min, j_min = scan.min_point()
     min_drive = scan.drive_at(i_min, j_min)
     min_fid = scan.fidelities[i_min, j_min]
@@ -482,25 +466,20 @@ def cmd_fidelity_map(args):
         "max_fidelity": float(np.max(finite)),
         "min_point_rf_rabi": list(min_drive.rf_rabi),
     }
-    _dump_json(out / "summary.json", summary)
-    _write_manifest(out, "fidelity-map", args, cfg, planned[:-1])
-    print(
+    files = {
+        "fidelity_map.csv": scan.write_csv,
+        "summary.json": lambda path: _dump_json(path, summary),
+    }
+    return files, (
         f"fidelity-map: {scan.fidelities.size} points on axes {axes}, "
         f"min {min_fid:.6f}, max {float(np.max(finite)):.6f}"
     )
-    return 0
 
 
-def cmd_optimize_lo(args):
-    cfg, scheme = _load_inputs(args, "optimize-lo")
-    planned = ["operating_point.json", "manifest.json"]
-    if args.dry_run:
-        return _dry_run(args, "optimize-lo", cfg, planned)
+def cmd_optimize_lo(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     opt = cfg["optimize"]
     hw = opt["half_widths"]
-    if not opt["search_hi"] >= opt["search_lo"]:
-        raise ConfigError("[optimize] search_hi must be >= search_lo")
     template = PerturbationRegion(
         center=hw, half_widths=hw, samples_per_axis=opt["samples_per_axis"]
     )
@@ -516,7 +495,6 @@ def cmd_optimize_lo(args):
         dt=opt["dt"],
         plateau_tolerance=opt["plateau_tolerance"],
     )
-    out = _out_dir(args)
     payload = {
         "operating_point_rad_per_us": list(result.point),
         "operating_point_mhz": [v / TWO_PI for v in result.point],
@@ -525,24 +503,17 @@ def cmd_optimize_lo(args):
         "evaluated": result.evaluated,
         "failures": [list(p) for p in result.failures],
     }
-    _dump_json(out / "operating_point.json", payload)
-    _write_manifest(out, "optimize-lo", args, cfg, planned[:-1])
     mhz = ", ".join(f"{v / TWO_PI:.3f}" for v in result.point)
-    print(
+    return {"operating_point.json": lambda path: _dump_json(path, payload)}, (
         f"optimize-lo: best point 2pi x [{mhz}] MHz, "
         f"average fidelity {result.average_fidelity:.8f}, "
         f"{len(result.accepted)} plateau candidates of {result.evaluated} evaluated"
     )
-    return 0
 
 
-def cmd_waveform(args):
-    cfg, scheme = _load_inputs(args, "waveform")
-    planned = ["waveform.csv", "demod.csv", "spectrogram.csv", "summary.json", "manifest.json"]
-    if args.dry_run:
-        return _dry_run(args, "waveform", cfg, planned)
+def cmd_waveform(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
-    cell = _resolve_cell(cfg["cell"])
+    cell = VaporCellParams(**cfg["cell"])
     sig = cfg["signal"]
     wf_cfg = cfg["waveform"]
 
@@ -571,10 +542,10 @@ def cmd_waveform(args):
         wf_cfg["sample_rate"],
         mode="linearized",
         noise_std=wf_cfg["noise_std"],
-        seed=args.seed,
+        seed=seed,
         gains=gains,
     )
-    # Everything that can fail runs before the first file is written.
+    files = {"waveform.csv": lambda path: write_waveform_csv(path, exact, linearized)}
     channel_summaries = []
     if wf_cfg["demodulate"]:
         active = spec.active_channels()
@@ -594,6 +565,21 @@ def cmd_waveform(args):
                     "magnitude_ratio": float(np.abs(measured) / np.abs(expected)),
                 }
             )
+
+        def write_demod(path):
+            with open(path, "w", newline="") as fh:
+                fh.write("channel,t,re,im\r\n")
+                for n, ch in zip(active, demods):
+                    np.savetxt(
+                        fh,
+                        np.column_stack([ch.times, ch.baseband.real, ch.baseband.imag]),
+                        fmt=f"{n},%.9g,%.12g,%.12g",
+                        newline="\r\n",
+                    )
+
+        files["demod.csv"] = write_demod
+    if wf_cfg["spectrogram"]:
+        files["spectrogram.csv"] = lambda path: write_spectrogram_csv(path, exact)
     summary = {
         "dc_level": exact.dc_level,
         "samples": len(exact.times),
@@ -603,50 +589,16 @@ def cmd_waveform(args):
         "linearization_rms_over_dc": linearization_discrepancy(exact, linearized),
         "channels": channel_summaries,
     }
-
-    out = _out_dir(args)
-    outputs = ["waveform.csv"]
-    write_waveform_csv(out / "waveform.csv", exact, linearized)
-    if wf_cfg["demodulate"]:
-        with open(out / "demod.csv", "w", newline="") as fh:
-            fh.write("channel,t,re,im\r\n")
-            for n, ch in zip(active, demods):
-                np.savetxt(
-                    fh,
-                    np.column_stack([ch.times, ch.baseband.real, ch.baseband.imag]),
-                    fmt=f"{n},%.9g,%.12g,%.12g",
-                    newline="\r\n",
-                )
-        outputs.append("demod.csv")
-    if wf_cfg["spectrogram"]:
-        write_spectrogram_csv(out / "spectrogram.csv", exact)
-        outputs.append("spectrogram.csv")
-    _dump_json(out / "summary.json", summary)
-    outputs.append("summary.json")
-    _write_manifest(out, "waveform", args, cfg, outputs)
-    print(
+    files["summary.json"] = lambda path: _dump_json(path, summary)
+    return files, (
         f"waveform: {len(exact.times)} samples, DC {exact.dc_level:.6e} A, "
         f"linearization residual {summary['linearization_rms_over_dc']:.3e} of DC"
     )
-    return 0
 
 
-def cmd_sumrate(args):
-    cfg, scheme = _load_inputs(args, "sumrate")
-    planned = ["rates.csv", "summary.json", "manifest.json"]
-    if args.dry_run:
-        return _dry_run(args, "sumrate", cfg, planned)
+def cmd_sumrate(cfg, scheme, seed):
     sr = cfg["sumrate"]
-    if sr["rabi"] is not None:
-        rabi_set = sr["rabi"]
-    elif sr["rabi_set"] == "set1":
-        rabi_set = RABI_SET1
-    elif sr["rabi_set"] == "set2":
-        rabi_set = RABI_SET2
-    else:
-        raise ConfigError(f"[sumrate] rabi_set must be set1 or set2, got {sr['rabi_set']!r}")
-    if not sr["power_max_dbm"] >= sr["power_min_dbm"]:
-        raise ConfigError("[sumrate] power_max_dbm must be >= power_min_dbm")
+    rabi_set = sr["rabi"] if sr["rabi"] is not None else _RABI_SETS[sr["rabi_set"]]
     n_steps = int(round((sr["power_max_dbm"] - sr["power_min_dbm"]) / sr["power_step_db"]))
     powers = sr["power_min_dbm"] + sr["power_step_db"] * np.arange(n_steps + 1)
     bandwidths_hz = np.asarray(sr["bandwidths"]) * 1e6  # MHz -> Hz
@@ -658,14 +610,12 @@ def cmd_sumrate(args):
         bandwidths_hz,
         omega_p=cfg["drive"]["omega_p"],
         omega_c=cfg["drive"]["omega_c"],
-        cell=_resolve_cell(cfg["cell"]),
+        cell=VaporCellParams(**cfg["cell"]),
         temperature=sr["temperature"],
         beta=sr["beta"],
         power_sweep_bandwidth_hz=sr["power_sweep_bandwidth"] * 1e6,
         bandwidth_sweep_power_dbm=sr["bandwidth_sweep_power_dbm"],
     )
-    out = _out_dir(args)
-    comparison.write_csv(out / "rates.csv")
     ref_idx = int(np.argmax(comparison.power_rates[Architecture.HYBRID]))
     summary = {
         "rabi_set_rad_per_us": list(comparison.rabi_set),
@@ -677,26 +627,22 @@ def cmd_sumrate(args):
             a.value: float(comparison.power_rates[a][ref_idx]) for a in comparison.power_rates
         },
     }
-    _dump_json(out / "summary.json", summary)
-    _write_manifest(out, "sumrate", args, cfg, planned[:-1])
     hyb = comparison.power_rates[Architecture.HYBRID][-1]
     crs = comparison.power_rates[Architecture.CRS][-1]
     prs = comparison.power_rates[Architecture.PRS][-1]
-    print(
+    files = {
+        "rates.csv": comparison.write_csv,
+        "summary.json": lambda path: _dump_json(path, summary),
+    }
+    return files, (
         f"sumrate at {powers[-1]:g} dBm, {sr['power_sweep_bandwidth']:g} MHz: "
         f"hybrid {hyb:.4g} bit/s, cascade {crs:.4g} bit/s, parallel {prs:.4g} bit/s"
     )
-    return 0
 
 
-def cmd_validate_scheme(args):
-    if args.dry_run:
-        print(json.dumps({"command": "validate-scheme", "dry_run": True}, indent=2))
-        return 0
-    scheme = load_scheme(args.scheme) if args.scheme else cesium_scheme()
+def cmd_validate_scheme(cfg, scheme, seed):
     report = validate_scheme(scheme)
-    print(report.summary())
-    return 0 if report.valid else 1
+    return ({} if report.valid else None), report.summary()
 
 
 # ----------------------------------------------------------------------
@@ -752,7 +698,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ConfigError, SchemeFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

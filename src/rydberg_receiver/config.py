@@ -78,11 +78,18 @@ class Field:
     """Schema entry for one config key.
 
     ``kind`` selects the converter (and, for dimensioned kinds, the set of
-    accepted unit suffixes); ``default`` is the value of an absent key.
+    accepted unit suffixes); ``default`` is the value of an absent key. The
+    remaining fields are the key's rule, checked by the command line on
+    every value but a default of None: ``sign`` (``">"`` or ``">="``) bounds
+    the value, or each list entry, against 0; ``counts`` lists the allowed
+    list lengths; ``choices`` lists the allowed strings.
     """
 
     kind: str
     default: object
+    sign: str | None = None
+    counts: tuple | None = None
+    choices: tuple | None = None
 
 
 def _apply(factor, value):
@@ -113,24 +120,15 @@ def _scalar(kind, raw, where):
     raise ConfigError(f"{where}: unsupported kind {kind!r}")
 
 
-def _float_list(raw, where):
+def _list(raw, where, convert):
     parts = [p.strip() for p in raw.split(",")]
     if parts == [""]:
         raise ConfigError(f"{where}: empty list")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(convert(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated numbers, got {raw!r}") from None
-
-
-def _int_list(raw, where):
-    parts = [p.strip() for p in raw.split(",")]
-    if parts == [""]:
-        raise ConfigError(f"{where}: empty list")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated integers, got {raw!r}") from None
+        noun = "integers" if convert is int else "numbers"
+        raise ConfigError(f"{where}: expected comma-separated {noun}, got {raw!r}") from None
 
 
 def _key_table(section_schema, section, origin):
@@ -194,12 +192,12 @@ def parse_config(text, schema, origin="<config>"):
                     )
                 where = f"{origin}: [{section}] {raw_key}"
                 if mode == "float_list":
-                    vals = _float_list(raw_value, where)
+                    vals = _list(raw_value, where, float)
                     values[base] = (
                         tuple(_apply(factor, v) for v in vals) if factor is not None else vals
                     )
                 elif mode == "int_list":
-                    values[base] = _int_list(raw_value, where)
+                    values[base] = _list(raw_value, where, int)
                 elif factor is not None:
                     try:
                         values[base] = _apply(factor, _scalar("float", raw_value, where))

@@ -124,7 +124,6 @@ class FidelityScan:
     axis_values: tuple
     fixed: DriveConfig
     fidelities: np.ndarray
-    steady_state_method: str = "evolve"
 
     def drive_at(self, i, j):
         rf = list(self.fixed.rf_rabi)
@@ -210,7 +209,6 @@ def fidelity_scan(
         axis_values=values,
         fixed=fixed,
         fidelities=np.full((len(values[0]), len(values[1])), np.nan),
-        steady_state_method=steady_state_method,
     )
     for i, j in np.ndindex(scan.fidelities.shape):
         drive = scan.drive_at(i, j)  # a negative amplitude raises here

@@ -616,9 +616,7 @@ def steady_state(liouvillian):
         raise ValueError(
             f"steady_state: degenerate steady state, null-space dimension {len(basis)}"
         )
-    rho = unvectorize(basis[0], liouvillian.dim)
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / float(np.trace(rho).real)
+    rho, _ = _clean(basis[0], liouvillian.dim)
     return DensityMatrix(rho)
 
 

@@ -347,7 +347,6 @@ class Waveform:
     samples: np.ndarray
     dc_level: float
     sample_rate: float  # MHz
-    mode: str = "exact"
 
     def ac(self):
         """Samples with their own mean (DC) removed."""
@@ -419,7 +418,7 @@ def synthesize_pd_waveform(
     else:
         raise ValueError(f"synthesize_pd_waveform: unknown mode {mode!r}")
 
-    return Waveform(times=t, samples=samples, dc_level=y_lo, sample_rate=sample_rate, mode=mode)
+    return Waveform(times=t, samples=samples, dc_level=y_lo, sample_rate=sample_rate)
 
 
 def linearization_discrepancy(exact, linearized):
@@ -561,10 +560,12 @@ def spectrogram_data(waveform, nperseg=256):
 
     Returns ``(segment_times_us, frequencies_mhz, power_db)`` with power in
     dB relative to the strongest bin, floored at -300 dB; a constant
-    waveform, with no strongest bin, reads -300 dB everywhere.
+    waveform, with no strongest bin, reads -300 dB everywhere. A record
+    shorter than ``nperseg`` samples is one segment.
     """
+    x = waveform.ac()
     freqs, times, sxx = sp_signal.spectrogram(
-        waveform.ac(), fs=waveform.sample_rate, nperseg=nperseg
+        x, fs=waveform.sample_rate, nperseg=min(nperseg, len(x))
     )
     peak = float(np.max(sxx, initial=0.0))
     if peak == 0.0:

@@ -9,7 +9,7 @@ import pytest
 
 from rydberg_receiver import cli
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
-from rydberg_receiver.config import parse_config
+from rydberg_receiver.config import _key_table, parse_config
 from rydberg_receiver.lindblad import make_generator, steady_state
 from rydberg_receiver.receiver import iq_demodulate
 
@@ -334,6 +334,13 @@ class TestWaveform:
         assert rows and {row.split(",")[2] for row in rows} == {"-300"}
         assert not recwarn.list
 
+    def test_short_record_without_demodulation_is_quiet(self, tmp_path, capsys, recwarn):
+        # a record shorter than the spectrogram segment is one segment
+        cfg = "[waveform]\nduration_us = 1\ndemodulate = false\n"
+        assert run(tmp_path, "waveform", "--out", str(tmp_path / "out"), config=cfg) == 0
+        assert capsys.readouterr().err == ""
+        assert not recwarn.list
+
     def test_record_shorter_than_filters_exits_2(self, tmp_path, capsys):
         cfg = "[waveform]\nduration_us = 1\n"
         assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
@@ -446,6 +453,8 @@ class TestLoadTimeChecks:
             ("fidelity-map", "scan", "axes", "1, 1", "axes"),
             ("fidelity-map", "scan", "axes", "1, 5", "axes"),
             ("fidelity-map", "scan", "range_lo_mhz", "0, 0, 0", "range_lo"),
+            ("fidelity-map", "scan", "range_lo_mhz", "-1, 0", "range_lo"),
+            ("fidelity-map", "scan", "range_hi_mhz", "0, -2", "range_hi"),
             ("waveform", "cell", "cell_length_m", "-1", "cell_length"),
             ("waveform", "cell", "probe_power_dbm", "-4000", "probe_power"),
             ("sumrate", "cell", "responsivity_a_per_w", "0", "responsivity"),
@@ -479,3 +488,56 @@ class TestLoadTimeChecks:
         err = capsys.readouterr().err
         assert f"[{section}] {named}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "command, section, keys, named",
+        [
+            ("sumrate", "sumrate", {"rabi_set": "bogus"}, "rabi_set"),
+            ("sumrate", "sumrate", {"power_min_dbm": "10", "power_max_dbm": "-30"},
+             "power_max_dbm"),
+            ("optimize-lo", "optimize", {"search_lo_mhz": "5", "search_hi_mhz": "1"}, "search_hi"),
+            ("dynamics", "dynamics", {"initial_level": "9"}, "initial_level"),
+        ],
+    )
+    def test_checked_before_dry_run(self, tmp_path, capsys, command, section, keys, named, dry_run):
+        out = tmp_path / "out"
+        flags = ["--dry-run"] if dry_run else []
+        assert run(tmp_path, command, "--out", str(out), *flags, config=_ini({section: keys})) == 1
+        assert f"[{section}] {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _rule_cases():
+    """One violating value for each sign, count and choice rule in SCHEMAS."""
+    cases = []
+    for command, schema in SCHEMAS.items():
+        for section, fields in schema.items():
+            table = _key_table(fields, section, "<schema>")
+            for key, field in fields.items():
+                # a unit with a plain factor, so that 0 and -1 keep their sign
+                raw = next(
+                    raw for raw, (base, _, factor) in table.items()
+                    if base == key and not callable(factor)
+                )
+                entries = field.counts[0] if field.counts else 1
+                if field.sign:
+                    value = ", ".join(["0" if field.sign == ">" else "-1"] * entries)
+                    cases.append((command, section, raw, value, key))
+                if field.counts:
+                    value = ", ".join(["1"] * (max(field.counts) + 1))
+                    cases.append((command, section, raw, value, key))
+                if field.choices:
+                    cases.append((command, section, raw, "bogus", key))
+    return cases
+
+
+@pytest.mark.parametrize("command, section, raw, value, key", _rule_cases())
+def test_every_declared_rule_exits_1_under_dry_run(
+    tmp_path, capsys, command, section, raw, value, key
+):
+    out = tmp_path / "out"
+    config = _ini({section: {raw: value}})
+    assert run(tmp_path, command, "--out", str(out), "--dry-run", config=config) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
