@@ -9,9 +9,9 @@ everything else). Unknown sections, unknown keys, duplicate unit variants
 of the same key, and unparseable values are all hard errors naming the
 offending location, so a typo never silently falls back to a default.
 
-This is the one module that reads :mod:`scipy.constants`; the others take
-their SI constants (``hbar``, ``epsilon_0``, ``c_light``, ``k_B``,
-:data:`EA0`) and unit conversions from here.
+This module holds the package's SI constants (CODATA 2022 values:
+``hbar``, ``epsilon_0``, ``c_light``, ``k_B``, :data:`EA0`) and unit
+conversions; the other modules take them from here.
 """
 
 from __future__ import annotations
@@ -19,17 +19,20 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
-from scipy.constants import c as c_light
-from scipy.constants import e as e_charge
-from scipy.constants import epsilon_0, hbar, physical_constants
-from scipy.constants import k as k_B
-
 from .numerics import TWO_PI
 
 __all__ = ["ConfigError", "Field", "parse_config", "load_config"]
 
+#: SI constants, CODATA 2022.
+hbar = 1.0545718176461565e-34  # J s
+epsilon_0 = 8.8541878188e-12  # F/m
+c_light = 299792458.0  # m/s
+e_charge = 1.602176634e-19  # C
+k_B = 1.380649e-23  # J/K
+BOHR_RADIUS = 5.29177210544e-11  # m
+
 #: One atomic dipole unit e*a0 in C*m.
-EA0 = e_charge * physical_constants["Bohr radius"][0]
+EA0 = e_charge * BOHR_RADIUS
 
 
 class ConfigError(ValueError):

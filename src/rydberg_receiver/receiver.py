@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .analytic import AnalyticContext, analytic_rho21, rho21_from_amplitudes
 from .config import EA0, c_light, epsilon_0, hbar
@@ -471,22 +470,27 @@ class DemodChannel:
         return float(np.sqrt(np.mean(np.abs(self.steady()) ** 2)))
 
 
-def _kaiser_lowpass(cutoff, transition, fs):
-    numtaps, beta = sp_signal.kaiserord(FILTER_STOPBAND_DB, transition / (fs / 2.0))
+def _kaiser_fir(left, right, transition, fs):
+    """Kaiser-window FIR passing ``left..right`` MHz (``left = 0``: lowpass),
+    unit gain at DC or mid-band: ``scipy.signal.kaiserord`` + ``firwin``, after
+    Oppenheim & Schafer, *Discrete-Time Signal Processing*, 3rd ed., sec. 7.6."""
+    nyq = fs / 2.0
+    width = transition / nyq
+    numtaps = int(np.ceil((FILTER_STOPBAND_DB - 7.95) / 2.285 / (np.pi * width) + 1))
     numtaps += 1 - numtaps % 2  # odd length keeps the filter zero-phase
-    return sp_signal.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
+    beta = 0.1102 * (FILTER_STOPBAND_DB - 8.7)  # Kaiser's beta above 50 dB
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    left, right = left / nyq, right / nyq
+    h = (right * np.sinc(right * m) - left * np.sinc(left * m)) * np.kaiser(numtaps, beta)
+    return h / np.sum(h * np.cos(np.pi * m * (0.5 * (left + right) if left else 0.0)))
+
+
+def _kaiser_lowpass(cutoff, transition, fs):
+    return _kaiser_fir(0.0, cutoff, transition, fs)
 
 
 def _kaiser_bandpass(center, half_width, transition, fs):
-    numtaps, beta = sp_signal.kaiserord(FILTER_STOPBAND_DB, transition / (fs / 2.0))
-    numtaps += 1 - numtaps % 2
-    return sp_signal.firwin(
-        numtaps,
-        [center - half_width, center + half_width],
-        window=("kaiser", beta),
-        pass_zero=False,
-        fs=fs,
-    )
+    return _kaiser_fir(center - half_width, center + half_width, transition, fs)
 
 
 def iq_demodulate(waveform, offsets, bandwidths):
@@ -561,12 +565,24 @@ def spectrogram_data(waveform, nperseg=256):
     Returns ``(segment_times_us, frequencies_mhz, power_db)`` with power in
     dB relative to the strongest bin, floored at -300 dB; a constant
     waveform, with no strongest bin, reads -300 dB everywhere. A record
-    shorter than ``nperseg`` samples is one segment.
+    shorter than ``nperseg`` samples is one segment. The STFT has
+    ``scipy.signal.spectrogram``'s defaults: periodic Tukey(0.25) segments
+    overlapping by an eighth, each less its mean, and a one-sided density.
     """
     x = waveform.ac()
-    freqs, times, sxx = sp_signal.spectrogram(
-        x, fs=waveform.sample_rate, nperseg=min(nperseg, len(x))
-    )
+    fs = waveform.sample_rate
+    n = min(nperseg, len(x))
+    step = n - n // 8
+    r = 8.0 * np.arange(n) / n  # the taper's cosine argument clips to 0 on the flat top
+    win = 0.5 * (1 + np.cos(np.pi * (np.minimum(-1 + r, 0) + np.maximum(-7.0 + r, 0))))
+    win = win if n > 1 else np.ones(1)  # scipy's 1; the taper's 0 would divide by 0
+    seg = np.lib.stride_tricks.sliding_window_view(x, n)[::step]
+    spec = np.fft.rfft(win * (seg - np.mean(seg, axis=-1, keepdims=True)))
+    # |X|^2 as the complex product conj(X) X, the same rounding as scipy's
+    sxx = (np.conjugate(spec) * spec).real.T * (1.0 / (fs * np.sum(win * win)))
+    sxx[1 : n - n // 2] *= 2  # every bin but DC and Nyquist has a mirror
+    times = np.arange(n / 2, len(x) - n / 2 + 1, step) / float(fs)
+    freqs = np.fft.rfftfreq(n, 1 / fs)
     peak = float(np.max(sxx, initial=0.0))
     if peak == 0.0:
         return times, freqs, np.full(sxx.shape, -300.0)

@@ -1,8 +1,10 @@
 """End-to-end CLI coverage: exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +369,31 @@ class TestWaveform:
         cfg = "[waveform]\nsample_rate_mhz = 2\n"
         assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
         assert "undersamples" in capsys.readouterr().err
+
+
+class TestNumpyOnlyRuntime:
+    def test_commands_never_import_scipy(self, tmp_path):
+        # a fresh interpreter, so a lazy import inside a command shows too
+        cfg = tmp_path / "wave.ini"
+        cfg.write_text("[waveform]\nduration_us = 100\ndemodulate = true\nspectrogram = true\n")
+        script = (
+            "import json, sys\n"
+            "import rydberg_receiver\n"
+            "import rydberg_receiver.cli as cli\n"
+            f"assert cli.main(['steady-state', '--out', {str(tmp_path / 'ss')!r}]) == 0\n"
+            f"assert cli.main(['waveform', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'wf')!r}]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "wf" / "spectrogram.csv").exists()
+        assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 class TestSumrate:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import e, physical_constants
 
 import rydberg_receiver
@@ -164,10 +165,21 @@ class TestLoadConfig:
 
 
 class TestConstants:
-    def test_only_config_reads_scipy_constants(self):
+    def test_no_module_imports_scipy(self):
         src = Path(config.__file__).parent
-        readers = sorted(p.name for p in src.glob("*.py") if "scipy.constants" in p.read_text())
-        assert readers == ["config.py"]
+        importers = sorted(
+            p.name for p in src.glob("*.py")
+            if "import scipy" in p.read_text() or "from scipy" in p.read_text()
+        )
+        assert importers == []
+
+    def test_literals_equal_scipy_constants(self):
+        assert config.hbar == scipy.constants.hbar
+        assert config.epsilon_0 == scipy.constants.epsilon_0
+        assert config.c_light == scipy.constants.c
+        assert config.e_charge == scipy.constants.e
+        assert config.k_B == scipy.constants.k
+        assert config.BOHR_RADIUS == physical_constants["Bohr radius"][0]
 
     def test_one_definition_per_constant(self):
         assert config.EA0 == e * physical_constants["Bohr radius"][0]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.constants import hbar
 
 import rydberg_receiver as rr
@@ -9,10 +10,13 @@ from rydberg_receiver.lindblad import DriveConfig
 from rydberg_receiver.receiver import (
     DEFAULT_CELL,
     EA0,
+    FILTER_STOPBAND_DB,
     GainVector,
     RfSignalSpec,
     VaporCellParams,
     Waveform,
+    _kaiser_bandpass,
+    _kaiser_lowpass,
     _rabi_per_field,
     gain_coefficients,
     heterodyne_rabi,
@@ -422,6 +426,54 @@ class TestDemodulation:
                                       mode="linearized")
         with pytest.raises(ValueError, match=r"record of 16 samples .* 425-tap filters"):
             iq_demodulate(wave, offsets=(spec.offsets[1],), bandwidths=(0.1,))
+
+
+FIR_SAMPLE_RATES = (4.0, 16.0, 20.0)
+FIR_BANDWIDTHS = (0.02, 0.05, 0.1, 0.17, 0.3)
+
+
+def _scipy_kaiser_length(bw, fs):
+    return signal.kaiserord(FILTER_STOPBAND_DB, 1.5 * bw / (fs / 2.0))
+
+
+class TestAgainstScipySignal:
+    """The numpy FIR design and spectrogram, with scipy.signal as the oracle."""
+
+    def test_grid_covers_the_odd_length_bump(self):
+        parities = {_scipy_kaiser_length(bw, fs)[0] % 2
+                    for fs in FIR_SAMPLE_RATES for bw in FIR_BANDWIDTHS}
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("fs", FIR_SAMPLE_RATES)
+    @pytest.mark.parametrize("bw", FIR_BANDWIDTHS)
+    def test_kaiser_filters_match_firwin(self, fs, bw):
+        numtaps, beta = _scipy_kaiser_length(bw, fs)
+        numtaps += 1 - numtaps % 2
+        window = ("kaiser", beta)
+        transition = 1.5 * bw
+        pairs = [(_kaiser_lowpass(0.6 * bw, transition, fs),
+                  signal.firwin(numtaps, 0.6 * bw, window=window, fs=fs))]
+        for f0 in (0.2, 0.5, 0.8, 1.1):
+            band = [f0 - 0.6 * bw, f0 + 0.6 * bw]
+            pairs.append((_kaiser_bandpass(f0, 0.6 * bw, transition, fs),
+                          signal.firwin(numtaps, band, window=window, pass_zero=False, fs=fs)))
+        for taps, expected in pairs:
+            assert len(taps) == len(expected)
+            assert np.max(np.abs(taps - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_samples", [16, 100, 255, 256, 257, 1000, 64000])
+    def test_spectrogram_matches_scipy(self, n_samples):
+        fs = 16.0
+        t = np.arange(n_samples) / fs
+        rng = np.random.default_rng(n_samples)
+        samples = 7e-23 * (1 + 1e-3 * np.cos(TWO_PI * 0.5 * t) + 1e-4 * rng.normal(size=n_samples))
+        wave = Waveform(times=t, samples=samples, dc_level=7e-23, sample_rate=fs)
+        times, freqs, power_db = spectrogram_data(wave)
+        ref_freqs, ref_times, sxx = signal.spectrogram(wave.ac(), fs=fs, nperseg=min(256, n_samples))
+        peak = np.max(sxx)
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(power_db, 10.0 * np.log10(np.maximum(sxx, peak * 1e-30) / peak))
 
 
 class TestExports:
