@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import DensityMatrix
+from .lindblad import DensityMatrix, _validate_states
 
 __all__ = [
     "AnalyticContext",
@@ -37,6 +37,12 @@ __all__ = [
     "analytic_steady_state",
     "rho21_from_amplitudes",
 ]
+
+
+_DEGENERATE = (
+    "analytic model degenerate: Lambda = 0 (probe drive and loop "
+    "imbalance cannot both vanish, and the RF loop must carry power)"
+)
 
 
 def zeta(rf_rabi):
@@ -109,10 +115,7 @@ class AnalyticContext:
 
     def _require_valid(self):
         if not self.lam > 0.0:
-            raise ValueError(
-                "analytic model degenerate: Lambda = 0 (probe drive and loop "
-                "imbalance cannot both vanish, and the RF loop must carry power)"
-            )
+            raise ValueError(_DEGENERATE)
 
 
 def analytic_rho21(ctx):
@@ -139,6 +142,50 @@ def rho21_from_amplitudes(omega_p, omega_c, rf_rabi, gamma_21):
     return -1j * omega_p * gamma_21 * z * z / lam
 
 
+def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
+    """Closed-form states of a block of samples (``rf_rabi`` entries may be
+    ``(B,)`` arrays), shape ``(B, 6, 6)``, with per-sample errors: the
+    ValueError of a degenerate sample (Lambda = 0, held as NaN) or of a
+    broken :class:`DensityMatrix` invariant, or None."""
+    z, _s, lam = (np.atleast_1d(v) for v in _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21))
+    valid = lam > 0.0
+    lam = np.where(valid, lam, np.nan)
+    op, oc, g = omega_p, omega_c, gamma_21
+    o1, o2, o3, o4 = rf_rabi
+    op2 = op * op
+    op3 = op2 * op
+    op4 = op2 * op2
+
+    rho = np.zeros(lam.shape + (6, 6), dtype=complex)
+    rho[:, 0, 0] = (z * z * g * g + ((o2 * o2 + o3 * o3) * oc * oc + z * z) * op2) / lam
+    rho[:, 1, 1] = op2 * z * z / lam
+    rho[:, 2, 2] = op4 * (o2 * o2 + o3 * o3) / lam
+    rho[:, 3, 3] = op2 * (op2 * (o3 * o3 + o4 * o4) + oc * oc * o3 * o3) / lam
+    rho[:, 4, 4] = op4 * (o1 * o1 + o4 * o4) / lam
+    rho[:, 5, 5] = op2 * (op2 * (o1 * o1 + o2 * o2) + oc * oc * o2 * o2) / lam
+
+    # imaginary entries as 1j * (real expression): one rounding per
+    # operation, as the published expressions evaluate in real arithmetic
+    rho[:, 1, 0] = -1j * (op * z * z * g / lam)
+    rho[:, 2, 0] = -op3 * oc * (o2 * o2 + o3 * o3) / lam
+    rho[:, 3, 0] = 1j * (op * oc * o3 * z * g / lam)
+    rho[:, 4, 0] = op3 * oc * (o1 * o2 + o3 * o4) / lam
+    rho[:, 5, 0] = -1j * (op * oc * o2 * z * g / lam)
+    rho[:, 3, 1] = -op2 * oc * o3 * z / lam
+    rho[:, 5, 1] = op2 * oc * o2 * z / lam
+    rho[:, 4, 2] = -op4 * (o1 * o2 + o3 * o4) / lam
+    rho[:, 5, 3] = -op2 * (op2 * (o2 * o3 + o1 * o4) + oc * oc * o2 * o3) / lam
+
+    lower = np.tril(rho, -1)
+    rho = rho * np.eye(6) + lower + np.conj(np.swapaxes(lower, -1, -2))
+    errors = [None if ok else ValueError(_DEGENERATE) for ok in valid.tolist()]
+    good = np.flatnonzero(valid)
+    rho[good], more = _validate_states(rho[good])
+    for k, error in zip(good, more):
+        errors[k] = error
+    return rho, errors
+
+
 def analytic_steady_state(ctx):
     """Full closed-form stationary density matrix.
 
@@ -147,38 +194,14 @@ def analytic_steady_state(ctx):
     (3,2), (4,3), (5,2), (6,3), (5,4), (6,5) vanish identically. The upper
     triangle follows by conjugation. The populations share the denominator
     Lambda and their numerators sum to it, so the trace is 1 up to one
-    rounding per element.
+    rounding per element. The stacked builder behind it serves whole
+    blocks of fidelity-map points.
 
     Returns
     -------
     DensityMatrix
     """
-    ctx._require_valid()
-    op, oc, g = ctx.omega_p, ctx.omega_c, ctx.gamma_21
-    o1, o2, o3, o4 = ctx.rf_rabi
-    z, lam = ctx.zeta, ctx.lam
-    op2 = op * op
-    op3 = op2 * op
-    op4 = op2 * op2
-
-    rho = np.zeros((6, 6), dtype=complex)
-    rho[0, 0] = (z * z * g * g + ((o2 * o2 + o3 * o3) * oc * oc + z * z) * op2) / lam
-    rho[1, 1] = op2 * z * z / lam
-    rho[2, 2] = op4 * (o2 * o2 + o3 * o3) / lam
-    rho[3, 3] = op2 * (op2 * (o3 * o3 + o4 * o4) + oc * oc * o3 * o3) / lam
-    rho[4, 4] = op4 * (o1 * o1 + o4 * o4) / lam
-    rho[5, 5] = op2 * (op2 * (o1 * o1 + o2 * o2) + oc * oc * o2 * o2) / lam
-
-    rho[1, 0] = -1j * op * z * z * g / lam
-    rho[2, 0] = -op3 * oc * (o2 * o2 + o3 * o3) / lam
-    rho[3, 0] = 1j * op * oc * o3 * z * g / lam
-    rho[4, 0] = op3 * oc * (o1 * o2 + o3 * o4) / lam
-    rho[5, 0] = -1j * op * oc * o2 * z * g / lam
-    rho[3, 1] = -op2 * oc * o3 * z / lam
-    rho[5, 1] = op2 * oc * o2 * z / lam
-    rho[4, 2] = -op4 * (o1 * o2 + o3 * o4) / lam
-    rho[5, 3] = -op2 * (op2 * (o2 * o3 + o1 * o4) + oc * oc * o2 * o3) / lam
-
-    lower = np.tril(rho, -1)
-    rho = np.diag(np.diag(rho)) + lower + lower.conj().T
-    return DensityMatrix(rho)
+    rho, errors = _closed_form(ctx.omega_p, ctx.omega_c, ctx.rf_rabi, ctx.gamma_21)
+    if errors[0]:
+        raise errors[0]
+    return DensityMatrix(rho[0])

@@ -21,15 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticContext, analytic_steady_state
+from .analytic import _closed_form
 from .lindblad import (
     DEFAULT_DT,
     STEADY_STATE_METHODS,
     DensityMatrix,
     DriveConfig,
-    steady_state_numerical,
+    _generator_basis,
+    _numerical_states,
 )
-from .numerics import TWO_PI, psd_sqrt
+from .numerics import TWO_PI, _psd_roots
 
 __all__ = [
     "fidelity",
@@ -42,9 +43,27 @@ __all__ = [
     "TWO_PI",
 ]
 
+#: Points per stacked block of the batched chain. Blocks of 16 keep the peak
+#: memory of a map within a megabyte of one point at a time; a whole
+#: 625-point map in one stack costs some 70 MB more.
+_BLOCK = 16
+
+
+def _fidelities(rho_n, rho_a):
+    """Fidelities of two ``(B, d, d)`` stacks of validated states, as the
+    squared nuclear norm ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2`` (Jozsa,
+    J. Mod. Opt. 41, 2315 (1994)), which stays well conditioned where a
+    state is rank deficient. The errors are those of ``psd_sqrt`` on the
+    oracle states; a numerical state is clipped at zero, being validated
+    already to :class:`DensityMatrix`'s tolerance."""
+    roots, errors = _psd_roots(np.concatenate([rho_n, rho_a]))
+    b = len(rho_n)
+    singular = np.linalg.svd(roots[:b] @ roots[b:], compute_uv=False)
+    return np.sum(singular, axis=-1) ** 2, errors[b:]
+
 
 def fidelity(rho_n, rho_a):
-    """Uhlmann fidelity ``[Tr sqrt(sqrt(rho_a) rho_n sqrt(rho_a))]^2``.
+    """Uhlmann fidelity ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2``.
 
     Symmetric in its arguments and confined to [0, 1] up to 1e-9 of
     round-off. Inputs are validated through :class:`DensityMatrix`, so
@@ -54,10 +73,10 @@ def fidelity(rho_n, rho_a):
         rho_n = DensityMatrix(np.asarray(rho_n))
     if not isinstance(rho_a, DensityMatrix):
         rho_a = DensityMatrix(np.asarray(rho_a))
-    sra = psd_sqrt(rho_a.matrix)
-    inner = sra @ rho_n.matrix @ sra
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    values, errors = _fidelities(rho_n.matrix[None], rho_a.matrix[None])
+    if errors[0]:
+        raise errors[0]
+    return float(values[0])
 
 
 @dataclass(frozen=True)
@@ -104,11 +123,50 @@ class PerturbationRegion:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _point_fidelity(drive, scheme, method, t_end, dt):
-    gamma_21 = scheme.decay_rate(2, 1)
-    numerical = steady_state_numerical(drive, scheme, method=method, t_end=t_end, dt=dt)
-    analytic = analytic_steady_state(AnalyticContext.from_drive(drive, gamma_21))
-    return fidelity(numerical, analytic)
+def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
+    """Fidelity of the numerical state against the closed form at each row
+    of the ``(N, 4)`` RF amplitudes on ``base_drive``, NaN where a point
+    fails, with per-point errors (None, or what that point raises alone).
+
+    Blocks of :data:`_BLOCK` points run the stacked kernels that the
+    per-point functions run on a block of one, so every value equals
+    ``fidelity(steady_state_numerical(...), analytic_steady_state(...))``.
+    A negative or non-finite amplitude raises DriveConfig's error first.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    for theta in thetas[~np.all(np.isfinite(thetas) & (thetas >= 0.0), axis=1)][:1]:
+        base_drive.with_rf_rabi(theta)
+    values, errors = np.full(len(thetas), np.nan), []
+    try:
+        basis = _generator_basis(base_drive, scheme)
+    except ValueError as exc:  # not the six-level hybrid: no point can run
+        return values, [exc] * len(thetas)
+    for start in range(0, len(thetas), _BLOCK):
+        block = thetas[start:start + _BLOCK]
+        try:
+            numerical, found = _numerical_states(basis, block, method, t_end, dt)
+        except (ValueError, np.linalg.LinAlgError) as exc:  # shared by every point
+            errors += [exc] * len(block)
+            continue
+        analytic, more = _closed_form(
+            base_drive.omega_p, base_drive.omega_c, tuple(block.T), scheme.decay_rate(2, 1)
+        )
+        found = [e or m for e, m in zip(found, more)]
+        ok = [k for k, e in enumerate(found) if e is None]
+        if ok:
+            fids, more = _fidelities(numerical[ok], analytic[ok])
+            for k, f, error in zip(ok, fids.tolist(), more):
+                values[start + k], found[k] = (np.nan, error) if error else (f, None)
+        errors += found
+    return values, errors
+
+
+def _mean(values):
+    """Left-to-right mean of a region's point values."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total / len(values)
 
 
 @dataclass(frozen=True)
@@ -131,6 +189,15 @@ class FidelityScan:
         rf[self.axes[1] - 1] = float(self.axis_values[1][j])
         return self.fixed.with_rf_rabi(rf)
 
+    def _rf_grid(self):
+        """The RF 4-vector of every grid point, ``(n0 * n1, 4)`` in
+        ``np.ndindex`` order; row ``i * n1 + j`` is ``drive_at(i, j).rf_rabi``."""
+        n0, n1 = self.fidelities.shape
+        rf = np.tile(np.asarray(self.fixed.rf_rabi, dtype=float), (n0 * n1, 1))
+        rf[:, self.axes[0] - 1] = np.repeat(self.axis_values[0], n1)
+        rf[:, self.axes[1] - 1] = np.tile(self.axis_values[1], n0)
+        return rf
+
     def min_point(self):
         """(i, j) of the smallest finite fidelity."""
         f = np.where(np.isnan(self.fidelities), np.inf, self.fidelities)
@@ -140,11 +207,10 @@ class FidelityScan:
     def write_csv(self, path):
         """Long-form export: one row per grid point with the full RF
         4-vector and the fidelity."""
-        rf = [self.drive_at(i, j).rf_rabi for i, j in np.ndindex(self.fidelities.shape)]
         with open(path, "w", newline="") as fh:
             np.savetxt(
                 fh,
-                np.column_stack([rf, self.fidelities.ravel()]),
+                np.column_stack([self._rf_grid(), self.fidelities.ravel()]),
                 fmt="%.12g",
                 delimiter=",",
                 newline="\r\n",
@@ -210,12 +276,8 @@ def fidelity_scan(
         fixed=fixed,
         fidelities=np.full((len(values[0]), len(values[1])), np.nan),
     )
-    for i, j in np.ndindex(scan.fidelities.shape):
-        drive = scan.drive_at(i, j)  # a negative amplitude raises here
-        try:
-            scan.fidelities[i, j] = _point_fidelity(drive, scheme, steady_state_method, t_end, dt)
-        except (ValueError, np.linalg.LinAlgError):
-            pass  # the point stays NaN
+    found, _ = _fidelity_points(fixed, scheme, scan._rf_grid(), steady_state_method, t_end, dt)
+    scan.fidelities[...] = found.reshape(scan.fidelities.shape)
     return scan
 
 
@@ -233,12 +295,12 @@ def average_fidelity(
     against the closed form; on the operating plateau the integrand is flat
     to a few 1e-7, so the modest default sampling (3 per axis) is plenty.
     """
-    total = 0.0
-    points = region.grid()
-    for point in points:
-        drive = base_drive.with_rf_rabi(point)
-        total += _point_fidelity(drive, scheme, steady_state_method, t_end, dt)
-    return total / len(points)
+    values, errors = _fidelity_points(
+        base_drive, scheme, region.grid(), steady_state_method, t_end, dt
+    )
+    for error in filter(None, errors):
+        raise error
+    return _mean(values)
 
 
 @dataclass(frozen=True)
@@ -316,21 +378,27 @@ def optimize_operating_point(
     if region_template is None:
         region_template = PerturbationRegion(center=(0.0,) * 4, half_widths=(0.0,) * 4)
 
-    results = []
+    # Shrink the template toward the axes so the region never leaves the
+    # physical quadrant for near-zero candidates. A negative candidate
+    # amplitude is rejected here and raises rather than counting as a
+    # failure; a point that fails to evaluate fails its candidate.
+    grids = []
     for c in candidates:
-        # Shrink the template toward the axes so the region never leaves the
-        # physical quadrant for near-zero candidates. A negative candidate
-        # amplitude is rejected here and raises rather than counting as a
-        # failure; a point that fails to evaluate fails its candidate.
         hw = tuple(min(h, v) for h, v in zip(region_template.half_widths, c))
         region = PerturbationRegion(
             center=c, half_widths=hw, samples_per_axis=region_template.samples_per_axis
         )
-        try:
-            value = average_fidelity(region, base_drive, scheme, steady_state_method, t_end, dt)
-        except (ValueError, np.linalg.LinAlgError):
-            value = float("nan")
-        results.append((c, value))
+        grids.append(region.grid())
+    # Every candidate's region points go through the batched chain as one list.
+    values, errors = _fidelity_points(
+        base_drive, scheme, np.concatenate(grids), steady_state_method, t_end, dt
+    )
+    results, start = [], 0
+    for c, grid in zip(candidates, grids):
+        stop = start + len(grid)
+        failed = any(errors[start:stop])
+        results.append((c, float("nan") if failed else _mean(values[start:stop])))
+        start = stop
 
     finite = [(c, v) for c, v in results if np.isfinite(v)]
     if not finite:

@@ -22,11 +22,12 @@ stay O(1e-3 .. 1e2) and ``t = 10`` is a round number.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HERMITICITY_TOL, null_space
+from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, null_space
 from .scheme import require_hybrid_six
 
 __all__ = [
@@ -138,18 +139,10 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"DensityMatrix: expected square matrix, got shape {m.shape}")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"DensityMatrix: trace {tr} deviates from 1 beyond {_TRACE_TOL:.0e}")
-        m = (m + m.conj().T) / 2.0
-        w = np.linalg.eigvalsh(m)
-        if float(w[0]) < _EIG_TOL:
-            raise ValueError(
-                f"DensityMatrix: not PSD (min eigenvalue {w[0]:.3e} below {_EIG_TOL:.0e})"
-            )
+        m, errors = _validate_states(m[None])
+        if errors[0]:
+            raise errors[0]
+        m = m[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -164,6 +157,27 @@ class DensityMatrix:
     def coherence(self, i, j):
         """Matrix element rho_{i,j} (1-based indices)."""
         return complex(self.matrix[i - 1, j - 1])
+
+
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def _validate_states(m):
+    """Hermitized ``(B, d, d)`` stack and, per matrix, the ValueError of the
+    first :class:`DensityMatrix` invariant it breaks (or None)."""
+    herm = np.max(np.abs(m - _dagger(m)), axis=(-2, -1)).tolist()
+    traces = np.trace(m, axis1=-2, axis2=-1).tolist()
+    m = (m + _dagger(m)) / 2.0
+    w0 = np.linalg.eigvalsh(m)[:, 0].tolist() if len(m) else []
+    return m, [
+        ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {h:.3e})") if h > HERMITICITY_TOL
+        else ValueError(f"DensityMatrix: trace {tr} deviates from 1 beyond {_TRACE_TOL:.0e}")
+        if abs(tr - 1.0) > _TRACE_TOL
+        else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w:.3e} below {_EIG_TOL:.0e})")
+        if w < _EIG_TOL else None
+        for h, tr, w in zip(herm, traces, w0)
+    ]
 
 
 def ground_state(dim=6):
@@ -238,10 +252,13 @@ def build_hamiltonian(drive, scheme, t=0.0):
 
 
 def _hamiltonian_superop(x):
-    """-i (I (x) X - X^T (x) I) under column-major vectorization."""
-    dim = x.shape[0]
-    eye = np.eye(dim)
-    return -1j * (np.kron(eye, x) - np.kron(x.T, eye))
+    """-i (I (x) X - X^T (x) I) under column-major vectorization, for one
+    matrix or a stack; entry ``[i + d j, k + d l]`` is built at ``[j, i, l, k]``."""
+    d = x.shape[-1]
+    eye = np.eye(d)
+    left = eye[:, None, :, None] * x[..., None, :, None, :]
+    right = np.swapaxes(x, -1, -2)[..., :, None, :, None] * eye[:, None, :]
+    return (-1j * (left - right)).reshape(x.shape[:-2] + (d * d, d * d))
 
 
 @functools.lru_cache(maxsize=8)
@@ -261,6 +278,23 @@ def _dissipator(decay_channels, dim):
     return out
 
 
+def _trace_errors(m):
+    """Per generator of a ``(B, d^2, d^2)`` stack, the ValueError if
+    ``||Tr o L|| > 1e-10 max(1, ||L||_F)`` (or None)."""
+    defects = np.linalg.norm(_trace_row(m.shape[-1]) @ m, axis=-1).tolist()
+    scales = np.linalg.norm(m, axis=(-2, -1)).tolist()
+    return [
+        ValueError(f"Liouvillian: trace not preserved (||Tr o L|| = {d:.3e})")
+        if d > 1e-10 * max(1.0, scale) else None
+        for d, scale in zip(defects, scales)
+    ]
+
+
+def _trace_row(n2):
+    """``vec(rho) -> Tr(rho)`` as a row, for ``vec`` of length ``n2``."""
+    return vectorize(np.eye(math.isqrt(n2))).conj()
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Time-independent generator of the vectorized master equation.
@@ -277,13 +311,9 @@ class Liouvillian:
         dim = int(round(n2**0.5))
         if m.ndim != 2 or m.shape != (n2, n2) or dim * dim != n2:
             raise ValueError(f"Liouvillian: expected (d^2, d^2) matrix, got {m.shape}")
-        trace_functional = vectorize(np.eye(dim)).conj()
-        defect = float(np.linalg.norm(trace_functional @ m))
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if defect > 1e-10 * scale:
-            raise ValueError(
-                f"Liouvillian: trace not preserved (||Tr o L|| = {defect:.3e})"
-            )
+        error = _trace_errors(m[None])[0]
+        if error:
+            raise error
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -337,31 +367,75 @@ class TimeDependentLiouvillian:
         )
 
 
+@dataclass(frozen=True)
+class _GeneratorBasis:
+    """``L(theta) = constant + sum_k theta_k channels_k``, where channel k is
+    the superoperator of its coupling ``units_k = exp(i phi_k)/2`` (upper
+    triangle) plus the conjugate, and ``constant`` holds the lasers, the
+    detunings and the dissipator. No RF entry shares a position with another
+    term, so every sum is exact and a stack assembled here equals the
+    generators built one by one."""
+
+    drive: DriveConfig  # the lasers, detunings and RF phases; no RF amplitude
+    scheme: object
+    constant: np.ndarray
+    units: np.ndarray  # (4, d, d)
+    channels: np.ndarray  # (4, d^2, d^2)
+
+    def assemble(self, thetas):
+        """Generators at each row of the ``(B, 4)`` amplitudes."""
+        return self.constant + np.tensordot(thetas, self.channels, axes=1)
+
+    @functools.cached_property
+    def norms(self):
+        return np.linalg.norm(self.constant, 2), np.linalg.norm(self.channels, 2, axis=(-2, -1))
+
+
+def _generator_basis(drive, scheme):
+    """Basis at ``drive``'s lasers, detunings and RF phases (raises
+    ValueError unless ``scheme`` is the six-level hybrid)."""
+    return _basis_at(drive.with_rf_rabi((0.0,) * 4), scheme)
+
+
+@functools.lru_cache(maxsize=8)
+def _basis_at(drive, scheme):
+    """Built once per scheme and base drive and shared read-only, so the
+    generators of a gain stencil or a map reuse one basis."""
+    units = np.zeros((4, scheme.size, scheme.size), dtype=complex)
+    for n, tr in enumerate(scheme.rf_transitions):
+        units[n, tr.lower - 1, tr.upper - 1] = 0.5 * np.exp(1j * drive.rf_phases[n])
+    constant = _hamiltonian_superop(build_hamiltonian(drive, scheme))
+    constant += _dissipator(scheme.decay_channels, scheme.size)
+    basis = _GeneratorBasis(
+        drive, scheme, constant, units, _hamiltonian_superop(units + _dagger(units))
+    )
+    for array in (basis.constant, basis.units, basis.channels):
+        array.setflags(write=False)
+    return basis
+
+
 def make_generator(drive, scheme):
     """Generator for the given drive: constant if the loop detuning is
-    zero, otherwise the explicit three-part time-dependent form.
+    zero, otherwise the explicit three-part time-dependent form. Both
+    evaluate the drive's affine basis at its RF amplitudes.
 
     Raises
     ------
     ValueError
         If ``scheme`` is not the six-level hybrid.
     """
-    h = build_hamiltonian(drive, scheme)
-    dissipator = _dissipator(scheme.decay_channels, scheme.size)
-    delta = drive.closed_loop_delta
-    if delta == 0.0:
-        return Liouvillian(_hamiltonian_superop(h) + dissipator)
-    # Split the loop branch off the t = 0 Hamiltonian.
-    loop_edge = scheme.rf_transitions[_LOOP]
-    i, j = loop_edge.lower - 1, loop_edge.upper - 1
-    loop = np.zeros_like(h)
-    loop[i, j] = h[i, j]
-    h[i, j] = h[j, i] = 0.0
+    basis = _generator_basis(drive, scheme)
+    theta = np.array([drive.rf_rabi])
+    if drive.closed_loop_delta == 0.0:
+        return Liouvillian(basis.assemble(theta)[0])
+    # the loop channel's upper coupling carries exp(-i delta t), its conjugate exp(+i delta t)
+    loop, theta[0, _LOOP] = theta[0, _LOOP], 0.0
+    unit = basis.units[_LOOP]
     return TimeDependentLiouvillian(
-        constant=_hamiltonian_superop(h) + dissipator,
-        loop_lower=_hamiltonian_superop(loop),
-        loop_raise=_hamiltonian_superop(loop.conj().T),
-        delta=delta,
+        constant=basis.assemble(theta)[0],
+        loop_lower=loop * _hamiltonian_superop(unit),
+        loop_raise=loop * _hamiltonian_superop(_dagger(unit)),
+        delta=drive.closed_loop_delta,
     )
 
 
@@ -370,14 +444,15 @@ def make_generator(drive, scheme):
 
 
 def taylor_propagator(matrix, dt):
-    """Degree-4 Taylor polynomial of ``exp(dt * matrix)``.
+    """Degree-4 Taylor polynomial of ``exp(dt * matrix)``, for one matrix
+    or a stack ``(B, n, n)``.
 
     On a linear autonomous system this is algebraically identical to one
     classical RK4 step, so chaining powers of this matrix reproduces the
     RK4 trajectory exactly (up to the order of floating-point rounding).
     """
     a = dt * matrix
-    p = np.eye(a.shape[0], dtype=complex) + a
+    p = np.eye(a.shape[-1], dtype=complex) + a
     term = a
     for k in (2, 3, 4):
         term = term @ a / k
@@ -498,10 +573,32 @@ def _snapshot_boundaries(n_steps, max_snapshots):
 
 
 def _clean(vec, dim):
-    rho = unvectorize(vec, dim)
-    rho = (rho + rho.conj().T) / 2.0
-    tr = float(np.trace(rho).real)
-    return rho / tr, abs(tr - 1.0)
+    """Re-Hermitized, trace-normalized states of ``(..., d^2)`` vectors, and
+    the trace drift of each."""
+    rho = vec.reshape(vec.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
+    rho = (rho + _dagger(rho)) / 2.0
+    tr = rho.trace(axis1=-2, axis2=-1).real
+    return rho / tr[..., None, None], abs(tr - 1.0)
+
+
+def _horizon_steps(t_end, dt):
+    """Number of ``dt`` steps to ``t_end``, after checking both."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"evolve: dt must be finite and positive, got {dt}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"evolve: t_end must be finite and nonnegative, got {t_end}")
+    n_steps = int(round(t_end / dt)) if t_end > 0 else 0
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"evolve: t_end = {t_end} is not an integer multiple of dt = {dt}")
+    return n_steps
+
+
+def _stability_error(dt, norm):
+    if norm > 0 and dt > 0.1 / norm:
+        return ValueError(
+            f"evolve: dt = {dt:g} exceeds the stability bound 0.1/||L|| = {0.1 / norm:.3g}"
+        )
+    return None
 
 
 def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
@@ -538,20 +635,12 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0))
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"evolve: dt must be finite and positive, got {dt}")
-    if not (np.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"evolve: t_end must be finite and nonnegative, got {t_end}")
+    n_steps = _horizon_steps(t_end, dt)
     if max_snapshots < 2:
         raise ValueError(f"evolve: max_snapshots must be >= 2, got {max_snapshots}")
-    norm = generator.norm()
-    if norm > 0 and dt > 0.1 / norm:
-        raise ValueError(
-            f"evolve: dt = {dt:g} exceeds the stability bound 0.1/||L|| = {0.1 / norm:.3g}"
-        )
-    n_steps = int(round(t_end / dt)) if t_end > 0 else 0
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"evolve: t_end = {t_end} is not an integer multiple of dt = {dt}")
+    error = _stability_error(dt, generator.norm())
+    if error:
+        raise error
 
     dim = rho0.dim
     vec = vectorize(rho0.matrix)
@@ -593,8 +682,117 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     )
 
 
+# ----------------------------------------------------------------------
+# Stationary states and the fixed-horizon protocol on stacks of generators.
+# Kernels return per-point errors beside the results: None, or what that
+# point raises when evaluated alone, so no point fails the rest of a stack.
+
+
+def _check_method(method):
+    if method not in STEADY_STATE_METHODS:
+        raise ValueError(f"steady_state_numerical: unknown method {method!r}")
+
+
+def _inverse_or_nan(m):
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return np.full_like(m, np.nan)
+
+
+def _stationary_vectors(generators):
+    """Stationary ``vec(rho)`` of each generator: row 0 (redundant, since
+    ``Tr o L = 0``) becomes the trace and ``Tr(rho) = 1`` is solved for, the
+    "direct" method of Johansson, Nation & Nori, Comput. Phys. Commun. 184,
+    1234 (2013). A singular point or one with 1-norm condition number above
+    ``1/NULL_SPACE_TOL`` takes the SVD null space, which decides degeneracy."""
+    a = generators.copy()
+    a[:, 0, :] = _trace_row(a.shape[-1])
+    try:
+        inverses = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole call
+        inverses = np.array([_inverse_or_nan(m) for m in a])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inverses, 1, axis=(-2, -1))
+    vecs, errors = inverses[..., 0], [None] * len(a)
+    for k in np.flatnonzero(~(cond <= 1.0 / NULL_SPACE_TOL)):
+        basis = null_space(generators[k])
+        if len(basis) == 1:
+            vecs[k] = basis[0]
+        else:
+            errors[k] = ValueError(
+                f"steady_state: degenerate steady state, null-space dimension {len(basis)}"
+            )
+    return vecs, errors
+
+
+def _evolve_vectors(generators, t_end, dt, norm_bounds=None):
+    """``evolve(ground_state(), L, t_end, dt, 2).final`` as vectors, for a
+    stack: one stacked Taylor propagator raised to the step count. Upper
+    bounds ``norm_bounds`` clear points of the stability bound without an
+    SVD; the exact norm decides the rest, so no decision changes."""
+    n_steps = _horizon_steps(t_end, dt)
+    unclear = np.arange(len(generators))
+    if norm_bounds is not None:
+        unclear = np.flatnonzero(~(dt * norm_bounds * (1.0 + 1e-9) <= 0.1))
+    errors = [None] * len(generators)
+    for k, norm in zip(unclear, np.linalg.norm(generators[unclear], 2, axis=(-2, -1)).tolist()):
+        errors[k] = _stability_error(dt, norm)
+    ok = [k for k, e in enumerate(errors) if e is None]
+    vecs = np.zeros(generators.shape[:2], dtype=complex)
+    if ok:
+        steps = np.linalg.matrix_power(taylor_propagator(generators[ok], dt), n_steps)
+        vecs[ok] = steps[..., 0]  # applied to vec(|1><1|), the first unit vector
+    return vecs, errors
+
+
+def _states(vecs, errors):
+    """Cleaned, validated states of the vectors; a failed point keeps its
+    error (and holds the ground state)."""
+    dim = math.isqrt(vecs.shape[-1])
+    vecs = vecs.copy()
+    vecs[[k for k, e in enumerate(errors) if e is not None]] = vectorize(ground_state(dim).matrix)
+    rho, more = _validate_states(_clean(vecs, dim)[0])
+    return rho, [e or m for e, m in zip(errors, more)]
+
+
+def _only(states, errors):
+    """The state of a block of one, or its error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return DensityMatrix(states[0])
+
+
+def _numerical_states(basis, thetas, method, t_end, dt):
+    """States of ``method`` at each row of the ``(B, 4)`` RF amplitudes on a
+    basis, with per-point errors. Errors shared by every point (a bad
+    horizon, a time-dependent ``null_space``) raise; a time-dependent
+    generator is evolved point by point."""
+    _check_method(method)
+    if basis.drive.closed_loop_delta != 0.0:
+        states, errors = [], []
+        for theta in thetas:
+            drive = basis.drive.with_rf_rabi(theta)
+            try:
+                rho = steady_state_numerical(drive, basis.scheme, method, t_end, dt)
+                states.append(rho.matrix)
+                errors.append(None)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                states.append(ground_state().matrix)
+                errors.append(exc)
+        return np.array(states), errors
+    generators = basis.assemble(thetas)
+    if method == "null_space":
+        vecs, errors = _stationary_vectors(generators)
+    else:  # triangle-inequality bounds on ||L||, for theta >= 0
+        bounds = basis.norms[0] + thetas @ basis.norms[1]
+        vecs, errors = _evolve_vectors(generators, t_end, dt, bounds)
+    return _states(vecs, [e or m for e, m in zip(_trace_errors(generators), errors)])
+
+
 def steady_state(liouvillian):
-    """Stationary state from the generator's null space.
+    """Stationary state of a constant generator by the trace-row solve (see
+    :func:`_stationary_vectors`), run on a block of one.
 
     Raises
     ------
@@ -611,13 +809,7 @@ def steady_state(liouvillian):
             "steady_state: generator is time dependent (nonzero closed-loop detuning); "
             "no stationary state exists in this frame"
         )
-    basis = null_space(liouvillian.matrix)
-    if len(basis) != 1:
-        raise ValueError(
-            f"steady_state: degenerate steady state, null-space dimension {len(basis)}"
-        )
-    rho, _ = _clean(basis[0], liouvillian.dim)
-    return DensityMatrix(rho)
+    return _only(*_states(*_stationary_vectors(liouvillian.matrix[None])))
 
 
 def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DEFAULT_DT):
@@ -626,11 +818,13 @@ def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DE
     ``method="null_space"`` solves the stationary problem directly (the
     converged state); ``method="evolve"`` integrates from the ground state
     to ``t_end`` and returns the final snapshot, which is what a
-    fixed-horizon experiment sees.
+    fixed-horizon experiment sees. Both run the fidelity maps' stacked
+    kernels on a block of one.
     """
-    if method not in STEADY_STATE_METHODS:
-        raise ValueError(f"steady_state_numerical: unknown method {method!r}")
+    _check_method(method)
     gen = make_generator(drive, scheme)
     if method == "null_space":
         return steady_state(gen)
-    return evolve(ground_state(), gen, t_end=t_end, dt=dt, max_snapshots=2).final
+    if isinstance(gen, TimeDependentLiouvillian):
+        return evolve(ground_state(), gen, t_end=t_end, dt=dt, max_snapshots=2).final
+    return _only(*_states(*_evolve_vectors(gen.matrix[None], t_end, dt)))

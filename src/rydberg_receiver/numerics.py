@@ -76,6 +76,22 @@ def null_space(m):
     return [vh[i].conj() for i in range(len(s)) if s[i] <= NULL_SPACE_TOL * scale]
 
 
+def _psd_roots(m):
+    """Hermitian square roots of a ``(B, n, n)`` stack of Hermitian
+    matrices, eigenvalues clipped at zero, and per matrix the ValueError of
+    an eigenvalue below ``PSD_CLAMP`` (or None)."""
+    # Symmetrize before factorizing so round-off in the input cannot leak
+    # into complex eigenvalues.
+    w, v = np.linalg.eigh((m + np.conj(np.swapaxes(m, -1, -2))) / 2.0)
+    r = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    errors = [
+        ValueError(f"psd_sqrt: matrix is not PSD (min eigenvalue {w0:.3e} below clamp {PSD_CLAMP:.1e})")
+        if w0 < PSD_CLAMP else None
+        for w0 in w[:, 0].tolist()
+    ]
+    return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0, errors
+
+
 def psd_sqrt(m):
     """Hermitian square root of a positive-semidefinite matrix.
 
@@ -102,23 +118,18 @@ def psd_sqrt(m):
         eigenvalue below ``PSD_CLAMP``.
     """
     m = _as_square(m, "psd_sqrt")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if m.size == 0:
+        return m
+    dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERMITICITY_TOL:
         raise ValueError(
             f"psd_sqrt: input is not Hermitian (max |m - m^H| = {dev:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e})"
         )
-    # Symmetrize before factorizing so round-off in the input cannot leak
-    # into complex eigenvalues.
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w.size and float(w[0]) < PSD_CLAMP:
-        raise ValueError(
-            f"psd_sqrt: matrix is not PSD (min eigenvalue {w[0]:.3e} below "
-            f"clamp {PSD_CLAMP:.1e})"
-        )
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    roots, errors = _psd_roots(m[None])
+    if errors[0]:
+        raise errors[0]
+    return roots[0]
 
 
 def _e1_series(x):

@@ -214,7 +214,7 @@ class TestOptimizer:
         solves = []
         monkeypatch.setattr(
             importlib.import_module("rydberg_receiver.fidelity"),
-            "steady_state_numerical",
+            "_numerical_states",
             lambda *args, **kwargs: solves.append(args),
         )
         with pytest.raises(ValueError, match="method 'bogus'"):
