@@ -108,7 +108,8 @@ def test_stacked_assembly_equals_make_generator(drive, scheme, data):
     thetas = data.draw(amplitude_rows(data.draw(st.sampled_from(SIZES))))
     stack = _generator_basis(drive, scheme).assemble(thetas)
     for generator, theta in zip(stack, thetas):
-        assert np.array_equal(generator, rr.make_generator(drive.with_rf_rabi(theta), scheme).matrix)
+        single = rr.make_generator(drive.with_rf_rabi(theta), scheme)
+        assert np.array_equal(generator, single.matrix)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -168,7 +169,8 @@ class TestGates:
     def test_time_dependent_null_space_map_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "td.ini"
         cfg.write_text(
-            "[drive]\nrf_detunings_khz = 1, 1, 2, 40\n\n[scan]\nresolution = 2\nmethod = null_space\n"
+            "[drive]\nrf_detunings_khz = 1, 1, 2, 40\n\n"
+            "[scan]\nresolution = 2\nmethod = null_space\n"
         )
         code = main(["fidelity-map", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
