@@ -37,13 +37,12 @@ from .lindblad import (
     TimeDependentLiouvillian,
     basis_state,
     evolve,
-    ground_state,
     make_generator,
-    steady_state,
+    steady_state_numerical,
     vectorize,
 )
 from .analytic import AnalyticContext, analytic_steady_state
-from .numerics import TWO_PI
+from .numerics import TWO_PI, write_csv
 from .receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
@@ -344,17 +343,10 @@ def cmd_steady_state(cfg, scheme, seed):
         rho = analytic_steady_state(AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1)))
         residual = None
     else:
+        rho = steady_state_numerical(
+            drive, scheme, method, cfg["steady_state"]["t_end"], cfg["steady_state"]["dt"]
+        )
         generator = make_generator(drive, scheme)
-        if method == "null_space":
-            rho = steady_state(generator)
-        else:
-            rho = evolve(
-                ground_state(),
-                generator,
-                t_end=cfg["steady_state"]["t_end"],
-                dt=cfg["steady_state"]["dt"],
-                max_snapshots=2,
-            ).final
         matrix = (
             generator.matrix(0.0)
             if isinstance(generator, TimeDependentLiouvillian)
@@ -376,15 +368,8 @@ def cmd_steady_state(cfg, scheme, seed):
 
     def write_states(path):
         i, j = np.indices(rho.matrix.shape).reshape(2, -1)
-        with open(path, "w", newline="") as fh:
-            np.savetxt(
-                fh,
-                np.column_stack([i + 1, j + 1, rho.matrix.real.ravel(), rho.matrix.imag.ravel()]),
-                fmt="%d,%d,%.12g,%.12g",
-                newline="\r\n",
-                header="i,j,re,im",
-                comments="",
-            )
+        write_csv(path, "i,j,re,im", "%d,%d,%.12g,%.12g",
+                  [(i + 1, j + 1, rho.matrix.real.ravel(), rho.matrix.imag.ravel())])
 
     summary = {
         "method": method,
@@ -566,18 +551,12 @@ def cmd_waveform(cfg, scheme, seed):
                 }
             )
 
-        def write_demod(path):
-            with open(path, "w", newline="") as fh:
-                fh.write("channel,t,re,im\r\n")
-                for n, ch in zip(active, demods):
-                    np.savetxt(
-                        fh,
-                        np.column_stack([ch.times, ch.baseband.real, ch.baseband.imag]),
-                        fmt=f"{n},%.9g,%.12g,%.12g",
-                        newline="\r\n",
-                    )
-
-        files["demod.csv"] = write_demod
+        files["demod.csv"] = lambda path: write_csv(
+            path,
+            "channel,t,re,im",
+            "%d,%.9g,%.12g,%.12g",
+            [(n, ch.times, ch.baseband.real, ch.baseband.imag) for n, ch in zip(active, demods)],
+        )
     if wf_cfg["spectrogram"]:
         files["spectrogram.csv"] = lambda path: write_spectrogram_csv(path, exact)
     summary = {

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import c_light, dbm_to_watts, epsilon_0, hbar, k_B
 from .lindblad import DriveConfig
-from .numerics import TWO_PI, exp_e1_scaled
+from .numerics import TWO_PI, exp_e1_scaled, write_csv
 from .receiver import DEFAULT_CELL, gain_coefficients, photodetector_output
 from .scheme import Architecture
 
@@ -314,12 +314,10 @@ class ArchitectureComparison:
             (self.power_dbm, self.power_sweep_bandwidth_hz, self.power_rates),
             (self.bandwidth_sweep_power_dbm, self.bandwidth_hz, self.bandwidth_rates),
         )
-        with open(path, "w", newline="") as fh:
-            fh.write("architecture,p_t_dbm,bandwidth_hz,rate_bps\r\n")
-            for p_dbm, b_hz, rates in sweeps:
-                for arch in order:
-                    table = np.column_stack(np.broadcast_arrays(p_dbm, b_hz, rates[arch]))
-                    np.savetxt(fh, table, fmt=f"{arch.value},%.9g,%.9g,%.12g", newline="\r\n")
+        blocks = [
+            (arch.value, p_dbm, b_hz, rates[arch]) for p_dbm, b_hz, rates in sweeps for arch in order
+        ]
+        write_csv(path, "architecture,p_t_dbm,bandwidth_hz,rate_bps", "%s,%.9g,%.9g,%.12g", blocks)
 
 
 def compare_architectures(

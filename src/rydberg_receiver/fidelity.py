@@ -24,13 +24,13 @@ import numpy as np
 from .analytic import _closed_form
 from .lindblad import (
     DEFAULT_DT,
-    STEADY_STATE_METHODS,
     DensityMatrix,
     DriveConfig,
+    _check_method,
     _generator_basis,
     _numerical_states,
 )
-from .numerics import TWO_PI, _psd_roots
+from .numerics import TWO_PI, _psd_roots, write_csv
 
 __all__ = [
     "fidelity",
@@ -131,8 +131,10 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     Blocks of :data:`_BLOCK` points run the stacked kernels that the
     per-point functions run on a block of one, so every value equals
     ``fidelity(steady_state_numerical(...), analytic_steady_state(...))``.
-    A negative or non-finite amplitude raises DriveConfig's error first.
+    An unknown method raises first, then a negative or non-finite
+    amplitude raises DriveConfig's error.
     """
+    _check_method(method)
     thetas = np.asarray(thetas, dtype=float)
     for theta in thetas[~np.all(np.isfinite(thetas) & (thetas >= 0.0), axis=1)][:1]:
         base_drive.with_rf_rabi(theta)
@@ -207,16 +209,8 @@ class FidelityScan:
     def write_csv(self, path):
         """Long-form export: one row per grid point with the full RF
         4-vector and the fidelity."""
-        with open(path, "w", newline="") as fh:
-            np.savetxt(
-                fh,
-                np.column_stack([self._rf_grid(), self.fidelities.ravel()]),
-                fmt="%.12g",
-                delimiter=",",
-                newline="\r\n",
-                header="omega1,omega2,omega3,omega4,fidelity",
-                comments="",
-            )
+        write_csv(path, "omega1,omega2,omega3,omega4,fidelity", ",".join(["%.12g"] * 5),
+                  [[*self._rf_grid().T, self.fidelities.ravel()]])
 
 
 def fidelity_scan(
@@ -267,8 +261,6 @@ def fidelity_scan(
         np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
         for (lo, hi), n in zip(ranges, res)
     )
-    if steady_state_method not in STEADY_STATE_METHODS:
-        raise ValueError(f"unknown steady-state method {steady_state_method!r}")
 
     scan = FidelityScan(
         axes=(a0, a1),
@@ -373,8 +365,6 @@ def optimize_operating_point(
     # Tie-break order: smallest total amplitude, then lexicographic.
     candidates.sort(key=lambda c: (sum(c), c))
 
-    if steady_state_method not in STEADY_STATE_METHODS:
-        raise ValueError(f"unknown steady-state method {steady_state_method!r}")
     if region_template is None:
         region_template = PerturbationRegion(center=(0.0,) * 4, half_widths=(0.0,) * 4)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, null_space
+from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, null_space, write_csv
 from .scheme import require_hybrid_six
 
 __all__ = [
@@ -317,10 +317,6 @@ class Liouvillian:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self):
-        return int(round(self.matrix.shape[0] ** 0.5))
-
     def norm(self):
         """Spectral norm, used for integrator stability bounds."""
         return float(np.linalg.norm(self.matrix, 2))
@@ -348,10 +344,6 @@ class TimeDependentLiouvillian:
     loop_lower: np.ndarray   # coefficient of exp(-i delta t)
     loop_raise: np.ndarray   # coefficient of exp(+i delta t)
     delta: float
-
-    @property
-    def dim(self):
-        return int(round(self.constant.shape[0] ** 0.5))
 
     def matrix(self, t):
         """Generator evaluated at time ``t`` (us)."""
@@ -555,16 +547,7 @@ class Trajectory:
             header += [f"re_rho{i}{j}", f"im_rho{i}{j}"]
             c = self.coherence(i, j)
             columns += [c.real, c.imag]
-        with open(path, "w", newline="") as fh:
-            np.savetxt(
-                fh,
-                np.column_stack(columns),
-                fmt=["%.9g"] + ["%.12g"] * (len(columns) - 1),
-                delimiter=",",
-                newline="\r\n",
-                header=",".join(header),
-                comments="",
-            )
+        write_csv(path, ",".join(header), "%.9g" + ",%.12g" * (len(columns) - 1), [columns])
 
 
 def _snapshot_boundaries(n_steps, max_snapshots):
@@ -690,7 +673,7 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
 
 def _check_method(method):
     if method not in STEADY_STATE_METHODS:
-        raise ValueError(f"steady_state_numerical: unknown method {method!r}")
+        raise ValueError(f"unknown steady-state method {method!r}")
 
 
 def _inverse_or_nan(m):

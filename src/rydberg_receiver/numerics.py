@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernels and special functions.
 
 Everything in this module is physics-agnostic: SVD-based null spaces,
-positive-semidefinite matrix square roots and the exponential integral E1.
+positive-semidefinite matrix square roots, the exponential integral E1 and
+the CSV table writer.
 
 Storage convention
 ------------------
@@ -14,6 +15,9 @@ stacking::
 i.e. ``m.reshape(-1, order="F")`` and ``v.reshape((rows, cols), order="F")``.
 The Liouvillian construction in :mod:`rydberg_receiver.lindblad` relies on
 this convention; do not mix in row-major flattening.
+
+Every table the package exports goes through :func:`write_csv`: a bare
+header line, one printf-formatted line per row, CRLF line ends.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ TWO_PI = 6.283185307179586
 HERMITICITY_TOL = 1e-9
 NULL_SPACE_TOL = 1e-9
 PSD_CLAMP = -1e-10
+
+#: Rows formatted per write by :func:`write_csv`, so a table of any length
+#: costs a bounded amount of memory on top of its columns.
+CSV_CHUNK_ROWS = 4096
 
 
 def _as_square(m, name):
@@ -190,3 +198,26 @@ def exp_e1_scaled(x):
         [math.exp(v) * _e1_series(v) if v <= 1.0 else _e1_cf(v) for v in x.ravel().tolist()]
     ).reshape(x.shape)
     return out if out.ndim else float(out)
+
+
+def write_csv(path, header, fmt, blocks):
+    """Write a table as CSV: the ``header`` line, then one ``fmt`` row per
+    row of each block, every line ended by CRLF.
+
+    ``fmt`` is a printf row format such as ``"%.9g,%.12g"``. Each block is a
+    sequence of columns broadcast together, so a scalar column (a channel
+    number, an architecture name) repeats on every row of its block; no
+    blocks gives the header alone.
+    """
+    row = fmt + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for block in blocks:
+            columns = np.broadcast_arrays(*block)
+            width = len(columns)
+            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+                cells = [None] * (width * len(chunk[0]))
+                for k, values in enumerate(chunk):
+                    cells[k::width] = values
+                fh.write((row * len(chunk[0])) % tuple(cells))

@@ -26,7 +26,7 @@ import numpy as np
 from .analytic import AnalyticContext, analytic_rho21, rho21_from_amplitudes
 from .config import EA0, c_light, epsilon_0, hbar
 from .lindblad import steady_state_numerical
-from .numerics import TWO_PI
+from .numerics import TWO_PI, write_csv
 
 __all__ = [
     "EA0",
@@ -594,27 +594,12 @@ def write_waveform_csv(path, exact, linearized):
     """Export paired waveforms as ``t, y_exact, y_linearized`` CSV."""
     if exact.times.shape != linearized.times.shape:
         raise ValueError("write_waveform_csv: waveforms must share a time base")
-    with open(path, "w", newline="") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([exact.times, exact.samples, linearized.samples]),
-            fmt="%.9g,%.12g,%.12g",
-            newline="\r\n",
-            header="t,y_exact,y_linearized",
-            comments="",
-        )
+    write_csv(path, "t,y_exact,y_linearized", "%.9g,%.12g,%.12g",
+              [(exact.times, exact.samples, linearized.samples)])
 
 
 def write_spectrogram_csv(path, waveform, nperseg=256):
     """Export a long-form spectrogram CSV with columns ``t, f, power_db``."""
     times, freqs, power_db = spectrogram_data(waveform, nperseg=nperseg)
     t, f = np.meshgrid(times, freqs, indexing="ij")
-    with open(path, "w", newline="") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([t.ravel(), f.ravel(), power_db.T.ravel()]),
-            fmt="%.9g,%.9g,%.6g",
-            newline="\r\n",
-            header="t,f,power_db",
-            comments="",
-        )
+    write_csv(path, "t,f,power_db", "%.9g,%.9g,%.6g", [(t.ravel(), f.ravel(), power_db.T.ravel())])

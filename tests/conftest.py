@@ -200,7 +200,7 @@ def _demod_csv(active, demods):
 def literal_csv():
     """Each CSV file of the package as bytes, written row by row with
     ``csv.writer`` and per-cell format strings: the reference for the
-    ``np.savetxt`` writers."""
+    package's chunked ``numerics.write_csv``."""
     return SimpleNamespace(
         trajectory=_trajectory_csv,
         fidelity_scan=_fidelity_scan_csv,

@@ -7,6 +7,7 @@ from scipy.constants import hbar
 
 import rydberg_receiver as rr
 from rydberg_receiver.lindblad import DriveConfig
+from rydberg_receiver.numerics import CSV_CHUNK_ROWS
 from rydberg_receiver.receiver import (
     DEFAULT_CELL,
     EA0,
@@ -531,9 +532,11 @@ class TestExports:
         path = tmp_path / "out.csv"
         write_waveform_csv(path, exact, lin)
         assert path.read_bytes() == literal_csv.waveform(exact, lin)
+        # Two full chunks of the writer, then a partial one holding the odd cells.
+        filler = np.resize(exact.samples, 2 * CSV_CHUNK_ROWS + 5)
         odd = Waveform(
-            times=np.array([-0.0, 0.0625, 0.125]),
-            samples=np.array([np.nan, -0.0, 7.0586443e-23]),
+            times=np.append(np.arange(len(filler)) / 16.0, [-0.0, 0.0625, 0.125]),
+            samples=np.append(filler, [np.nan, -0.0, 7.0586443e-23]),
             dc_level=7e-23,
             sample_rate=16.0,
         )
