@@ -8,6 +8,8 @@ rad/us, ordinary frequencies in MHz, times in us, powers in W, SI for
 everything else). Unknown sections, unknown keys, duplicate unit variants
 of the same key, and unparseable values are all hard errors naming the
 offending location, so a typo never silently falls back to a default.
+Run configs and level-scheme files (:mod:`.scheme`) share this reader:
+:func:`read_file`, :func:`read_ini`, then :func:`convert_section`.
 
 This module holds the package's SI constants (CODATA 2022 values:
 ``hbar``, ``epsilon_0``, ``c_light``, ``k_B``, :data:`EA0`) and unit
@@ -17,6 +19,7 @@ conversions; the other modules take them from here.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .numerics import TWO_PI
@@ -44,19 +47,13 @@ def dbm_to_watts(dbm):
     return 1e-3 * 10.0 ** (dbm / 10.0)
 
 
-#: rad/us per unit of ordinary frequency, by unit suffix.
-ANGULAR_FREQUENCY_SUFFIXES = {
-    "ghz": TWO_PI * 1e3,
-    "mhz": TWO_PI,
-    "khz": TWO_PI * 1e-3,
-    "hz": TWO_PI * 1e-9,
-}
-
 #: kind -> {suffix: factor or callable} mapping raw values to canonical
 #: units. Angular frequencies land in rad/us (the 2 pi is in the factor),
 #: ordinary frequencies in MHz, times in us, the rest in SI.
 _SUFFIXES = {
-    "angular_frequency": ANGULAR_FREQUENCY_SUFFIXES,
+    "angular_frequency": {
+        "ghz": TWO_PI * 1e3, "mhz": TWO_PI, "khz": TWO_PI * 1e-3, "hz": TWO_PI * 1e-9
+    },
     "ordinary_frequency": {"ghz": 1e3, "mhz": 1.0, "khz": 1e-3, "hz": 1e-6},
     "time": {"us": 1.0, "ms": 1e3, "s": 1e6},
     "power": {"dbm": dbm_to_watts, "mw": 1e-3, "w": 1.0},
@@ -72,8 +69,16 @@ _LIST_KINDS = {
     "ordinary_frequency_list": "ordinary_frequency",
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+#: scalar kind -> (converter, noun for its error message)
+_SCALARS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
+    "str": (str, None),
+}
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,11 @@ class Field:
 
     ``kind`` selects the converter (and, for dimensioned kinds, the set of
     accepted unit suffixes); ``default`` is the value of an absent key. The
-    remaining fields are the key's rule, checked by the command line on
-    every value but a default of None: ``sign`` (``">"`` or ``">="``) bounds
-    the value, or each list entry, against 0; ``counts`` lists the allowed
-    list lengths; ``choices`` lists the allowed strings.
+    remaining fields are the key's rule, which the reader checks on every
+    value it reads (defaults are not checked): every number must be finite;
+    ``sign`` (``">"`` or ``">="``) bounds the value, or each list entry,
+    against 0; ``counts`` lists the allowed list lengths; ``choices`` lists
+    the allowed strings.
     """
 
     kind: str
@@ -96,31 +102,17 @@ class Field:
 
 
 def _apply(factor, value):
+    if factor is None:
+        return value
     return factor(value) if callable(factor) else factor * value
 
 
 def _scalar(kind, raw, where):
-    raw = raw.strip()
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
-    if kind == "bool":
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
-    if kind == "str":
-        return raw
-    raise ConfigError(f"{where}: unsupported kind {kind!r}")
+    convert, noun = _SCALARS[kind]
+    try:
+        return convert(raw.strip())
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: expected {noun}, got {raw.strip()!r}") from None
 
 
 def _list(raw, where, convert):
@@ -145,17 +137,90 @@ def _key_table(section_schema, section, origin):
         elif kind in _LIST_KINDS:
             for suffix, factor in _SUFFIXES[_LIST_KINDS[kind]].items():
                 table[f"{base}_{suffix}"] = (base, "float_list", factor)
-        elif kind in ("float", "int", "bool", "str"):
+        elif kind in ("float", "int", "bool", "str", "float_list", "int_list"):
             table[base] = (base, kind, None)
-        elif kind == "float_list":
-            table[base] = (base, "float_list", None)
-        elif kind == "int_list":
-            table[base] = (base, "int_list", None)
         else:
             raise ConfigError(
                 f"{origin}: schema for [{section}] {base} has unknown kind {kind!r}"
             )
     return table
+
+
+def read_file(path, what="config"):
+    """The UTF-8 text of the file at ``path``; ConfigError if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"{path}: cannot read {what} ({reason})") from None
+
+
+def read_ini(text, origin):
+    """Split INI ``text`` into ``{section: {raw key: raw value}}``.
+
+    Interpolation is off, so ``%`` is literal; a repeated section or key and
+    a ``[DEFAULT]`` section are errors.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
+    if parser.defaults():
+        raise ConfigError(f"{origin}: [DEFAULT] section is not supported")
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def _check(field, value, where):
+    """Raise unless ``value`` keeps ``field``'s rule."""
+    entries = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+        raise ConfigError(f"{where} must be finite, got {value}")
+    if field.counts and len(value) not in field.counts:
+        counts = " or ".join(str(n) for n in field.counts)
+        raise ConfigError(f"{where} must have {counts} entries")
+    if field.sign and not all(v > 0 if field.sign == ">" else v >= 0 for v in entries):
+        raise ConfigError(f"{where} must be {field.sign} 0")
+    if field.choices and value not in field.choices:
+        raise ConfigError(f"{where} must be one of {', '.join(field.choices)}")
+
+
+def convert_section(section_schema, section, items, origin):
+    """Convert one section's raw ``items`` against ``section_schema``.
+
+    Each value is converted to canonical units and checked against its
+    :class:`Field`'s rule as it is read. Returns {base key: value} with
+    every schema key present, absent keys at their defaults.
+    """
+    table = _key_table(section_schema, section, origin)
+    values = {}
+    seen_raw = {}
+    for raw_key, raw_value in items.items():
+        if raw_key not in table:
+            raise ConfigError(f"{origin}: [{section}] unknown key {raw_key!r}")
+        base, mode, factor = table[raw_key]
+        if base in values:
+            raise ConfigError(
+                f"{origin}: [{section}] keys {seen_raw[base]!r} and "
+                f"{raw_key!r} both set {base!r}"
+            )
+        where = f"{origin}: [{section}] {raw_key}"
+        try:
+            if mode == "int_list":
+                value = _list(raw_value, where, int)
+            elif mode == "float_list":
+                value = tuple(_apply(factor, v) for v in _list(raw_value, where, float))
+            else:
+                value = _apply(factor, _scalar(mode, raw_value, where))
+        except OverflowError:
+            raise ConfigError(f"{where}: {raw_value.strip()!r} is out of range") from None
+        _check(section_schema[base], value, f"{origin}: [{section}] {base}")
+        values[base] = value
+        seen_raw[base] = raw_key
+    for base, field in section_schema.items():
+        values.setdefault(base, field.default)
+    return values
 
 
 def parse_config(text, schema, origin="<config>"):
@@ -166,60 +231,16 @@ def parse_config(text, schema, origin="<config>"):
     (defaults filled in). Sections absent from the file are returned as
     pure defaults.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
-    if parser.defaults():
-        raise ConfigError(f"{origin}: [DEFAULT] section is not supported")
-
-    for section in parser.sections():
+    sections = read_ini(text, origin)
+    for section in sections:
         if section not in schema:
             raise ConfigError(f"{origin}: unknown section [{section}]")
-
-    out = {}
-    for section, section_schema in schema.items():
-        table = _key_table(section_schema, section, origin)
-        values = {}
-        seen_raw = {}
-        if parser.has_section(section):
-            for raw_key, raw_value in parser.items(section):
-                if raw_key not in table:
-                    raise ConfigError(f"{origin}: [{section}] unknown key {raw_key!r}")
-                base, mode, factor = table[raw_key]
-                if base in values:
-                    raise ConfigError(
-                        f"{origin}: [{section}] keys {seen_raw[base]!r} and "
-                        f"{raw_key!r} both set {base!r}"
-                    )
-                where = f"{origin}: [{section}] {raw_key}"
-                if mode == "float_list":
-                    vals = _list(raw_value, where, float)
-                    values[base] = (
-                        tuple(_apply(factor, v) for v in vals) if factor is not None else vals
-                    )
-                elif mode == "int_list":
-                    values[base] = _list(raw_value, where, int)
-                elif factor is not None:
-                    try:
-                        values[base] = _apply(factor, _scalar("float", raw_value, where))
-                    except OverflowError:
-                        raise ConfigError(f"{where}: {raw_value.strip()!r} is out of range") from None
-                else:
-                    values[base] = _scalar(mode, raw_value, where)
-                seen_raw[base] = raw_key
-        for base, field in section_schema.items():
-            values.setdefault(base, field.default)
-        out[section] = values
-    return out
+    return {
+        section: convert_section(section_schema, section, sections.get(section, {}), origin)
+        for section, section_schema in schema.items()
+    }
 
 
 def load_config(path, schema):
     """Parse the INI file at ``path`` against ``schema``."""
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
-    return parse_config(text, schema, origin=str(path))
+    return parse_config(read_file(path), schema, origin=str(path))

@@ -345,9 +345,12 @@ def optimize_operating_point(
     Raises
     ------
     ValueError
-        If no candidate satisfies the constraint or every candidate fails.
+        If ``search_range`` starts below 0, no candidate satisfies the
+        constraint or every candidate fails.
     """
     lo, hi = search_range
+    if not lo >= 0:
+        raise ValueError(f"optimize_operating_point: search_range must start at >= 0, got {lo}")
     if not sum_constraint > 0:
         raise ValueError("optimize_operating_point: sum_constraint must be positive")
     n = int(np.floor((hi - lo) / grid_step + 1e-9)) + 1
@@ -369,9 +372,8 @@ def optimize_operating_point(
         region_template = PerturbationRegion(center=(0.0,) * 4, half_widths=(0.0,) * 4)
 
     # Shrink the template toward the axes so the region never leaves the
-    # physical quadrant for near-zero candidates. A negative candidate
-    # amplitude is rejected here and raises rather than counting as a
-    # failure; a point that fails to evaluate fails its candidate.
+    # physical quadrant for near-zero candidates; a point that fails to
+    # evaluate fails its candidate.
     grids = []
     for c in candidates:
         hw = tuple(min(h, v) for h, v in zip(region_template.half_widths, c))

@@ -7,17 +7,17 @@ bundled six-level cesium scheme (see ``data/cesium_six_level.ini``) is the
 default everywhere else in the package.
 
 Units: angular frequencies in rad/us, time in us. Scheme files carry
-ordinary frequencies with explicit unit suffixes and are converted on load.
+ordinary frequencies with explicit unit suffixes and are read and
+converted by :mod:`.config`'s INI reader.
 """
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .config import ANGULAR_FREQUENCY_SUFFIXES
+from .config import ConfigError, Field, convert_section, read_file, read_ini
 
 __all__ = [
     "Architecture",
@@ -339,22 +339,31 @@ class SchemeFileError(ValueError):
     """Malformed scheme file; the message names the offending section/key."""
 
 
-def _freq_value(section, items, prefix, where):
-    """Read exactly one ``<prefix>_<unit>`` key and convert to rad/us."""
-    units = ANGULAR_FREQUENCY_SUFFIXES
-    hits = [k for k in items if k == prefix or (k.startswith(prefix + "_") and k[len(prefix) + 1 :] in units)]
-    if not hits:
-        raise SchemeFileError(f"{where}: missing key '{prefix}_<unit>' (unit in {sorted(units)})")
-    if len(hits) > 1:
-        raise SchemeFileError(f"{where}: duplicate frequency keys {hits}")
-    key = hits[0]
-    if key == prefix:
-        raise SchemeFileError(f"{where}: key '{prefix}' needs an explicit unit suffix")
-    try:
-        value = float(items[key])
-    except ValueError:
-        raise SchemeFileError(f"{where}: key '{key}' is not a number: {items[key]!r}") from None
-    return value * units[key[len(prefix) + 1 :]]
+#: Keys of each kind of scheme-file section; a None default marks a
+#: required key.
+_SECTION_FIELDS = {
+    "scheme": {"architecture": Field("str", None, choices=tuple(a.value for a in Architecture))},
+    "level": {"parity": Field("int", None), "label": Field("str", "")},
+    "transition": {
+        "lower": Field("int", None), "upper": Field("int", None),
+        "carrier": Field("angular_frequency", None, sign=">"),
+        "dipole_ea0": Field("float", None, sign=">"),
+        "detuning": Field("angular_frequency", 0.0), "band": Field("str", ""),
+    },
+    "decay": {"rate": Field("angular_frequency", None)},
+}
+
+
+def _classify(name, origin):
+    """Kind and number of a section: ``[scheme]`` has (), ``[level.N]`` and
+    ``[transition.N]`` have N, ``[decay.S-D]`` has (S, D)."""
+    kind, dot, tail = name.partition(".")
+    arity = {"scheme": 0, "level": 1, "transition": 1, "decay": 2}.get(kind)
+    digits = tail.split("-") if dot else []
+    if arity is None or len(digits) != arity or not all(d.isdecimal() for d in digits):
+        raise ConfigError(f"{origin}: unknown section [{name}]")
+    numbers = tuple(int(d) for d in digits)
+    return kind, numbers[0] if arity == 1 else numbers
 
 
 def parse_scheme(text, origin="<string>"):
@@ -365,110 +374,64 @@ def parse_scheme(text, origin="<string>"):
     ``[transition.N]`` per RF transition with ``lower``, ``upper``,
     ``carrier_<unit>``, ``dipole_ea0``, optional ``detuning_<unit>`` and
     ``band``; one ``[decay.S-D]`` per decay channel with ``rate_<unit>``.
-    All frequencies are ordinary (not angular) and converted on load.
+    All frequencies are ordinary (not angular) and converted on load, by
+    the same reader and rules as run configs (:mod:`.config`).
 
-    RF channel N is section ``[transition.N]``. A six-level hybrid numbers
-    its transitions 3-4, 4-5, 5-6, 3-6 (the loop branch is channel 4); any
+    RF channel N is section ``[transition.N]``; transitions are numbered
+    1..T and no two sections share a number. A six-level hybrid numbers its
+    transitions 3-4, 4-5, 5-6, 3-6 (the loop branch is channel 4); any
     other numbering is rejected.
     """
-    cp = configparser.ConfigParser()
+    where = f"{origin}:"  # prefix of a ValueError from the scheme's own classes
     try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise SchemeFileError(f"{origin}: {exc}") from None
-    if "scheme" not in cp:
-        raise SchemeFileError(f"{origin}: missing [scheme] section")
-    arch_name = cp["scheme"].get("architecture")
-    if arch_name is None:
-        raise SchemeFileError(f"{origin}: [scheme] missing 'architecture'")
-    try:
-        arch = Architecture(arch_name)
-    except ValueError:
-        raise SchemeFileError(
-            f"{origin}: unknown architecture {arch_name!r} "
-            f"(expected one of {[a.value for a in Architecture]})"
-        ) from None
-
-    levels, transitions, decays = [], [], []
-    for name in cp.sections():
-        if name == "scheme":
-            continue
-        items = dict(cp[name])
-        if name.startswith("level."):
-            idx = _int_tail(name, "level.", origin)
-            if "parity" not in items:
-                raise SchemeFileError(f"{origin}: [{name}] missing 'parity'")
-            try:
-                parity = int(items["parity"])
-            except ValueError:
-                raise SchemeFileError(f"{origin}: [{name}] parity is not an integer") from None
-            try:
-                levels.append(Level(index=idx, parity=parity, label=items.get("label", "")))
-            except ValueError as exc:
-                raise SchemeFileError(f"{origin}: [{name}] {exc}") from None
-            _reject_unknown(items, {"parity", "label"}, name, origin)
-        elif name.startswith("transition."):
-            n = _int_tail(name, "transition.", origin)
-            for req in ("lower", "upper", "dipole_ea0"):
-                if req not in items:
-                    raise SchemeFileError(f"{origin}: [{name}] missing '{req}'")
-            carrier = _freq_value(name, items, "carrier", f"{origin}: [{name}]")
-            detuning = 0.0
-            if any(k.startswith("detuning") for k in items):
-                detuning = _freq_value(name, items, "detuning", f"{origin}: [{name}]")
-            try:
-                transition = RfTransition(
-                    lower=int(items["lower"]),
-                    upper=int(items["upper"]),
-                    carrier_frequency=carrier,
-                    dipole_moment=float(items["dipole_ea0"]),
-                    detuning=detuning,
-                    application_band=items.get("band", ""),
-                )
-            except ValueError as exc:
-                raise SchemeFileError(f"{origin}: [{name}] {exc}") from None
-            transitions.append((n, transition))
-        elif name.startswith("decay."):
-            pair = name[len("decay.") :]
-            try:
-                src, dst = (int(p) for p in pair.split("-"))
-            except ValueError:
-                raise SchemeFileError(f"{origin}: bad decay section name [{name}]") from None
-            rate = _freq_value(name, items, "rate", f"{origin}: [{name}]")
-            decays.append((src, dst, rate))
-        else:
-            raise SchemeFileError(f"{origin}: unknown section [{name}]")
-
-    levels.sort(key=lambda lv: lv.index)
-    transitions.sort(key=lambda pair: pair[0])
-    try:
+        sections = read_ini(text, origin)
+        sections.setdefault("scheme", {})
+        parts = {kind: {} for kind in _SECTION_FIELDS}
+        for name, items in sections.items():
+            where = f"{origin}: [{name}]"
+            kind, number = _classify(name, origin)
+            if number in parts[kind]:
+                raise ConfigError(f"{where} repeats an earlier section's number")
+            fields = _SECTION_FIELDS[kind]
+            v = convert_section(fields, name, items, origin)
+            for key, value in v.items():
+                if value is None:
+                    unit = "_<unit>" if fields[key].kind == "angular_frequency" else ""
+                    raise ConfigError(f"{where} missing key '{key}{unit}'")
+            if kind == "scheme":
+                part = Architecture(v["architecture"])
+            elif kind == "level":
+                part = Level(number, v["parity"], v["label"])
+            elif kind == "transition":
+                part = RfTransition(v["lower"], v["upper"], v["carrier"], v["dipole_ea0"],
+                                    v["detuning"], v["band"])
+            else:
+                part = (*number, v["rate"])
+            parts[kind][number] = part
+        where = f"{origin}:"
+        levels, transitions = parts["level"], parts["transition"]
+        if sorted(transitions) != list(range(1, len(transitions) + 1)):
+            raise ConfigError(f"{where} transitions must be numbered 1..{len(transitions)}, "
+                              f"got {sorted(transitions)}")
         return LevelScheme(
-            levels=tuple(levels),
-            architecture=arch,
-            rf_transitions=tuple(tr for (_n, tr) in transitions),
-            decay_channels=tuple(decays),
+            levels=tuple(levels[n] for n in sorted(levels)),
+            architecture=parts["scheme"][()],
+            rf_transitions=tuple(transitions[n] for n in sorted(transitions)),
+            decay_channels=tuple(parts["decay"].values()),
         )
+    except ConfigError as exc:
+        raise SchemeFileError(str(exc)) from None
     except ValueError as exc:
-        raise SchemeFileError(f"{origin}: {exc}") from None
-
-
-def _int_tail(name, prefix, origin):
-    try:
-        return int(name[len(prefix) :])
-    except ValueError:
-        raise SchemeFileError(f"{origin}: bad section name [{name}]") from None
-
-
-def _reject_unknown(items, known, section, origin):
-    unknown = set(items) - known
-    if unknown:
-        raise SchemeFileError(f"{origin}: [{section}] unknown keys {sorted(unknown)}")
+        raise SchemeFileError(f"{where} {exc}") from None
 
 
 def load_scheme(path):
     """Load a :class:`LevelScheme` from a scheme file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scheme(fh.read(), origin=str(path))
+    try:
+        text = read_file(path, "scheme")
+    except ConfigError as exc:
+        raise SchemeFileError(str(exc)) from None
+    return parse_scheme(text, origin=str(path))
 
 
 def cesium_scheme():

@@ -80,9 +80,12 @@ class TestValidateScheme:
         assert main(["validate-scheme", "--scheme", str(scheme)]) == 1
         assert "parity" in capsys.readouterr().err
 
-    def test_unreadable_scheme_exits_1(self, tmp_path, capsys):
-        code = main(["validate-scheme", "--scheme", str(tmp_path / "none.ini")])
-        assert code == 1
+    def test_unreadable_scheme_exits_1(self, tmp_path, capsys, scheme_text):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes(scheme_text.replace("6S1/2", "6S1/2 \xe9").encode("latin-1"))
+        for path in (tmp_path / "none.ini", tmp_path, latin1):
+            assert main(["validate-scheme", "--scheme", str(path)]) == 1
+            assert f"{path}: cannot read scheme" in capsys.readouterr().err
 
     def test_cascade_scheme_valid_but_not_simulated(self, tmp_path, capsys, scheme_text):
         cut = slice(scheme_text.index("[transition.4]"), scheme_text.index("[decay.2-1]"))
@@ -161,6 +164,14 @@ class TestSteadyState:
         code = main(["steady-state", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_cannot_be_a_directory_exits_1(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file")
+        assert main(["steady-state", "--out", str(blocker / below)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_degenerate_analytic_point_exits_2(self, tmp_path, capsys):
         # all RF off: the closed form rejects this drive at runtime

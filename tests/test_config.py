@@ -1,5 +1,6 @@
 """Strict INI parsing with unit-suffixed keys."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "absent.ini", SCHEMA)
 
+    def test_directory_or_non_utf8_file(self, tmp_path):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes("[drive]\nlabel = caf\xe9\n".encode("latin-1"))
+        for path in (tmp_path, latin1):
+            with pytest.raises(ConfigError, match="cannot read config"):
+                load_config(path, SCHEMA)
+
 
 class TestConstants:
     def test_no_module_imports_scipy(self):
@@ -172,6 +180,19 @@ class TestConstants:
             if "import scipy" in p.read_text() or "from scipy" in p.read_text()
         )
         assert importers == []
+
+    def test_one_ini_reader(self):
+        src = Path(config.__file__).parent
+        importers = sorted(
+            p.name for p in src.glob("*.py")
+            if "import configparser" in p.read_text() or "from configparser" in p.read_text()
+        )
+        assert importers == ["config.py"]
+        calls = [
+            node.func for node in ast.walk(ast.parse(Path(scheme.__file__).read_text()))
+            if isinstance(node, ast.Call)
+        ]
+        assert not [f for f in calls if getattr(f, "id", getattr(f, "attr", None)) == "open"]
 
     def test_literals_equal_scipy_constants(self):
         assert config.hbar == scipy.constants.hbar
@@ -185,6 +206,7 @@ class TestConstants:
         assert config.EA0 == e * physical_constants["Bohr radius"][0]
         assert rydberg_receiver.EA0 is receiver.EA0 is config.EA0
         assert rydberg_receiver.dbm_to_watts is comms.dbm_to_watts is config.dbm_to_watts
-        assert scheme.ANGULAR_FREQUENCY_SUFFIXES is config.ANGULAR_FREQUENCY_SUFFIXES
+        assert scheme.read_ini is config.read_ini
+        assert scheme.convert_section is config.convert_section
         omega_probe = comms.EnvironmentParams(y_lo=1.0).omega_probe
         assert omega_probe == receiver.DEFAULT_CELL.probe_angular_frequency

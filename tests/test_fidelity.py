@@ -326,6 +326,13 @@ class TestOptimizer:
             optimize_operating_point(
                 (0.0, TWO_PI), 0.0, base_drive=self._base(), scheme=scheme
             )
+        # a negative lower bound is named, with or without a template
+        for template in (None, PerturbationRegion(center=(1.0,) * 4, half_widths=(1.0,) * 4)):
+            with pytest.raises(ValueError, match="search_range must start at >= 0"):
+                optimize_operating_point(
+                    (-TWO_PI * 2.0, TWO_PI * 4.0), TWO_PI * 30.0, template,
+                    base_drive=self._base(), scheme=scheme, grid_step=TWO_PI * 2.0,
+                )
 
     def test_result_type(self, scheme):
         result = optimize_operating_point(

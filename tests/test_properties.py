@@ -72,20 +72,48 @@ def test_generator_invariants(literal_rk4, drive, t):
 
 _TRANSITIONS = [f"transition.{n}" for n in range(1, 5)]
 _DECAYS = [f"decay.{src}-{dst}" for (src, dst, _rate) in _SCHEME.decay_channels]
+_LEVELS = [f"level.{lv.index}" for lv in _SCHEME.levels]
+_NUMBERED = _LEVELS + _TRANSITIONS + _DECAYS
+
+#: (section, key prefix, values), each of which spoils a scheme file: a value
+#: that is not finite, and a carrier or dipole that is not > 0.
+_BAD_VALUES = [
+    (name, key, ("nan", "inf", "-inf") + (("0", "-30.615") if key != "detuning" else ()))
+    for name in _TRANSITIONS for key in ("carrier", "dipole_ea0", "detuning")
+] + [(name, "rate", ("nan", "inf")) for name in _DECAYS]
+
+#: Edits that each make the file invalid wherever they land.
+_SPOILERS = ("typo", "duplicate", "value")
 
 mutations = st.one_of(
     st.tuples(st.just("renumber"), st.permutations(_TRANSITIONS)),
     st.tuples(st.just("drop"), st.sampled_from(_TRANSITIONS)),
     st.tuples(st.just("architecture"), st.sampled_from(["CRS", "PRS", "Hybrid"])),
     st.tuples(st.just("flip"), st.sampled_from(_DECAYS)),
+    st.tuples(st.just("percent"), st.sampled_from(_LEVELS)),
+    st.tuples(st.just("typo"), st.sampled_from(["scheme"] + _NUMBERED)),
+    st.tuples(st.just("duplicate"), st.sampled_from(_NUMBERED)),
+    st.sampled_from(_BAD_VALUES).flatmap(
+        lambda bad: st.tuples(st.just("value"), st.just(bad[:2]), st.sampled_from(bad[2]))
+    ),
 )
 
 
 def _mutate(text, edits):
-    """Apply ``edits`` to the section blocks of a scheme file."""
+    """Apply ``edits`` to the section blocks of a scheme file.
+
+    Spoiling edits go last, so that no later edit drops or rewrites the
+    section they spoiled. Returns the text and whether a spoiling edit
+    landed on a section that is still there.
+    """
     head, *blocks = re.split(r"(?m)^(?=\[)", text)
     sections = {block[1 : block.index("]")]: block for block in blocks}
-    for kind, arg in edits:
+    spoiled = False
+    for kind, arg, *value in sorted(edits, key=lambda edit: edit[0] in _SPOILERS):
+        target = arg[0] if kind == "value" else arg
+        if kind in _SPOILERS + ("percent",) and target not in sections:
+            continue
+        spoiled = spoiled or kind in _SPOILERS
         if kind == "renumber":
             present = [name for name in _TRANSITIONS if name in sections]
             bodies = [sections.pop(name).split("]", 1)[1] for name in present]
@@ -95,19 +123,36 @@ def _mutate(text, edits):
             sections.pop(arg, None)
         elif kind == "architecture":
             sections["scheme"] = f"[scheme]\narchitecture = {arg}\n\n"
-        else:
+        elif kind == "flip":
             sections[arg] = sections[arg].replace(" = ", " = -", 1)
-    return head + "".join(sections.values())
+        elif kind == "percent":
+            sections[arg] = re.sub(r"(?m)^label = .*$", r"\g<0> 100%", sections[arg])
+        elif kind == "typo":
+            # drop the second letter of the section's first key
+            sections[arg] = re.sub(r"(?m)^(\w)\w", r"\1", sections[arg], count=1)
+        elif kind == "duplicate":
+            # the same number written with a leading zero
+            copy = sections[arg].replace(".", ".0", 1)
+            sections[copy[1 : copy.index("]")]] = copy
+        else:
+            key = arg[1]
+            sections[target] = re.sub(
+                rf"(?m)^({key}\w*) = .*$", rf"\1 = {value[0]}", sections[target]
+            )
+    return head + "".join(sections.values()), spoiled
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(edits=st.lists(mutations, min_size=1, max_size=3))
 def test_mutated_scheme_exit_codes(scheme_text, edits):
-    with tempfile.TemporaryDirectory() as tmp:
+    text, spoiled = _mutate(scheme_text, edits)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         path = Path(tmp) / "scheme.ini"
-        path.write_text(_mutate(scheme_text, edits))
+        path.write_text(text)
         code = main(["steady-state", "--scheme", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2)
+    assert code == 1 if spoiled else code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

@@ -195,9 +195,32 @@ class TestParsing:
         assert scheme.decay_rate(2, 1) == pytest.approx(TWO_PI * 5.0)
 
     def test_unknown_key_rejected(self):
-        bad = _MINIMAL.replace("label = g", "label = g\ncolour = red")
-        with pytest.raises(SchemeFileError, match="colour"):
-            parse_scheme(bad)
+        # in every kind of section
+        for after in ("label = g", "architecture = CRS", "dipole_ea0 = 100.0", "rate_mhz = 5.0"):
+            bad = _MINIMAL.replace(after, f"{after}\ncolour = red")
+            with pytest.raises(SchemeFileError, match="unknown key 'colour'"):
+                parse_scheme(bad)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("[decay.2-1]", "[decay.02-1]\nrate_mhz = 5.0\n[decay.2-1]"),
+             r"\[decay.2-1\] repeats an earlier section's number"),
+            (("[transition.1]", "[transition.2]"), r"numbered 1..1, got \[2\]"),
+            (("carrier_ghz = 10.0", "carrier_ghz = -10.0"),
+             r"\[transition.1\] carrier must be > 0"),
+            (("dipole_ea0 = 100.0", "dipole_ea0 = 0"), "dipole_ea0 must be > 0"),
+            (("rate_mhz = 5.0", "rate_mhz = nan"), "rate must be finite"),
+            (("[level.4]", "[level.4.1]"), r"unknown section \[level.4.1\]"),
+        ],
+    )
+    def test_section_and_value_rules(self, edit, message):
+        with pytest.raises(SchemeFileError, match=message):
+            parse_scheme(_MINIMAL.replace(*edit))
+
+    def test_percent_is_literal(self):
+        scheme = parse_scheme(_MINIMAL.replace("label = g", "label = 100% g%%"))
+        assert scheme.level(1).label == "100% g%%"
 
     def test_missing_unit_suffix_rejected(self):
         bad = _MINIMAL.replace("carrier_ghz = 10.0", "carrier = 10.0")
@@ -230,6 +253,21 @@ dipole_ea0 = 1.0
         assert (scheme.transition(2).lower, scheme.transition(2).upper) == (3, 4)
 
     def test_bundled_equals_fresh_load(self, scheme):
-        assert cesium_scheme().transition(4).carrier_frequency == scheme.transition(
-            4
-        ).carrier_frequency
+        # every value of data/cesium_six_level.ini, as file literal x unit factor
+        ghz, mhz, khz = TWO_PI * 1e3, TWO_PI, TWO_PI * 1e-3
+        labels = ("6S1/2", "6P3/2", "60D5/2", "62P3/2", "61D5/2", "60F7/2")
+        expected = LevelScheme(
+            levels=tuple(Level(k, (-1) ** (k + 1), label) for k, label in enumerate(labels, 1)),
+            architecture=Architecture.HYBRID,
+            rf_transitions=(
+                RfTransition(3, 4, 30.615 * ghz, 2329.67, 1.0 * khz, "mmWave"),
+                RfTransition(4, 5, 3.054 * ghz, 7886.52, 1.0 * khz, "sub-6GHz"),
+                RfTransition(5, 6, 45.342 * ghz, 711.764, 2.0 * khz, "high-mmWave"),
+                RfTransition(3, 6, 79.01 * ghz, 250.939, 4.0 * khz, "satellite"),
+            ),
+            decay_channels=(
+                (2, 1, 5.2 * mhz), (3, 2, 0.8 * khz), (4, 3, 0.4 * khz),
+                (5, 4, 0.2 * khz), (6, 5, 0.15 * khz), (6, 3, 0.16 * khz),
+            ),
+        )
+        assert cesium_scheme() == scheme == expected
