@@ -86,7 +86,6 @@ from .scheme import (
     SchemeFileError,
     cesium_scheme,
     channel_count,
-    closed_loop_detuning,
     load_scheme,
     parse_scheme,
     validate_scheme,
@@ -106,7 +105,6 @@ __all__ = [
     "SchemeFileError",
     "cesium_scheme",
     "channel_count",
-    "closed_loop_detuning",
     "load_scheme",
     "parse_scheme",
     "validate_scheme",

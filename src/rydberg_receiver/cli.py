@@ -211,7 +211,9 @@ _RULES = (
 )
 
 #: Files each command writes, as ``--dry-run`` reports them; None for
-#: ``validate-scheme``, which writes nothing.
+#: ``validate-scheme``, which writes nothing. A file in ``_OPTIONAL`` is
+#: written only when its ``[waveform]`` flag is on.
+_OPTIONAL = {"demod.csv": "demodulate", "spectrogram.csv": "spectrogram"}
 PLANNED = {
     "steady-state": ["steady_state.csv", "summary.json", "manifest.json"],
     "dynamics": ["trajectory.csv", "summary.json", "manifest.json"],
@@ -247,8 +249,9 @@ def _dump_json(path, obj):
 
 def _load_inputs(args):
     schema = SCHEMAS[args.command]
+    origin = args.config if args.config is not None else "<defaults>"
     cfg = (load_config(args.config, schema) if args.config is not None
-           else parse_config("", schema, origin="<defaults>"))
+           else parse_config("", schema, origin))
     scheme = load_scheme(args.scheme) if args.scheme else cesium_scheme()
     if args.command != "validate-scheme":
         try:
@@ -257,7 +260,7 @@ def _load_inputs(args):
             raise SchemeFileError(f"{args.scheme}: {exc}") from None
     for section, test, message in _RULES:
         if section in cfg and not test(cfg[section], scheme.size):
-            raise ConfigError(f"[{section}] " + message.format(size=scheme.size))
+            raise ConfigError(f"{origin}: [{section}] " + message.format(size=scheme.size))
     return cfg, scheme
 
 
@@ -289,6 +292,7 @@ def _run(args):
     if args.dry_run:
         report = {"command": args.command, "dry_run": True}
         if planned is not None:
+            planned = [n for n in planned if n not in _OPTIONAL or cfg["waveform"][_OPTIONAL[n]]]
             report.update(parameters=cfg, would_write=planned)
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
         return 0

@@ -198,7 +198,9 @@ def convert_section(section_schema, section, items, origin):
     seen_raw = {}
     for raw_key, raw_value in items.items():
         if raw_key not in table:
-            raise ConfigError(f"{origin}: [{section}] unknown key {raw_key!r}")
+            suffixed = [key for key, (base, _, _) in table.items() if base == raw_key]
+            hint = f" (needs a unit suffix: {', '.join(suffixed)})" if suffixed else ""
+            raise ConfigError(f"{origin}: [{section}] unknown key {raw_key!r}{hint}")
         base, mode, factor = table[raw_key]
         if base in values:
             raise ConfigError(

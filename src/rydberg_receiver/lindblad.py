@@ -60,6 +60,12 @@ STEADY_STATE_METHODS = ("null_space", "evolve")
 _TRACE_TOL = 1e-9
 _EIG_TOL = -1e-8
 
+#: Raised for a stationary state of a time-dependent generator.
+_NO_STATIONARY_FRAME = (
+    "steady_state: generator is time dependent (nonzero closed-loop detuning); "
+    "no stationary state exists in this frame"
+)
+
 
 @dataclass(frozen=True)
 class DriveConfig:
@@ -587,13 +593,14 @@ def _stability_error(dt, norm):
 def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     """Integrate the master equation from ``rho0`` to ``t_end``.
 
-    Fixed-step RK4. For a constant generator the per-step update is the
-    degree-4 Taylor propagator, applied between snapshots through binary
-    matrix powering (identical algebra, far fewer Python-level steps). For
-    a time-dependent generator the four-stage RK4 step is expanded once per
-    call into nine matrices, one per power of the loop phase (see
-    :func:`_rk4_step_polynomial`); each step then weights them by that
-    step's phase powers, which are tabulated in blocks of steps. The
+    Fixed-step RK4, run by one snapshot loop; only the step from one
+    snapshot to the next depends on the generator kind. For a constant
+    generator it is the degree-4 Taylor propagator raised to the gap by
+    binary matrix powering (identical algebra, far fewer Python-level
+    steps). For a time-dependent generator the four-stage RK4 step is
+    expanded once per call into nine matrices, one per power of the loop
+    phase (see :func:`_rk4_step_polynomial`); each step then weights them by
+    that step's phase powers, which are tabulated in blocks of steps. The
     stage-by-stage loop that assembles the generator at ``t``, ``t + dt/2``
     and ``t + dt`` is kept in the tests as the reference.
 
@@ -625,44 +632,32 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     if error:
         raise error
 
-    dim = rho0.dim
     vec = vectorize(rho0.matrix)
-    bounds = _snapshot_boundaries(n_steps, max_snapshots) if n_steps else [0]
-    times = [0.0]
-    mats = [rho0.matrix.copy()]
-    drift = 0.0
-
     if isinstance(generator, TimeDependentLiouvillian):
         powers, increments = _rk4_step_polynomial(generator, dt)
         shape = (len(powers), vec.size)
-        for bi in range(1, len(bounds)):
-            for start in range(bounds[bi - 1], bounds[bi], _PHASE_BLOCK):
-                steps = np.arange(start, min(start + _PHASE_BLOCK, bounds[bi]))
-                phases = np.exp(-1j * generator.delta * dt * np.outer(steps, powers))
-                for row in phases:
+
+        def advance(vec, first, stop):
+            for start in range(first, stop, _PHASE_BLOCK):
+                steps = np.arange(start, min(start + _PHASE_BLOCK, stop))
+                for row in np.exp(-1j * generator.delta * dt * np.outer(steps, powers)):
                     vec = vec + row @ (increments @ vec).reshape(shape)
-            rho, d = _clean(vec, dim)
-            drift = max(drift, d)
-            vec = vectorize(rho)
-            times.append(bounds[bi] * dt)
-            mats.append(rho)
+            return vec
     else:
         p_step = taylor_propagator(generator.matrix, dt)
-        cached = {}
-        for bi in range(1, len(bounds)):
-            gap = bounds[bi] - bounds[bi - 1]
-            if gap not in cached:
-                cached[gap] = np.linalg.matrix_power(p_step, gap)
-            vec = cached[gap] @ vec
-            rho, d = _clean(vec, dim)
-            drift = max(drift, d)
-            vec = vectorize(rho)
-            times.append(bounds[bi] * dt)
-            mats.append(rho)
+        power = functools.cache(lambda gap: np.linalg.matrix_power(p_step, gap))
 
-    return Trajectory(
-        times=np.asarray(times), matrices=np.asarray(mats), max_trace_drift=drift
-    )
+        def advance(vec, first, stop):
+            return power(stop - first) @ vec
+
+    bounds = _snapshot_boundaries(n_steps, max_snapshots) if n_steps else [0]
+    mats, drift = [rho0.matrix.copy()], 0.0
+    for first, stop in zip(bounds, bounds[1:]):
+        rho, d = _clean(advance(vec, first, stop), rho0.dim)
+        drift = max(drift, d)
+        vec = vectorize(rho)
+        mats.append(rho)
+    return Trajectory(np.asarray(bounds) * dt, np.asarray(mats), drift)
 
 
 # ----------------------------------------------------------------------
@@ -753,12 +748,14 @@ def _numerical_states(basis, thetas, method, t_end, dt):
     generator is evolved point by point."""
     _check_method(method)
     if basis.drive.closed_loop_delta != 0.0:
+        if method == "null_space":
+            raise TypeError(_NO_STATIONARY_FRAME)
         states, errors = [], []
         for theta in thetas:
-            drive = basis.drive.with_rf_rabi(theta)
             try:
-                rho = steady_state_numerical(drive, basis.scheme, method, t_end, dt)
-                states.append(rho.matrix)
+                generator = make_generator(basis.drive.with_rf_rabi(theta), basis.scheme)
+                trajectory = evolve(ground_state(), generator, t_end, dt, max_snapshots=2)
+                states.append(trajectory.final.matrix)
                 errors.append(None)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 states.append(ground_state().matrix)
@@ -788,10 +785,7 @@ def steady_state(liouvillian):
         with no upper-manifold decay.
     """
     if isinstance(liouvillian, TimeDependentLiouvillian):
-        raise TypeError(
-            "steady_state: generator is time dependent (nonzero closed-loop detuning); "
-            "no stationary state exists in this frame"
-        )
+        raise TypeError(_NO_STATIONARY_FRAME)
     return _only(*_states(*_stationary_vectors(liouvillian.matrix[None])))
 
 
@@ -801,13 +795,11 @@ def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DE
     ``method="null_space"`` solves the stationary problem directly (the
     converged state); ``method="evolve"`` integrates from the ground state
     to ``t_end`` and returns the final snapshot, which is what a
-    fixed-horizon experiment sees. Both run the fidelity maps' stacked
-    kernels on a block of one.
+    fixed-horizon experiment sees. The latter is the fidelity maps' path
+    run on a block of one, so it equals a map cell.
     """
     _check_method(method)
-    gen = make_generator(drive, scheme)
     if method == "null_space":
-        return steady_state(gen)
-    if isinstance(gen, TimeDependentLiouvillian):
-        return evolve(ground_state(), gen, t_end=t_end, dt=dt, max_snapshots=2).final
-    return _only(*_states(*_evolve_vectors(gen.matrix[None], t_end, dt)))
+        return steady_state(make_generator(drive, scheme))
+    thetas = np.array([drive.rf_rabi])
+    return _only(*_numerical_states(_generator_basis(drive, scheme), thetas, method, t_end, dt))

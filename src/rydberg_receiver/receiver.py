@@ -137,6 +137,19 @@ class VaporCellParams:
 DEFAULT_CELL = VaporCellParams()
 
 
+def _check_bands(caller, names, offsets, bandwidths):
+    """Raise unless every two channels' offsets (rad/us) lie further apart
+    than the sum of their bandwidths (MHz), so their bands do not overlap."""
+    for a in range(len(names)):
+        for b in range(a + 1, len(names)):
+            sep = abs(offsets[a] - offsets[b]) / TWO_PI
+            if sep <= bandwidths[a] + bandwidths[b]:
+                raise ValueError(
+                    f"{caller}: channels {names[a]} and {names[b]} overlap (offset separation "
+                    f"{sep:.4g} MHz <= B_i + B_j = {bandwidths[a] + bandwidths[b]:.4g} MHz)"
+                )
+
+
 @dataclass(frozen=True)
 class RfSignalSpec:
     """Incident RF signal plan for the four channels.
@@ -175,17 +188,8 @@ class RfSignalSpec:
             raise ValueError("RfSignalSpec: bandwidths must be > 0")
         object.__setattr__(self, "envelopes", tuple(self.envelopes))
         active = self.active_channels()
-        for i in active:
-            for j in active:
-                if j <= i:
-                    continue
-                sep = abs(self.offsets[i - 1] - self.offsets[j - 1]) / TWO_PI
-                min_sep = self.bandwidths[i - 1] + self.bandwidths[j - 1]
-                if sep <= min_sep:
-                    raise ValueError(
-                        f"RfSignalSpec: channels {i} and {j} overlap "
-                        f"(offset separation {sep:.4g} MHz <= B_i + B_j = {min_sep:.4g} MHz)"
-                    )
+        _check_bands("RfSignalSpec", active, [self.offsets[n - 1] for n in active],
+                     [self.bandwidths[n - 1] for n in active])
 
     def active_channels(self):
         """1-based indices of channels with nonzero signal amplitude."""
@@ -512,14 +516,7 @@ def iq_demodulate(waveform, offsets, bandwidths):
     bandwidths = tuple(float(v) for v in bandwidths)
     if len(offsets) != len(bandwidths):
         raise ValueError("iq_demodulate: offsets and bandwidths must pair up")
-    for i in range(len(offsets)):
-        for j in range(i + 1, len(offsets)):
-            sep = abs(offsets[i] - offsets[j]) / TWO_PI
-            if sep <= bandwidths[i] + bandwidths[j]:
-                raise ValueError(
-                    f"iq_demodulate: bands {i + 1} and {j + 1} overlap "
-                    f"(separation {sep:.4g} MHz)"
-                )
+    _check_bands("iq_demodulate", range(1, len(offsets) + 1), offsets, bandwidths)
     fs = waveform.sample_rate
     x = waveform.ac()
     t = waveform.times

@@ -27,7 +27,6 @@ __all__ = [
     "ValidationReport",
     "channel_count",
     "validate_scheme",
-    "closed_loop_detuning",
     "load_scheme",
     "cesium_scheme",
 ]
@@ -221,15 +220,22 @@ class ValidationReport:
 
 
 def _odd_cycles(k, edges):
-    """One representative odd cycle per violating edge, via 2-coloring."""
+    """One representative odd cycle per violating edge, via 2-coloring: an
+    edge (u, v) between equal colors closes the tree path from u up to the
+    lowest common ancestor of u and v and down to v. Each cycle starts at
+    its smallest index, and one is kept per vertex set."""
     adj = {i: [] for i in range(1, k + 1)}
     for (a, b) in edges:
         adj[a].append(b)
         adj[b].append(a)
-    color = {}
-    parent = {}
-    cycles = []
-    seen_edges = set()
+    color, parent, cycles, seen = {}, {}, [], set()
+
+    def path_up(x):  # x and its tree ancestors, bottom up
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
     for root in range(1, k + 1):
         if root in color or not adj[root]:
             continue
@@ -243,41 +249,15 @@ def _odd_cycles(k, edges):
                     color[v] = color[u] ^ 1
                     parent[v] = u
                     stack.append(v)
-                elif color[v] == color[u] and frozenset((u, v)) not in seen_edges:
-                    seen_edges.add(frozenset((u, v)))
-                    # Reconstruct the cycle through the tree paths to the
-                    # lowest common ancestor of u and v.
-                    pu, pv = [u], [v]
-                    su, sv = {u}, {v}
-                    cu, cv = u, v
-                    while True:
-                        if parent[cu] is not None:
-                            cu = parent[cu]
-                            if cu in sv:
-                                idx = pv.index(cu)
-                                cycles.append(tuple(reversed(pu + [cu])) + tuple(reversed(pv[:idx])))
-                                break
-                            pu.append(cu)
-                            su.add(cu)
-                        if parent[cv] is not None:
-                            cv = parent[cv]
-                            if cv in su:
-                                idx = pu.index(cv)
-                                cycles.append(tuple(pu[: idx + 1]) + tuple(reversed(pv)))
-                                break
-                            pv.append(cv)
-                            sv.add(cv)
-                        if parent[cu] is None and parent[cv] is None:
-                            break
-    # Normalize: smallest index first, deduplicate by vertex set.
-    out, seen = [], set()
-    for cyc in cycles:
-        key = frozenset(cyc)
-        if key not in seen:
-            seen.add(key)
-            start = cyc.index(min(cyc))
-            out.append(cyc[start:] + cyc[:start])
-    return tuple(out)
+                elif color[v] == color[u]:
+                    up, down = path_up(u), path_up(v)
+                    top = next(x for x in up if x in down)
+                    cycle = tuple(up[: up.index(top) + 1] + down[: down.index(top)][::-1])
+                    if frozenset(cycle) not in seen:
+                        seen.add(frozenset(cycle))
+                        start = cycle.index(min(cycle))
+                        cycles.append(cycle[start:] + cycle[:start])
+    return tuple(cycles)
 
 
 def validate_scheme(scheme):
@@ -313,22 +293,6 @@ def require_hybrid_six(scheme):
             f"{scheme.architecture.value} with K={scheme.size} and "
             f"{len(scheme.rf_transitions)} RF transitions"
         )
-
-
-def closed_loop_detuning(scheme):
-    """Net detuning around the RF loop 3-4-5-6-3 (rad/us).
-
-    The loop branch detuning minus the sum of the cascade detunings. Zero
-    is required for a time-independent rotating frame to exist.
-
-    Raises
-    ------
-    ValueError
-        For anything but the six-level hybrid scheme.
-    """
-    require_hybrid_six(scheme)
-    d1, d2, d3, d4 = (tr.detuning for tr in scheme.rf_transitions)
-    return d4 - (d1 + d2 + d3)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ integrator's stability bound and time-dependent generators.
 """
 
 import importlib
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -165,6 +166,34 @@ class TestGates:
                 raises[i, j] = True
         assert 0 < raises.sum() < raises.size
         assert np.array_equal(np.isnan(scan.fidelities), raises)
+
+    def test_open_loop_evolve_map_equals_per_point(self, scheme, op_drive):
+        # a 40 kHz loop detuning makes every point's generator time
+        # dependent; at dt = 1e-3 the largest amplitudes break the stability bound
+        drive = replace(op_drive, rf_rabi=(0.0, 0.0, TWO_PI * 2.0, TWO_PI * 2.0),
+                        rf_detunings=(0.0, 0.0, 0.0, TWO_PI * 0.04))
+        t_end, dt = 0.2, 1e-3
+        scan = rr.fidelity_scan(
+            drive, (1, 2), scheme, ranges=((0.0, TWO_PI * 10.0),) * 2, resolution=3,
+            steady_state_method="evolve", t_end=t_end, dt=dt,
+        )
+        for i, j in np.ndindex(scan.fidelities.shape):
+            point = scan.drive_at(i, j)
+            generator = rr.make_generator(point, scheme)
+            assert isinstance(generator, rr.TimeDependentLiouvillian)
+            try:
+                final = rr.evolve(rr.ground_state(), generator, t_end, dt, max_snapshots=2).final
+                ctx = rr.AnalyticContext.from_drive(point, scheme.decay_rate(2, 1))
+                expected = rr.fidelity(final, rr.analytic_steady_state(ctx))
+            except ValueError as exc:
+                assert "stability bound" in str(exc)
+                expected = float("nan")
+            assert np.array_equal(scan.fidelities[i, j], expected, equal_nan=True)
+            assert np.array_equal(
+                per_point(drive, scheme, point.rf_rabi, "evolve", t_end, dt), expected,
+                equal_nan=True,
+            )
+        assert 0 < np.isnan(scan.fidelities).sum() < scan.fidelities.size
 
     def test_time_dependent_null_space_map_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "td.ini"

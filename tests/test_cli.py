@@ -354,6 +354,16 @@ class TestWaveform:
         assert capsys.readouterr().err == ""
         assert not recwarn.list
 
+    def test_dry_run_plan_follows_flags(self, tmp_path, capsys):
+        cfg = "[waveform]\nduration_us = 20\ndemodulate = false\nspectrogram = false\n"
+        out = tmp_path / "out"
+        assert run(tmp_path, "waveform", "--out", str(out), "--dry-run", config=cfg) == 0
+        planned = json.loads(capsys.readouterr().out)["would_write"]
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert planned == manifest["outputs"] + ["manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(planned)
+
     def test_record_shorter_than_filters_exits_2(self, tmp_path, capsys):
         cfg = "[waveform]\nduration_us = 1\n"
         assert run(tmp_path, "waveform", "--out", str(tmp_path / "o"), config=cfg) == 2
@@ -536,14 +546,38 @@ class TestLoadTimeChecks:
              "power_max_dbm"),
             ("optimize-lo", "optimize", {"search_lo_mhz": "5", "search_hi_mhz": "1"}, "search_hi"),
             ("dynamics", "dynamics", {"initial_level": "9"}, "initial_level"),
+            ("dynamics", "dynamics", {"max_snapshots": "1"}, "max_snapshots"),
         ],
     )
     def test_checked_before_dry_run(self, tmp_path, capsys, command, section, keys, named, dry_run):
         out = tmp_path / "out"
         flags = ["--dry-run"] if dry_run else []
         assert run(tmp_path, command, "--out", str(out), *flags, config=_ini({section: keys})) == 1
-        assert f"[{section}] {named}" in capsys.readouterr().err
+        assert f"{tmp_path / 'run.ini'}: [{section}] {named}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, scheme_edit, message",
+        [
+            ("[drive]\nomega_p = 5.7\n", None,
+             "[drive] unknown key 'omega_p' (needs a unit suffix: omega_p_ghz, omega_p_mhz, "
+             "omega_p_khz, omega_p_hz)"),
+            (None, ("carrier_ghz", "carrier"),
+             "[transition.1] unknown key 'carrier' (needs a unit suffix: carrier_ghz, "
+             "carrier_mhz, carrier_khz, carrier_hz)"),
+        ],
+        ids=["run-config", "scheme-file"],
+    )
+    def test_bare_dimensioned_key_names_unit_suffixes(
+        self, tmp_path, capsys, scheme_text, config, scheme_edit, message
+    ):
+        argv = ["steady-state", "--out", str(tmp_path / "out")]
+        if scheme_edit:
+            path = tmp_path / "scheme.ini"
+            path.write_text(scheme_text.replace(*scheme_edit, 1))
+            argv += ["--scheme", str(path)]
+        assert run(tmp_path, *argv, config=config) == 1
+        assert message in capsys.readouterr().err
 
 
 def _rule_cases():

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from rydberg_receiver.cli import SCHEMAS, _resolve_drive
+from rydberg_receiver.config import parse_config
+from rydberg_receiver.lindblad import Liouvillian, make_generator
 from rydberg_receiver.scheme import (
     Architecture,
     Level,
@@ -11,7 +14,6 @@ from rydberg_receiver.scheme import (
     SchemeFileError,
     cesium_scheme,
     channel_count,
-    closed_loop_detuning,
     parse_scheme,
     validate_scheme,
 )
@@ -79,8 +81,11 @@ class TestBundledScheme:
         assert [scheme.level(i).parity for i in range(1, 7)] == [1, -1, 1, -1, 1, -1]
 
     def test_loop_detuning_closed(self, scheme):
-        # 4 kHz - (1 + 1 + 2) kHz: the documented detunings close the loop
-        assert closed_loop_detuning(scheme) == pytest.approx(0.0, abs=1e-12)
+        # 4 kHz - (1 + 1 + 2) kHz: the documented detunings close the loop,
+        # so the CLI's drive on the bundled scheme has a constant generator
+        drive = _resolve_drive(parse_config("", SCHEMAS["steady-state"])["drive"], scheme)
+        assert drive.closed_loop_delta == 0.0
+        assert isinstance(make_generator(drive, scheme), Liouvillian)
 
 
 def _levels(parities):
