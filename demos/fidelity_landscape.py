@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import rydberg_receiver as rr
-from rydberg_receiver.analytic import AnalyticContext, analytic_steady_state
+from rydberg_receiver.analytic import analytic_steady_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,7 +67,7 @@ def main():
     for i, j in dark[:5]:
         drive = scan.drive_at(i, j)
         converged = rr.steady_state_numerical(drive, scheme, method="null_space")
-        analytic = analytic_steady_state(AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1)))
+        analytic = analytic_steady_state(drive, scheme)
         f_conv = rr.fidelity(converged, analytic)
         print(f"  ({vals2[i] / TWO_PI:4.1f}, {vals3[j] / TWO_PI:4.1f}) 2pi*MHz: "
               f"{scan.fidelities[i, j]:.4f} -> {f_conv:.4f}")

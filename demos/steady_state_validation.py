@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import rydberg_receiver as rr
-from rydberg_receiver.analytic import AnalyticContext, analytic_steady_state
+from rydberg_receiver.analytic import analytic_steady_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,7 +34,7 @@ def main():
         omega_c=TWO_PI * 0.97,
         rf_rabi=(TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0),
     )
-    analytic = analytic_steady_state(AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1)))
+    analytic = analytic_steady_state(drive, scheme)
 
     # how slow is the slowest decaying mode at this drive?
     generator = rr.make_generator(drive, scheme)

@@ -11,8 +11,7 @@ rates.
 __version__ = "0.1.0"
 
 from .analytic import (
-    AnalyticContext,
-    analytic_rho21,
+    AnalyticContext,  # not public: the argument of bench/checks.py's one-argument call
     analytic_steady_state,
     rho21_from_amplitudes,
     zeta,
@@ -124,8 +123,6 @@ __all__ = [
     "unvectorize",
     "vectorize",
     # analytic
-    "AnalyticContext",
-    "analytic_rho21",
     "analytic_steady_state",
     "rho21_from_amplitudes",
     "zeta",

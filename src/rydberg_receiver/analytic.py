@@ -24,19 +24,13 @@ receiver chain uses to evaluate megasample waveforms in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .lindblad import DensityMatrix, _validate_states
 
-__all__ = [
-    "AnalyticContext",
-    "zeta",
-    "analytic_rho21",
-    "analytic_steady_state",
-    "rho21_from_amplitudes",
-]
+__all__ = ["zeta", "analytic_steady_state", "rho21_from_amplitudes"]
 
 
 _DEGENERATE = (
@@ -56,89 +50,30 @@ def zeta(rf_rabi):
 
 
 def _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21):
+    """Loop imbalance zeta and common denominator Lambda."""
     o1, o2, o3, o4 = rf_rabi
-    z = o1 * o3 - o2 * o4
-    sigma_sq = o1 * o1 + o2 * o2 + o3 * o3 + o4 * o4
+    z = zeta(rf_rabi)
     op2 = omega_p * omega_p
     lam = (
         z * z * gamma_21 * gamma_21
-        + 2.0 * op2 * op2 * sigma_sq
+        + 2.0 * op2 * op2 * (o1 * o1 + o2 * o2 + o3 * o3 + o4 * o4)
         + 2.0 * ((o2 * o2 + o3 * o3) * omega_c * omega_c + z * z) * op2
     )
-    return z, sigma_sq, lam
-
-
-@dataclass(frozen=True)
-class AnalyticContext:
-    """Inputs of the closed form plus its derived invariants.
-
-    Attributes
-    ----------
-    omega_p, omega_c : float
-        Probe and coupling Rabi amplitudes (rad/us).
-    rf_rabi : tuple of 4 floats
-        RF loop amplitudes (rad/us).
-    gamma_21 : float
-        Probe decay rate (rad/us), the only dissipation of the reduced
-        model.
-    zeta, sigma_omega_sq, lam : float
-        Derived: loop imbalance, total RF power, common denominator.
-    """
-
-    omega_p: float
-    omega_c: float
-    rf_rabi: tuple
-    gamma_21: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rf_rabi", tuple(float(v) for v in self.rf_rabi))
-        if len(self.rf_rabi) != 4:
-            raise ValueError(f"AnalyticContext: rf_rabi needs 4 entries, got {len(self.rf_rabi)}")
-        for name in ("omega_p", "omega_c", "gamma_21"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.gamma_21 < 0:
-            raise ValueError("AnalyticContext: gamma_21 must be >= 0")
-        z, s, lam = _lambda_terms(self.omega_p, self.omega_c, self.rf_rabi, self.gamma_21)
-        object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "sigma_omega_sq", s)
-        object.__setattr__(self, "lam", lam)
-
-    @classmethod
-    def from_drive(cls, drive, gamma_21):
-        """Context from a resonant :class:`~rydberg_receiver.lindblad.DriveConfig`."""
-        return cls(
-            omega_p=drive.omega_p,
-            omega_c=drive.omega_c,
-            rf_rabi=drive.rf_rabi,
-            gamma_21=gamma_21,
-        )
-
-    def _require_valid(self):
-        if not self.lam > 0.0:
-            raise ValueError(_DEGENERATE)
-
-
-def analytic_rho21(ctx):
-    """Steady-state probe coherence ``rho_21 = -i Omega_P gamma_21 zeta^2 / Lambda``.
-
-    Purely imaginary with nonpositive imaginary part for nonnegative
-    inputs: the probe is absorbed, never amplified. Exactly zero whenever
-    the loop is balanced (zeta = 0).
-    """
-    ctx._require_valid()
-    z = ctx.zeta
-    return -1j * ctx.omega_p * ctx.gamma_21 * z * z / ctx.lam
+    return z, lam
 
 
 def rho21_from_amplitudes(omega_p, omega_c, rf_rabi, gamma_21):
-    """Vectorized probe coherence; ``rf_rabi`` entries may be arrays.
+    """Steady-state probe coherence ``rho_21 = -i Omega_P gamma_21 zeta^2 / Lambda``.
 
-    Broadcasts over time-dependent RF amplitudes. Raises on any sample
-    where the denominator degenerates to zero.
+    ``rf_rabi`` entries may be arrays: the result broadcasts over
+    time-dependent RF amplitudes. Purely imaginary with nonpositive
+    imaginary part for nonnegative inputs: the probe is absorbed, never
+    amplified. Exactly zero whenever the loop is balanced (zeta = 0).
+    Raises unless Lambda is positive at every sample (a NaN fails too).
     """
-    z, _s, lam = _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21)
-    if np.any(np.asarray(lam) <= 0.0):
-        raise ValueError("rho21_from_amplitudes: Lambda = 0 at some sample (degenerate regime)")
+    z, lam = _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21)
+    if not np.all(lam > 0.0):
+        raise ValueError(_DEGENERATE)
     return -1j * omega_p * gamma_21 * z * z / lam
 
 
@@ -147,7 +82,7 @@ def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
     ``(B,)`` arrays), shape ``(B, 6, 6)``, with per-sample errors: the
     ValueError of a degenerate sample (Lambda = 0, held as NaN) or of a
     broken :class:`DensityMatrix` invariant, or None."""
-    z, _s, lam = (np.atleast_1d(v) for v in _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21))
+    z, lam = (np.atleast_1d(v) for v in _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21))
     valid = lam > 0.0
     lam = np.where(valid, lam, np.nan)
     op, oc, g = omega_p, omega_c, gamma_21
@@ -186,8 +121,27 @@ def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
     return rho, errors
 
 
-def analytic_steady_state(ctx):
-    """Full closed-form stationary density matrix.
+class AnalyticContext(NamedTuple):
+    """A drive and its probe decay: the argument of the one-argument call
+    ``analytic_steady_state(ctx)`` that ``bench/checks.py`` still makes."""
+
+    drive: object
+    gamma_21: float
+
+    @classmethod
+    def from_drive(cls, drive, gamma_21):
+        return cls(drive, gamma_21)
+
+
+def analytic_steady_state(drive, scheme=None):
+    """Full closed-form stationary density matrix at a resonant drive.
+
+    The call shape of :func:`~rydberg_receiver.lindblad.steady_state_numerical`,
+    so an oracle check reads ``fidelity(steady_state_numerical(d, s),
+    analytic_steady_state(d, s))``. Of ``scheme`` the closed form reads
+    only the probe decay gamma_21 = ``scheme.decay_rate(2, 1)``, the one
+    dissipation of the reduced model. It is omitted only when ``drive`` is
+    an :class:`AnalyticContext`, which carries gamma_21 itself.
 
     Populations and the nine structurally nonzero lower-triangle coherences
     are assembled term by term; the remaining coherences
@@ -201,7 +155,11 @@ def analytic_steady_state(ctx):
     -------
     DensityMatrix
     """
-    rho, errors = _closed_form(ctx.omega_p, ctx.omega_c, ctx.rf_rabi, ctx.gamma_21)
+    if isinstance(drive, AnalyticContext):
+        drive, gamma_21 = drive
+    else:
+        gamma_21 = scheme.decay_rate(2, 1)
+    rho, errors = _closed_form(drive.omega_p, drive.omega_c, drive.rf_rabi, gamma_21)
     if errors[0]:
         raise errors[0]
     return DensityMatrix(rho[0])

@@ -38,10 +38,11 @@ from .lindblad import (
     basis_state,
     evolve,
     make_generator,
+    steady_state,
     steady_state_numerical,
     vectorize,
 )
-from .analytic import AnalyticContext, analytic_steady_state
+from .analytic import analytic_steady_state
 from .numerics import TWO_PI, write_csv
 from .receiver import (
     DEFAULT_CELL,
@@ -325,13 +326,16 @@ def cmd_steady_state(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     method = cfg["steady_state"]["method"]
     if method == "analytic":
-        rho = analytic_steady_state(AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1)))
+        rho = analytic_steady_state(drive, scheme)
         residual = None
     else:
-        rho = steady_state_numerical(
-            drive, scheme, method, cfg["steady_state"]["t_end"], cfg["steady_state"]["dt"]
-        )
         generator = make_generator(drive, scheme)
+        if method == "null_space":
+            rho = steady_state(generator)
+        else:
+            rho = steady_state_numerical(
+                drive, scheme, method, cfg["steady_state"]["t_end"], cfg["steady_state"]["dt"]
+            )
         matrix = (
             generator.matrix(0.0)
             if isinstance(generator, TimeDependentLiouvillian)
@@ -342,8 +346,7 @@ def cmd_steady_state(cfg, scheme, seed):
     comparison = None
     if cfg["steady_state"]["compare_analytic"] and method != "analytic":
         try:
-            ctx = AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1))
-            ref = analytic_steady_state(ctx)
+            ref = analytic_steady_state(drive, scheme)
             comparison = {
                 "max_abs_difference": float(np.max(np.abs(rho.matrix - ref.matrix))),
                 "resonant_drive": drive.is_resonant,

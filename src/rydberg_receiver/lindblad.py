@@ -704,15 +704,13 @@ def _stationary_vectors(generators):
     return vecs, errors
 
 
-def _evolve_vectors(generators, t_end, dt, norm_bounds=None):
+def _evolve_vectors(generators, t_end, dt, norm_bounds):
     """``evolve(ground_state(), L, t_end, dt, 2).final`` as vectors, for a
     stack: one stacked Taylor propagator raised to the step count. Upper
     bounds ``norm_bounds`` clear points of the stability bound without an
     SVD; the exact norm decides the rest, so no decision changes."""
     n_steps = _horizon_steps(t_end, dt)
-    unclear = np.arange(len(generators))
-    if norm_bounds is not None:
-        unclear = np.flatnonzero(~(dt * norm_bounds * (1.0 + 1e-9) <= 0.1))
+    unclear = np.flatnonzero(~(dt * norm_bounds * (1.0 + 1e-9) <= 0.1))
     errors = [None] * len(generators)
     for k, norm in zip(unclear, np.linalg.norm(generators[unclear], 2, axis=(-2, -1)).tolist()):
         errors[k] = _stability_error(dt, norm)

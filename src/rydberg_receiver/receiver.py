@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticContext, analytic_rho21, rho21_from_amplitudes
+from .analytic import rho21_from_amplitudes
 from .config import EA0, c_light, epsilon_0, hbar
 from .lindblad import steady_state_numerical
 from .numerics import TWO_PI, write_csv
@@ -124,13 +124,6 @@ class VaporCellParams:
     def probe_angular_frequency(self):
         """Probe optical angular frequency (rad/s)."""
         return TWO_PI * c_light / self.probe_wavelength
-
-    @classmethod
-    def from_probe_field(cls, probe_field, omega_p, **kwargs):
-        """Alternative calibration: infer the dipole from an assumed probe
-        field amplitude (V/m) and the probe Rabi (rad/us)."""
-        mu = hbar * (omega_p * 1e6) / probe_field
-        return cls(probe_dipole=mu, **kwargs)
 
 
 #: Bundled cesium-cell calibration defaults.
@@ -294,8 +287,9 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
     also covers balanced-loop points where the closed form is degenerate.
     """
     if model == "analytic":
-        ctx = AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1))
-        rho21 = analytic_rho21(ctx)
+        rho21 = rho21_from_amplitudes(
+            drive.omega_p, drive.omega_c, drive.rf_rabi, scheme.decay_rate(2, 1)
+        )
     elif model == "numerical":
         rho21 = steady_state_numerical(drive, scheme, method="null_space").coherence(2, 1)
     else:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the bundled scheme, a probe-decay-only variant, the
+"""Shared fixtures: the bundled scheme, its probe-decay-only variants, the
 documented operating point, the stage-by-stage RK4 reference and the
 row-by-row CSV reference."""
 
@@ -49,15 +49,27 @@ def renumbered_scheme_text(scheme_text):
 
 
 @pytest.fixture(scope="session")
-def reduced_scheme(scheme):
-    """Only the probe decay retained: the regime where the closed form is
-    exact, so numerical and analytic steady states must coincide."""
-    return LevelScheme(
-        levels=scheme.levels,
-        architecture=Architecture.HYBRID,
-        rf_transitions=scheme.rf_transitions,
-        decay_channels=((2, 1, scheme.decay_rate(2, 1)),),
-    )
+def probe_decay_scheme(scheme):
+    """``probe_decay_scheme(gamma_21)``: the bundled scheme, parsed once,
+    with the probe decay at rate ``gamma_21`` (rad/us) as its only channel:
+    the regime where the closed form is exact."""
+
+    def make(gamma_21):
+        return LevelScheme(
+            levels=scheme.levels,
+            architecture=Architecture.HYBRID,
+            rf_transitions=scheme.rf_transitions,
+            decay_channels=((2, 1, gamma_21),),
+        )
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def reduced_scheme(scheme, probe_decay_scheme):
+    """Only the bundled probe decay retained, so numerical and analytic
+    steady states must coincide."""
+    return probe_decay_scheme(scheme.decay_rate(2, 1))
 
 
 @pytest.fixture(scope="session")

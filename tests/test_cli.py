@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydberg_receiver import cli
+from rydberg_receiver import cli, lindblad
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
 from rydberg_receiver.config import _key_table, parse_config
 from rydberg_receiver.lindblad import make_generator, steady_state
@@ -182,6 +182,20 @@ class TestSteadyState:
         code = run(tmp_path, "steady-state", "--out", str(tmp_path / "o"), config=cfg)
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
+
+    def test_null_space_builds_one_generator(self, tmp_path, monkeypatch):
+        # the stationary solve and the Liouvillian residual share one generator
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return make_generator(*args)
+
+        for module in (lindblad, cli):
+            monkeypatch.setattr(module, "make_generator", counted)
+        cfg = "[steady_state]\nmethod = null_space\n"
+        assert run(tmp_path, "steady-state", "--out", str(tmp_path / "o"), config=cfg) == 0
+        assert len(calls) == 1
 
     def test_csv_bytes_match_row_writer(self, tmp_path, scheme, literal_csv):
         out = tmp_path / "out"

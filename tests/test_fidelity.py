@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rydberg_receiver as rr
-from rydberg_receiver.analytic import AnalyticContext, analytic_steady_state
+from rydberg_receiver.analytic import analytic_steady_state
 from rydberg_receiver.fidelity import (
     FidelityScan,
     OperatingPointResult,
@@ -121,9 +121,7 @@ class TestFidelityScan:
         )
         assert scan.fidelities.shape == (1, 1)
         numerical = rr.steady_state_numerical(drive, scheme, method="null_space")
-        analytic = analytic_steady_state(
-            AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1))
-        )
+        analytic = analytic_steady_state(drive, scheme)
         assert scan.fidelities[0, 0] == pytest.approx(fidelity(numerical, analytic), abs=1e-12)
 
     def test_grid_layout_and_min_point(self, scheme):
@@ -191,9 +189,7 @@ class TestAverageFidelity:
         region = PerturbationRegion(center=op_drive.rf_rabi, half_widths=(0.0,) * 4)
         avg = average_fidelity(region, op_drive, scheme)
         numerical = rr.steady_state_numerical(op_drive, scheme, method="null_space")
-        analytic = analytic_steady_state(
-            AnalyticContext.from_drive(op_drive, scheme.decay_rate(2, 1))
-        )
+        analytic = analytic_steady_state(op_drive, scheme)
         assert avg == pytest.approx(fidelity(numerical, analytic), abs=1e-12)
 
     def test_plateau_average_high(self, scheme, op_drive):
@@ -243,9 +239,7 @@ class TestOptimizer:
                             continue
                         drive = base.with_rf_rabi((w, x, y, z))
                         num = rr.steady_state_numerical(drive, scheme, method="null_space")
-                        ana = analytic_steady_state(
-                            AnalyticContext.from_drive(drive, scheme.decay_rate(2, 1))
-                        )
+                        ana = analytic_steady_state(drive, scheme)
                         val = fidelity(num, ana)
                         if val > best_val:
                             best_val, best_pt = val, (w, x, y, z)

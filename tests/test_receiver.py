@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from scipy import signal
-from scipy.constants import hbar
 
 import rydberg_receiver as rr
 from rydberg_receiver.lindblad import DriveConfig
@@ -74,13 +73,6 @@ class TestVaporCell:
 
         expected = TWO_PI * c / DEFAULT_CELL.probe_wavelength
         assert DEFAULT_CELL.probe_angular_frequency == pytest.approx(expected, rel=1e-12)
-
-    def test_from_probe_field(self):
-        omega_p = TWO_PI * 5.7
-        field = 10.0
-        cell = VaporCellParams.from_probe_field(field, omega_p)
-        assert cell.probe_dipole == pytest.approx(hbar * omega_p * 1e6 / field, rel=1e-12)
-        assert cell.cell_length == DEFAULT_CELL.cell_length
 
 
 class TestRfSignalSpec:
