@@ -28,9 +28,7 @@ from .comms import (
     ergodic_sum_rate,
     monte_carlo_sum_rate,
     noise_variances,
-    rayleigh_power_samples,
     snr,
-    sum_rate,
 )
 from .fidelity import (
     FidelityScan,
@@ -160,7 +158,5 @@ __all__ = [
     "ergodic_sum_rate",
     "monte_carlo_sum_rate",
     "noise_variances",
-    "rayleigh_power_samples",
     "snr",
-    "sum_rate",
 ]

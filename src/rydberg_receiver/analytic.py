@@ -62,6 +62,21 @@ def _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21):
     return z, lam
 
 
+def _rho21_gradient(omega_p, omega_c, rf_rabi, gamma_21):
+    """``d rho_21 / d Omega_n`` for n = 1..4, the quotient rule on
+    ``Im rho_21 = -Omega_P gamma_21 zeta^2 / Lambda`` with
+    ``d zeta / d Omega = (Omega_3, -Omega_4, Omega_1, -Omega_2)``; exactly
+    zero wherever the loop is balanced. Assumes Lambda > 0."""
+    o1, o2, o3, o4 = rf_rabi
+    z, lam = _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21)
+    op2 = omega_p * omega_p
+    dz = np.array([o3, -o4, o1, -o2])
+    dlam = 2.0 * z * dz * (gamma_21 * gamma_21 + 2.0 * op2) + 4.0 * op2 * (
+        op2 * np.array([o1, o2, o3, o4]) + omega_c * omega_c * np.array([0.0, o2, o3, 0.0])
+    )
+    return -1j * (omega_p * gamma_21 * z * (2.0 * dz * lam - z * dlam) / (lam * lam))
+
+
 def rho21_from_amplitudes(omega_p, omega_c, rf_rabi, gamma_21):
     """Steady-state probe coherence ``rho_21 = -i Omega_P gamma_21 zeta^2 / Lambda``.
 

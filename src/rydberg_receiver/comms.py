@@ -33,9 +33,7 @@ __all__ = [
     "blackbody_psd",
     "noise_variances",
     "snr",
-    "sum_rate",
     "ergodic_sum_rate",
-    "rayleigh_power_samples",
     "monte_carlo_sum_rate",
     "dbm_to_watts",
     "ArchitectureComparison",
@@ -191,17 +189,6 @@ def snr(channel, fading_power):
     return out if out.ndim else float(out)
 
 
-def sum_rate(channels, fading_powers):
-    """Instantaneous sum rate (bits/s) at one fading realization per channel."""
-    fading_powers = np.asarray(fading_powers, dtype=float)
-    if fading_powers.shape != (len(channels),):
-        raise ValueError("sum_rate: need one fading power per channel")
-    total = 0.0
-    for ch, h in zip(channels, fading_powers):
-        total += ch.bandwidth * math.log2(1.0 + snr(ch, float(h)))
-    return total
-
-
 def ergodic_sum_rate(channels):
     """Fading-averaged sum rate (bits/s) under Rayleigh power fading.
 
@@ -221,13 +208,6 @@ def ergodic_sum_rate(channels):
         scaled = np.where(on, exp_e1_scaled(1.0 / np.where(on, gam, 1.0)), 0.0)
         total = total + ch.bandwidth / LN2 * scaled
     return total if np.ndim(total) else float(total)
-
-
-def rayleigh_power_samples(n, fading_scale=1.0, seed=None):
-    """Draw ``n`` Rayleigh fading power samples |h|^2 ~ Exp(mean=scale)."""
-    if not fading_scale > 0:
-        raise ValueError("rayleigh_power_samples: fading_scale must be > 0")
-    return np.random.default_rng(seed).exponential(fading_scale, int(n))
 
 
 def monte_carlo_sum_rate(channels, n_samples, seed=None):

@@ -53,13 +53,12 @@ def _fidelities(rho_n, rho_a):
     """Fidelities of two ``(B, d, d)`` stacks of validated states, as the
     squared nuclear norm ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2`` (Jozsa,
     J. Mod. Opt. 41, 2315 (1994)), which stays well conditioned where a
-    state is rank deficient. The errors are those of ``psd_sqrt`` on the
-    oracle states; a numerical state is clipped at zero, being validated
-    already to :class:`DensityMatrix`'s tolerance."""
-    roots, errors = _psd_roots(np.concatenate([rho_n, rho_a]))
+    state is rank deficient. Validation bounds every eigenvalue below by
+    ``PSD_CLAMP``, and the roots clip what lies above it to zero."""
+    roots, _ = _psd_roots(np.concatenate([rho_n, rho_a]))
     b = len(rho_n)
     singular = np.linalg.svd(roots[:b] @ roots[b:], compute_uv=False)
-    return np.sum(singular, axis=-1) ** 2, errors[b:]
+    return np.sum(singular, axis=-1) ** 2
 
 
 def fidelity(rho_n, rho_a):
@@ -73,10 +72,7 @@ def fidelity(rho_n, rho_a):
         rho_n = DensityMatrix(np.asarray(rho_n))
     if not isinstance(rho_a, DensityMatrix):
         rho_a = DensityMatrix(np.asarray(rho_a))
-    values, errors = _fidelities(rho_n.matrix[None], rho_a.matrix[None])
-    if errors[0]:
-        raise errors[0]
-    return float(values[0])
+    return float(_fidelities(rho_n.matrix[None], rho_a.matrix[None])[0])
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,7 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
         found = [e or m for e, m in zip(found, more)]
         ok = [k for k, e in enumerate(found) if e is None]
         if ok:
-            fids, more = _fidelities(numerical[ok], analytic[ok])
-            for k, f, error in zip(ok, fids.tolist(), more):
-                values[start + k], found[k] = (np.nan, error) if error else (f, None)
+            values[start + np.array(ok)] = _fidelities(numerical[ok], analytic[ok])
         errors += found
     return values, errors
 

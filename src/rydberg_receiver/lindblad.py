@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, null_space, write_csv
+from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, null_space, write_csv
 from .scheme import require_hybrid_six
 
 __all__ = [
@@ -58,7 +58,6 @@ DEFAULT_DT = 1e-4
 STEADY_STATE_METHODS = ("null_space", "evolve")
 
 _TRACE_TOL = 1e-9
-_EIG_TOL = -1e-8
 
 #: Raised for a stationary state of a time-dependent generator.
 _NO_STATIONARY_FRAME = (
@@ -180,8 +179,8 @@ def _validate_states(m):
         ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {h:.3e})") if h > HERMITICITY_TOL
         else ValueError(f"DensityMatrix: trace {tr} deviates from 1 beyond {_TRACE_TOL:.0e}")
         if abs(tr - 1.0) > _TRACE_TOL
-        else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w:.3e} below {_EIG_TOL:.0e})")
-        if w < _EIG_TOL else None
+        else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w:.3e} below {PSD_CLAMP:.0e})")
+        if w < PSD_CLAMP else None
         for h, tr, w in zip(herm, traces, w0)
     ]
 
@@ -398,7 +397,7 @@ def _generator_basis(drive, scheme):
 @functools.lru_cache(maxsize=8)
 def _basis_at(drive, scheme):
     """Built once per scheme and base drive and shared read-only, so the
-    generators of a gain stencil or a map reuse one basis."""
+    generators of a map and a gain's linear response reuse one basis."""
     units = np.zeros((4, scheme.size, scheme.size), dtype=complex)
     for n, tr in enumerate(scheme.rf_transitions):
         units[n, tr.lower - 1, tr.upper - 1] = 0.5 * np.exp(1j * drive.rf_phases[n])
@@ -678,14 +677,21 @@ def _inverse_or_nan(m):
         return np.full_like(m, np.nan)
 
 
-def _stationary_vectors(generators):
-    """Stationary ``vec(rho)`` of each generator: row 0 (redundant, since
-    ``Tr o L = 0``) becomes the trace and ``Tr(rho) = 1`` is solved for, the
-    "direct" method of Johansson, Nation & Nori, Comput. Phys. Commun. 184,
-    1234 (2013). A singular point or one with 1-norm condition number above
-    ``1/NULL_SPACE_TOL`` takes the SVD null space, which decides degeneracy."""
+def _trace_row_system(generators):
+    """The generators with row 0 (redundant, since ``Tr o L = 0``) replaced
+    by the trace, so that ``a @ vec = e_0`` fixes ``Tr(rho) = 1``."""
     a = generators.copy()
-    a[:, 0, :] = _trace_row(a.shape[-1])
+    a[..., 0, :] = _trace_row(a.shape[-1])
+    return a
+
+
+def _stationary_vectors(generators):
+    """Stationary ``vec(rho)`` of each generator, solved on the trace-row
+    system, the "direct" method of Johansson, Nation & Nori, Comput. Phys.
+    Commun. 184, 1234 (2013). A singular point or one with 1-norm condition
+    number above ``1/NULL_SPACE_TOL`` takes the SVD null space, which
+    decides degeneracy."""
+    a = _trace_row_system(generators)
     try:
         inverses = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # one singular matrix fails the whole call
@@ -785,6 +791,24 @@ def steady_state(liouvillian):
     if isinstance(liouvillian, TimeDependentLiouvillian):
         raise TypeError(_NO_STATIONARY_FRAME)
     return _only(*_states(*_stationary_vectors(liouvillian.matrix[None])))
+
+
+def _stationary_response(drive, scheme):
+    """Stationary state at a drive point and its derivatives by the four RF
+    amplitudes, ``(DensityMatrix, (4, d, d) array)``.
+
+    Differentiating ``L(theta) vec = 0`` gives ``L d_n vec = -S_n vec`` with
+    ``S_n`` the channel superoperators of the generator basis; on the
+    trace-row system, whose trace row asks ``Tr(d_n rho) = 0``, that is one
+    factorization with four right-hand sides (exact linear response of the
+    stationary state: Albert, Bradlyn, Fraas & Jiang, PRX 6, 041031 (2016)).
+    """
+    generator = make_generator(drive, scheme)
+    rho = steady_state(generator)
+    rhs = -(_generator_basis(drive, scheme).channels @ vectorize(rho.matrix))
+    rhs[:, 0] = 0.0
+    dvecs = np.linalg.solve(_trace_row_system(generator.matrix), rhs.T).T
+    return rho, dvecs.reshape(-1, rho.dim, rho.dim).swapaxes(-1, -2)
 
 
 def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DEFAULT_DT):

@@ -42,7 +42,9 @@ TWO_PI = 6.283185307179586
 # the slowest decay by ~9.4e-4 in the package's internal units).
 HERMITICITY_TOL = 1e-9
 NULL_SPACE_TOL = 1e-9
-PSD_CLAMP = -1e-10
+#: Smallest eigenvalue a positive-semidefinite matrix may have: a state
+#: is valid down to it, and roots clip everything above it to zero.
+PSD_CLAMP = -1e-8
 
 #: Rows formatted per write by :func:`write_csv`, so a table of any length
 #: costs a bounded amount of memory on top of its columns.
@@ -86,18 +88,13 @@ def null_space(m):
 
 def _psd_roots(m):
     """Hermitian square roots of a ``(B, n, n)`` stack of Hermitian
-    matrices, eigenvalues clipped at zero, and per matrix the ValueError of
-    an eigenvalue below ``PSD_CLAMP`` (or None)."""
+    matrices, eigenvalues clipped at zero, and the smallest eigenvalue of
+    each matrix."""
     # Symmetrize before factorizing so round-off in the input cannot leak
     # into complex eigenvalues.
     w, v = np.linalg.eigh((m + np.conj(np.swapaxes(m, -1, -2))) / 2.0)
     r = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    errors = [
-        ValueError(f"psd_sqrt: matrix is not PSD (min eigenvalue {w0:.3e} below clamp {PSD_CLAMP:.1e})")
-        if w0 < PSD_CLAMP else None
-        for w0 in w[:, 0].tolist()
-    ]
-    return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0, errors
+    return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0, w[:, 0]
 
 
 def psd_sqrt(m):
@@ -134,9 +131,11 @@ def psd_sqrt(m):
             f"psd_sqrt: input is not Hermitian (max |m - m^H| = {dev:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e})"
         )
-    roots, errors = _psd_roots(m[None])
-    if errors[0]:
-        raise errors[0]
+    roots, w0 = _psd_roots(m[None])
+    if w0[0] < PSD_CLAMP:
+        raise ValueError(
+            f"psd_sqrt: matrix is not PSD (min eigenvalue {w0[0]:.3e} below clamp {PSD_CLAMP:.1e})"
+        )
     return roots[0]
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import rho21_from_amplitudes
+from .analytic import _rho21_gradient, rho21_from_amplitudes
 from .config import EA0, c_light, epsilon_0, hbar
-from .lindblad import steady_state_numerical
+from .lindblad import _stationary_response
 from .numerics import TWO_PI, write_csv
 
 __all__ = [
@@ -54,10 +54,6 @@ FILTER_STOPBAND_DB = 65.0
 BPF_HALF_WIDTH = 0.6
 LPF_CUTOFF = 0.6
 TRANSITION_BANDWIDTHS = 1.5
-
-#: Finite-difference step of :func:`gain_coefficients`: 2 pi x 1 kHz (rad/us).
-GAIN_STEP = TWO_PI * 1e-3
-
 
 @dataclass(frozen=True)
 class VaporCellParams:
@@ -275,6 +271,18 @@ def _detector_current(cell, omega_p, rho21):
     )
 
 
+def _coherence(drive, scheme, model):
+    """Probe coherence ``rho_21`` at a drive point and its derivatives
+    ``d rho_21 / d Omega_n``, shape ``(4,)``, under ``model``."""
+    if model == "analytic":
+        args = (drive.omega_p, drive.omega_c, drive.rf_rabi, scheme.decay_rate(2, 1))
+        return rho21_from_amplitudes(*args), _rho21_gradient(*args)
+    if model == "numerical":
+        rho, drho = _stationary_response(drive, scheme)
+        return rho.coherence(2, 1), drho[:, 1, 0]
+    raise ValueError(f"photodetector_output: unknown model {model!r}")
+
+
 def photodetector_output(drive, cell, scheme, model="analytic"):
     """DC photodetector current at a drive point.
 
@@ -286,50 +294,26 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
     ``model="numerical"`` uses the converged full-decay steady state, which
     also covers balanced-loop points where the closed form is degenerate.
     """
-    if model == "analytic":
-        rho21 = rho21_from_amplitudes(
-            drive.omega_p, drive.omega_c, drive.rf_rabi, scheme.decay_rate(2, 1)
-        )
-    elif model == "numerical":
-        rho21 = steady_state_numerical(drive, scheme, method="null_space").coherence(2, 1)
-    else:
-        raise ValueError(f"photodetector_output: unknown model {model!r}")
+    rho21, _ = _coherence(drive, scheme, model)
     return float(_detector_current(cell, drive.omega_p, rho21))
 
 
 def gain_coefficients(lo, cell, scheme, model="analytic"):
     """Per-channel RF-to-electrical gains at the LO operating point.
 
-    ``G_n = (mu_n / hbar) * dy/dOmega_n`` via central finite differences
-    with step :data:`GAIN_STEP` (one-sided second-order stencil when the LO
-    amplitude sits closer than one step to zero). Units: A per (V/m).
+    ``G_n = (mu_n / hbar) dy/dOmega_n = (mu_n / hbar) y 2 Xi0 Im(d rho_21 /
+    d Omega_n)``, the exact derivative of the ``model`` that
+    :func:`photodetector_output` evaluates: the quotient rule on the closed
+    form, or the linear response of the stationary state. Units: A per (V/m).
 
     Raises
     ------
     ValueError
-        If a derivative comes out non-finite (operating-point error).
+        If a gain comes out non-finite (operating-point error).
     """
-    gains = []
-    for n in range(1, 5):
-        mu_over_hbar = _rabi_per_field(n, scheme)  # (rad/us) per (V/m)
-        if mu_over_hbar == 0.0:
-            gains.append(0.0)
-            continue
-        rf = list(lo.rf_rabi)
-        base = rf[n - 1]
-        if base >= GAIN_STEP:
-            stencil = ((GAIN_STEP, 1.0), (-GAIN_STEP, -1.0))
-        else:
-            stencil = ((0.0, -3.0), (GAIN_STEP, 4.0), (2.0 * GAIN_STEP, -1.0))
-        dy = 0.0
-        for shift, weight in stencil:
-            rf[n - 1] = base + shift
-            dy += weight * photodetector_output(lo.with_rf_rabi(rf), cell, scheme, model=model)
-        g = mu_over_hbar * (dy / (2.0 * GAIN_STEP))
-        if not np.isfinite(g):
-            raise ValueError(f"gain_coefficients: non-finite derivative on channel {n}")
-        gains.append(g)
-    return GainVector(gains=tuple(gains))
+    rho21, drho21 = _coherence(lo, scheme, model)
+    slope = _detector_current(cell, lo.omega_p, rho21) * 2.0 * cell.xi0(lo.omega_p) * drho21.imag
+    return GainVector(gains=tuple(_rabi_per_field(n, scheme) * slope[n - 1] for n in range(1, 5)))
 
 
 @dataclass(frozen=True)

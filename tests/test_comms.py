@@ -21,9 +21,7 @@ from rydberg_receiver.comms import (
     ergodic_sum_rate,
     monte_carlo_sum_rate,
     noise_variances,
-    rayleigh_power_samples,
     snr,
-    sum_rate,
 )
 from rydberg_receiver.receiver import DEFAULT_CELL
 from rydberg_receiver.scheme import Architecture
@@ -143,16 +141,6 @@ class TestSnr:
         with pytest.raises(ValueError, match="fading"):
             snr(unit_channel(1.0), -0.1)
 
-    def test_sum_rate_hand_value(self):
-        ch = ChannelModel(gain=2.0, transmit_power=3.0, bandwidth=5.0,
-                          rf_frequency=1.0, sigma_i_sq=4.0)
-        # snr(h=1) = 3 exactly, so the rate is 5 log2(4) = 10 bits/s
-        assert sum_rate([ch], [1.0]) == pytest.approx(10.0, rel=1e-12)
-
-    def test_sum_rate_shape_checked(self):
-        with pytest.raises(ValueError, match="one fading power"):
-            sum_rate([unit_channel(1.0)], [1.0, 2.0])
-
 
 class TestErgodicRate:
     def test_unit_snr_constant(self):
@@ -225,13 +213,6 @@ class TestErgodicRate:
 
 
 class TestMonteCarlo:
-    def test_rayleigh_sampler(self):
-        h = rayleigh_power_samples(200_000, fading_scale=2.0, seed=5)
-        assert np.mean(h) == pytest.approx(2.0, rel=0.01)
-        assert np.array_equal(h, rayleigh_power_samples(200_000, fading_scale=2.0, seed=5))
-        with pytest.raises(ValueError, match="fading_scale"):
-            rayleigh_power_samples(10, fading_scale=0.0)
-
     def test_converges_to_closed_form(self):
         ch = unit_channel(1.0)
         mc = monte_carlo_sum_rate([ch], n_samples=200_000, seed=42)

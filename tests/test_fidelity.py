@@ -60,6 +60,11 @@ class TestFidelity:
     def test_raw_arrays_accepted(self):
         assert fidelity(np.eye(6) / 6.0, np.eye(6) / 6.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_valid_state_with_negative_eigenvalue(self):
+        # valid to DensityMatrix's PSD bound, so its root clips the -5e-9
+        sigma = DensityMatrix(np.diag([0.5 + 5e-9, 0.5, -5e-9, 0.0, 0.0, 0.0]))
+        assert fidelity(rr.ground_state(), sigma) == pytest.approx(0.5, abs=1e-8)
+
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(6), rr.ground_state())  # trace 6, not a state
