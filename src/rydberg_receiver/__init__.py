@@ -52,7 +52,6 @@ from .lindblad import (
     steady_state,
     steady_state_numerical,
     taylor_propagator,
-    unvectorize,
     vectorize,
 )
 from .numerics import (
@@ -118,7 +117,6 @@ __all__ = [
     "steady_state",
     "steady_state_numerical",
     "taylor_propagator",
-    "unvectorize",
     "vectorize",
     # analytic
     "analytic_steady_state",

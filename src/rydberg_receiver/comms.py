@@ -21,7 +21,7 @@ import numpy as np
 from .config import c_light, dbm_to_watts, epsilon_0, hbar, k_B
 from .lindblad import DriveConfig
 from .numerics import TWO_PI, exp_e1_scaled, write_csv
-from .receiver import DEFAULT_CELL, gain_coefficients, photodetector_output
+from .receiver import DEFAULT_CELL, _operating_point
 from .scheme import Architecture
 
 __all__ = [
@@ -318,9 +318,9 @@ def compare_architectures(
 
     Every architecture drives the subset of RF channels it supports with
     the amplitudes of ``rabi_set`` (unused channels off) at the same probe
-    and coupling point. Gains and operating output come from the full
-    steady-state model, because zeroed ladder links make the reduced
-    closed form blind to the surviving channels.
+    and coupling point. Gains and operating output come from one solve of
+    the full steady-state model per architecture, because zeroed ladder
+    links make the reduced closed form blind to the surviving channels.
 
     Parameters
     ----------
@@ -341,8 +341,7 @@ def compare_architectures(
     bandwidth_rates = {}
     for arch, active in ARCH_CHANNELS.items():
         lo = _masked_drive(omega_p, omega_c, rabi_set, active)
-        gains[arch] = gain_coefficients(lo, cell, scheme, model="numerical")
-        y_lo[arch] = photodetector_output(lo, cell, scheme, model="numerical")
+        y_lo[arch], gains[arch] = _operating_point(lo, cell, scheme, "numerical")
         env = EnvironmentParams(
             y_lo=y_lo[arch],
             temperature=temperature,

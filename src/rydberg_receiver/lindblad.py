@@ -13,7 +13,9 @@ generator acting on ``vec(rho)`` is::
     L = -i (I (x) H - H^T (x) I)
         + sum_(l->k)  gamma * ( conj(J) (x) J - 1/2 (I (x) J^H J + (J^H J)^T (x) I) )
 
-with jump operators ``J = |k><l|`` for each decay channel ``l -> k``.
+with jump operators ``J = |k><l|`` for each decay channel ``l -> k``. The
+kernels run in real arithmetic on a state's coordinates in a Hermitian
+basis (:func:`_hermitian_basis`), where a generator is a real matrix.
 
 All angular frequencies are rad/us and times are us, so generator entries
 stay O(1e-3 .. 1e2) and ``t = 10`` is a round number.
@@ -44,7 +46,6 @@ __all__ = [
     "ground_state",
     "basis_state",
     "vectorize",
-    "unvectorize",
     "taylor_propagator",
     "DEFAULT_DT",
 ]
@@ -187,9 +188,7 @@ def _validate_states(m):
 
 def ground_state(dim=6):
     """|1><1| on a ``dim``-level manifold."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[0, 0] = 1.0
-    return DensityMatrix(m)
+    return basis_state(1, dim)
 
 
 def basis_state(k, dim=6):
@@ -204,9 +203,43 @@ def vectorize(m):
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
-def unvectorize(v, dim=6):
-    """Inverse of :func:`vectorize`."""
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
+@functools.lru_cache(maxsize=4)
+def _hermitian_basis(dim):
+    """Unitary ``T`` whose row ``m`` is ``G_m`` of an orthonormal Hermitian
+    basis, flattened row-major: level ``k`` (zero-based) adds ``|k><k|`` at
+    row ``k^2``, then ``(|j><k| + |k><j|)/sqrt2`` and ``i(|k><j| -
+    |j><k|)/sqrt2`` for each ``j < k``. ``rho = sum_m x_m G_m`` has real
+    coordinates ``x = T vec(rho)``, on which a generator is the real ``T L
+    T^H`` (Alicki & Lendi, Lect. Notes Phys. 286 (1987)). Populations keep
+    an empty level's coordinates exactly 0, and the solve eliminates lower
+    levels first, so decoupled upper levels stay exactly empty."""
+    g = np.zeros((dim * dim, dim, dim), dtype=complex)
+    for k in range(dim):
+        g[k * k, k, k] = 1.0
+        for j in range(k):
+            sym = k * k + 1 + 2 * j
+            g[sym, j, k] = g[sym, k, j] = math.sqrt(0.5)
+            g[sym + 1, k, j], g[sym + 1, j, k] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    t = g.reshape(dim * dim, dim * dim)
+    t.setflags(write=False)
+    return t
+
+
+def _to_basis(m, inverse=False):
+    """``T m T^H`` (real if ``m`` preserves Hermiticity), or ``T^H m T``."""
+    t = _hermitian_basis(math.isqrt(m.shape[-1]))
+    return _dagger(t) @ m @ t if inverse else t @ m @ _dagger(t)
+
+
+def _coordinates(m):
+    """Real coordinates of a Hermitian matrix."""
+    return (_hermitian_basis(len(m)) @ vectorize(m)).real
+
+
+def _matrices(x):
+    """Hermitian matrices of the ``(..., d^2)`` coordinate vectors."""
+    dim = math.isqrt(x.shape[-1])
+    return (x @ _hermitian_basis(dim)).reshape(x.shape[:-1] + (dim, dim))
 
 
 # ----------------------------------------------------------------------
@@ -266,25 +299,8 @@ def _hamiltonian_superop(x):
     return (-1j * (left - right)).reshape(x.shape[:-2] + (d * d, d * d))
 
 
-@functools.lru_cache(maxsize=8)
-def _dissipator(decay_channels, dim):
-    """Sum of decay dissipators in vectorized form, built once per scheme
-    and shared read-only by every generator."""
-    eye = np.eye(dim)
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for (src, dst, rate) in decay_channels:
-        jump = np.zeros((dim, dim), dtype=complex)
-        jump[dst - 1, src - 1] = 1.0
-        jj = jump.conj().T @ jump
-        out += rate * (
-            np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
-        )
-    out.setflags(write=False)
-    return out
-
-
 def _trace_errors(m):
-    """Per generator of a ``(B, d^2, d^2)`` stack, the ValueError if
+    """Per real generator of a ``(B, d^2, d^2)`` stack, the ValueError if
     ``||Tr o L|| > 1e-10 max(1, ||L||_F)`` (or None)."""
     defects = np.linalg.norm(_trace_row(m.shape[-1]) @ m, axis=-1).tolist()
     scales = np.linalg.norm(m, axis=(-2, -1)).tolist()
@@ -295,36 +311,40 @@ def _trace_errors(m):
     ]
 
 
+@functools.lru_cache(maxsize=4)
 def _trace_row(n2):
-    """``vec(rho) -> Tr(rho)`` as a row, for ``vec`` of length ``n2``."""
-    return vectorize(np.eye(math.isqrt(n2))).conj()
+    """``x -> Tr(rho)`` as a 0/1 row on coordinates of length ``n2``."""
+    row = np.isin(np.arange(n2), np.arange(math.isqrt(n2)) ** 2).astype(float)
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Time-independent generator of the vectorized master equation.
+    """Time-independent generator, held as the real ``T L T^H`` on
+    coordinates (see :func:`_hermitian_basis`). Construction checks trace
+    preservation: the trace row must annihilate every column."""
 
-    Construction checks trace preservation: the functional extracting
-    ``Tr(rho_dot)`` must annihilate every column of the matrix.
-    """
-
-    matrix: np.ndarray
+    real_form: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        n2 = m.shape[0]
-        dim = int(round(n2**0.5))
-        if m.ndim != 2 or m.shape != (n2, n2) or dim * dim != n2:
+        m = np.array(self.real_form, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or math.isqrt(len(m)) ** 2 != len(m):
             raise ValueError(f"Liouvillian: expected (d^2, d^2) matrix, got {m.shape}")
         error = _trace_errors(m[None])[0]
         if error:
             raise error
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "real_form", m)
+
+    @property
+    def matrix(self):
+        """``L``, the complex superoperator on column-major ``vec(rho)``."""
+        return _to_basis(self.real_form, inverse=True)
 
     def norm(self):
         """Spectral norm, used for integrator stability bounds."""
-        return float(np.linalg.norm(self.matrix, 2))
+        return float(np.linalg.norm(self.real_form, 2))
 
     def spectral_report(self):
         """(closest-to-zero |eigenvalue|, largest real part of the rest)."""
@@ -340,8 +360,7 @@ class TimeDependentLiouvillian:
 
     Produced when the closed-loop detuning is nonzero; the oscillating
     parts come from the loop branch of the Hamiltonian. :func:`evolve`
-    integrates it from the three parts and ``delta`` directly (one RK4
-    step is a fixed polynomial in the loop phase); :meth:`matrix` gives
+    integrates it from the three parts and ``delta``; :meth:`matrix` gives
     the generator at one time, for oracles and stationarity checks.
     """
 
@@ -355,32 +374,33 @@ class TimeDependentLiouvillian:
         phase = np.exp(-1j * self.delta * t)
         return self.constant + phase * self.loop_lower + np.conj(phase) * self.loop_raise
 
-    def norm(self):
-        # Upper bound, tight enough for the stability heuristic.
+    def norm(self, t_end=math.inf):
+        """Bound on ``||L(t)||`` for ``0 <= t <= t_end``, which tends to the
+        closed-loop norm as delta goes to 0: ``L(t) - L(0) = (p - 1) B +
+        (conj(p) - 1) C`` with ``|p - 1| <= min(2, |delta| t)``."""
+        swing = min(2.0, abs(self.delta) * t_end)
         return float(
-            np.linalg.norm(self.constant, 2)
-            + np.linalg.norm(self.loop_lower, 2)
-            + np.linalg.norm(self.loop_raise, 2)
+            np.linalg.norm(self.constant + self.loop_lower + self.loop_raise, 2)
+            + swing * (np.linalg.norm(self.loop_lower, 2) + np.linalg.norm(self.loop_raise, 2))
         )
 
 
 @dataclass(frozen=True)
 class _GeneratorBasis:
-    """``L(theta) = constant + sum_k theta_k channels_k``, where channel k is
-    the superoperator of its coupling ``units_k = exp(i phi_k)/2`` (upper
-    triangle) plus the conjugate, and ``constant`` holds the lasers, the
-    detunings and the dissipator. No RF entry shares a position with another
-    term, so every sum is exact and a stack assembled here equals the
-    generators built one by one."""
+    """``L(theta) = constant + sum_k theta_k channels_k`` in real form (see
+    :class:`Liouvillian`), where channel k is the superoperator of its
+    coupling ``units_k = exp(i phi_k)/2`` (upper triangle) plus the
+    conjugate, and ``constant`` holds the lasers, the detunings and the
+    dissipator. Every generator, one or a stack, is assembled here."""
 
     drive: DriveConfig  # the lasers, detunings and RF phases; no RF amplitude
     scheme: object
-    constant: np.ndarray
+    constant: np.ndarray  # (d^2, d^2), real
     units: np.ndarray  # (4, d, d)
-    channels: np.ndarray  # (4, d^2, d^2)
+    channels: np.ndarray  # (4, d^2, d^2), real
 
     def assemble(self, thetas):
-        """Generators at each row of the ``(B, 4)`` amplitudes."""
+        """Real generators at each row of the ``(B, 4)`` amplitudes."""
         return self.constant + np.tensordot(thetas, self.channels, axes=1)
 
     @functools.cached_property
@@ -402,10 +422,14 @@ def _basis_at(drive, scheme):
     for n, tr in enumerate(scheme.rf_transitions):
         units[n, tr.lower - 1, tr.upper - 1] = 0.5 * np.exp(1j * drive.rf_phases[n])
     constant = _hamiltonian_superop(build_hamiltonian(drive, scheme))
-    constant += _dissipator(scheme.decay_channels, scheme.size)
-    basis = _GeneratorBasis(
-        drive, scheme, constant, units, _hamiltonian_superop(units + _dagger(units))
-    )
+    eye = np.eye(scheme.size)
+    for (src, dst, rate) in scheme.decay_channels:  # jump operators J = |dst><src|
+        jump = np.zeros((scheme.size, scheme.size))
+        jump[dst - 1, src - 1] = 1.0
+        jj = jump.T @ jump
+        constant += rate * (np.kron(jump, jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj, eye)))
+    channels = _to_basis(_hamiltonian_superop(units + _dagger(units))).real
+    basis = _GeneratorBasis(drive, scheme, _to_basis(constant).real, units, channels)
     for array in (basis.constant, basis.units, basis.channels):
         array.setflags(write=False)
     return basis
@@ -429,7 +453,7 @@ def make_generator(drive, scheme):
     loop, theta[0, _LOOP] = theta[0, _LOOP], 0.0
     unit = basis.units[_LOOP]
     return TimeDependentLiouvillian(
-        constant=basis.assemble(theta)[0],
+        constant=_to_basis(basis.assemble(theta)[0], inverse=True),
         loop_lower=loop * _hamiltonian_superop(unit),
         loop_raise=loop * _hamiltonian_superop(_dagger(unit)),
         delta=drive.closed_loop_delta,
@@ -449,7 +473,7 @@ def taylor_propagator(matrix, dt):
     RK4 trajectory exactly (up to the order of floating-point rounding).
     """
     a = dt * matrix
-    p = np.eye(a.shape[-1], dtype=complex) + a
+    p = np.eye(a.shape[-1], dtype=a.dtype) + a
     term = a
     for k in (2, 3, 4):
         term = term @ a / k
@@ -463,57 +487,38 @@ _PHASE_BLOCK = 1024
 
 
 def _rk4_step_polynomial(generator, dt):
-    """One RK4 step of a time-dependent generator as a Laurent polynomial.
+    """One RK4 step of a time-dependent generator as nine real matrices.
 
     At ``t = n dt`` the generator is ``L(p) = A + p B + conj(p) C`` with
-    loop phase ``p = exp(-i delta t)``; the stage times ``t + dt/2`` and
-    ``t + dt`` multiply ``p`` by ``w = exp(-i delta dt/2)`` and ``w^2``.
-    Carrying the stages ``k1..k4`` through as polynomials in ``p`` gives
-    the step exactly: ``vec(t + dt) = vec + sum_k p^k D_k vec`` for
-    ``k = -4..4``. The identity stays out of ``D_0`` so the increment is
-    added to ``vec`` as in the stage-by-stage update.
-
-    Returns the powers ``k`` and the ``D_k`` stacked as ``(9 d^2, d^2)``.
-    """
+    loop phase ``p = exp(-i delta t)``, and the stage times multiply ``p``
+    by ``w = exp(-i delta dt/2)`` and ``w^2``. So the step less the identity
+    is ``sum_k p^k D_k``, ``k = -4..4``, whose ``D_k`` a discrete Fourier
+    transform over the ninth roots of unity reads off. On real coordinates
+    ``E_k = T D_k T^H`` has ``E_-k = conj(E_k)``, so the step less the
+    identity is ``r @ M``: ``r = [1, Re p^k, Im p^k]``, ``k = 1..4``, and
+    ``M = [E_0, 2 Re E_1..4, -2 Im E_1..4]`` stacked as ``(9 d^2, d^2)``."""
+    roots = np.exp(2j * np.pi * np.arange(9) / 9)[:, None, None]
     w = np.exp(-0.5j * generator.delta * dt)
 
-    def stage(s):
-        # L(p s) as {power of p: matrix}
-        return {
-            -1: np.conj(s) * generator.loop_raise,
-            0: generator.constant,
-            1: s * generator.loop_lower,
-        }
+    def at(p):  # L(p) at each root, (9, d^2, d^2)
+        return generator.constant + p * generator.loop_lower + np.conj(p) * generator.loop_raise
 
-    def apply(m, k, h):
-        # m (I + h k): the stage generator applied to the stage state
-        out = dict(m)
-        for i, x in m.items():
-            for j, y in k.items():
-                term = h * (x @ y)
-                out[i + j] = out[i + j] + term if i + j in out else term
-        return out
-
-    k1 = stage(1.0)
-    k2 = apply(stage(w), k1, 0.5 * dt)
-    k3 = apply(stage(w), k2, 0.5 * dt)
-    k4 = apply(stage(w * w), k3, dt)
-    powers = np.arange(-4, 5)
-    zero = np.zeros_like(generator.constant)
-    increments = [
-        (dt / 6.0)
-        * (k1.get(k, zero) + 2.0 * k2.get(k, zero) + 2.0 * k3.get(k, zero) + k4.get(k, zero))
-        for k in powers
-    ]
-    return powers, np.concatenate(increments)
+    eye = np.eye(len(generator.constant))
+    k1 = at(roots)
+    k2 = at(roots * w) @ (eye + 0.5 * dt * k1)
+    k3 = at(roots * w) @ (eye + 0.5 * dt * k2)
+    k4 = at(roots * w * w) @ (eye + dt * k3)
+    increments = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    e = _to_basis(np.fft.fft(increments, axis=0)[:5] / 9.0)  # D_k = mean of p^-k D(p)
+    return np.concatenate([e[0].real, *(2.0 * e[1:].real), *(-2.0 * e[1:].imag)])
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Stored snapshots of an evolution run.
 
-    Snapshots are re-Hermitized and trace-renormalized; the raw trace
-    drift observed before renormalization is kept for diagnostics.
+    Snapshots are trace-renormalized; the raw trace drift observed before
+    renormalization is kept for diagnostics.
     """
 
     times: np.ndarray
@@ -560,13 +565,10 @@ def _snapshot_boundaries(n_steps, max_snapshots):
     return list(range(0, n_steps, stride)) + [n_steps]
 
 
-def _clean(vec, dim):
-    """Re-Hermitized, trace-normalized states of ``(..., d^2)`` vectors, and
-    the trace drift of each."""
-    rho = vec.reshape(vec.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
-    rho = (rho + _dagger(rho)) / 2.0
-    tr = rho.trace(axis1=-2, axis2=-1).real
-    return rho / tr[..., None, None], abs(tr - 1.0)
+def _clean(x):
+    """Trace-normalized ``(..., d^2)`` coordinate vectors, and their trace drifts."""
+    tr = x @ _trace_row(x.shape[-1])
+    return x / tr[..., None], abs(tr - 1.0)
 
 
 def _horizon_steps(t_end, dt):
@@ -592,19 +594,16 @@ def _stability_error(dt, norm):
 def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     """Integrate the master equation from ``rho0`` to ``t_end``.
 
-    Fixed-step RK4, run by one snapshot loop; only the step from one
-    snapshot to the next depends on the generator kind. For a constant
-    generator it is the degree-4 Taylor propagator raised to the gap by
-    binary matrix powering (identical algebra, far fewer Python-level
-    steps). For a time-dependent generator the four-stage RK4 step is
-    expanded once per call into nine matrices, one per power of the loop
-    phase (see :func:`_rk4_step_polynomial`); each step then weights them by
-    that step's phase powers, which are tabulated in blocks of steps. The
-    stage-by-stage loop that assembles the generator at ``t``, ``t + dt/2``
-    and ``t + dt`` is kept in the tests as the reference.
-
-    Each stored snapshot is re-Hermitized as ``(rho + rho^H)/2`` and
-    trace-renormalized; evolution continues from the cleaned state.
+    Fixed-step RK4 on real coordinates (see :class:`Liouvillian`), run by
+    one snapshot loop; only the step from one snapshot to the next depends
+    on the generator kind. For a constant generator it is the degree-4
+    Taylor propagator raised to the gap by binary matrix powering
+    (identical algebra, far fewer Python-level steps). For a time-dependent
+    generator the RK4 step is expanded once per call into nine real
+    matrices (see :func:`_rk4_step_polynomial`), weighted at each step by
+    its loop phase powers, tabulated in blocks of steps. The tests keep the
+    stage-by-stage loop as the reference. Each stored snapshot is
+    trace-renormalized, and evolution continues from it.
 
     Parameters
     ----------
@@ -614,7 +613,8 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
         End time (us); finite, nonnegative and an integer multiple of ``dt``.
     dt : float
         Step (us); finite and positive, and rejected if it violates the
-        stability bound ``dt <= 0.1 / ||L||``.
+        stability bound ``dt <= 0.1 / ||L||`` (for a time-dependent generator
+        ``||L||`` is its bound over the horizon, ``generator.norm(t_end)``).
     max_snapshots : int
         Cap on stored states, at least 2 (first and last always included).
 
@@ -627,36 +627,37 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     n_steps = _horizon_steps(t_end, dt)
     if max_snapshots < 2:
         raise ValueError(f"evolve: max_snapshots must be >= 2, got {max_snapshots}")
-    error = _stability_error(dt, generator.norm())
+    time_dependent = isinstance(generator, TimeDependentLiouvillian)
+    error = _stability_error(dt, generator.norm(t_end) if time_dependent else generator.norm())
     if error:
         raise error
 
-    vec = vectorize(rho0.matrix)
-    if isinstance(generator, TimeDependentLiouvillian):
-        powers, increments = _rk4_step_polynomial(generator, dt)
-        shape = (len(powers), vec.size)
+    x = _coordinates(rho0.matrix)
+    if time_dependent:
+        increments = _rk4_step_polynomial(generator, dt)
 
-        def advance(vec, first, stop):
+        def advance(x, first, stop):
             for start in range(first, stop, _PHASE_BLOCK):
                 steps = np.arange(start, min(start + _PHASE_BLOCK, stop))
-                for row in np.exp(-1j * generator.delta * dt * np.outer(steps, powers)):
-                    vec = vec + row @ (increments @ vec).reshape(shape)
-            return vec
+                p = np.exp(-1j * generator.delta * dt * np.outer(steps, np.arange(1, 5)))
+                for row in np.hstack([np.ones((len(steps), 1)), p.real, p.imag]):
+                    x = x + row @ (increments @ x).reshape(-1, x.size)
+            return x
     else:
-        p_step = taylor_propagator(generator.matrix, dt)
+        p_step = taylor_propagator(generator.real_form, dt)
         power = functools.cache(lambda gap: np.linalg.matrix_power(p_step, gap))
 
-        def advance(vec, first, stop):
-            return power(stop - first) @ vec
+        def advance(x, first, stop):
+            return power(stop - first) @ x
 
     bounds = _snapshot_boundaries(n_steps, max_snapshots) if n_steps else [0]
-    mats, drift = [rho0.matrix.copy()], 0.0
+    xs, drift = [], 0.0
     for first, stop in zip(bounds, bounds[1:]):
-        rho, d = _clean(advance(vec, first, stop), rho0.dim)
+        x, d = _clean(advance(x, first, stop))
         drift = max(drift, d)
-        vec = vectorize(rho)
-        mats.append(rho)
-    return Trajectory(np.asarray(bounds) * dt, np.asarray(mats), drift)
+        xs.append(x)
+    mats = np.concatenate([rho0.matrix[None], _matrices(np.reshape(xs, (-1, x.size)))])
+    return Trajectory(np.asarray(bounds) * dt, mats, drift)
 
 
 # ----------------------------------------------------------------------
@@ -678,15 +679,15 @@ def _inverse_or_nan(m):
 
 
 def _trace_row_system(generators):
-    """The generators with row 0 (redundant, since ``Tr o L = 0``) replaced
-    by the trace, so that ``a @ vec = e_0`` fixes ``Tr(rho) = 1``."""
+    """The real generators with row 0 (redundant, since ``Tr o L = 0``)
+    replaced by the trace, so that ``a @ x = e_0`` fixes ``Tr(rho) = 1``."""
     a = generators.copy()
     a[..., 0, :] = _trace_row(a.shape[-1])
     return a
 
 
 def _stationary_vectors(generators):
-    """Stationary ``vec(rho)`` of each generator, solved on the trace-row
+    """Stationary coordinates of each real generator, solved on the trace-row
     system, the "direct" method of Johansson, Nation & Nori, Comput. Phys.
     Commun. 184, 1234 (2013). A singular point or one with 1-norm condition
     number above ``1/NULL_SPACE_TOL`` takes the SVD null space, which
@@ -721,20 +722,19 @@ def _evolve_vectors(generators, t_end, dt, norm_bounds):
     for k, norm in zip(unclear, np.linalg.norm(generators[unclear], 2, axis=(-2, -1)).tolist()):
         errors[k] = _stability_error(dt, norm)
     ok = [k for k, e in enumerate(errors) if e is None]
-    vecs = np.zeros(generators.shape[:2], dtype=complex)
+    vecs = np.zeros(generators.shape[:2])
     if ok:
         steps = np.linalg.matrix_power(taylor_propagator(generators[ok], dt), n_steps)
-        vecs[ok] = steps[..., 0]  # applied to vec(|1><1|), the first unit vector
+        vecs[ok] = steps[..., 0]  # applied to the coordinates of |1><1|, the first unit vector
     return vecs, errors
 
 
 def _states(vecs, errors):
-    """Cleaned, validated states of the vectors; a failed point keeps its
-    error (and holds the ground state)."""
-    dim = math.isqrt(vecs.shape[-1])
+    """Trace-normalized, validated states of the coordinate vectors; a
+    failed point keeps its error (and holds the ground state)."""
     vecs = vecs.copy()
-    vecs[[k for k, e in enumerate(errors) if e is not None]] = vectorize(ground_state(dim).matrix)
-    rho, more = _validate_states(_clean(vecs, dim)[0])
+    vecs[[k for k, e in enumerate(errors) if e is not None]] = np.eye(vecs.shape[-1])[0]
+    rho, more = _validate_states(_matrices(_clean(vecs)[0]))
     return rho, [e or m for e, m in zip(errors, more)]
 
 
@@ -790,14 +790,14 @@ def steady_state(liouvillian):
     """
     if isinstance(liouvillian, TimeDependentLiouvillian):
         raise TypeError(_NO_STATIONARY_FRAME)
-    return _only(*_states(*_stationary_vectors(liouvillian.matrix[None])))
+    return _only(*_states(*_stationary_vectors(liouvillian.real_form[None])))
 
 
 def _stationary_response(drive, scheme):
     """Stationary state at a drive point and its derivatives by the four RF
     amplitudes, ``(DensityMatrix, (4, d, d) array)``.
 
-    Differentiating ``L(theta) vec = 0`` gives ``L d_n vec = -S_n vec`` with
+    Differentiating ``L(theta) x = 0`` gives ``L d_n x = -S_n x`` with
     ``S_n`` the channel superoperators of the generator basis; on the
     trace-row system, whose trace row asks ``Tr(d_n rho) = 0``, that is one
     factorization with four right-hand sides (exact linear response of the
@@ -805,10 +805,9 @@ def _stationary_response(drive, scheme):
     """
     generator = make_generator(drive, scheme)
     rho = steady_state(generator)
-    rhs = -(_generator_basis(drive, scheme).channels @ vectorize(rho.matrix))
+    rhs = -(_generator_basis(drive, scheme).channels @ _coordinates(rho.matrix))
     rhs[:, 0] = 0.0
-    dvecs = np.linalg.solve(_trace_row_system(generator.matrix), rhs.T).T
-    return rho, dvecs.reshape(-1, rho.dim, rho.dim).swapaxes(-1, -2)
+    return rho, _matrices(np.linalg.solve(_trace_row_system(generator.real_form), rhs.T).T)
 
 
 def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DEFAULT_DT):

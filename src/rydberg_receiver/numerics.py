@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels and special functions.
+"""Dense linear-algebra kernels and special functions.
 
 Everything in this module is physics-agnostic: SVD-based null spaces,
 positive-semidefinite matrix square roots, the exponential integral E1 and
@@ -51,8 +51,8 @@ PSD_CLAMP = -1e-8
 CSV_CHUNK_ROWS = 4096
 
 
-def _as_square(m, name):
-    m = np.asarray(m, dtype=complex)
+def _as_square(m, name, dtype=complex):
+    m = np.asarray(m, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
     return m
@@ -69,14 +69,15 @@ def null_space(m):
     Parameters
     ----------
     m : array_like
-        Square complex matrix.
+        Square real or complex matrix.
 
     Returns
     -------
     list of numpy.ndarray
-        Orthonormal kernel basis vectors; empty when the kernel is trivial.
+        Orthonormal kernel basis vectors, real for a real matrix; empty when
+        the kernel is trivial.
     """
-    m = _as_square(m, "null_space")
+    m = _as_square(m, "null_space", dtype=None)
     if m.size == 0:
         return []
     _, s, vh = np.linalg.svd(m)

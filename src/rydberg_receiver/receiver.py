@@ -271,16 +271,22 @@ def _detector_current(cell, omega_p, rho21):
     )
 
 
-def _coherence(drive, scheme, model):
-    """Probe coherence ``rho_21`` at a drive point and its derivatives
-    ``d rho_21 / d Omega_n``, shape ``(4,)``, under ``model``."""
+def _operating_point(drive, cell, scheme, model):
+    """``(photodetector_output, gain_coefficients)`` at a drive point, from
+    one evaluation of the probe coherence ``rho_21`` and its derivatives
+    ``d rho_21 / d Omega_n`` under ``model``."""
     if model == "analytic":
         args = (drive.omega_p, drive.omega_c, drive.rf_rabi, scheme.decay_rate(2, 1))
-        return rho21_from_amplitudes(*args), _rho21_gradient(*args)
-    if model == "numerical":
+        rho21, drho21 = rho21_from_amplitudes(*args), _rho21_gradient(*args)
+    elif model == "numerical":
         rho, drho = _stationary_response(drive, scheme)
-        return rho.coherence(2, 1), drho[:, 1, 0]
-    raise ValueError(f"photodetector_output: unknown model {model!r}")
+        rho21, drho21 = rho.coherence(2, 1), drho[:, 1, 0]
+    else:
+        raise ValueError(f"photodetector_output: unknown model {model!r}")
+    y = _detector_current(cell, drive.omega_p, rho21)
+    slope = y * 2.0 * cell.xi0(drive.omega_p) * drho21.imag
+    gains = tuple(_rabi_per_field(n, scheme) * slope[n - 1] for n in range(1, 5))
+    return float(y), GainVector(gains=gains)
 
 
 def photodetector_output(drive, cell, scheme, model="analytic"):
@@ -294,8 +300,7 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
     ``model="numerical"`` uses the converged full-decay steady state, which
     also covers balanced-loop points where the closed form is degenerate.
     """
-    rho21, _ = _coherence(drive, scheme, model)
-    return float(_detector_current(cell, drive.omega_p, rho21))
+    return _operating_point(drive, cell, scheme, model)[0]
 
 
 def gain_coefficients(lo, cell, scheme, model="analytic"):
@@ -311,9 +316,7 @@ def gain_coefficients(lo, cell, scheme, model="analytic"):
     ValueError
         If a gain comes out non-finite (operating-point error).
     """
-    rho21, drho21 = _coherence(lo, scheme, model)
-    slope = _detector_current(cell, lo.omega_p, rho21) * 2.0 * cell.xi0(lo.omega_p) * drho21.imag
-    return GainVector(gains=tuple(_rabi_per_field(n, scheme) * slope[n - 1] for n in range(1, 5)))
+    return _operating_point(lo, cell, scheme, model)[1]
 
 
 @dataclass(frozen=True)

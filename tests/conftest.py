@@ -110,7 +110,8 @@ def literal_rk4():
         worst = 0.0
         for k in range(1, len(bounds)):
             vec = rr.vectorize(trajectory.matrices[k - 1])
-            rho = rr.unvectorize(_literal_rk4(generator, vec, dt, bounds[k - 1], bounds[k]))
+            vec = _literal_rk4(generator, vec, dt, bounds[k - 1], bounds[k])
+            rho = vec.reshape((6, 6), order="F")
             rho = (rho + rho.conj().T) / 2.0
             rho = rho / np.trace(rho).real
             worst = max(worst, float(np.max(np.abs(rho - trajectory.matrices[k]))))

@@ -2,6 +2,8 @@
 steady states. Oracles: closed-form two-level decay, scipy expm, and a
 stiff-tolerance scipy ODE integration for the time-dependent branch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,6 +15,10 @@ from rydberg_receiver.lindblad import (
     Liouvillian,
     TimeDependentLiouvillian,
     Trajectory,
+    _coordinates,
+    _hermitian_basis,
+    _matrices,
+    _trace_row,
     build_hamiltonian,
 )
 from rydberg_receiver.scheme import Architecture, LevelScheme
@@ -115,7 +121,45 @@ class TestVectorization:
         # vec[i + 6 j] = m[i, j]
         assert v[0 + 6 * 1] == m[0, 1]
         assert v[3 + 6 * 5] == m[3, 5]
-        assert np.allclose(rr.unvectorize(v), m)
+        assert np.allclose(v.reshape((6, 6), order="F"), m)
+
+
+class TestRealBasis:
+    def test_orthonormal_hermitian_and_level_by_level(self):
+        t = _hermitian_basis(6)
+        g = t.reshape(36, 6, 6)
+        assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+        assert np.max(np.abs(t @ t.conj().T - np.eye(36))) <= 1e-15
+        for k in range(6):
+            assert np.array_equal(g[k * k], np.diag(np.eye(6)[k]))  # |k><k| opens level k
+            for m in range(k * k, (k + 1) ** 2):  # then its coherences with the levels below
+                assert np.argwhere(g[m]).max() == k
+        # the trace is the sum of the population coordinates
+        assert np.array_equal((t @ rr.vectorize(np.eye(6))).real, _trace_row(36))
+
+    def test_coordinates_round_trip(self, op_drive, scheme):
+        rho = rr.steady_state(rr.make_generator(op_drive, scheme)).matrix
+        x = _coordinates(rho)
+        assert x.dtype == np.float64
+        back = _matrices(x)
+        assert np.array_equal(back, back.conj().T)  # real coordinates are exactly Hermitian
+        assert np.max(np.abs(back - rho)) <= 1e-15
+
+    @pytest.mark.parametrize("rf_mhz", [(0.0, 7.0, 1.0, 0.0), (0.0, 1.0, 1.0, 0.0),
+                                        (0.0, 0.0, 0.0, 0.0)])
+    def test_decoupled_levels_stay_exactly_empty(self, op_drive, scheme, rf_mhz):
+        # with Omega_1 = Omega_4 = 0 nothing drives levels 4-6, so both the
+        # stationary solve and the propagators leave them exactly empty
+        drive = op_drive.with_rf_rabi([TWO_PI * v for v in rf_mhz])
+        generator = rr.make_generator(drive, scheme)
+        states = [
+            rr.steady_state(generator),
+            rr.steady_state_numerical(drive, scheme, method="evolve", t_end=1.0),
+            rr.evolve(rr.ground_state(), generator, t_end=1.0, dt=1e-3, max_snapshots=3).final,
+        ]
+        for rho in states:
+            assert rho.population(3) > 0.0
+            assert not np.any(rho.matrix[3:]) and not np.any(rho.matrix[:, 3:])
 
 
 class TestLiouvillian:
@@ -153,7 +197,7 @@ class TestEvolve:
         gen = rr.make_generator(op_drive, scheme)
         rho0 = rr.ground_state()
         traj = rr.evolve(rho0, gen, t_end=0.5, dt=1e-3, max_snapshots=2)
-        exact = rr.unvectorize(expm(gen.matrix * 0.5) @ rr.vectorize(rho0.matrix))
+        exact = (expm(gen.matrix * 0.5) @ rr.vectorize(rho0.matrix)).reshape((6, 6), order="F")
         assert np.max(np.abs(traj.final.matrix - exact)) < 1e-8
 
     def test_invariants_along_trajectory(self, op_drive, scheme):
@@ -199,7 +243,7 @@ class TestEvolve:
         for _ in range(200):
             v = p @ v
         traj = rr.evolve(rr.ground_state(), gen, t_end=0.2, dt=dt, max_snapshots=2)
-        assert np.max(np.abs(traj.final.matrix - rr.unvectorize(v))) < 1e-11
+        assert np.max(np.abs(traj.final.matrix - v.reshape((6, 6), order="F"))) < 1e-11
 
 
 class TestTimeDependent:
@@ -236,6 +280,24 @@ class TestTimeDependent:
         )
         traj = rr.evolve(rr.ground_state(), td, t_end=1.0, dt=1e-4, max_snapshots=2)
         assert np.max(np.abs(rr.vectorize(traj.final.matrix) - sol.y[:, -1])) < 1e-7
+
+    def test_norm_bound_is_continuous_in_delta(self, op_drive, scheme):
+        # the bound over the horizon tends to the closed-loop norm as delta
+        # goes to 0, so an infinitesimal loop detuning keeps the closed
+        # loop's admissible step
+        closed = rr.make_generator(op_drive, scheme)
+        td = rr.make_generator(replace(op_drive, rf_detunings=(0.0, 0.0, 0.0, 1e-9)), scheme)
+        assert td.norm(1.0) == pytest.approx(closed.norm(), rel=1e-6)
+        open_loop = rr.evolve(rr.ground_state(), td, t_end=1.0, dt=1e-3, max_snapshots=2)
+        closed_loop = rr.evolve(rr.ground_state(), closed, t_end=1.0, dt=1e-3, max_snapshots=2)
+        assert np.max(np.abs(open_loop.final.matrix - closed_loop.final.matrix)) < 1e-7
+
+    def test_norm_bounds_the_generator_over_the_horizon(self, scheme):
+        td = rr.make_generator(self._open_loop_drive(), scheme)
+        t_end = 4.0  # |delta| t_end = 1.26 < 2: tighter than the bound for all t
+        assert td.norm(t_end) < td.norm()
+        worst = max(np.linalg.norm(td.matrix(t), 2) for t in np.linspace(0.0, t_end, 41))
+        assert worst <= td.norm(t_end)
 
     @pytest.mark.parametrize(
         "n_steps, max_snapshots",
