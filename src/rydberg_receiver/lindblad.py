@@ -481,22 +481,22 @@ def taylor_propagator(matrix, dt):
     return p
 
 
-#: Steps per table of loop-phase powers: bounds the table's memory when a
-#: single snapshot gap spans 1e5 steps.
-_PHASE_BLOCK = 1024
+#: Loop phases at which an open-loop propagator is sampled (odd).
+_PHASES = 33
 
 
 def _rk4_step_polynomial(generator, dt):
-    """One RK4 step of a time-dependent generator as nine real matrices.
+    """One RK4 step of a time-dependent generator as a polynomial in the
+    loop phase.
 
     At ``t = n dt`` the generator is ``L(p) = A + p B + conj(p) C`` with
     loop phase ``p = exp(-i delta t)``, and the stage times multiply ``p``
     by ``w = exp(-i delta dt/2)`` and ``w^2``. So the step less the identity
     is ``sum_k p^k D_k``, ``k = -4..4``, whose ``D_k`` a discrete Fourier
     transform over the ninth roots of unity reads off. On real coordinates
-    ``E_k = T D_k T^H`` has ``E_-k = conj(E_k)``, so the step less the
-    identity is ``r @ M``: ``r = [1, Re p^k, Im p^k]``, ``k = 1..4``, and
-    ``M = [E_0, 2 Re E_1..4, -2 Im E_1..4]`` stacked as ``(9 d^2, d^2)``."""
+    ``E_k = T D_k T^H`` has ``E_-k = conj(E_k)``, so the step is ``I + E_0
+    + 2 Re sum_k p^k E_k``, ``k = 1..4``: nine real matrices, returned as
+    ``E_0..E_4``, ``(5, d^2, d^2)``."""
     roots = np.exp(2j * np.pi * np.arange(9) / 9)[:, None, None]
     w = np.exp(-0.5j * generator.delta * dt)
 
@@ -509,8 +509,52 @@ def _rk4_step_polynomial(generator, dt):
     k3 = at(roots * w) @ (eye + 0.5 * dt * k2)
     k4 = at(roots * w * w) @ (eye + dt * k3)
     increments = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    e = _to_basis(np.fft.fft(increments, axis=0)[:5] / 9.0)  # D_k = mean of p^-k D(p)
-    return np.concatenate([e[0].real, *(2.0 * e[1:].real), *(-2.0 * e[1:].imag)])
+    return _to_basis(np.fft.fft(increments, axis=0)[:5] / 9.0)  # D_k = mean of p^-k D(p)
+
+
+def _phase_weights(theta):
+    """Dirichlet weights from samples at the loop phases ``2 pi j / N`` to
+    the value at ``theta``, exact on the band ``|K| <= N // 2``: an inverse
+    FFT, so no removable zero, with unit sum, which keeps the trace."""
+    w = np.fft.irfft(np.exp(-1j * theta * np.arange(_PHASES // 2 + 1)), _PHASES)
+    return w / w.sum()
+
+
+def _compose(first, second, shift, steps):
+    """Samples of ``second(theta + shift) @ first(theta)``, and whether their
+    band ``|K| > N/4`` is round-off next to ``K = 0`` (about ``0.3 steps
+    eps`` after ``steps`` steps), so that the product composes exactly."""
+    n = len(first)
+    weights = _phase_weights(shift)[(np.arange(n) - np.arange(n)[:, None]) % n]
+    product = np.tensordot(weights, second, axes=1) @ first
+    c = np.fft.rfft(product.reshape(n, -1), axis=0)
+    tail, head = np.abs(c[n // 4 + 1:]).max(), np.abs(c[0]).max()
+    return product, tail <= 4.0 * steps * np.finfo(float).eps * head
+
+
+def _gap_pieces(polynomial, phase_step, gap):
+    """Pieces ``(samples, band limited, steps)``, applied in order, of the
+    propagator over ``gap`` RK4 steps of ``polynomial``. The m-step
+    propagator ``P_m(theta)`` from loop phase ``theta``, smooth and periodic
+    so that a few samples hold it (Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)), doubles by ``P_2m(theta) = P_m(theta + m phase_step) @
+    P_m(theta)``, and the gap's set bits join an open product the same way,
+    while band limited; a square that is not fills the rest of the gap."""
+    square = np.eye(polynomial.shape[-1]) + np.fft.irfft(_PHASES * polynomial, _PHASES, axis=0)
+    pieces, size, band_limited, left = [], 1, True, gap
+    while left:
+        if left & size or not band_limited:
+            if band_limited and pieces and pieces[-1][1]:
+                done = pieces[-1][2]
+                product = _compose(pieces.pop()[0], square, done * phase_step, done + size)
+                pieces.append((*product, done + size))
+            else:
+                pieces.append((square, band_limited, size))
+            left -= size
+        if left and band_limited:
+            square, band_limited = _compose(square, square, size * phase_step, 2 * size)
+            size *= 2
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -595,14 +639,14 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     """Integrate the master equation from ``rho0`` to ``t_end``.
 
     Fixed-step RK4 on real coordinates (see :class:`Liouvillian`), run by
-    one snapshot loop; only the step from one snapshot to the next depends
-    on the generator kind. For a constant generator it is the degree-4
-    Taylor propagator raised to the gap by binary matrix powering
-    (identical algebra, far fewer Python-level steps). For a time-dependent
-    generator the RK4 step is expanded once per call into nine real
-    matrices (see :func:`_rk4_step_polynomial`), weighted at each step by
-    its loop phase powers, tabulated in blocks of steps. The tests keep the
-    stage-by-stage loop as the reference. Each stored snapshot is
+    one snapshot loop that applies a propagator per gap, cached by gap
+    length. For a constant generator it is the degree-4 Taylor propagator
+    raised to the gap by binary matrix powering (identical algebra, far
+    fewer Python-level steps). For a time-dependent generator the step
+    depends on its index only through the loop phase, so the propagator is
+    held as its values at ``_PHASES`` starting phases, built by doubling
+    (see :func:`_gap_pieces`) and interpolated at the gap's phase. The tests
+    keep the stage-by-stage loop as the reference. Each stored snapshot is
     trace-renormalized, and evolution continues from it.
 
     Parameters
@@ -634,14 +678,14 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
 
     x = _coordinates(rho0.matrix)
     if time_dependent:
-        increments = _rk4_step_polynomial(generator, dt)
+        polynomial = _rk4_step_polynomial(generator, dt)
+        phase_step = -generator.delta * dt
+        pieces = functools.cache(lambda gap: _gap_pieces(polynomial, phase_step, gap))
 
         def advance(x, first, stop):
-            for start in range(first, stop, _PHASE_BLOCK):
-                steps = np.arange(start, min(start + _PHASE_BLOCK, stop))
-                p = np.exp(-1j * generator.delta * dt * np.outer(steps, np.arange(1, 5)))
-                for row in np.hstack([np.ones((len(steps), 1)), p.real, p.imag]):
-                    x = x + row @ (increments @ x).reshape(-1, x.size)
+            for samples, _, steps in pieces(stop - first):
+                x = np.tensordot(_phase_weights(first * phase_step), samples, axes=1) @ x
+                first += steps
             return x
     else:
         p_step = taylor_propagator(generator.real_form, dt)

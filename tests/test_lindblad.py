@@ -2,6 +2,7 @@
 steady states. Oracles: closed-form two-level decay, scipy expm, and a
 stiff-tolerance scipy ODE integration for the time-dependent branch."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,10 @@ from rydberg_receiver.lindblad import (
     TimeDependentLiouvillian,
     Trajectory,
     _coordinates,
+    _gap_pieces,
     _hermitian_basis,
     _matrices,
+    _rk4_step_polynomial,
     _trace_row,
     build_hamiltonian,
 )
@@ -299,30 +302,74 @@ class TestTimeDependent:
         worst = max(np.linalg.norm(td.matrix(t), 2) for t in np.linspace(0.0, t_end, 41))
         assert worst <= td.norm(t_end)
 
-    @pytest.mark.parametrize(
-        "n_steps, max_snapshots",
-        [
-            (2500, 2),  # one gap, longer than a phase block, not a multiple of it
-            (1000, 11),
-        ],
-    )
-    def test_matches_literal_rk4_stepping(self, scheme, literal_rk4, n_steps, max_snapshots):
-        # a fast loop phase (delta = 2pi x 2.8 MHz: 0.7 turns over the
-        # 2500-step run) and RF phases, so every Laurent power matters
-        drive = DriveConfig(
+    #: a fast loop (delta = 2pi x 2.8 MHz: 0.7 turns over 2500 steps of
+    #: 1e-4) with RF phases, so every Laurent power matters, and the
+    #: benchmark's slow loop (delta = 2pi x 50 kHz at 8 MHz RF)
+    _LOOPS = {
+        "fast": DriveConfig(
             omega_p=TWO_PI * 5.7,
             omega_c=TWO_PI * 0.97,
             rf_rabi=(TWO_PI * 2, TWO_PI * 7, TWO_PI * 1, TWO_PI * 6),
             rf_detunings=(TWO_PI * 0.3, -TWO_PI * 0.2, TWO_PI * 0.1, TWO_PI * 3.0),
             rf_phases=(0.3, -1.1, 2.0, 0.7),
-        )
-        td = rr.make_generator(drive, scheme)
-        dt = 1e-4
+        ),
+        "slow": DriveConfig(
+            omega_p=TWO_PI * 5.7,
+            omega_c=TWO_PI * 0.97,
+            rf_rabi=(TWO_PI * 8,) * 4,
+            rf_detunings=(TWO_PI * 1e-3, TWO_PI * 1e-3, TWO_PI * 2e-3, TWO_PI * 54e-3),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "loop, n_steps, max_snapshots, dt",
+        [
+            pytest.param("fast", 2500, 2, 1e-4, id="2500-2"),  # one gap, not a power of two
+            pytest.param("fast", 1000, 11, 1e-4, id="1000-11"),
+            # the last gap (142 steps) is one shorter than the stride (143)
+            pytest.param("slow", 1000, 8, 1e-4, id="slow-1000-8"),
+            # the largest dt the gate admits, 0.1 / norm(t_end)
+            pytest.param("fast", 2500, 2, None, id="largest-dt-2500-2"),
+        ],
+    )
+    def test_matches_literal_rk4_stepping(
+        self, scheme, literal_rk4, loop, n_steps, max_snapshots, dt
+    ):
+        td = rr.make_generator(self._LOOPS[loop], scheme)
+        if dt is None:
+            # |delta| t_end > 2, so the horizon bound is the all-time one;
+            # doubling stops earliest, and the gap takes several pieces
+            dt = 0.1 / td.norm()
+            assert dt == 0.1 / td.norm(n_steps * dt)
+            pieces = _gap_pieces(_rk4_step_polynomial(td, dt), -td.delta * dt, n_steps)
+            assert len(pieces) > 2 and not pieces[-1][1]
         traj = rr.evolve(
             rr.ground_state(), td, t_end=n_steps * dt, dt=dt, max_snapshots=max_snapshots
         )
         assert len(traj.times) == max_snapshots
         assert literal_rk4(traj, td, dt) <= 1e-12
+
+    def test_invariants_along_trajectory(self, scheme):
+        td = rr.make_generator(self._open_loop_drive(), scheme)
+        traj = rr.evolve(rr.ground_state(), td, t_end=2.0, dt=1e-4, max_snapshots=41)
+        for k in range(len(traj.times)):
+            m = traj.state(k).matrix
+            assert abs(np.trace(m) - 1.0) < 1e-12
+            assert np.allclose(m, m.conj().T, atol=1e-12)
+            assert np.linalg.eigvalsh(m).min() > -1e-10
+        assert traj.max_trace_drift < 1e-12
+
+    def test_memory_peak(self, scheme):
+        # the phase-sampled propagators of a 30,000-step, 101-snapshot run
+        # hold only the live square, the open product and one temporary
+        td = rr.make_generator(self._open_loop_drive(), scheme)
+        tracemalloc.start()
+        try:
+            rr.evolve(rr.ground_state(), td, t_end=3.0, dt=1e-4, max_snapshots=101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_open_loop_coherence_keeps_oscillating(self, op_drive, scheme):
         # 50 kHz loop mismatch: rho_63 never settles, it keeps beating at delta.
