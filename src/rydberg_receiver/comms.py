@@ -197,16 +197,18 @@ def ergodic_sum_rate(channels):
     scaled exponential integral. A channel with zero transmit power
     contributes zero (the continuous limit); negative average SNR is an
     error. Channels over a power or bandwidth sweep give the rate at every
-    sweep point as an array.
+    sweep point as an array, from one E1 evaluation over all channels. A
+    mean SNR so small that its inverse overflows gives the limit 0.
     """
-    total = 0.0
-    for ch in channels:
-        gam = np.asarray(ch.mean_snr)
-        if np.any(gam < 0):
-            raise ValueError("ergodic_sum_rate: negative average SNR")
-        on = gam != 0.0
-        scaled = np.where(on, exp_e1_scaled(1.0 / np.where(on, gam, 1.0)), 0.0)
-        total = total + ch.bandwidth / LN2 * scaled
+    channels = list(channels)
+    gam = np.array(np.broadcast_arrays(*(ch.mean_snr for ch in channels)))
+    if np.any(gam < 0):
+        raise ValueError("ergodic_sum_rate: negative average SNR")
+    on = gam != 0.0
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / np.where(on, gam, 1.0)
+    scaled = np.where(on, exp_e1_scaled(inverse), 0.0)
+    total = sum((ch.bandwidth / LN2 * s for ch, s in zip(channels, scaled)), 0.0)
     return total if np.ndim(total) else float(total)
 
 
@@ -236,18 +238,13 @@ def _masked_drive(omega_p, omega_c, rabi_set, active):
 
 
 def _arch_channels(scheme, gains, active, p_t, bandwidth, env, beta):
-    channels = []
-    for n in active:
-        omega_rf = scheme.transition(n).carrier_frequency * 1e6  # rad/us -> rad/s
-        ch = ChannelModel(
-            gain=gains[n],
-            transmit_power=p_t,
-            bandwidth=bandwidth,
-            rf_frequency=omega_rf,
-            fading_scale=beta,
-        )
-        channels.append(ch.with_noise(env))
-    return channels
+    return [
+        ChannelModel(
+            gain=gains[n], transmit_power=p_t, bandwidth=bandwidth, fading_scale=beta,
+            rf_frequency=scheme.transition(n).carrier_frequency * 1e6,  # rad/us -> rad/s
+        ).with_noise(env)
+        for n in active
+    ]
 
 
 @dataclass(frozen=True)

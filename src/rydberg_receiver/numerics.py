@@ -140,46 +140,6 @@ def psd_sqrt(m):
     return roots[0]
 
 
-def _e1_series(x):
-    # E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^{k+1} x^k / (k * k!); the
-    # series is alternating with rapidly shrinking terms for x <= 1.
-    total = -EULER_GAMMA - math.log(x)
-    term = 1.0  # holds (-x)^k / k!
-    for k in range(1, 64):
-        term *= -x / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _e1_cf(x):
-    # Modified Lentz evaluation of the continued fraction
-    #   e^x E1(x) = 1/(x+1- 1^2/(x+3- 2^2/(x+5- ...)))
-    # which converges fast for x > 1 and never overflows.
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise RuntimeError(f"exp_e1_scaled: continued fraction failed to converge at x={x}")
-
-
 def exp_e1_scaled(x):
     """Overflow-free scaled exponential integral exp(x) * E1(x), elementwise.
 
@@ -187,17 +147,59 @@ def exp_e1_scaled(x):
     stays O(1/x) while its factors overflow and underflow, a modified-Lentz
     continued fraction computes the product directly. Used by the
     ergodic-rate closed form, whose argument is an inverse SNR that can be
-    enormous at low transmit power. Raises ``ValueError`` unless every
-    ``x > 0`` (E1 has a branch cut on the nonpositive axis).
+    enormous at low transmit power; ``x = inf`` gives the limit 0. Raises
+    ``ValueError`` unless every ``x > 0`` (E1 has a branch cut on the
+    nonpositive axis). Each element runs its branch's scalar recurrence, with
+    libm's ``ln`` and ``exp``, in a vector lane that stops at its own test.
     """
     x = np.asarray(x, dtype=float)
     bad = x[~(x > 0.0)]
     if bad.size:
         raise ValueError(f"exp_e1_scaled: domain requires x > 0, got {bad[0]}")
-    out = np.array(
-        [math.exp(v) * _e1_series(v) if v <= 1.0 else _e1_cf(v) for v in x.ravel().tolist()]
-    ).reshape(x.shape)
-    return out if out.ndim else float(out)
+    flat = x.ravel()
+    out = np.zeros(flat.shape)
+    # E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^{k+1} x^k / (k * k!); the
+    # series is alternating with rapidly shrinking terms for x <= 1.
+    series = np.flatnonzero(flat <= 1.0)
+    lane, v, term = series, flat[series], np.ones(series.size)  # term: (-x)^k / k!
+    total = -EULER_GAMMA - np.array(list(map(math.log, v.tolist())))
+    for k in range(1, 64):
+        if not lane.size:
+            break
+        term *= -v / k
+        contrib = -term / k
+        total += contrib
+        out[lane] = total
+        keep = ~(np.abs(contrib) < 1e-18 * np.maximum(np.abs(total), 1e-300))
+        lane, v, term, total = lane[keep], v[keep], term[keep], total[keep]
+    out[series] *= list(map(math.exp, flat[series].tolist()))
+    # Modified Lentz evaluation of the continued fraction
+    #   e^x E1(x) = 1/(x+1- 1^2/(x+3- 2^2/(x+5- ...)))
+    # which converges fast for x > 1 and never overflows.
+    tiny = 1e-300
+    lane = np.flatnonzero((flat > 1.0) & (flat < np.inf))
+    b, c = flat[lane] + 1.0, np.full(lane.size, 1.0 / tiny)
+    d = h = 1.0 / b
+    for i in range(1, 200):
+        if not lane.size:
+            break
+        a = -float(i * i)
+        b = b + 2.0
+        d = a * d + b
+        d[d == 0.0] = tiny
+        c = b + a / c
+        c[c == 0.0] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-15
+        out[lane[done]] = h[done]
+        keep = ~done
+        lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
+    if lane.size:
+        x0 = flat[lane[0]]
+        raise RuntimeError(f"exp_e1_scaled: continued fraction failed to converge at x={x0}")
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def write_csv(path, header, fmt, blocks):

@@ -1,9 +1,10 @@
 """Shared fixtures: the bundled scheme, its probe-decay-only variants, the
-documented operating point, the stage-by-stage RK4 reference and the
-row-by-row CSV reference."""
+documented operating point, the stage-by-stage RK4 reference, the
+row-by-row CSV reference and the scalar E1 reference."""
 
 import csv
 import io
+import math
 import sys
 from types import SimpleNamespace
 from importlib import resources
@@ -223,3 +224,54 @@ def literal_csv():
         steady_state=_steady_state_csv,
         demod=_demod_csv,
     )
+
+
+def _e1_series(x):
+    total = -rr.numerics.EULER_GAMMA - math.log(x)
+    term = 1.0
+    for k in range(1, 64):
+        term *= -x / k
+        contrib = -term / k
+        total += contrib
+        if abs(contrib) < 1e-18 * max(abs(total), 1e-300):
+            break
+    return total
+
+
+def _e1_cf(x):
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 200):
+        a = -float(i * i)
+        b += 2.0
+        d = a * d + b
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise RuntimeError(f"continued fraction failed to converge at x={x}")
+
+
+def _literal_exp_e1_scaled(x):
+    x = np.asarray(x, dtype=float)
+    out = np.array(
+        [math.exp(v) * _e1_series(v) if v <= 1.0 else _e1_cf(v) for v in x.ravel().tolist()]
+    ).reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+@pytest.fixture(scope="session")
+def literal_e1():
+    """``exp(x) E1(x)`` one Python float at a time: the power series for
+    ``x <= 1`` and the modified-Lentz continued fraction above, the scalar
+    reference for the vector kernel ``numerics.exp_e1_scaled``."""
+    return _literal_exp_e1_scaled

@@ -1,6 +1,7 @@
 """Noise model, fading-averaged rates, and architecture comparison."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.constants import c as c_light
 from scipy.constants import epsilon_0, hbar, k
 from scipy.special import exp1
 
+from rydberg_receiver import comms
 from rydberg_receiver.comms import (
     ARCH_CHANNELS,
     RABI_SET1,
@@ -184,6 +186,16 @@ class TestErgodicRate:
         rate = ergodic_sum_rate([unit_channel(1e-280)])
         assert 0.0 < rate < 1e-270
 
+    def test_subnormal_snr_no_overflow(self):
+        # 1/SNR overflows to inf, where the rate's limit is SNR/ln 2 ~ 1.4e-310
+        ch = ChannelModel(gain=1.0, transmit_power=1e-310, bandwidth=1.0, rf_frequency=1.0,
+                          sigma_i_sq=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = ergodic_sum_rate([ch])
+        assert 0.0 <= rate
+        assert abs(rate - 1e-310 / math.log(2.0)) < 1e-300
+
     def test_array_sweeps_match_scalar_channels(self):
         env = EnvironmentParams(y_lo=7e-23)
         powers = dbm_to_watts(np.array([-4000.0, -30.0, -10.0, 0.0, 10.0]))
@@ -313,6 +325,21 @@ class TestArchitectureComparison:
             np.testing.assert_allclose(
                 swept.bandwidth_rates[arch], per_point, rtol=1e-15, atol=0.0
             )
+
+    def test_link_sweeps_bit_equal_to_scalar_e1(self, scheme, monkeypatch, literal_e1):
+        # the sumrate sweep shape of the benchmark's link workload
+        args = (
+            scheme, (TWO_PI * 4.5, TWO_PI, TWO_PI, TWO_PI),
+            -30.0 + 0.02 * np.arange(2001), 1e4 * 100.0 ** (np.arange(100) / 99),
+        )
+        kwargs = dict(omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
+                      power_sweep_bandwidth_hz=2e5, bandwidth_sweep_power_dbm=-10.0)
+        ours = compare_architectures(*args, **kwargs)
+        monkeypatch.setattr(comms, "exp_e1_scaled", literal_e1)
+        ref = compare_architectures(*args, **kwargs)
+        for arch in ARCH_CHANNELS:
+            assert np.array_equal(ours.power_rates[arch], ref.power_rates[arch])
+            assert np.array_equal(ours.bandwidth_rates[arch], ref.bandwidth_rates[arch])
 
     def test_csv_bytes_match_row_writer(self, tmp_path, comparison, literal_csv):
         odd = replace(

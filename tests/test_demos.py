@@ -2,7 +2,7 @@
 
 The demos write into ``demo_out/`` under the working directory, so each
 runs in its own temporary directory. ``optimize_lo.py`` is left out: its
-full search takes tens of seconds.
+721-candidate default search takes about 5.5 s.
 """
 
 import os

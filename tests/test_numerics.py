@@ -42,6 +42,19 @@ class TestExpIntegral:
         assert np.array_equal(out.ravel(), scalars)
         assert exp_e1_scaled(np.empty(0)).shape == (0,)
 
+    def test_bit_equal_to_scalar_reference(self, literal_e1):
+        edges = [1e-300, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e300]
+        for x in (np.array(edges), np.logspace(-6, 4, 4000)):
+            assert np.array_equal(exp_e1_scaled(x), literal_e1(x))
+        for v in edges:
+            assert exp_e1_scaled(float(v)) == literal_e1(float(v))
+
+    def test_infinity_is_the_limit(self):
+        # e^x E1(x) ~ 1/x -> 0; the SNR of a subnormal mean power inverts to inf
+        assert exp_e1_scaled(np.inf) == 0.0
+        assert type(exp_e1_scaled(np.inf)) is float
+        assert np.array_equal(exp_e1_scaled([np.inf, 1.0]), [0.0, exp_e1_scaled(1.0)])
+
     def test_scaled_variant_no_overflow(self):
         # e^x E1(x) ~ 1/x - 1/x^2 + 2/x^3 for large x; plain e^x overflows
         x = 1e6
