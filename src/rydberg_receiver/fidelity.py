@@ -17,6 +17,7 @@ comparison.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +44,28 @@ __all__ = [
     "TWO_PI",
 ]
 
-#: Points per stacked block of the batched chain. On the 625-point maps,
-#: blocks of 16 cost about 1.5 MB of peak memory over one point at a time;
-#: the whole map in one stack costs about 70 MB.
+#: Points per stacked generator block: the stationary solve and the Taylor
+#: powers hold a few ``(d^2, d^2)`` matrices per point, so on the 625-point
+#: maps blocks of 16 cost about 1.5 MB of peak memory over one point at a
+#: time, and the whole map in one stack about 70 MB. Blocks of 64 or 128
+#: were no faster.
 _BLOCK = 16
+#: Points per chunk of the state chain (validation, closed form, roots,
+#: product and SVD), which holds a few ``(d, d)`` matrices per point. On
+#: the 625-point maps the traced peak is about 1.6-1.8 MB, against
+#: 0.7-1.2 MB for chunks of 16 and 3.4 MB for the whole map in one chunk.
+_CHAIN = 256
 
 
-def _fidelities(rho_n, rho_a):
-    """Fidelities of two ``(B, d, d)`` stacks of validated states, as the
-    squared nuclear norm ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2`` (Jozsa,
-    J. Mod. Opt. 41, 2315 (1994)), which stays well conditioned where a
-    state is rank deficient. Validation bounds every eigenvalue below by
-    ``PSD_CLAMP``, and the roots clip what lies above it to zero."""
-    roots, _ = _psd_roots(np.concatenate([rho_n, rho_a]))
-    b = len(rho_n)
-    singular = np.linalg.svd(roots[:b] @ roots[b:], compute_uv=False)
+def _fidelities(eig_n, eig_a):
+    """Fidelities of two stacks of validated states, each given by its
+    eigenpairs ``(w, v)`` from :func:`~rydberg_receiver.lindblad._validate_states`
+    or :func:`numpy.linalg.eigh`, as the squared nuclear norm
+    ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2`` (Jozsa, J. Mod. Opt. 41, 2315
+    (1994)), which stays well conditioned where a state is rank deficient.
+    Validation bounds every eigenvalue below by ``PSD_CLAMP``, and the roots
+    clip what lies above it to zero."""
+    singular = np.linalg.svd(_psd_roots(*eig_n) @ _psd_roots(*eig_a), compute_uv=False)
     return np.sum(singular, axis=-1) ** 2
 
 
@@ -72,7 +80,8 @@ def fidelity(rho_n, rho_a):
         rho_n = DensityMatrix(np.asarray(rho_n))
     if not isinstance(rho_a, DensityMatrix):
         rho_a = DensityMatrix(np.asarray(rho_a))
-    return float(_fidelities(rho_n.matrix[None], rho_a.matrix[None])[0])
+    eig_n, eig_a = (np.linalg.eigh(rho.matrix[None]) for rho in (rho_n, rho_a))
+    return float(_fidelities(eig_n, eig_a)[0])
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,11 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     of the ``(N, 4)`` RF amplitudes on ``base_drive``, NaN where a point
     fails, with per-point errors (None, or what that point raises alone).
 
-    Blocks of :data:`_BLOCK` points run the stacked kernels that the
-    per-point functions run on a block of one, so every value equals
-    ``fidelity(steady_state_numerical(...), analytic_steady_state(...))``.
+    Chunks of :data:`_CHAIN` points run the stacked kernels that the
+    per-point functions run on a block of one: the generator kernels in
+    blocks of :data:`_BLOCK`, then validation, closed form and fidelity on
+    the whole chunk, with one eigendecomposition per state. So every value
+    equals ``fidelity(steady_state_numerical(...), analytic_steady_state(...))``.
     An unknown method raises first, then a negative or non-finite
     amplitude raises DriveConfig's error.
     """
@@ -139,20 +150,20 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
         basis = _generator_basis(base_drive, scheme)
     except ValueError as exc:  # not the six-level hybrid: no point can run
         return values, [exc] * len(thetas)
-    for start in range(0, len(thetas), _BLOCK):
-        block = thetas[start:start + _BLOCK]
+    for start in range(0, len(thetas), _CHAIN):
+        chunk = thetas[start:start + _CHAIN]
         try:
-            numerical, found = _numerical_states(basis, block, method, t_end, dt)
+            (_, w_n, v_n), found = _numerical_states(basis, chunk, method, t_end, dt, _BLOCK)
         except (ValueError, np.linalg.LinAlgError) as exc:  # shared by every point
-            errors += [exc] * len(block)
+            errors += [exc] * len(chunk)
             continue
-        analytic, more = _closed_form(
-            base_drive.omega_p, base_drive.omega_c, tuple(block.T), scheme.decay_rate(2, 1)
+        (_, w_a, v_a), more = _closed_form(
+            base_drive.omega_p, base_drive.omega_c, tuple(chunk.T), scheme.decay_rate(2, 1)
         )
         found = [e or m for e, m in zip(found, more)]
         ok = [k for k, e in enumerate(found) if e is None]
         if ok:
-            values[start + np.array(ok)] = _fidelities(numerical[ok], analytic[ok])
+            values[start + np.array(ok)] = _fidelities((w_n[ok], v_n[ok]), (w_a[ok], v_a[ok]))
         errors += found
     return values, errors
 
@@ -289,6 +300,32 @@ def average_fidelity(
     return _mean(values)
 
 
+def _candidates(lo, hi, grid_step, sum_constraint):
+    """The search lattice's 4-tuples under the sum cap, smallest sum first.
+
+    The axis ascends from ``lo >= 0``, and adding a nonnegative float never
+    lowers a float sum, so the first value whose partial sum passes the cap
+    ends its loop: the work scales with the feasible set, not with n^4.
+    """
+    n = int(np.floor((hi - lo) / grid_step + 1e-9)) + 1
+    axis = (lo + grid_step * np.arange(n)).tolist()
+
+    def fitting(total):
+        return itertools.takewhile(lambda v: total + v <= sum_constraint + 1e-12, axis)
+
+    candidates = [
+        (w, x, y, z)
+        for w in fitting(0.0)
+        for x in fitting(w)
+        for y in fitting(w + x)
+        for z in axis
+        if w + x + y + z <= sum_constraint + 1e-12
+    ]
+    # Tie-break order: smallest total amplitude, then lexicographic.
+    candidates.sort(key=lambda c: (sum(c), c))
+    return candidates
+
+
 @dataclass(frozen=True)
 class OperatingPointResult:
     """Outcome of the constrained operating-point search.
@@ -339,28 +376,19 @@ def optimize_operating_point(
     Raises
     ------
     ValueError
-        If ``search_range`` starts below 0, no candidate satisfies the
-        constraint or every candidate fails.
+        If ``search_range`` starts below 0, ``grid_step`` is not positive,
+        no candidate satisfies the constraint or every candidate fails.
     """
     lo, hi = search_range
     if not lo >= 0:
         raise ValueError(f"optimize_operating_point: search_range must start at >= 0, got {lo}")
+    if not grid_step > 0:
+        raise ValueError(f"optimize_operating_point: grid_step must be positive, got {grid_step}")
     if not sum_constraint > 0:
         raise ValueError("optimize_operating_point: sum_constraint must be positive")
-    n = int(np.floor((hi - lo) / grid_step + 1e-9)) + 1
-    axis = lo + grid_step * np.arange(n)
-    candidates = [
-        (float(w), float(x), float(y), float(z))
-        for w in axis
-        for x in axis
-        for y in axis
-        for z in axis
-        if w + x + y + z <= sum_constraint + 1e-12
-    ]
+    candidates = _candidates(lo, hi, grid_step, sum_constraint)
     if not candidates:
         raise ValueError("optimize_operating_point: empty feasible set")
-    # Tie-break order: smallest total amplitude, then lexicographic.
-    candidates.sort(key=lambda c: (sum(c), c))
 
     if region_template is None:
         region_template = PerturbationRegion(center=(0.0,) * 4, half_widths=(0.0,) * 4)

@@ -145,7 +145,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"DensityMatrix: expected square matrix, got shape {m.shape}")
-        m, errors = _validate_states(m[None])
+        (m, _, _), errors = _validate_states(m[None])
         if errors[0]:
             raise errors[0]
         m = m[0]
@@ -170,19 +170,23 @@ def _dagger(m):
 
 
 def _validate_states(m):
-    """Hermitized ``(B, d, d)`` stack and, per matrix, the ValueError of the
-    first :class:`DensityMatrix` invariant it breaks (or None)."""
+    """Hermitized ``(B, d, d)`` stack with its eigenpairs, ``(m, w, v)`` as
+    :func:`numpy.linalg.eigh` returns ``(w, v)``, and per matrix the
+    ValueError of the first :class:`DensityMatrix` invariant it breaks (or
+    None). The Hermitized matrices are exactly Hermitian, so the eigenpairs
+    are those of any later Hermitization too: one decomposition serves the
+    PSD check and the fidelity roots."""
     herm = np.max(np.abs(m - _dagger(m)), axis=(-2, -1)).tolist()
     traces = np.trace(m, axis1=-2, axis2=-1).tolist()
     m = (m + _dagger(m)) / 2.0
-    w0 = np.linalg.eigvalsh(m)[:, 0].tolist() if len(m) else []
-    return m, [
+    w, v = np.linalg.eigh(m)
+    return (m, w, v), [
         ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {h:.3e})") if h > HERMITICITY_TOL
         else ValueError(f"DensityMatrix: trace {tr} deviates from 1 beyond {_TRACE_TOL:.0e}")
         if abs(tr - 1.0) > _TRACE_TOL
-        else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w:.3e} below {PSD_CLAMP:.0e})")
-        if w < PSD_CLAMP else None
-        for h, tr, w in zip(herm, traces, w0)
+        else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w0:.3e} below {PSD_CLAMP:.0e})")
+        if w0 < PSD_CLAMP else None
+        for h, tr, w0 in zip(herm, traces, w[:, 0].tolist())
     ]
 
 
@@ -743,7 +747,7 @@ def _stationary_vectors(generators):
         inverses = np.array([_inverse_or_nan(m) for m in a])
     with np.errstate(over="ignore", invalid="ignore"):
         cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inverses, 1, axis=(-2, -1))
-    vecs, errors = inverses[..., 0], [None] * len(a)
+    vecs, errors = inverses[..., 0].copy(), [None] * len(a)  # a view would hold every inverse
     for k in np.flatnonzero(~(cond <= 1.0 / NULL_SPACE_TOL)):
         basis = null_space(generators[k])
         if len(basis) == 1:
@@ -774,25 +778,28 @@ def _evolve_vectors(generators, t_end, dt, norm_bounds):
 
 
 def _states(vecs, errors):
-    """Trace-normalized, validated states of the coordinate vectors; a
-    failed point keeps its error (and holds the ground state)."""
+    """Trace-normalized states of the coordinate vectors, validated as
+    ``(rho, w, v)`` stacks (see :func:`_validate_states`); a failed point
+    keeps its error (and holds the ground state)."""
     vecs = vecs.copy()
     vecs[[k for k, e in enumerate(errors) if e is not None]] = np.eye(vecs.shape[-1])[0]
-    rho, more = _validate_states(_matrices(_clean(vecs)[0]))
-    return rho, [e or m for e, m in zip(errors, more)]
+    states, more = _validate_states(_matrices(_clean(vecs)[0]))
+    return states, [e or m for e, m in zip(errors, more)]
 
 
 def _only(states, errors):
     """The state of a block of one, or its error raised."""
     if errors[0] is not None:
         raise errors[0]
-    return DensityMatrix(states[0])
+    return DensityMatrix(states[0][0])
 
 
-def _numerical_states(basis, thetas, method, t_end, dt):
-    """States of ``method`` at each row of the ``(B, 4)`` RF amplitudes on a
-    basis, with per-point errors. Errors shared by every point (a bad
-    horizon, a time-dependent ``null_space``) raise; a time-dependent
+def _numerical_states(basis, thetas, method, t_end, dt, block=1):
+    """States of ``method`` at each row of the ``(N, 4)`` RF amplitudes on a
+    basis, validated as ``(rho, w, v)`` stacks (see :func:`_validate_states`),
+    with per-point errors. The generator kernels run on stacks of ``block``
+    points, validation on all N at once. Errors shared by every point (a
+    bad horizon, a time-dependent ``null_space``) raise; a time-dependent
     generator is evolved point by point."""
     _check_method(method)
     if basis.drive.closed_loop_delta != 0.0:
@@ -808,14 +815,18 @@ def _numerical_states(basis, thetas, method, t_end, dt):
             except (ValueError, np.linalg.LinAlgError) as exc:
                 states.append(ground_state().matrix)
                 errors.append(exc)
-        return np.array(states), errors
-    generators = basis.assemble(thetas)
-    if method == "null_space":
-        vecs, errors = _stationary_vectors(generators)
-    else:  # triangle-inequality bounds on ||L||, for theta >= 0
-        bounds = basis.norms[0] + thetas @ basis.norms[1]
-        vecs, errors = _evolve_vectors(generators, t_end, dt, bounds)
-    return _states(vecs, [e or m for e, m in zip(_trace_errors(generators), errors)])
+        return _validate_states(np.array(states))[0], errors
+    vecs, errors = [], []
+    for start in range(0, len(thetas), block):
+        rows = thetas[start:start + block]
+        generators = basis.assemble(rows)
+        if method == "null_space":
+            found = _stationary_vectors(generators)
+        else:  # triangle-inequality bounds on ||L||, for theta >= 0
+            found = _evolve_vectors(generators, t_end, dt, basis.norms[0] + rows @ basis.norms[1])
+        vecs.append(found[0])
+        errors += [e or m for e, m in zip(_trace_errors(generators), found[1])]
+    return _states(np.concatenate(vecs), errors)
 
 
 def steady_state(liouvillian):

@@ -87,15 +87,12 @@ def null_space(m):
     return [vh[i].conj() for i in range(len(s)) if s[i] <= NULL_SPACE_TOL * scale]
 
 
-def _psd_roots(m):
-    """Hermitian square roots of a ``(B, n, n)`` stack of Hermitian
-    matrices, eigenvalues clipped at zero, and the smallest eigenvalue of
-    each matrix."""
-    # Symmetrize before factorizing so round-off in the input cannot leak
-    # into complex eigenvalues.
-    w, v = np.linalg.eigh((m + np.conj(np.swapaxes(m, -1, -2))) / 2.0)
+def _psd_roots(w, v):
+    """Hermitian square roots of a stack of Hermitian matrices from their
+    eigenpairs ``(w, v)`` as :func:`numpy.linalg.eigh` returns them,
+    eigenvalues clipped at zero."""
     r = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0, w[:, 0]
+    return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0
 
 
 def psd_sqrt(m):
@@ -132,12 +129,14 @@ def psd_sqrt(m):
             f"psd_sqrt: input is not Hermitian (max |m - m^H| = {dev:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e})"
         )
-    roots, w0 = _psd_roots(m[None])
-    if w0[0] < PSD_CLAMP:
+    # Symmetrize before factorizing so round-off in the input cannot leak
+    # into complex eigenvalues.
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    if w[0] < PSD_CLAMP:
         raise ValueError(
-            f"psd_sqrt: matrix is not PSD (min eigenvalue {w0[0]:.3e} below clamp {PSD_CLAMP:.1e})"
+            f"psd_sqrt: matrix is not PSD (min eigenvalue {w[0]:.3e} below clamp {PSD_CLAMP:.1e})"
         )
-    return roots[0]
+    return _psd_roots(w, v)
 
 
 def exp_e1_scaled(x):

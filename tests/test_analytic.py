@@ -1,7 +1,11 @@
 """Closed-form steady state: hand-checked oracle, invariants, dual-route agreement."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydberg_receiver as rr
 from rydberg_receiver.analytic import (
@@ -13,6 +17,7 @@ from rydberg_receiver.analytic import (
 from rydberg_receiver.lindblad import DriveConfig
 
 TWO_PI = 2.0 * np.pi
+fidelity_module = importlib.import_module("rydberg_receiver.fidelity")
 
 # Unit-strength hand case: omega_p = omega_c = gamma = 1, Omega = (2, 1, 1, 1).
 # zeta = 2*1 - 1*1 = 1, Lambda = 1 + 2*(4+1+1+1) + 2*((1+1)*1 + 1) = 21.
@@ -133,21 +138,43 @@ class TestInvariants:
         assert rho[1, 1] == 0.0
 
 
+rf_amplitudes = st.floats(TWO_PI * 0.5, TWO_PI * 9.0)
+
+
+def _imbalanced(rf):
+    return abs(zeta(rf)) >= 0.1 * (rf[0] * rf[2] + rf[1] * rf[3])
+
+
 class TestAgainstNullSpace:
-    def test_reduced_scheme_matches(self, reduced_scheme):
-        # independent route: numerical kernel of the reduced-dissipation generator
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            rf = tuple(TWO_PI * rng.uniform(0.5, 9.0, size=4))
-            if abs(zeta(rf)) < 0.1 * (rf[0] * rf[2] + rf[1] * rf[3]):
-                continue
-            drive = DriveConfig(
-                omega_p=TWO_PI * rng.uniform(1.0, 7.0),
-                omega_c=TWO_PI * rng.uniform(0.3, 3.0),
-                rf_rabi=rf,
-            )
-            closed = analytic_steady_state(drive, reduced_scheme).matrix
-            kernel = rr.steady_state_numerical(drive, reduced_scheme, method="null_space").matrix
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(
+        omega_p=st.floats(TWO_PI * 1.0, TWO_PI * 7.0),
+        omega_c=st.floats(TWO_PI * 0.3, TWO_PI * 3.0),
+        gamma_21=st.floats(TWO_PI * 0.5, TWO_PI * 8.0),
+        rows=st.lists(
+            st.tuples(rf_amplitudes, rf_amplitudes, rf_amplitudes, rf_amplitudes).filter(
+                _imbalanced
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_reduced_decay_states_match(
+        self, probe_decay_scheme, omega_p, omega_c, gamma_21, rows
+    ):
+        # independent route: the stationary state of the probe-decay-only
+        # generator, away from the balanced loop, is the closed form
+        scheme = probe_decay_scheme(gamma_21)
+        drive = DriveConfig(omega_p=omega_p, omega_c=omega_c, rf_rabi=rows[0])
+        values, errors = fidelity_module._fidelity_points(
+            drive, scheme, np.array(rows), "null_space", 10.0, 1e-4
+        )
+        assert errors == [None] * len(rows)
+        assert np.all(1.0 - values <= 1e-12)
+        for rf in rows:
+            point = drive.with_rf_rabi(rf)
+            closed = analytic_steady_state(point, scheme).matrix
+            kernel = rr.steady_state_numerical(point, scheme, method="null_space").matrix
             assert np.max(np.abs(closed - kernel)) < 1e-10
 
 

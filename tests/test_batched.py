@@ -1,15 +1,20 @@
 """The batched affine engine against the per-point chain.
 
-Fidelity maps and the LO search evaluate their points in stacked blocks
-(`fidelity._BLOCK` points each); the public per-point functions run the same
-kernels on a block of one. These tests hold the two to `np.array_equal`,
-with the same NaN pattern, over random drives and random removals of decay
-channels, and check the gates a block must keep: degenerate points, the
-integrator's stability bound and time-dependent generators.
+Fidelity maps and the LO search evaluate their points in chunks
+(`fidelity._CHAIN` points each): the generator kernels run in stacked blocks
+of `fidelity._BLOCK` points, then validation, closed form and fidelity run
+once per chunk, with one eigendecomposition per state. The public per-point
+functions run the same kernels on a block of one. These tests hold the two
+to `np.array_equal`, with the same NaN pattern, over random drives and
+random removals of decay channels, also across chunk edges, and check the
+gates a block must keep: degenerate points, the integrator's stability
+bound and time-dependent generators, and the chain's memory bound.
 """
 
 import importlib
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -97,6 +102,24 @@ def per_point(drive, scheme, theta, method, t_end, dt):
     data=st.data(),
 )
 def test_batched_fidelities_equal_per_point(drive, scheme, method, data):
+    check_batched_equals_per_point(drive, scheme, method, data)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    drive=closed_loop_drives(),
+    scheme=schemes(),
+    method=st.sampled_from(STEADY_STATE_METHODS),
+    data=st.data(),
+)
+def test_batched_fidelities_equal_per_point_across_chunk_edges(drive, scheme, method, data):
+    # chunks of 20 over blocks of 16: SIZES straddle both edges, and the
+    # failed points of a draw fall inside chunks
+    with mock.patch.object(fidelity_module, "_CHAIN", 20):
+        check_batched_equals_per_point(drive, scheme, method, data)
+
+
+def check_batched_equals_per_point(drive, scheme, method, data):
     thetas = data.draw(amplitude_rows(data.draw(st.sampled_from(SIZES))))
     # a short horizon; the larger step breaks the stability bound for most
     # drives, the smaller one for few
@@ -228,6 +251,20 @@ class TestGates:
                 equal_nan=True,
             )
         assert 0 < np.isnan(scan.fidelities).sum() < scan.fidelities.size
+
+    @pytest.mark.parametrize("method", STEADY_STATE_METHODS)
+    def test_memory_peak(self, scheme, op_drive, method):
+        # a 25 x 25 map holds one chunk of states and one block of
+        # generators: about 1.6-1.8 MB, against about 3.4 MB for the whole
+        # map in one chunk
+        rr.fidelity_scan(op_drive, (2, 3), scheme, resolution=2, steady_state_method=method)
+        tracemalloc.start()
+        try:
+            rr.fidelity_scan(op_drive, (2, 3), scheme, resolution=25, steady_state_method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_time_dependent_null_space_map_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "td.ini"

@@ -47,6 +47,38 @@ class TestParsing:
         assert exc.value.code == 1
 
 
+class TestMemoryBackstop:
+    """A size that passes the load checks but not the machine's memory exits
+    2 with a message. The commands are patched to raise, so no test
+    allocates its way to the error."""
+
+    @pytest.mark.parametrize("command, func", [
+        ("fidelity-map", "cmd_fidelity_map"),
+        ("waveform", "cmd_waveform"),
+        ("sumrate", "cmd_sumrate"),
+    ])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, command, func):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def raise_memory_error(cfg, scheme, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, func, raise_memory_error)
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        def raise_memory_error(cfg, scheme, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_steady_state", raise_memory_error)
+        assert main(["steady-state", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestValidateScheme:
     def test_bundled_scheme_valid(self, capsys):
         assert main(["validate-scheme"]) == 0

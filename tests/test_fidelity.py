@@ -19,6 +19,7 @@ from rydberg_receiver.fidelity import (
 from rydberg_receiver.lindblad import DensityMatrix, DriveConfig
 
 TWO_PI = 2.0 * np.pi
+fidelity_module = importlib.import_module("rydberg_receiver.fidelity")
 
 
 def random_density(rng, dim=6):
@@ -251,6 +252,53 @@ class TestOptimizer:
         assert result.average_fidelity == best_val
         assert result.point == pytest.approx(best_pt)
         assert result.evaluated == 81
+
+    @staticmethod
+    def _all_tuples_filtered(lo, hi, grid_step, sum_constraint):
+        """The candidate list as every n^4 tuple of the axis, filtered."""
+        n = int(np.floor((hi - lo) / grid_step + 1e-9)) + 1
+        axis = lo + grid_step * np.arange(n)
+        candidates = [
+            (float(w), float(x), float(y), float(z))
+            for w in axis
+            for x in axis
+            for y in axis
+            for z in axis
+            if w + x + y + z <= sum_constraint + 1e-12
+        ]
+        candidates.sort(key=lambda c: (sum(c), c))
+        return candidates
+
+    @pytest.mark.parametrize("lo, hi, step, cap", [
+        (0.0, 3.0, 1.0, 3.5),  # the benchmark's lattice: k = 0..3, sum(k) <= 3.5
+        (0.0, 3 * 1.237, 1.237, 1.237 * 3.5),
+        (0.0, 3 * 0.813, 0.813, 0.813 * 3.5),
+        (TWO_PI * 5.0, TWO_PI * 7.0, TWO_PI, TWO_PI * 22.0),
+        (0.0, TWO_PI * 2.0, TWO_PI, TWO_PI * 3.0),  # sums land on the cap
+        (0.1, 0.75, 0.1, 1.0),  # steps that do not sum exactly
+        (0.0, 0.6, 0.1, 0.3),
+        (0.0, 5.0, 1.0, 100.0),  # the cap prunes nothing
+        (2.0, 4.0, 1.0, 1.0),  # the cap admits nothing
+    ])
+    def test_candidates_equal_the_filtered_lattice(self, lo, hi, step, cap):
+        expected = self._all_tuples_filtered(lo, hi, step, cap)
+        assert fidelity_module._candidates(lo, hi, step, cap) == expected
+
+    def test_fine_axis_builds_only_feasible_candidates(self):
+        # 1001 points per axis: 1e12 tuples, of which 35 fit under three steps
+        step = TWO_PI * 0.01
+        candidates = fidelity_module._candidates(0.0, TWO_PI * 10.0, step, 3 * step)
+        assert len(candidates) == 35
+        assert candidates[0] == (0.0,) * 4
+        assert all(sum(c) <= 3 * step + 1e-12 for c in candidates)
+
+    def test_nonpositive_grid_step_raises(self, scheme):
+        for grid_step in (0.0, -TWO_PI, float("nan")):
+            with pytest.raises(ValueError, match="grid_step must be positive"):
+                optimize_operating_point(
+                    (TWO_PI * 5.0, TWO_PI * 2.0), TWO_PI * 30.0,
+                    base_drive=self._base(), scheme=scheme, grid_step=grid_step,
+                )
 
     def test_sum_constraint_prunes(self, scheme):
         result = optimize_operating_point(
