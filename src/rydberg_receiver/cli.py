@@ -655,10 +655,10 @@ def build_parser():
         ("sumrate", cmd_sumrate, "compare architecture ergodic sum rates"),
         ("validate-scheme", cmd_validate_scheme, "check a level-scheme file"),
     ]
+    common = argparse.ArgumentParser(add_help=False)  # built once, shared by every command
+    _add_common(common)
     for name, func, help_text in specs:
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
-        sp.set_defaults(func=func)
+        sub.add_parser(name, help=help_text, parents=[common]).set_defaults(func=func)
     return parser
 
 

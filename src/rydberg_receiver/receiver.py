@@ -478,14 +478,37 @@ def _kaiser_bandpass(center, half_width, transition, fs):
     return _kaiser_fir(center - half_width, center + half_width, transition, fs)
 
 
+def _lowpass_kept(y, taps, decim):
+    """``np.convolve(y, taps, mode="same")[::decim]``, bit for bit, computing
+    only the kept outputs (polyphase decimation; Crochiere & Rabiner,
+    *Multirate Digital Signal Processing*, 1983). ``correlate`` sums each
+    output as one BLAS dot of its window with the contiguous reversed taps,
+    and ``np.vecdot`` and ``np.dot`` call that same dot; an edge output, whose
+    window ``mode="same"`` truncates, gets a dot of exactly the truncated
+    length. Needs ``len(taps) <= len(y)``."""
+    n, m, left = len(y), len(taps), len(taps) // 2
+    rev = taps[::-1].copy()  # a negative stride would leave BLAS
+    out = np.empty(-(-n // decim))
+    first, last = -(-left // decim), (n - m + left) // decim  # kept full windows
+    # a strided view of the kept windows: a gathered copy would hold them all
+    windows = np.lib.stride_tricks.sliding_window_view(y, m)[first * decim - left :: decim]
+    out[first : last + 1] = np.vecdot(windows, rev)
+    for j in (*range(min(first, len(out))), *range(max(first, last + 1), len(out))):
+        s = j * decim - left
+        lo, hi = max(s, 0), min(s + m, n)
+        out[j] = np.dot(y[lo:hi], rev[lo - s : hi - s])
+    return out
+
+
 def iq_demodulate(waveform, offsets, bandwidths):
     """Split a detector waveform into per-channel complex basebands.
 
     Per channel: bandpass isolate around the offset, mix with
     ``2 cos`` / ``-2 sin`` at the offset, lowpass, decimate. All filters
     are linear-phase FIR applied with centered convolution, so the
-    recovered envelope is delay-free; edge samples inside the filter
-    transient are flagged and excluded from the steady-state statistics.
+    recovered envelope is delay-free; the lowpass is evaluated only at the
+    decimated samples. Edge samples inside the filter transient are flagged
+    and excluded from the steady-state statistics.
 
     Raises
     ------
@@ -513,19 +536,18 @@ def iq_demodulate(waveform, offsets, bandwidths):
                 f"iq_demodulate: record of {len(x)} samples is shorter than the "
                 f"{taps}-tap filters of the {bw:g} MHz channel"
             )
-        band = np.convolve(x, bpf, mode="same")
-        i_arm = np.convolve(band * (2.0 * np.cos(offset * t)), lpf, mode="same")
-        q_arm = np.convolve(band * (-2.0 * np.sin(offset * t)), lpf, mode="same")
-        z = i_arm + 1j * q_arm
         # tolerance absorbs float artifacts like 16 // 0.4 -> 39
         decim = max(1, int(np.floor(fs / (4.0 * bw) + 1e-9)))
+        band = np.convolve(x, bpf, mode="same")
+        i_arm = _lowpass_kept(band * (2.0 * np.cos(offset * t)), lpf, decim)
+        q_arm = _lowpass_kept(band * (-2.0 * np.sin(offset * t)), lpf, decim)
         guard = (len(bpf) + len(lpf)) // 2
         out.append(
             DemodChannel(
                 offset=offset,
                 bandwidth=bw,
                 times=t[::decim],
-                baseband=z[::decim],
+                baseband=i_arm + 1j * q_arm,
                 sample_rate=fs / decim,
                 edge_samples=-(-guard // decim),
             )
@@ -579,5 +601,7 @@ def write_waveform_csv(path, exact, linearized):
 def write_spectrogram_csv(path, waveform, nperseg=256):
     """Export a long-form spectrogram CSV with columns ``t, f, power_db``."""
     times, freqs, power_db = spectrogram_data(waveform, nperseg=nperseg)
-    t, f = np.meshgrid(times, freqs, indexing="ij")
-    write_csv(path, "t,f,power_db", "%.9g,%.9g,%.6g", [(t.ravel(), f.ravel(), power_db.T.ravel())])
+    # each axis value is formatted once; the rows repeat the formatted cells
+    t, f = (np.array(["%.9g," % v for v in axis.tolist()], dtype=object) for axis in (times, freqs))
+    write_csv(path, "t,f,power_db", "%s%s%.6g",
+              [(np.repeat(t, len(f)), np.tile(f, len(t)), power_db.T.ravel())])

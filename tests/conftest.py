@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled scheme, its probe-decay-only variants, the
 documented operating point, the stage-by-stage RK4 reference, the
-row-by-row CSV reference and the scalar E1 reference."""
+row-by-row CSV reference, the scalar E1 reference and the full-rate
+demodulator reference."""
 
 import csv
 import io
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import rydberg_receiver as rr
+from rydberg_receiver import receiver
 from rydberg_receiver.scheme import Architecture, LevelScheme
 
 TWO_PI = 2.0 * np.pi
@@ -275,3 +277,31 @@ def literal_e1():
     ``x <= 1`` and the modified-Lentz continued fraction above, the scalar
     reference for the vector kernel ``numerics.exp_e1_scaled``."""
     return _literal_exp_e1_scaled
+
+
+def _literal_iq_demodulate(waveform, offsets, bandwidths):
+    """Per channel: bandpass, mix and lowpass both arms at the full sample
+    rate with ``np.convolve``, then keep every ``decim``-th sample."""
+    fs, x, t = waveform.sample_rate, waveform.ac(), waveform.times
+    out = []
+    for offset, bw in zip(offsets, bandwidths):
+        transition = receiver.TRANSITION_BANDWIDTHS * bw
+        bpf = receiver._kaiser_bandpass(offset / TWO_PI, receiver.BPF_HALF_WIDTH * bw, transition, fs)
+        lpf = receiver._kaiser_lowpass(receiver.LPF_CUTOFF * bw, transition, fs)
+        band = np.convolve(x, bpf, mode="same")
+        i_arm = np.convolve(band * (2.0 * np.cos(offset * t)), lpf, mode="same")
+        q_arm = np.convolve(band * (-2.0 * np.sin(offset * t)), lpf, mode="same")
+        z = i_arm + 1j * q_arm
+        decim = max(1, int(np.floor(fs / (4.0 * bw) + 1e-9)))
+        guard = (len(bpf) + len(lpf)) // 2
+        out.append(receiver.DemodChannel(offset=offset, bandwidth=bw, times=t[::decim],
+                                         baseband=z[::decim], sample_rate=fs / decim,
+                                         edge_samples=-(-guard // decim)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def literal_demod():
+    """``iq_demodulate`` with both lowpass arms filtered at the full rate and
+    then decimated: the reference for the kept-output lowpass."""
+    return _literal_iq_demodulate

@@ -46,6 +46,25 @@ class TestParsing:
             main([])
         assert exc.value.code == 1
 
+    def test_shared_common_options_match_per_command_copies(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert len(commands) == 7
+        argv = ["--config", "c.ini", "--scheme", "s.ini", "--out", "o", "--seed", "3",
+                "--workers", "2", "--dry-run"]
+        for name, parser in commands.items():
+            copy = cli._Parser(prog=f"rydberg-receiver {name}")
+            cli._add_common(copy)
+            copy.set_defaults(func=getattr(cli, "cmd_" + name.replace("-", "_")))
+            assert parser.format_help() == copy.format_help()
+            assert parser.parse_args(argv) == copy.parse_args(argv)
+            assert parser.parse_args([]) == copy.parse_args([])
+
+    def test_bad_common_option_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["waveform", "--seed", "x"])
+        assert exc.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+
 
 class TestMemoryBackstop:
     """A size that passes the load checks but not the machine's memory exits

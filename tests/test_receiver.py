@@ -1,5 +1,8 @@
 """Receiver chain: cell calibration, gains, waveform synthesis, IQ demodulation."""
 
+import dataclasses
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from rydberg_receiver.receiver import (
     DEFAULT_CELL,
     EA0,
     FILTER_STOPBAND_DB,
+    LPF_CUTOFF,
+    TRANSITION_BANDWIDTHS,
     GainVector,
     RfSignalSpec,
     VaporCellParams,
     Waveform,
     _kaiser_bandpass,
     _kaiser_lowpass,
+    _lowpass_kept,
     _rabi_per_field,
     gain_coefficients,
     heterodyne_rabi,
@@ -513,6 +519,66 @@ class TestAgainstScipySignal:
         assert np.array_equal(power_db, expected)
 
 
+def _noisy_tones(n_samples, fs=16.0):
+    """A detector-like record: four tones at ``FOUR_OFFSETS`` plus noise."""
+    rng = np.random.default_rng(n_samples)
+    t = np.arange(n_samples) / fs
+    tones = sum(np.cos(o * t + p) for o, p in zip(FOUR_OFFSETS, rng.uniform(0.0, 6.0, 4)))
+    samples = 7e-23 * (1 + 1e-3 * tones + 1e-4 * rng.normal(size=n_samples))
+    return Waveform(times=t, samples=samples, dc_level=7e-23, sample_rate=fs)
+
+
+class TestKeptLowpass:
+    """The lowpass evaluated at the kept samples only, against full-rate
+    ``np.convolve`` then decimation, with no tolerance."""
+
+    @pytest.mark.parametrize("fs", FIR_SAMPLE_RATES)
+    @pytest.mark.parametrize("bw", FIR_BANDWIDTHS)
+    def test_equals_full_rate_convolution(self, fs, bw):
+        taps = _kaiser_lowpass(LPF_CUTOFF * bw, TRANSITION_BANDWIDTHS * bw, fs)
+        m = len(taps)
+        real = max(1, int(np.floor(fs / (4.0 * bw) + 1e-9)))
+        rng = np.random.default_rng([int(fs), int(1000 * bw)])
+        # a record of the filter's length, whose one full window (output
+        # m // 2) is not kept at 16 MHz and 0.1 MHz (425 taps, decim 40), one
+        # decimation period around it, and a longer one; decim from 1 to
+        # beyond the record
+        lengths = (m, m + 1, m + real - 1, m + real, m + 2 * real + 1, m + int(rng.integers(2, 2000)))
+        for n in lengths:
+            for decim in (1, 2, 7, real, n, n + 1):
+                y = rng.normal(size=n) * 10.0 ** float(rng.integers(-25, 3))
+                expected = np.convolve(y, taps, mode="same")[::decim]
+                assert np.array_equal(_lowpass_kept(y, taps, decim), expected)
+
+    @pytest.mark.parametrize("n_samples", [425, 426, 464, 465, 1000, 64000])
+    def test_iq_demodulate_equals_full_rate_reference(self, n_samples, literal_demod):
+        wave = _noisy_tones(n_samples)
+        bandwidths = (0.1, 0.17, 0.12, 0.1)  # decim 40, 23, 33, 40; the 0.1 MHz taps are 425
+        got = iq_demodulate(wave, FOUR_OFFSETS, bandwidths)
+        expected = literal_demod(wave, FOUR_OFFSETS, bandwidths)
+        assert len(got) == len(expected) == 4
+        for channel, reference in zip(got, expected):
+            for field in dataclasses.fields(channel):
+                value, ref = getattr(channel, field.name), getattr(reference, field.name)
+                assert np.asarray(value).dtype == np.asarray(ref).dtype, field.name
+                assert np.array_equal(value, ref), field.name
+
+    def test_peak_memory_at_most_full_rate(self, literal_demod):
+        # a gathered copy of the kept windows, (1600, 425) doubles per arm,
+        # peaks above the full-rate path
+        args = (_noisy_tones(64000), FOUR_OFFSETS, (0.1,) * 4)
+        peaks = []
+        for demodulate in (literal_demod, iq_demodulate):
+            demodulate(*args)  # warm: first-call allocations are not the filter's
+            tracemalloc.start()
+            try:
+                demodulate(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+
 class TestExports:
     def _pair(self, lo, scheme):
         spec = RfSignalSpec(
@@ -576,3 +642,18 @@ class TestExports:
         assert path.read_bytes() == literal_csv.waveform(odd, odd)
         write_spectrogram_csv(path, exact, nperseg=64)
         assert path.read_bytes() == literal_csv.spectrogram(*spectrogram_data(exact, nperseg=64))
+
+    @pytest.mark.parametrize("n_samples, silent", [(1, True), (100, False), (100, True), (3000, True)])
+    def test_spectrogram_bytes_match_row_writer(self, tmp_path, literal_csv, n_samples, silent):
+        wave = _noisy_tones(n_samples)
+        if silent:
+            wave = dataclasses.replace(wave, samples=np.zeros(n_samples))
+        times, freqs, power_db = spectrogram_data(wave)
+        assert (len(times) == 1) == (n_samples < 256)  # a short record is one segment
+        path = tmp_path / "spec.csv"
+        write_spectrogram_csv(path, wave)
+        assert path.read_bytes() == literal_csv.spectrogram(times, freqs, power_db)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == len(times) * len(freqs)
+        if silent:
+            assert {row.rsplit(",", 1)[1] for row in rows} == {"-300"}
