@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .comms import RABI_SET1, RABI_SET2, compare_architectures
-from .config import ConfigError, Field, load_config, parse_config
+from .config import ConfigError, Field, dbm_to_watts, load_config, parse_config
 from .fidelity import (
     PerturbationRegion,
     fidelity_scan,
@@ -209,7 +209,19 @@ _RULES = (
      "search_hi must be >= search_lo"),
     ("sumrate", lambda v, size: v["power_min_dbm"] <= v["power_max_dbm"],
      "power_max_dbm must be >= power_min_dbm"),
+) + tuple(
+    ("sumrate", lambda v, size, key=key: _has_watts(v[key]), f"{key} overflows in watts")
+    for key in ("power_min_dbm", "power_max_dbm", "bandwidth_sweep_power_dbm")
 )
+
+
+def _has_watts(dbm):
+    """Whether ``dbm`` dBm converts to watts without overflow."""
+    try:
+        return np.isfinite(dbm_to_watts(dbm))
+    except OverflowError:
+        return False
+
 
 #: Files each command writes, as ``--dry-run`` reports them; None for
 #: ``validate-scheme``, which writes nothing. A file in ``_OPTIONAL`` is
@@ -284,9 +296,10 @@ def _run(args):
     """Load and check the inputs, compute, then write every product.
 
     A command computes everything that can fail and returns ``({file name:
-    writer}, message)``; the files are written in order after it returns,
-    so a failed run writes none. A command whose verdict fails (an invalid
-    scheme) returns None for the files and the run exits 1.
+    writer}, summary, message)``; the files, then ``summary.json`` unless the
+    summary is None, are written in order after it returns, so a failed run
+    writes none. A command whose verdict fails (an invalid scheme) returns
+    None for the files and the run exits 1.
     """
     cfg, scheme = _load_inputs(args)
     planned = PLANNED[args.command]
@@ -297,7 +310,9 @@ def _run(args):
             report.update(parameters=cfg, would_write=planned)
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
         return 0
-    files, message = args.func(cfg, scheme, args.seed)
+    files, summary, message = args.func(cfg, scheme, args.seed)
+    if summary is not None:
+        files["summary.json"] = lambda path: _dump_json(path, summary)
     if files:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -319,7 +334,7 @@ def _run(args):
 
 
 # ----------------------------------------------------------------------
-# Subcommands: each takes (cfg, scheme, seed) and returns (files, message)
+# Subcommands: each takes (cfg, scheme, seed) and returns (files, summary, message)
 
 
 def cmd_steady_state(cfg, scheme, seed):
@@ -367,11 +382,7 @@ def cmd_steady_state(cfg, scheme, seed):
         "analytic_comparison": comparison,
     }
     pops = ", ".join(f"{rho.population(k):.6f}" for k in range(1, 7))
-    files = {
-        "steady_state.csv": write_states,
-        "summary.json": lambda path: _dump_json(path, summary),
-    }
-    return files, (
+    return {"steady_state.csv": write_states}, summary, (
         f"steady-state ({method}): populations [{pops}]\n"
         f"rho21 = {rho.coherence(2, 1):.6e}"
     )
@@ -396,13 +407,11 @@ def cmd_dynamics(cfg, scheme, seed):
         "final_populations": [final.population(k) for k in range(1, 7)],
         "final_rho21": final.coherence(2, 1),
     }
-    files = {
-        "trajectory.csv": lambda path: trajectory.write_csv(
-            path, all_coherences=dyn["all_coherences"]
-        ),
-        "summary.json": lambda path: _dump_json(path, summary),
-    }
-    return files, (
+
+    def write_trajectory(path):
+        trajectory.write_csv(path, all_coherences=dyn["all_coherences"])
+
+    return {"trajectory.csv": write_trajectory}, summary, (
         f"dynamics: {len(trajectory.times)} snapshots to t={dyn['t_end']:g} us, "
         f"trace drift {trajectory.max_trace_drift:.3e}"
     )
@@ -439,11 +448,7 @@ def cmd_fidelity_map(cfg, scheme, seed):
         "max_fidelity": float(np.max(finite)),
         "min_point_rf_rabi": list(min_drive.rf_rabi),
     }
-    files = {
-        "fidelity_map.csv": scan.write_csv,
-        "summary.json": lambda path: _dump_json(path, summary),
-    }
-    return files, (
+    return {"fidelity_map.csv": scan.write_csv}, summary, (
         f"fidelity-map: {scan.fidelities.size} points on axes {axes}, "
         f"min {min_fid:.6f}, max {float(np.max(finite)):.6f}"
     )
@@ -477,7 +482,7 @@ def cmd_optimize_lo(cfg, scheme, seed):
         "failures": [list(p) for p in result.failures],
     }
     mhz = ", ".join(f"{v / TWO_PI:.3f}" for v in result.point)
-    return {"operating_point.json": lambda path: _dump_json(path, payload)}, (
+    return {"operating_point.json": lambda path: _dump_json(path, payload)}, None, (
         f"optimize-lo: best point 2pi x [{mhz}] MHz, "
         f"average fidelity {result.average_fidelity:.8f}, "
         f"{len(result.accepted)} plateau candidates of {result.evaluated} evaluated"
@@ -556,8 +561,7 @@ def cmd_waveform(cfg, scheme, seed):
         "linearization_rms_over_dc": linearization_discrepancy(exact, linearized),
         "channels": channel_summaries,
     }
-    files["summary.json"] = lambda path: _dump_json(path, summary)
-    return files, (
+    return files, summary, (
         f"waveform: {len(exact.times)} samples, DC {exact.dc_level:.6e} A, "
         f"linearization residual {summary['linearization_rms_over_dc']:.3e} of DC"
     )
@@ -597,11 +601,7 @@ def cmd_sumrate(cfg, scheme, seed):
     hyb = comparison.power_rates[Architecture.HYBRID][-1]
     crs = comparison.power_rates[Architecture.CRS][-1]
     prs = comparison.power_rates[Architecture.PRS][-1]
-    files = {
-        "rates.csv": comparison.write_csv,
-        "summary.json": lambda path: _dump_json(path, summary),
-    }
-    return files, (
+    return {"rates.csv": comparison.write_csv}, summary, (
         f"sumrate at {powers[-1]:g} dBm, {sr['power_sweep_bandwidth']:g} MHz: "
         f"hybrid {hyb:.4g} bit/s, cascade {crs:.4g} bit/s, parallel {prs:.4g} bit/s"
     )
@@ -609,7 +609,7 @@ def cmd_sumrate(cfg, scheme, seed):
 
 def cmd_validate_scheme(cfg, scheme, seed):
     report = validate_scheme(scheme)
-    return ({} if report.valid else None), report.summary()
+    return ({} if report.valid else None), None, report.summary()
 
 
 # ----------------------------------------------------------------------

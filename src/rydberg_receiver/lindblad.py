@@ -352,7 +352,7 @@ class Liouvillian:
 
     def spectral_report(self):
         """(closest-to-zero |eigenvalue|, largest real part of the rest)."""
-        lam = np.linalg.eigvals(self.matrix)
+        lam = np.linalg.eigvals(self.real_form)  # similar to ``matrix``: the same spectrum
         k = int(np.argmin(np.abs(lam)))
         rest = np.delete(lam, k)
         return float(np.abs(lam[k])), float(np.max(rest.real)) if rest.size else 0.0
@@ -360,48 +360,48 @@ class Liouvillian:
 
 @dataclass(frozen=True)
 class TimeDependentLiouvillian:
-    """Generator ``A + exp(-i delta t) B + exp(+i delta t) C``.
+    """Generator ``L(p) = constant + 2 Re(p loop)`` at loop phase ``p =
+    exp(-i delta t)``, on coordinates (see :class:`Liouvillian`).
 
-    Produced when the closed-loop detuning is nonzero; the oscillating
-    parts come from the loop branch of the Hamiltonian. :func:`evolve`
-    integrates it from the three parts and ``delta``; :meth:`matrix` gives
-    the generator at one time, for oracles and stationarity checks.
+    Produced when the closed-loop detuning is nonzero: ``constant`` is real,
+    at zero loop amplitude, and ``loop`` is the loop channel's upper coupling.
+    :func:`evolve` integrates it from the two parts and ``delta``;
+    :meth:`matrix` gives ``L`` at one time, for oracles and residuals.
     """
 
-    constant: np.ndarray
-    loop_lower: np.ndarray   # coefficient of exp(-i delta t)
-    loop_raise: np.ndarray   # coefficient of exp(+i delta t)
+    constant: np.ndarray  # (d^2, d^2), real
+    loop: np.ndarray  # (d^2, d^2), complex
     delta: float
 
+    def _at(self, p):
+        """Real ``L(p)`` at the loop phases ``p``."""
+        return self.constant + 2.0 * (p * self.loop).real
+
     def matrix(self, t):
-        """Generator evaluated at time ``t`` (us)."""
-        phase = np.exp(-1j * self.delta * t)
-        return self.constant + phase * self.loop_lower + np.conj(phase) * self.loop_raise
+        """``L`` at time ``t`` (us), on column-major ``vec(rho)``."""
+        return _to_basis(self._at(np.exp(-1j * self.delta * t)), inverse=True)
 
     def norm(self, t_end=math.inf):
         """Bound on ``||L(t)||`` for ``0 <= t <= t_end``, which tends to the
-        closed-loop norm as delta goes to 0: ``L(t) - L(0) = (p - 1) B +
-        (conj(p) - 1) C`` with ``|p - 1| <= min(2, |delta| t)``."""
+        closed-loop norm as delta goes to 0: ``L(p) - L(1) = 2 Re((p - 1)
+        loop)`` with ``|p - 1| <= min(2, |delta| t)``."""
         swing = min(2.0, abs(self.delta) * t_end)
-        return float(
-            np.linalg.norm(self.constant + self.loop_lower + self.loop_raise, 2)
-            + swing * (np.linalg.norm(self.loop_lower, 2) + np.linalg.norm(self.loop_raise, 2))
-        )
+        return float(np.linalg.norm(self._at(1.0), 2) + 2.0 * swing * np.linalg.norm(self.loop, 2))
 
 
 @dataclass(frozen=True)
 class _GeneratorBasis:
     """``L(theta) = constant + sum_k theta_k channels_k`` in real form (see
     :class:`Liouvillian`), where channel k is the superoperator of its
-    coupling ``units_k = exp(i phi_k)/2`` (upper triangle) plus the
-    conjugate, and ``constant`` holds the lasers, the detunings and the
-    dissipator. Every generator, one or a stack, is assembled here."""
+    coupling ``exp(i phi_k)/2`` (upper triangle) plus the conjugate, ``2
+    Re(loop)`` for the loop, and ``constant`` holds the lasers, the detunings
+    and the dissipator. Every generator, one or a stack, is assembled here."""
 
     drive: DriveConfig  # the lasers, detunings and RF phases; no RF amplitude
     scheme: object
     constant: np.ndarray  # (d^2, d^2), real
-    units: np.ndarray  # (4, d, d)
     channels: np.ndarray  # (4, d^2, d^2), real
+    loop: np.ndarray  # (d^2, d^2), complex
 
     def assemble(self, thetas):
         """Real generators at each row of the ``(B, 4)`` amplitudes."""
@@ -433,15 +433,16 @@ def _basis_at(drive, scheme):
         jj = jump.T @ jump
         constant += rate * (np.kron(jump, jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj, eye)))
     channels = _to_basis(_hamiltonian_superop(units + _dagger(units))).real
-    basis = _GeneratorBasis(drive, scheme, _to_basis(constant).real, units, channels)
-    for array in (basis.constant, basis.units, basis.channels):
+    loop = _to_basis(_hamiltonian_superop(units[_LOOP]))
+    basis = _GeneratorBasis(drive, scheme, _to_basis(constant).real, channels, loop)
+    for array in (basis.constant, basis.channels, basis.loop):
         array.setflags(write=False)
     return basis
 
 
 def make_generator(drive, scheme):
     """Generator for the given drive: constant if the loop detuning is
-    zero, otherwise the explicit three-part time-dependent form. Both
+    zero, otherwise the explicit two-part time-dependent form. Both
     evaluate the drive's affine basis at its RF amplitudes.
 
     Raises
@@ -455,13 +456,8 @@ def make_generator(drive, scheme):
         return Liouvillian(basis.assemble(theta)[0])
     # the loop channel's upper coupling carries exp(-i delta t), its conjugate exp(+i delta t)
     loop, theta[0, _LOOP] = theta[0, _LOOP], 0.0
-    unit = basis.units[_LOOP]
-    return TimeDependentLiouvillian(
-        constant=_to_basis(basis.assemble(theta)[0], inverse=True),
-        loop_lower=loop * _hamiltonian_superop(unit),
-        loop_raise=loop * _hamiltonian_superop(_dagger(unit)),
-        delta=drive.closed_loop_delta,
-    )
+    constant = basis.assemble(theta)[0]
+    return TimeDependentLiouvillian(constant, loop * basis.loop, drive.closed_loop_delta)
 
 
 # ----------------------------------------------------------------------
@@ -493,27 +489,22 @@ def _rk4_step_polynomial(generator, dt):
     """One RK4 step of a time-dependent generator as a polynomial in the
     loop phase.
 
-    At ``t = n dt`` the generator is ``L(p) = A + p B + conj(p) C`` with
-    loop phase ``p = exp(-i delta t)``, and the stage times multiply ``p``
-    by ``w = exp(-i delta dt/2)`` and ``w^2``. So the step less the identity
-    is ``sum_k p^k D_k``, ``k = -4..4``, whose ``D_k`` a discrete Fourier
-    transform over the ninth roots of unity reads off. On real coordinates
-    ``E_k = T D_k T^H`` has ``E_-k = conj(E_k)``, so the step is ``I + E_0
-    + 2 Re sum_k p^k E_k``, ``k = 1..4``: nine real matrices, returned as
-    ``E_0..E_4``, ``(5, d^2, d^2)``."""
+    At ``t = n dt`` the generator is the real ``L(p)`` at loop phase ``p =
+    exp(-i delta t)``, and the stage times multiply ``p`` by ``w = exp(-i
+    delta dt/2)`` and ``w^2``. So the step less the identity is ``sum_k p^k
+    E_k``, ``k = -4..4``, whose ``E_k`` a real FFT reads off the four stages
+    run on real ``(9, d^2, d^2)`` stacks at the ninth roots of unity. The
+    step is real, so ``E_-k = conj(E_k)`` and it is ``I + E_0 + 2 Re sum_k
+    p^k E_k``, ``k = 1..4``: returned as ``E_0..E_4``, ``(5, d^2, d^2)``."""
     roots = np.exp(2j * np.pi * np.arange(9) / 9)[:, None, None]
     w = np.exp(-0.5j * generator.delta * dt)
-
-    def at(p):  # L(p) at each root, (9, d^2, d^2)
-        return generator.constant + p * generator.loop_lower + np.conj(p) * generator.loop_raise
-
     eye = np.eye(len(generator.constant))
-    k1 = at(roots)
-    k2 = at(roots * w) @ (eye + 0.5 * dt * k1)
-    k3 = at(roots * w) @ (eye + 0.5 * dt * k2)
-    k4 = at(roots * w * w) @ (eye + dt * k3)
+    k1 = generator._at(roots)
+    k2 = generator._at(roots * w) @ (eye + 0.5 * dt * k1)
+    k3 = generator._at(roots * w) @ (eye + 0.5 * dt * k2)
+    k4 = generator._at(roots * w * w) @ (eye + dt * k3)
     increments = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _to_basis(np.fft.fft(increments, axis=0)[:5] / 9.0)  # D_k = mean of p^-k D(p)
+    return np.fft.rfft(increments, axis=0) / 9.0  # E_k = mean of p^-k E(p)
 
 
 def _phase_weights(theta):

@@ -62,6 +62,15 @@ def closed_loop_drives(draw):
 
 
 @st.composite
+def open_loop_drives(draw):
+    """Random drive with a nonzero closed-loop detuning."""
+    drive = draw(closed_loop_drives())
+    d1, d2, d3, d4 = drive.rf_detunings
+    delta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.01, TWO_PI))
+    return replace(drive, rf_detunings=(d1, d2, d3, d4 + delta))
+
+
+@st.composite
 def schemes(draw):
     """The bundled scheme with a random subset of its decay channels."""
     keep = draw(st.lists(st.booleans(), min_size=len(_SCHEME.decay_channels),
@@ -140,10 +149,11 @@ def test_stacked_assembly_equals_make_generator(drive, scheme, data):
         assert np.array_equal(generator, single.real_form)
 
 
-def kron_generator(drive, scheme):
-    """The column-major superoperator built term by term from Kronecker
-    products: ``-i (I (x) H - H^T (x) I)`` plus each decay's dissipator."""
-    h, eye = rr.build_hamiltonian(drive, scheme), np.eye(6)
+def kron_generator(drive, scheme, t=0.0):
+    """The column-major superoperator at time ``t`` built term by term from
+    Kronecker products: ``-i (I (x) H - H^T (x) I)`` plus each decay's
+    dissipator."""
+    h, eye = rr.build_hamiltonian(drive, scheme, t), np.eye(6)
     out = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for src, dst, rate in scheme.decay_channels:
         jump = np.zeros((6, 6))
@@ -154,19 +164,31 @@ def kron_generator(drive, scheme):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(drive=closed_loop_drives(), scheme=schemes(), data=st.data())
+@given(drive=st.one_of(closed_loop_drives(), open_loop_drives()), scheme=schemes(), data=st.data())
 def test_real_generators_map_back_to_the_superoperator(drive, scheme, data):
     thetas = data.draw(amplitude_rows(data.draw(st.sampled_from(SIZES))))
-    stack = _generator_basis(drive, scheme).assemble(thetas)
+    stack = _generator_basis(drive, scheme).assemble(thetas)  # at t = 0
     assert stack.dtype == np.float64
     t = _hermitian_basis(6)
+    time = data.draw(st.floats(0.0, 20.0))
     for real, theta in zip(stack, thetas):
         point = drive.with_rf_rabi(theta)
         oracle = kron_generator(point, scheme)
         scale = np.linalg.norm(oracle)
         assert np.linalg.norm(_trace_row(36) @ real) <= 1e-13 * scale
         assert np.linalg.norm(t.conj().T @ real @ t - oracle) <= 1e-13 * scale
-        assert np.linalg.norm(rr.make_generator(point, scheme).matrix - oracle) <= 1e-13 * scale
+        generator = rr.make_generator(point, scheme)
+        if isinstance(generator, rr.TimeDependentLiouvillian):
+            # the real L(p) at the loop phase of the drawn time
+            phase = np.exp(-1j * generator.delta * time)
+            real_at_t = generator.constant + 2.0 * (phase * generator.loop).real
+            assert real_at_t.dtype == np.float64
+            assert np.linalg.norm(_trace_row(36) @ real_at_t) <= 1e-13 * scale
+            matrix = generator.matrix(time)
+        else:
+            matrix = generator.matrix
+        oracle = kron_generator(point, scheme, time)
+        assert np.linalg.norm(matrix - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

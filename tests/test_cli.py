@@ -554,6 +554,8 @@ class TestLoadTimeChecks:
             ("sumrate", "sumrate", "temperature_k", "-5", "temperature"),
             ("sumrate", "sumrate", "power_step_db", "inf", "power_step_db"),
             ("sumrate", "sumrate", "bandwidth_sweep_power_dbm", "nan", "bandwidth_sweep_power_dbm"),
+            ("sumrate", "sumrate", "bandwidth_sweep_power_dbm", "4000", "bandwidth_sweep_power_dbm"),
+            ("sumrate", "sumrate", "power_max_dbm", "4000", "power_max_dbm"),
             ("sumrate", "sumrate", "bandwidths_mhz", "0.05, 0", "bandwidths"),
             ("sumrate", "sumrate", "power_sweep_bandwidth_mhz", "0", "power_sweep_bandwidth"),
             ("waveform", "signal", "modulation_index", "nan", "modulation_index"),
