@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import DensityMatrix, _validate_states
+from .lindblad import DensityMatrix
 
 __all__ = ["zeta", "analytic_steady_state", "rho21_from_amplitudes"]
 
@@ -93,12 +93,10 @@ def rho21_from_amplitudes(omega_p, omega_c, rf_rabi, gamma_21):
 
 
 def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
-    """Closed-form states of a block of samples (``rf_rabi`` entries may be
-    ``(B,)`` arrays), validated as ``(rho, w, v)`` stacks of shapes ``(B,
-    6, 6)``, ``(B, 6)`` and ``(B, 6, 6)`` (see
-    :func:`~rydberg_receiver.lindblad._validate_states`), with per-sample
-    errors: the ValueError of a degenerate sample (Lambda = 0, held as NaN)
-    or of a broken :class:`DensityMatrix` invariant, or None."""
+    """Unvalidated closed-form states of a block of samples (``rf_rabi``
+    entries may be ``(B,)`` arrays), a ``(B, 6, 6)`` stack, with per-sample
+    errors: the ValueError of a degenerate sample (Lambda = 0, held as NaN),
+    or None."""
     z, lam = (np.atleast_1d(v) for v in _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21))
     valid = lam > 0.0
     lam = np.where(valid, lam, np.nan)
@@ -130,13 +128,8 @@ def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
 
     lower = np.tril(rho, -1)
     rho = rho * np.eye(6) + lower + np.conj(np.swapaxes(lower, -1, -2))
-    errors = [None if ok else ValueError(_DEGENERATE) for ok in valid.tolist()]
-    good = np.flatnonzero(valid)
-    w, v = np.full(rho.shape[:-1], np.nan), np.full_like(rho, np.nan)
-    (rho[good], w[good], v[good]), more = _validate_states(rho[good])
-    for k, error in zip(good, more):
-        errors[k] = error
-    return (rho, w, v), errors
+    rho[~valid] = np.nan
+    return rho, [None if ok else ValueError(_DEGENERATE) for ok in valid.tolist()]
 
 
 class AnalyticContext(NamedTuple):
@@ -177,7 +170,7 @@ def analytic_steady_state(drive, scheme=None):
         drive, gamma_21 = drive
     else:
         gamma_21 = scheme.decay_rate(2, 1)
-    (rho, _, _), errors = _closed_form(drive.omega_p, drive.omega_c, drive.rf_rabi, gamma_21)
+    rho, errors = _closed_form(drive.omega_p, drive.omega_c, drive.rf_rabi, gamma_21)
     if errors[0]:
         raise errors[0]
     return DensityMatrix(rho[0])

@@ -570,7 +570,7 @@ def cmd_waveform(cfg, scheme, seed):
 def cmd_sumrate(cfg, scheme, seed):
     sr = cfg["sumrate"]
     rabi_set = sr["rabi"] if sr["rabi"] is not None else _RABI_SETS[sr["rabi_set"]]
-    n_steps = int(round((sr["power_max_dbm"] - sr["power_min_dbm"]) / sr["power_step_db"]))
+    n_steps = int(np.floor((sr["power_max_dbm"] - sr["power_min_dbm"]) / sr["power_step_db"] + 1e-9))
     powers = sr["power_min_dbm"] + sr["power_step_db"] * np.arange(n_steps + 1)
     bandwidths_hz = np.asarray(sr["bandwidths"]) * 1e6  # MHz -> Hz
 

@@ -30,6 +30,7 @@ from .lindblad import (
     _check_method,
     _generator_basis,
     _numerical_states,
+    _validate_states,
 )
 from .numerics import TWO_PI, _psd_roots, write_csv
 
@@ -44,12 +45,6 @@ __all__ = [
     "TWO_PI",
 ]
 
-#: Points per stacked generator block: the stationary solve and the Taylor
-#: powers hold a few ``(d^2, d^2)`` matrices per point, so on the 625-point
-#: maps blocks of 16 cost about 1.5 MB of peak memory over one point at a
-#: time, and the whole map in one stack about 70 MB. Blocks of 64 or 128
-#: were no faster.
-_BLOCK = 16
 #: Points per chunk of the state chain (validation, closed form, roots,
 #: product and SVD), which holds a few ``(d, d)`` matrices per point. On
 #: the 625-point maps the traced peak is about 1.6-1.8 MB, against
@@ -59,12 +54,11 @@ _CHAIN = 256
 
 def _fidelities(eig_n, eig_a):
     """Fidelities of two stacks of validated states, each given by its
-    eigenpairs ``(w, v)`` from :func:`~rydberg_receiver.lindblad._validate_states`
-    or :func:`numpy.linalg.eigh`, as the squared nuclear norm
-    ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2`` (Jozsa, J. Mod. Opt. 41, 2315
-    (1994)), which stays well conditioned where a state is rank deficient.
-    Validation bounds every eigenvalue below by ``PSD_CLAMP``, and the roots
-    clip what lies above it to zero."""
+    eigenpairs ``(w, v)`` from :func:`~rydberg_receiver.lindblad._validate_states`,
+    as the squared nuclear norm ``(Tr |sqrt(rho_n) sqrt(rho_a)|)^2`` (Jozsa,
+    J. Mod. Opt. 41, 2315 (1994)), which stays well conditioned where a
+    state is rank deficient. Validation bounds every eigenvalue below by
+    ``PSD_CLAMP``, and the roots clip what lies above it to zero."""
     singular = np.linalg.svd(_psd_roots(*eig_n) @ _psd_roots(*eig_a), compute_uv=False)
     return np.sum(singular, axis=-1) ** 2
 
@@ -74,13 +68,12 @@ def fidelity(rho_n, rho_a):
 
     Symmetric in its arguments and confined to [0, 1] up to 1e-9 of
     round-off. Inputs are validated through :class:`DensityMatrix`, so
-    invariant-violating matrices raise before any algebra runs.
+    invariant-violating matrices raise, and validation's eigenpairs give the roots.
     """
-    if not isinstance(rho_n, DensityMatrix):
-        rho_n = DensityMatrix(np.asarray(rho_n))
-    if not isinstance(rho_a, DensityMatrix):
-        rho_a = DensityMatrix(np.asarray(rho_a))
-    eig_n, eig_a = (np.linalg.eigh(rho.matrix[None]) for rho in (rho_n, rho_a))
+    eig_n, eig_a = (
+        (rho if isinstance(rho, DensityMatrix) else DensityMatrix(np.asarray(rho)))._eig
+        for rho in (rho_n, rho_a)
+    )
     return float(_fidelities(eig_n, eig_a)[0])
 
 
@@ -135,8 +128,8 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
 
     Chunks of :data:`_CHAIN` points run the stacked kernels that the
     per-point functions run on a block of one: the generator kernels in
-    blocks of :data:`_BLOCK`, then validation, closed form and fidelity on
-    the whole chunk, with one eigendecomposition per state. So every value
+    blocks of ``lindblad._BLOCK``, then closed form, validation and fidelity
+    on the whole chunk, with one eigendecomposition per state. So every value
     equals ``fidelity(steady_state_numerical(...), analytic_steady_state(...))``.
     An unknown method raises first, then a negative or non-finite
     amplitude raises DriveConfig's error.
@@ -153,14 +146,16 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     for start in range(0, len(thetas), _CHAIN):
         chunk = thetas[start:start + _CHAIN]
         try:
-            (_, w_n, v_n), found = _numerical_states(basis, chunk, method, t_end, dt, _BLOCK)
+            states_n, found = _numerical_states(basis, chunk, method, t_end, dt)
         except (ValueError, np.linalg.LinAlgError) as exc:  # shared by every point
             errors += [exc] * len(chunk)
             continue
-        (_, w_a, v_a), more = _closed_form(
+        states_a, degenerate = _closed_form(
             base_drive.omega_p, base_drive.omega_c, tuple(chunk.T), scheme.decay_rate(2, 1)
         )
-        found = [e or m for e, m in zip(found, more)]
+        (_, w_n, v_n), invalid_n = _validate_states(states_n)
+        (_, w_a, v_a), invalid_a = _validate_states(states_a)
+        found = [k or n or d or a for k, n, d, a in zip(found, invalid_n, degenerate, invalid_a)]
         ok = [k for k, e in enumerate(found) if e is None]
         if ok:
             values[start + np.array(ok)] = _fidelities((w_n[ok], v_n[ok]), (w_a[ok], v_a[ok]))

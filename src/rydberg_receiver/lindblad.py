@@ -133,10 +133,10 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, PSD within tolerance.
+    """Validated quantum state: finite, Hermitian, unit trace, PSD within tolerance.
 
-    The matrix is copied and jointly Hermitized/checked on construction, so
-    downstream code can rely on the invariants without revalidating.
+    The matrix is copied and jointly Hermitized/checked, keeping the check's
+    eigenpairs, so downstream code can rely on both without revalidating.
     """
 
     matrix: np.ndarray
@@ -145,12 +145,13 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"DensityMatrix: expected square matrix, got shape {m.shape}")
-        (m, _, _), errors = _validate_states(m[None])
+        (m, *eig), errors = _validate_states(m[None])
         if errors[0]:
             raise errors[0]
         m = m[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eig", eig)
 
     @property
     def dim(self):
@@ -175,18 +176,21 @@ def _validate_states(m):
     ValueError of the first :class:`DensityMatrix` invariant it breaks (or
     None). The Hermitized matrices are exactly Hermitian, so the eigenpairs
     are those of any later Hermitization too: one decomposition serves the
-    PSD check and the fidelity roots."""
+    PSD check and the fidelity roots. A non-finite matrix is zeroed and fails."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[:, None, None], m, 0.0)
     herm = np.max(np.abs(m - _dagger(m)), axis=(-2, -1)).tolist()
     traces = np.trace(m, axis1=-2, axis2=-1).tolist()
     m = (m + _dagger(m)) / 2.0
     w, v = np.linalg.eigh(m)
     return (m, w, v), [
-        ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {h:.3e})") if h > HERMITICITY_TOL
+        ValueError("DensityMatrix: non-finite entries") if not ok
+        else ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {h:.3e})") if h > HERMITICITY_TOL
         else ValueError(f"DensityMatrix: trace {tr} deviates from 1 beyond {_TRACE_TOL:.0e}")
         if abs(tr - 1.0) > _TRACE_TOL
         else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w0:.3e} below {PSD_CLAMP:.0e})")
         if w0 < PSD_CLAMP else None
-        for h, tr, w0 in zip(herm, traces, w[:, 0].tolist())
+        for ok, h, tr, w0 in zip(finite.tolist(), herm, traces, w[:, 0].tolist())
     ]
 
 
@@ -704,6 +708,13 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
 # Kernels return per-point errors beside the results: None, or what that
 # point raises when evaluated alone, so no point fails the rest of a stack.
 
+#: Points per stacked generator block: the stationary solve and the Taylor
+#: powers hold a few ``(d^2, d^2)`` matrices per point, so on the 625-point
+#: maps blocks of 16 cost about 1.5 MB of peak memory over one point at a
+#: time, and the whole map in one stack about 70 MB. Blocks of 64 or 128
+#: were no faster.
+_BLOCK = 16
+
 
 def _check_method(method):
     if method not in STEADY_STATE_METHODS:
@@ -769,47 +780,41 @@ def _evolve_vectors(generators, t_end, dt, norm_bounds):
 
 
 def _states(vecs, errors):
-    """Trace-normalized states of the coordinate vectors, validated as
-    ``(rho, w, v)`` stacks (see :func:`_validate_states`); a failed point
-    keeps its error (and holds the ground state)."""
-    vecs = vecs.copy()
-    vecs[[k for k, e in enumerate(errors) if e is not None]] = np.eye(vecs.shape[-1])[0]
-    states, more = _validate_states(_matrices(_clean(vecs)[0]))
-    return states, [e or m for e, m in zip(errors, more)]
+    """Trace-normalized states of the coordinate vectors, NaN where a point failed."""
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    return _matrices(_clean(np.where(failed[:, None], np.nan, vecs))[0]), errors
 
 
 def _only(states, errors):
-    """The state of a block of one, or its error raised."""
+    """The state of a block of one, validated, or its error raised."""
     if errors[0] is not None:
         raise errors[0]
-    return DensityMatrix(states[0][0])
+    return DensityMatrix(states[0])
 
 
-def _numerical_states(basis, thetas, method, t_end, dt, block=1):
-    """States of ``method`` at each row of the ``(N, 4)`` RF amplitudes on a
-    basis, validated as ``(rho, w, v)`` stacks (see :func:`_validate_states`),
-    with per-point errors. The generator kernels run on stacks of ``block``
-    points, validation on all N at once. Errors shared by every point (a
-    bad horizon, a time-dependent ``null_space``) raise; a time-dependent
-    generator is evolved point by point."""
+def _numerical_states(basis, thetas, method, t_end, dt):
+    """Unvalidated ``(N, d, d)`` states of ``method`` at each row of the
+    ``(N, 4)`` RF amplitudes on a basis, NaN at a failed point, with
+    per-point errors. The generator kernels run on stacks of :data:`_BLOCK`
+    points. Errors shared by every point (a bad horizon, a time-dependent
+    ``null_space``) raise; a time-dependent generator is evolved point by
+    point."""
     _check_method(method)
     if basis.drive.closed_loop_delta != 0.0:
         if method == "null_space":
             raise TypeError(_NO_STATIONARY_FRAME)
-        states, errors = [], []
-        for theta in thetas:
+        states = np.full((len(thetas),) + (basis.scheme.size,) * 2, np.nan, dtype=complex)
+        errors = [None] * len(thetas)
+        for k, theta in enumerate(thetas):
             try:
                 generator = make_generator(basis.drive.with_rf_rabi(theta), basis.scheme)
-                trajectory = evolve(ground_state(), generator, t_end, dt, max_snapshots=2)
-                states.append(trajectory.final.matrix)
-                errors.append(None)
+                states[k] = evolve(ground_state(), generator, t_end, dt, max_snapshots=2).matrices[-1]
             except (ValueError, np.linalg.LinAlgError) as exc:
-                states.append(ground_state().matrix)
-                errors.append(exc)
-        return _validate_states(np.array(states))[0], errors
+                errors[k] = exc
+        return states, errors
     vecs, errors = [], []
-    for start in range(0, len(thetas), block):
-        rows = thetas[start:start + block]
+    for start in range(0, len(thetas), _BLOCK):
+        rows = thetas[start:start + _BLOCK]
         generators = basis.assemble(rows)
         if method == "null_space":
             found = _stationary_vectors(generators)

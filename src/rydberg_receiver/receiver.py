@@ -176,6 +176,8 @@ class RfSignalSpec:
         if any(b <= 0 for b in self.bandwidths):
             raise ValueError("RfSignalSpec: bandwidths must be > 0")
         object.__setattr__(self, "envelopes", tuple(self.envelopes))
+        if len(self.envelopes) != 4:
+            raise ValueError("RfSignalSpec.envelopes: expected 4 entries")
         active = self.active_channels()
         _check_bands("RfSignalSpec", active, [self.offsets[n - 1] for n in active],
                      [self.bandwidths[n - 1] for n in active])

@@ -2,7 +2,7 @@
 
 Fidelity maps and the LO search evaluate their points in chunks
 (`fidelity._CHAIN` points each): the generator kernels run in stacked blocks
-of `fidelity._BLOCK` points, then validation, closed form and fidelity run
+of `lindblad._BLOCK` points, then validation, closed form and fidelity run
 once per chunk, with one eigendecomposition per state. The public per-point
 functions run the same kernels on a block of one. These tests hold the two
 to `np.array_equal`, with the same NaN pattern, over random drives and
@@ -23,11 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydberg_receiver as rr
+from rydberg_receiver.analytic import _closed_form
 from rydberg_receiver.cli import main
 from rydberg_receiver.lindblad import (
     STEADY_STATE_METHODS,
     _generator_basis,
     _hermitian_basis,
+    _numerical_states,
     _trace_row,
 )
 from rydberg_receiver.scheme import Architecture, LevelScheme
@@ -222,6 +224,25 @@ class TestGates:
         generator = rr.make_generator(op_drive.with_rf_rabi(thetas[5]), reduced_scheme)
         with pytest.raises(ValueError, match="degenerate"):
             rr.steady_state(generator)
+
+    @pytest.mark.parametrize("detuning", [0.0, TWO_PI * 0.04])
+    def test_failed_points_are_nan_in_both_kernels(self, scheme, op_drive, detuning):
+        # the kernels return unvalidated stacks, NaN at a failed point, for
+        # the stacked propagator and for the open loop's point-by-point evolve
+        drive = replace(op_drive, rf_detunings=(0.0, 0.0, 0.0, detuning))
+        thetas = TWO_PI * np.array([[0.0, 0.0, 2.0, 2.0], [10.0, 10.0, 2.0, 2.0], [0.0] * 4])
+        states, errors = _numerical_states(
+            _generator_basis(drive, scheme), thetas, "evolve", 0.2, 1.25e-3
+        )
+        closed, degenerate = _closed_form(
+            drive.omega_p, drive.omega_c, tuple(thetas.T), scheme.decay_rate(2, 1)
+        )
+        assert "stability bound" in str(errors[1])
+        assert [e is None for e in errors] == [True, False, True]
+        assert [e is None for e in degenerate] == [True, True, False]
+        for stack, failed in ((states, 1), (closed, 2)):
+            assert np.isnan(stack[failed]).all()
+            assert np.isfinite(np.delete(stack, failed, axis=0)).all()
 
     def test_stability_bound_gates_exactly_the_per_point_failures(self, scheme, op_drive):
         values = np.linspace(0.0, TWO_PI * 10.0, 9)

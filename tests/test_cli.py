@@ -502,6 +502,20 @@ class TestSumrate:
         rates = summary["rate_at_max_power"]
         assert rates["Hybrid"] >= rates["CRS"] >= rates["PRS"] > 0
 
+    def test_power_sweep_stops_at_max(self, tmp_path, capsys):
+        # 40 dB in 7 dB steps: -30 .. 5 dBm, not rounded up past power_max_dbm
+        cfg = (
+            "[sumrate]\nrabi_set = set2\n"
+            "power_min_dbm = -30\npower_max_dbm = 10\npower_step_db = 7\n"
+            "bandwidths_mhz = 0.05\nbandwidth_sweep_power_dbm = -30\n"
+        )
+        out = tmp_path / "out"
+        assert run(tmp_path, "sumrate", "--out", str(out), config=cfg) == 0
+        rows = (out / "rates.csv").read_text().strip().splitlines()[1:]
+        powers = sorted({float(row.split(",")[1]) for row in rows})
+        assert powers == [-30.0, -23.0, -16.0, -9.0, -2.0, 5.0]
+        assert "sumrate at 5 dBm" in capsys.readouterr().out
+
     def test_bad_rabi_set_exits_1(self, tmp_path, capsys):
         cfg = "[sumrate]\nrabi_set = set9\n"
         assert run(tmp_path, "sumrate", "--out", str(tmp_path / "o"), config=cfg) == 1

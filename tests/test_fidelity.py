@@ -46,6 +46,25 @@ class TestFidelity:
         plus = DensityMatrix(np.outer(psi, psi.conj()))
         assert fidelity(plus, rr.basis_state(1)) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["null_space", "evolve"])
+    def test_per_point_oracle_decomposes_each_state_once(self, op_drive, scheme, method,
+                                                          monkeypatch):
+        # validation's eigenpairs stay with the DensityMatrix and give the
+        # fidelity roots: two states, two eigendecompositions
+        eigh, decomposed = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        value = fidelity(
+            rr.steady_state_numerical(op_drive, scheme, method=method, t_end=0.1, dt=1e-3),
+            analytic_steady_state(op_drive, scheme),
+        )
+        assert sum(decomposed) == 2
+        assert 0.0 <= value <= 1.0 + 1e-9
+
     def test_symmetric(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

@@ -3,6 +3,7 @@ steady states. Oracles: closed-form two-level decay, scipy expm, and a
 stiff-tolerance scipy ODE integration for the time-dependent branch."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,17 @@ class TestDensityMatrix:
             rr.DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             rr.DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+        non_finite = (
+            np.diag([np.nan, 1.0]),  # on the diagonal: every comparison is False
+            np.array([[0.5, np.nan], [np.nan, 0.5]]),  # off the diagonal
+            np.diag([np.inf, 0.0]),
+            np.full((2, 2), np.nan),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic warns
+            for m in non_finite:
+                with pytest.raises(ValueError, match="non-finite"):
+                    rr.DensityMatrix(m)
 
     def test_accessors(self):
         rho = rr.basis_state(3)

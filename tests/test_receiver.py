@@ -88,6 +88,8 @@ class TestRfSignalSpec:
     def test_length_validation(self):
         with pytest.raises(ValueError, match="4 entries"):
             RfSignalSpec(amplitudes=(1.0, 1.0), offsets=FOUR_OFFSETS)
+        with pytest.raises(ValueError, match=r"^RfSignalSpec\.envelopes: expected 4 entries$"):
+            RfSignalSpec(amplitudes=(1.0, 0, 0, 0), offsets=FOUR_OFFSETS, envelopes=(None,))
 
     def test_negative_amplitude(self):
         with pytest.raises(ValueError, match=">= 0"):
