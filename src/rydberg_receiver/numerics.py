@@ -17,7 +17,9 @@ The Liouvillian construction in :mod:`rydberg_receiver.lindblad` relies on
 this convention; do not mix in row-major flattening.
 
 Every table the package exports goes through :func:`write_csv`: a bare
-header line, one printf-formatted line per row, CRLF line ends.
+header line, one printf-formatted line per row, CRLF line ends. It
+formats its rows with the private module ``_csvrows``, whose ``%g`` kernel
+reproduces Python's ``%`` byte for byte.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ NULL_SPACE_TOL = 1e-9
 #: is valid down to it, and roots clip everything above it to zero.
 PSD_CLAMP = -1e-8
 
-#: Rows formatted per write by :func:`write_csv`, so a table of any length
-#: costs a bounded amount of memory on top of its columns.
-CSV_CHUNK_ROWS = 4096
+#: Cells formatted per write by :func:`write_csv` (at least one row), so a
+#: table of any size costs a bounded amount of memory on top of its columns.
+CSV_CHUNK_CELLS = 4096
 
 
 def _as_square(m, name, dtype=complex):
@@ -116,13 +118,15 @@ def psd_sqrt(m):
     Raises
     ------
     ValueError
-        If the input is not square, not Hermitian within
-        ``HERMITICITY_TOL`` (max elementwise ``|m - m^H|``), or has an
-        eigenvalue below ``PSD_CLAMP``.
+        If the input is not square, has a non-finite entry, is not
+        Hermitian within ``HERMITICITY_TOL`` (max elementwise
+        ``|m - m^H|``), or has an eigenvalue below ``PSD_CLAMP``.
     """
     m = _as_square(m, "psd_sqrt")
     if m.size == 0:
         return m
+    if not np.isfinite(m).all():
+        raise ValueError("psd_sqrt: input has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERMITICITY_TOL:
         raise ValueError(
@@ -203,22 +207,42 @@ def exp_e1_scaled(x):
 
 def write_csv(path, header, fmt, blocks):
     """Write a table as CSV: the ``header`` line, then one ``fmt`` row per
-    row of each block, every line ended by CRLF.
+    row of each block, every line ended by CRLF, as UTF-8.
 
-    ``fmt`` is a printf row format such as ``"%.9g,%.12g"``. Each block is a
-    sequence of columns broadcast together, so a scalar column (a channel
-    number, an architecture name) repeats on every row of its block; no
-    blocks gives the header alone.
+    ``fmt`` is a printf row format such as ``"%.9g,%.12g"`` whose
+    conversions are ``%d``, ``%s`` and ``%.<p>g`` with ``p`` from 1 to 12.
+    Each block is a sequence of columns broadcast together, so a scalar
+    column (a channel number, an architecture name) repeats on every row of
+    its block; no blocks gives the header alone. The bytes are those of
+    ``(fmt + "\r\n") % row`` for every row: a scalar column is formatted
+    once, ``%g`` cells by the exact vector kernel of ``_csvrows`` and the
+    other cells by ``%``. Rows are formatted ``CSV_CHUNK_CELLS //
+    len(block)`` at a time (at least one) into a NUL-padded word matrix,
+    whose NULs are deleted as the chunk is written; so no cell or separator
+    may contain a NUL.
     """
-    row = fmt + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
+    # imported here, so that a process that writes no table does not compile it
+    from ._csvrows import format_rows, split_format
+
+    pieces = split_format(fmt)
+    with open(path, "wb") as fh:
+        fh.write((header + "\r\n").encode())
         for block in blocks:
             columns = np.broadcast_arrays(*block)
-            width = len(columns)
-            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
-                cells = [None] * (width * len(chunk[0]))
-                for k, values in enumerate(chunk):
-                    cells[k::width] = values
-                fh.write((row * len(chunk[0])) % tuple(cells))
+            # the literal bytes before each varying column and after the
+            # last; a scalar column is formatted into the bytes around it
+            literals, varying, conversions, text = [], [], [], pieces[0]
+            for k, conversion in enumerate(pieces[1::2]):
+                if np.ndim(block[k]) == 0:
+                    text += ("%" + conversion) % columns[k].item(0)
+                else:
+                    literals.append(text.encode())
+                    varying.append(columns[k])
+                    conversions.append(conversion)
+                    text = ""
+                text += pieces[2 * k + 2]
+            literals.append(text.encode())
+            step = max(1, CSV_CHUNK_CELLS // len(columns))
+            for start in range(0, len(columns[0]), step):
+                chunk = [c[start:start + step] for c in varying]
+                fh.write(format_rows(tuple(literals), tuple(conversions), chunk))

@@ -603,7 +603,5 @@ def write_waveform_csv(path, exact, linearized):
 def write_spectrogram_csv(path, waveform, nperseg=256):
     """Export a long-form spectrogram CSV with columns ``t, f, power_db``."""
     times, freqs, power_db = spectrogram_data(waveform, nperseg=nperseg)
-    # each axis value is formatted once; the rows repeat the formatted cells
-    t, f = (np.array(["%.9g," % v for v in axis.tolist()], dtype=object) for axis in (times, freqs))
-    write_csv(path, "t,f,power_db", "%s%s%.6g",
-              [(np.repeat(t, len(f)), np.tile(f, len(t)), power_db.T.ravel())])
+    write_csv(path, "t,f,power_db", "%.9g,%.9g,%.6g",
+              [(np.repeat(times, len(freqs)), np.tile(freqs, len(times)), power_db.T.ravel())])

@@ -1,13 +1,19 @@
-"""Linear-algebra kernels and the exponential integral."""
+"""Linear-algebra kernels, the exponential integral and the CSV writer."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import exp1
 
+from rydberg_receiver._csvrows import g_cells
 from rydberg_receiver.numerics import (
     exp_e1_scaled,
     null_space,
     psd_sqrt,
+    write_csv,
 )
 
 
@@ -122,3 +128,149 @@ class TestPsdSqrt:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             psd_sqrt(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("diagonal", [[np.nan, 1.0], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, diagonal):
+        # a NaN used to give an all-NaN root, an inf a RuntimeWarning
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_sqrt(np.diag(diagonal))
+
+
+PRECISIONS = (6, 9, 12)
+
+
+def _g_strings(x, p):
+    """Each value of the ``(columns, rows)`` array ``x`` as the kernel
+    formats it at the column's precision ``p[j, 0]``, one list per column."""
+    out = np.full(x.size * 5, 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64)  # every byte is written
+    g_cells(x, p, np.zeros((len(x), 1), np.uint64), out, 5 * np.arange(x.size).reshape(x.shape))
+    cells = [w.tobytes().replace(b"\0", b"").decode() for w in out.reshape(-1, 5)]
+    return [cells[j * x.shape[1]:(j + 1) * x.shape[1]] for j in range(x.shape[0])]
+
+
+def _assert_g_exact(values, p):
+    values = np.asarray(values, dtype=float)
+    expected = ["%.*g" % (p, v) for v in values.tolist()]
+    assert _g_strings(values[None, :], np.array([[p]]))[0] == expected
+
+
+def _near_ties(rng, p, count, exponent_range=(-20, 20)):
+    """Values whose p-digit mantissa lies within 1e-3 of a rounding tie,
+    the cells where scaled float arithmetic could round either way."""
+    mantissa = rng.integers(10 ** (p - 1), 10**p, count) + 0.5
+    mantissa += rng.uniform(-2e-3, 2e-3, count) * (rng.random(count) < 0.7)
+    return mantissa * 10.0 ** (rng.integers(*exponent_range, count) - (p - 1))
+
+
+class TestGeneralFormatKernel:
+    """``g_cells`` against Python's ``"%.{p}g" % v``, byte for byte."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(min_value=-1e15, max_value=1e15),
+                st.floats(min_value=-1e-3, max_value=1e-3),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        p=st.sampled_from(PRECISIONS),
+    )
+    def test_matches_percent_format(self, values, p):
+        _assert_g_exact(values, p)
+
+    @pytest.mark.parametrize("p", PRECISIONS)
+    def test_specials(self, p):
+        tiny = np.finfo(float).smallest_subnormal
+        _assert_g_exact([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-280, 9.99e279, 1e280,
+                         -1e300, np.finfo(float).max, 2.0**-1022], p)
+
+    @pytest.mark.parametrize("p", PRECISIONS)
+    def test_exact_and_near_ties(self, p):
+        rng = np.random.default_rng(25 + p)
+        ties = (2 * rng.integers(10 ** (p - 1), 10**p, 2000) + 1) / 2  # N + 1/2, exactly
+        eighths = rng.integers(-(10 ** (p + 1)), 10 ** (p + 1), 4000) / 8
+        _assert_g_exact(np.concatenate([ties, ties * 10.0, -ties * 1000.0, eighths]), p)
+        _assert_g_exact(_near_ties(rng, p, 20000), p)
+
+    @pytest.mark.parametrize("p", PRECISIONS)
+    def test_notation_switch_and_carries(self, p):
+        # %g is fixed for -4 <= e < p and scientific otherwise, with e taken
+        # after rounding: values just below a power of ten carry into it
+        edges = 10.0 ** np.array([-6, -5, -4, -3, 0, p - 2, p - 1, p, p + 1])
+        below = edges * (1 - 0.5 * 10.0**-p)
+        values = np.concatenate([edges, below, np.nextafter(below, 0), np.nextafter(below, 2 * edges),
+                                 np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        carries = [9.9999999999995e-7, 999999.5, 0.00099999995, 99999.95, 9999999.5, 99999999999.5,
+                   0.000099999995, 999999999999.5, 1e11 - 0.5, 12340000.0, 1200.0, 100.0]
+        _assert_g_exact(np.concatenate([values, -values, carries]), p)
+
+    def test_log10_off_by_a_decade_is_corrected(self, monkeypatch):
+        # the decade comes from floor(log10|v|); a log10 that rounds across a
+        # power of ten is corrected by the range check on the scaled value
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)
+        exact = np.log10
+        skew = np.where(np.arange(values.size) % 2, 0.3, -0.3)  # 0.3 decades either way
+        monkeypatch.setattr(np, "log10", lambda a: exact(a) + skew.reshape(a.shape))
+        for p in PRECISIONS:
+            _assert_g_exact(values, p)
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(2025)
+        values = rng.standard_normal(30000) * 10.0 ** rng.integers(-300, 300, 30000)
+        for p in PRECISIONS:
+            _assert_g_exact(values, p)
+
+    def test_mixed_precisions_in_one_call(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 14, 500)
+        got = _g_strings(np.array([values, -values, values]), np.array([[6], [9], [12]]))
+        for column, v, p in zip(got, (values, -values, values), PRECISIONS):
+            assert column == ["%.*g" % (p, x) for x in v.tolist()]
+
+
+class TestWriteCsv:
+    def test_rows_match_percent_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(10) * 10.0 ** rng.integers(-9, 9, 10)
+        x[:3] = 0.0, np.nan, 1234565.0  # cells that % formats (a tie at %.6g)
+        # separators of up to 3 bytes after a %g cell share its last word
+        fmt = "%s,%d,%.6g -- %.12g;%.9g"
+        blocks = [
+            ("tag", np.arange(10), x, -x, x),
+            (np.array(["u", "vw"]), 3, 1.5, x[:2], 2.0),
+            (np.array(["", ""]), 0, 0.25, x[:2], x[2:4]),
+        ]
+        rows = [("tag", k, a, -a, a) for k, a in enumerate(x.tolist())]
+        rows += [("u", 3, 1.5, x[0], 2.0), ("vw", 3, 1.5, x[1], 2.0)]
+        rows += [("", 0, 0.25, x[0], x[2]), ("", 0, 0.25, x[1], x[3])]
+        path = tmp_path / "t.csv"
+        write_csv(path, "name,k,a,b,c", fmt, blocks)
+        expected = "name,k,a,b,c\r\n" + "".join((fmt + "\r\n") % row for row in rows)
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("fmt", ["%.13g", "%.0g", "%f", "%5.3g", "%x", "%%"])
+    def test_rejects_unsupported_conversions(self, tmp_path, fmt):
+        with pytest.raises(ValueError, match="unsupported conversion"):
+            write_csv(tmp_path / "t.csv", "a", fmt, [(np.ones(2),)])
+
+    def test_peak_memory_independent_of_rows(self, tmp_path):
+        # cells are formatted CSV_CHUNK_CELLS at a time, so a 4x longer
+        # waveform table peaks no higher
+        peaks = []
+        for n in (64000, 256000):
+            t = np.arange(n) / 16.0
+            y = 1e-4 * (1.0 + 0.01 * np.sin(0.3 * t))
+            columns = [(t, y, -y)]
+            path = tmp_path / f"w{n}.csv"
+            write_csv(path, "t,y_exact,y_linearized", "%.9g,%.12g,%.12g", columns)  # warm
+            tracemalloc.start()
+            try:
+                write_csv(path, "t,y_exact,y_linearized", "%.9g,%.12g,%.12g", columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024

@@ -12,7 +12,7 @@ from scipy import signal
 
 import rydberg_receiver as rr
 from rydberg_receiver.lindblad import DriveConfig
-from rydberg_receiver.numerics import CSV_CHUNK_ROWS
+from rydberg_receiver.numerics import CSV_CHUNK_CELLS
 from rydberg_receiver.receiver import (
     DEFAULT_CELL,
     EA0,
@@ -633,7 +633,7 @@ class TestExports:
         write_waveform_csv(path, exact, lin)
         assert path.read_bytes() == literal_csv.waveform(exact, lin)
         # Two full chunks of the writer, then a partial one holding the odd cells.
-        filler = np.resize(exact.samples, 2 * CSV_CHUNK_ROWS + 5)
+        filler = np.resize(exact.samples, 2 * (CSV_CHUNK_CELLS // 3) + 5)
         odd = Waveform(
             times=np.append(np.arange(len(filler)) / 16.0, [-0.0, 0.0625, 0.125]),
             samples=np.append(filler, [np.nan, -0.0, 7.0586443e-23]),
