@@ -45,16 +45,24 @@ def split_format(fmt):
     return pieces
 
 
+def cell_words(conversion, values):
+    """The cells ``("%" + conversion) % v`` of ``values``, NUL-padded to
+    whole 8-byte words: a ``(len(values), words)`` uint64 array."""
+    strings = [(("%" + conversion) % v).encode() for v in values.tolist()]
+    width = max(1, -(-max(map(len, strings), default=0) // 8))
+    return np.array(strings, dtype=f"S{8 * width}").view(np.uint64).reshape(len(strings), width)
+
+
 def format_rows(literals, conversions, columns):
     """CSV bytes of the rows of ``columns``, formatted by ``conversions``,
     with ``literals[k]`` before column ``k`` and ``literals[-1]`` after the
-    last."""
-    others = {}  # the %d and %s cells, NUL-padded to whole words
-    for k, conversion in enumerate(conversions):
-        if conversion[-1] != "g":
-            strings = [(("%" + conversion) % v).encode() for v in columns[k].tolist()]
-            cells = np.array(strings, dtype=f"S{8 * max(1, -(-max(map(len, strings)) // 8))}")
-            others[k] = cells.view(np.uint64).reshape(len(strings), -1)
+    last. A column of ``%d``/``%s`` cells may come formatted, as the
+    :func:`cell_words` of its rows."""
+    others = {  # the %d and %s cells, and those formatted beforehand
+        k: column if column.ndim == 2 else cell_words(conversion, column)
+        for k, (conversion, column) in enumerate(zip(conversions, columns))
+        if conversion[-1] != "g"
+    }
     template, offsets, floats, p, tails = _row_layout(
         literals, conversions, tuple(c.shape[1] for c in others.values())
     )

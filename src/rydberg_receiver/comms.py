@@ -200,16 +200,26 @@ def ergodic_sum_rate(channels):
     sweep point as an array, from one E1 evaluation over all channels. A
     mean SNR so small that its inverse overflows gives the limit 0.
     """
-    channels = list(channels)
-    gam = np.array(np.broadcast_arrays(*(ch.mean_snr for ch in channels)))
+    return _sum_rates([list(channels)])[0]
+
+
+def _sum_rates(channel_sets):
+    """:func:`ergodic_sum_rate` of each list of channels, from one E1
+    evaluation over the channels of every list."""
+    gams = [np.array(np.broadcast_arrays(*(ch.mean_snr for ch in chs))) for chs in channel_sets]
+    gam = np.concatenate([g.ravel() for g in gams])
     if np.any(gam < 0):
         raise ValueError("ergodic_sum_rate: negative average SNR")
     on = gam != 0.0
     with np.errstate(over="ignore"):
         inverse = 1.0 / np.where(on, gam, 1.0)
-    scaled = np.where(on, exp_e1_scaled(inverse), 0.0)
-    total = sum((ch.bandwidth / LN2 * s for ch, s in zip(channels, scaled)), 0.0)
-    return total if np.ndim(total) else float(total)
+    # split at the end of each list's SNRs (zip drops the empty last piece)
+    scaled = np.split(np.where(on, exp_e1_scaled(inverse), 0.0), np.cumsum([g.size for g in gams]))
+    rates = []
+    for chs, g, s in zip(channel_sets, gams, scaled):
+        total = sum((ch.bandwidth / LN2 * row for ch, row in zip(chs, s.reshape(g.shape))), 0.0)
+        rates.append(total if np.ndim(total) else float(total))
+    return rates
 
 
 def monte_carlo_sum_rate(channels, n_samples, seed=None):
@@ -334,8 +344,8 @@ def compare_architectures(
     sweep_power_w = dbm_to_watts(bandwidth_sweep_power_dbm)
     gains = {}
     y_lo = {}
-    power_rates = {}
-    bandwidth_rates = {}
+    sweeps = ((power_w, power_sweep_bandwidth_hz), (sweep_power_w, bandwidth_range_hz))
+    channel_sets = []  # per architecture, its power sweep then its bandwidth sweep
     for arch, active in ARCH_CHANNELS.items():
         lo = _masked_drive(omega_p, omega_c, rabi_set, active)
         y_lo[arch], gains[arch] = _operating_point(lo, cell, scheme, "numerical")
@@ -344,12 +354,12 @@ def compare_architectures(
             temperature=temperature,
             omega_probe=cell.probe_angular_frequency,
         )
-        power_rates[arch] = ergodic_sum_rate(
-            _arch_channels(scheme, gains[arch], active, power_w, power_sweep_bandwidth_hz, env, beta)
-        )
-        bandwidth_rates[arch] = ergodic_sum_rate(
-            _arch_channels(scheme, gains[arch], active, sweep_power_w, bandwidth_range_hz, env, beta)
-        )
+        channel_sets += [
+            _arch_channels(scheme, gains[arch], active, *sweep, env, beta) for sweep in sweeps
+        ]
+    rates = _sum_rates(channel_sets)
+    power_rates = dict(zip(ARCH_CHANNELS, rates[::2]))
+    bandwidth_rates = dict(zip(ARCH_CHANNELS, rates[1::2]))
     return ArchitectureComparison(
         rabi_set=tuple(float(v) for v in rabi_set),
         gains=gains,

@@ -763,19 +763,28 @@ def _stationary_vectors(generators):
 
 def _evolve_vectors(generators, t_end, dt, norm_bounds):
     """``evolve(ground_state(), L, t_end, dt, 2).final`` as vectors, for a
-    stack: one stacked Taylor propagator raised to the step count. Upper
+    stack: the stacked Taylor propagator's step-count power applied, bit by
+    bit, to the coordinates of ``|1><1|``, the first unit vector. Upper
     bounds ``norm_bounds`` clear points of the stability bound without an
     SVD; the exact norm decides the rest, so no decision changes."""
-    n_steps = _horizon_steps(t_end, dt)
+    n = _horizon_steps(t_end, dt)
     unclear = np.flatnonzero(~(dt * norm_bounds * (1.0 + 1e-9) <= 0.1))
     errors = [None] * len(generators)
-    for k, norm in zip(unclear, np.linalg.norm(generators[unclear], 2, axis=(-2, -1)).tolist()):
-        errors[k] = _stability_error(dt, norm)
+    if unclear.size:
+        for k, norm in zip(unclear, np.linalg.norm(generators[unclear], 2, axis=(-2, -1)).tolist()):
+            errors[k] = _stability_error(dt, norm)
     ok = [k for k, e in enumerate(errors) if e is None]
     vecs = np.zeros(generators.shape[:2])
     if ok:
-        steps = np.linalg.matrix_power(taylor_propagator(generators[ok], dt), n_steps)
-        vecs[ok] = steps[..., 0]  # applied to the coordinates of |1><1|, the first unit vector
+        power, v = taylor_propagator(generators[ok], dt), vecs[ok, :, None]
+        v[:, 0] = 1.0
+        while n:
+            if n & 1:
+                v = power @ v
+            n >>= 1
+            if n:
+                power = power @ power
+        vecs[ok] = v[..., 0]
     return vecs, errors
 
 

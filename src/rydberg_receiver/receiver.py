@@ -603,5 +603,6 @@ def write_waveform_csv(path, exact, linearized):
 def write_spectrogram_csv(path, waveform, nperseg=256):
     """Export a long-form spectrogram CSV with columns ``t, f, power_db``."""
     times, freqs, power_db = spectrogram_data(waveform, nperseg=nperseg)
+    t_index, f_index = np.divmod(np.arange(power_db.size), len(freqs))
     write_csv(path, "t,f,power_db", "%.9g,%.9g,%.6g",
-              [(np.repeat(times, len(freqs)), np.tile(freqs, len(times)), power_db.T.ravel())])
+              [((times, t_index), (freqs, f_index), power_db.T.ravel())])

@@ -212,6 +212,11 @@ def _demod_csv(active, demods):
     return _csv_bytes(["channel", "t", "re", "im"], rows)
 
 
+def _table_csv(header, fmt, rows):
+    formats = fmt.split(",")
+    return _csv_bytes(header.split(","), [[f % v for f, v in zip(formats, row)] for row in rows])
+
+
 @pytest.fixture(scope="session")
 def literal_csv():
     """Each CSV file of the package as bytes, written row by row with
@@ -225,6 +230,7 @@ def literal_csv():
         spectrogram=_spectrogram_csv,
         steady_state=_steady_state_csv,
         demod=_demod_csv,
+        table=_table_csv,  # any table: rows of values, one %-format per comma-separated cell
     )
 
 

@@ -27,10 +27,12 @@ from rydberg_receiver.analytic import _closed_form
 from rydberg_receiver.cli import main
 from rydberg_receiver.lindblad import (
     STEADY_STATE_METHODS,
+    _evolve_vectors,
     _generator_basis,
     _hermitian_basis,
     _numerical_states,
     _trace_row,
+    taylor_propagator,
 )
 from rydberg_receiver.scheme import Architecture, LevelScheme
 
@@ -207,6 +209,26 @@ def test_solve_state_matches_svd_null_space(drive, rf):
     s = np.linalg.svd(generator.matrix, compute_uv=False)
     tolerance = 1e-12 + 8.0 * np.finfo(float).eps * s[0] / s[-2]
     assert np.max(np.abs(rr.steady_state(generator).matrix - svd_state)) <= tolerance
+
+
+class TestVectorPowers:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 1024, 100000])
+    def test_matches_matrix_power_column(self, scheme, op_drive, n):
+        # the map kernel applies the propagator's binary powers to the first
+        # unit vector instead of multiplying them out; column 0 of the
+        # matrix power is the same vector up to rounding
+        rng = np.random.default_rng(n)
+        basis = _generator_basis(op_drive, scheme)
+        thetas = TWO_PI * rng.uniform(0.0, 10.0, (16, 4))
+        generators = basis.assemble(thetas)
+        dt = 1e-4
+        vecs, errors = _evolve_vectors(
+            generators, n * dt, dt, basis.norms[0] + thetas @ basis.norms[1]
+        )
+        assert errors == [None] * 16
+        expected = np.linalg.matrix_power(taylor_propagator(generators, dt), n)[..., 0]
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.max(np.abs(vecs - expected) / scale) <= 1e-13
 
 
 class TestGates:

@@ -167,6 +167,11 @@ class TestErgodicRate:
             sum(ergodic_sum_rate([c]) for c in chs), rel=1e-12
         )
 
+    def test_no_channels_rate_zero(self):
+        assert ergodic_sum_rate([]) == 0.0
+        assert type(ergodic_sum_rate([])) is float
+        assert type(ergodic_sum_rate(iter([unit_channel(1.0)]))) is float
+
     def test_zero_power_contributes_nothing(self):
         assert ergodic_sum_rate([unit_channel(0.0)]) == 0.0
         chs = [unit_channel(1.0), unit_channel(0.0)]
@@ -340,6 +345,42 @@ class TestArchitectureComparison:
         for arch in ARCH_CHANNELS:
             assert np.array_equal(ours.power_rates[arch], ref.power_rates[arch])
             assert np.array_equal(ours.bandwidth_rates[arch], ref.bandwidth_rates[arch])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_e1_pass_equals_six_rate_calls(self, scheme, monkeypatch, seed):
+        # the six sweeps share one exp_e1_scaled call; each rate is bit-equal
+        # to its own ergodic_sum_rate call, over seeded sweeps, zero power
+        # (-4000 dBm) and mean SNRs down to 1e-280 and below
+        rng = np.random.default_rng(seed)
+        powers = np.concatenate([[-4000.0], np.arange(-3200.0, 0.0, 5.0), rng.uniform(-40, 20, 40)])
+        bandwidths = 10.0 ** rng.uniform(3, 7, 15)
+        calls = []
+        kernel = comms.exp_e1_scaled
+        monkeypatch.setattr(comms, "exp_e1_scaled", lambda x: calls.append(x) or kernel(x))
+        swept = compare_architectures(
+            scheme, RABI_SET2, powers, bandwidths,
+            omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
+        )
+        assert len(calls) == 1
+        x = calls[0]
+        assert np.any((x > 1e279) & (x < 1e281)) and np.any(x == np.inf)
+        for arch, active in ARCH_CHANNELS.items():
+            env = EnvironmentParams(
+                y_lo=swept.y_lo[arch], omega_probe=DEFAULT_CELL.probe_angular_frequency
+            )
+
+            def rates(p_dbm, bandwidth):
+                return ergodic_sum_rate(comms._arch_channels(
+                    scheme, swept.gains[arch], active, dbm_to_watts(p_dbm), bandwidth, env, 1.0
+                ))
+
+            power_rates = rates(powers, swept.power_sweep_bandwidth_hz)
+            assert power_rates[0] == 0.0
+            assert np.array_equal(swept.power_rates[arch], power_rates)
+            assert np.array_equal(
+                swept.bandwidth_rates[arch], rates(swept.bandwidth_sweep_power_dbm, bandwidths)
+            )
+        assert len(calls) == 7
 
     def test_csv_bytes_match_row_writer(self, tmp_path, comparison, literal_csv):
         odd = replace(

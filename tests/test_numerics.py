@@ -10,6 +10,7 @@ from scipy.special import exp1
 
 from rydberg_receiver._csvrows import g_cells
 from rydberg_receiver.numerics import (
+    CSV_CHUNK_CELLS,
     exp_e1_scaled,
     null_space,
     psd_sqrt,
@@ -54,6 +55,21 @@ class TestExpIntegral:
             assert np.array_equal(exp_e1_scaled(x), literal_e1(x))
         for v in edges:
             assert exp_e1_scaled(float(v)) == literal_e1(float(v))
+
+    def test_concatenation_bit_equal_to_pieces(self):
+        # each lane runs its own recurrence, so one call over several
+        # argument arrays equals a call per array
+        rng = np.random.default_rng(26)
+        pieces = [
+            10.0 ** rng.uniform(-8, 4, 700),
+            np.array([1.0, np.nextafter(1.0, 2.0), np.inf, 1e300, 1e-300]),
+            10.0 ** rng.uniform(-1, 1, (30, 9)),
+            np.empty(0),
+        ]
+        whole = exp_e1_scaled(np.concatenate([x.ravel() for x in pieces]))
+        split = np.split(whole, np.cumsum([x.size for x in pieces])[:-1])
+        for x, part in zip(pieces, split):
+            assert np.array_equal(part.reshape(x.shape), exp_e1_scaled(x))
 
     def test_infinity_is_the_limit(self):
         # e^x E1(x) ~ 1/x -> 0; the SNR of a subnormal mean power inverts to inf
@@ -274,3 +290,30 @@ class TestWriteCsv:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
+
+    @pytest.mark.parametrize("n", [1, 7, 2 * (CSV_CHUNK_CELLS // 3) + 5])
+    def test_pairs_match_row_writer(self, tmp_path, literal_csv, n):
+        # a pair (values, index) is the column values[index]: indices out of
+        # order and repeated, special values, %s values, scalar columns and
+        # a scalar index; the last n straddles chunks
+        rng = np.random.default_rng(n)
+        axis = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5e-7, 2.0**60, 123456.789, -1e300])
+        names = np.array(["hybrid", "crs", "a-name-over-eight-bytes"])
+        a, b = rng.integers(0, len(axis), n), rng.integers(0, len(names), n)
+        y = rng.standard_normal(n)
+        header, fmt = "k,a,y,name,b,c", "%d,%.9g,%.12g,%s,%.6g,%s"
+        blocks = [(7, (axis, a), y, (names, b), (axis, a[::-1]), "x"),
+                  (np.arange(n), 2.5, y, (names, 2), (axis, a), (names, b))]
+        rows = [(7, axis[i], v, names[j], axis[m], "x")
+                for i, v, j, m in zip(a.tolist(), y.tolist(), b.tolist(), a[::-1].tolist())]
+        rows += [(k, 2.5, v, names[2], axis[i], names[j])
+                 for k, (v, i, j) in enumerate(zip(y.tolist(), a.tolist(), b.tolist()))]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, fmt, blocks)
+        assert path.read_bytes() == literal_csv.table(header, fmt, rows)
+
+    def test_empty_index_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "t.csv"
+        empty = np.zeros(0, dtype=int)
+        write_csv(path, "t,f", "%.9g,%.9g", [((np.ones(3), empty), (np.zeros(0), empty))])
+        assert path.read_bytes() == b"t,f\r\n"

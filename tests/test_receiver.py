@@ -645,6 +645,24 @@ class TestExports:
         write_spectrogram_csv(path, exact, nperseg=64)
         assert path.read_bytes() == literal_csv.spectrogram(*spectrogram_data(exact, nperseg=64))
 
+    def test_spectrogram_write_peak_independent_of_rows(self, tmp_path, monkeypatch):
+        # the axes go to write_csv as (values, index) pairs, gathered per
+        # chunk: a 4x longer table peaks no higher while it is written
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                rr.numerics.write_csv(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(rr.receiver, "write_csv", traced)
+        for n in (4000, 16000, 64000):  # the first warms the writer's caches
+            write_spectrogram_csv(tmp_path / "spec.csv", _noisy_tones(n))
+        assert peaks[2] <= peaks[1] + 64 * 1024
+
     @pytest.mark.parametrize("n_samples, silent", [(1, True), (100, False), (100, True), (3000, True)])
     def test_spectrogram_bytes_match_row_writer(self, tmp_path, literal_csv, n_samples, silent):
         wave = _noisy_tones(n_samples)
