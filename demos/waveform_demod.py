@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 import rydberg_receiver as rr
-from rydberg_receiver.receiver import _rabi_per_field, write_spectrogram_csv, write_waveform_csv
 
 TWO_PI = 2.0 * np.pi
 OFFSETS = (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)
@@ -24,9 +23,7 @@ OFFSETS = (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)
 
 def tone_spec(lo, scheme, modulation_index):
     """Equal Rabi-depth tones on all four channels."""
-    amps = tuple(
-        modulation_index * lo.rf_rabi[n - 1] / _rabi_per_field(n, scheme) for n in range(1, 5)
-    )
+    amps = rr.signal_amplitudes(lo, scheme, modulation_index)
     return rr.RfSignalSpec(amplitudes=amps, offsets=OFFSETS)
 
 
@@ -76,8 +73,8 @@ def main():
 
     wpath = args.out / "pd_waveform.csv"
     spath = args.out / "pd_spectrogram.csv"
-    write_waveform_csv(wpath, exact, linear)
-    write_spectrogram_csv(spath, exact)
+    rr.write_waveform_csv(wpath, exact, linear)
+    rr.write_spectrogram_csv(spath, exact)
     print(f"wrote {wpath} and {spath}")
 
 

@@ -5,7 +5,7 @@ with a closed four-channel RF loop, validates the numerical steady state
 against a closed-form reduced model, optimizes the local-oscillator
 operating point by steady-state fidelity, and carries the result through
 the RF-to-optical-to-electrical receiver chain into multi-channel link
-rates.
+rates. ``__all__`` below is the one declaration of the public API.
 """
 
 __version__ = "0.1.0"
@@ -70,9 +70,12 @@ from .receiver import (
     iq_demodulate,
     linearization_discrepancy,
     photodetector_output,
+    signal_amplitudes,
     spectrogram_data,
     synthesize_pd_waveform,
     validate_heterodyne,
+    write_spectrogram_csv,
+    write_waveform_csv,
 )
 from .scheme import (
     Architecture,
@@ -141,9 +144,12 @@ __all__ = [
     "iq_demodulate",
     "linearization_discrepancy",
     "photodetector_output",
+    "signal_amplitudes",
     "spectrogram_data",
     "synthesize_pd_waveform",
     "validate_heterodyne",
+    "write_spectrogram_csv",
+    "write_waveform_csv",
     # comms
     "ARCH_CHANNELS",
     "RABI_SET1",

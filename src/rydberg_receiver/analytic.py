@@ -30,8 +30,6 @@ import numpy as np
 
 from .lindblad import DensityMatrix
 
-__all__ = ["zeta", "analytic_steady_state", "rho21_from_amplitudes"]
-
 
 _DEGENERATE = (
     "analytic model degenerate: Lambda = 0 (probe drive and loop "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,10 @@ from .receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
     VaporCellParams,
-    _rabi_per_field,
     gain_coefficients,
     iq_demodulate,
     linearization_discrepancy,
+    signal_amplitudes,
     synthesize_pd_waveform,
     write_spectrogram_csv,
     write_waveform_csv,
@@ -80,6 +81,10 @@ _DRIVE_SCHEMA = {
     "rf_detunings": Field("angular_frequency_list", None, counts=(4,)),
     "rf_phases": Field("float_list", (0.0, 0.0, 0.0, 0.0), counts=(4,)),
 }
+
+#: The drive of the commands that read the detector, whose susceptibility
+#: constant divides by the probe Rabi amplitude.
+_PROBED_DRIVE_SCHEMA = {**_DRIVE_SCHEMA, "omega_p": replace(_DRIVE_SCHEMA["omega_p"], sign=">")}
 
 _CELL_SCHEMA = {
     "cell_length": Field("length", DEFAULT_CELL.cell_length, sign=">"),
@@ -151,7 +156,7 @@ SCHEMAS = {
         },
     },
     "waveform": {
-        "drive": _DRIVE_SCHEMA,
+        "drive": _PROBED_DRIVE_SCHEMA,
         "cell": _CELL_SCHEMA,
         "signal": {
             # None: calibrate amplitudes from modulation_index per channel.
@@ -176,7 +181,7 @@ SCHEMAS = {
         },
     },
     "sumrate": {
-        "drive": {key: _DRIVE_SCHEMA[key] for key in ("omega_p", "omega_c")},
+        "drive": {key: _PROBED_DRIVE_SCHEMA[key] for key in ("omega_p", "omega_c")},
         "cell": _CELL_SCHEMA,
         "sumrate": {
             "rabi_set": Field("str", "set1", choices=tuple(_RABI_SETS)),
@@ -497,10 +502,7 @@ def cmd_waveform(cfg, scheme, seed):
 
     amplitudes = sig["amplitudes"]
     if amplitudes is None:
-        amplitudes = tuple(
-            sig["modulation_index"] * drive.rf_rabi[n - 1] / _rabi_per_field(n, scheme)
-            for n in range(1, 5)
-        )
+        amplitudes = signal_amplitudes(drive, scheme, sig["modulation_index"])
     spec = RfSignalSpec(
         amplitudes=amplitudes,
         offsets=sig["offsets"],
@@ -521,7 +523,6 @@ def cmd_waveform(cfg, scheme, seed):
         mode="linearized",
         noise_std=wf_cfg["noise_std"],
         seed=seed,
-        gains=gains,
     )
     files = {"waveform.csv": lambda path: write_waveform_csv(path, exact, linearized)}
     channel_summaries = []

@@ -24,22 +24,6 @@ from .numerics import TWO_PI, exp_e1_scaled, write_csv
 from .receiver import DEFAULT_CELL, _operating_point
 from .scheme import Architecture
 
-__all__ = [
-    "RABI_SET1",
-    "RABI_SET2",
-    "ARCH_CHANNELS",
-    "EnvironmentParams",
-    "ChannelModel",
-    "blackbody_psd",
-    "noise_variances",
-    "snr",
-    "ergodic_sum_rate",
-    "monte_carlo_sum_rate",
-    "dbm_to_watts",
-    "ArchitectureComparison",
-    "compare_architectures",
-]
-
 LN2 = math.log(2.0)
 
 #: Reference LO amplitude sets (rad/us): a probe-heavy point and a

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 from .numerics import TWO_PI
 
-__all__ = ["ConfigError", "Field", "parse_config", "load_config"]
-
 #: SI constants, CODATA 2022.
 hbar = 1.0545718176461565e-34  # J s
 epsilon_0 = 8.8541878188e-12  # F/m

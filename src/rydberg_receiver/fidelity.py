@@ -34,17 +34,6 @@ from .lindblad import (
 )
 from .numerics import TWO_PI, _psd_roots, write_csv
 
-__all__ = [
-    "fidelity",
-    "PerturbationRegion",
-    "FidelityScan",
-    "fidelity_scan",
-    "average_fidelity",
-    "OperatingPointResult",
-    "optimize_operating_point",
-    "TWO_PI",
-]
-
 #: Points per chunk of the state chain (validation, closed form, roots,
 #: product and SVD), which holds a few ``(d, d)`` matrices per point. On
 #: the 625-point maps the traced peak is about 1.6-1.8 MB, against
@@ -125,6 +114,8 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     """Fidelity of the numerical state against the closed form at each row
     of the ``(N, 4)`` RF amplitudes on ``base_drive``, NaN where a point
     fails, with per-point errors (None, or what that point raises alone).
+    An error no point could escape (a scheme that is not the six-level
+    hybrid, a bad horizon) raises once.
 
     Chunks of :data:`_CHAIN` points run the stacked kernels that the
     per-point functions run on a block of one: the generator kernels in
@@ -139,17 +130,10 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     for theta in thetas[~np.all(np.isfinite(thetas) & (thetas >= 0.0), axis=1)][:1]:
         base_drive.with_rf_rabi(theta)
     values, errors = np.full(len(thetas), np.nan), []
-    try:
-        basis = _generator_basis(base_drive, scheme)
-    except ValueError as exc:  # not the six-level hybrid: no point can run
-        return values, [exc] * len(thetas)
+    basis = _generator_basis(base_drive, scheme)
     for start in range(0, len(thetas), _CHAIN):
         chunk = thetas[start:start + _CHAIN]
-        try:
-            states_n, found = _numerical_states(basis, chunk, method, t_end, dt)
-        except (ValueError, np.linalg.LinAlgError) as exc:  # shared by every point
-            errors += [exc] * len(chunk)
-            continue
+        states_n, found = _numerical_states(basis, chunk, method, t_end, dt)
         states_a, degenerate = _closed_form(
             base_drive.omega_p, base_drive.omega_c, tuple(chunk.T), scheme.decay_rate(2, 1)
         )
@@ -246,6 +230,12 @@ def fidelity_scan(
     -------
     FidelityScan
         Per-point solver failures are recorded as NaN, never raised.
+
+    Raises
+    ------
+    ValueError
+        If no point can run: the scheme is not the six-level hybrid, or
+        ``t_end`` and ``dt`` are not a valid evolve horizon.
     """
     a0, a1 = axes
     if not (1 <= a0 <= 4 and 1 <= a1 <= 4 and a0 != a1):
@@ -372,7 +362,9 @@ def optimize_operating_point(
     ------
     ValueError
         If ``search_range`` starts below 0, ``grid_step`` is not positive,
-        no candidate satisfies the constraint or every candidate fails.
+        no candidate satisfies the constraint or every candidate fails, or
+        with its own message if no point can run (as in
+        :func:`fidelity_scan`).
     """
     lo, hi = search_range
     if not lo >= 0:

@@ -32,24 +32,6 @@ import numpy as np
 from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, null_space, write_csv
 from .scheme import require_hybrid_six
 
-__all__ = [
-    "DriveConfig",
-    "DensityMatrix",
-    "Liouvillian",
-    "TimeDependentLiouvillian",
-    "Trajectory",
-    "build_hamiltonian",
-    "make_generator",
-    "evolve",
-    "steady_state",
-    "steady_state_numerical",
-    "ground_state",
-    "basis_state",
-    "vectorize",
-    "taylor_propagator",
-    "DEFAULT_DT",
-]
-
 #: Default integrator step (us). At the bundled parameters the generator
 #: norm is a few tens of rad/us, so 1e-4 sits two orders below the
 #: stability bound dt <= 0.1 / ||L||.
@@ -809,6 +791,8 @@ def _numerical_states(basis, thetas, method, t_end, dt):
     ``null_space``) raise; a time-dependent generator is evolved point by
     point."""
     _check_method(method)
+    if method == "evolve":
+        _horizon_steps(t_end, dt)
     if basis.drive.closed_loop_delta != 0.0:
         if method == "null_space":
             raise TypeError(_NO_STATIONARY_FRAME)

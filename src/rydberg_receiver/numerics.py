@@ -28,14 +28,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "EULER_GAMMA",
-    "TWO_PI",
-    "null_space",
-    "psd_sqrt",
-    "exp_e1_scaled",
-]
-
 EULER_GAMMA = 0.57721566490153286061
 TWO_PI = 6.283185307179586
 

@@ -28,26 +28,6 @@ from .config import EA0, c_light, epsilon_0, hbar
 from .lindblad import _stationary_response
 from .numerics import TWO_PI, write_csv
 
-__all__ = [
-    "EA0",
-    "VaporCellParams",
-    "DEFAULT_CELL",
-    "RfSignalSpec",
-    "GainVector",
-    "Waveform",
-    "DemodChannel",
-    "validate_heterodyne",
-    "heterodyne_rabi",
-    "photodetector_output",
-    "gain_coefficients",
-    "synthesize_pd_waveform",
-    "linearization_discrepancy",
-    "iq_demodulate",
-    "spectrogram_data",
-    "write_waveform_csv",
-    "write_spectrogram_csv",
-]
-
 #: Demodulator filter plan: linear-phase FIR, bandpass width 1.2 B, lowpass
 #: cutoff 0.6 B, >= 60 dB stopband (we design for 65), transition 1.5 B.
 FILTER_STOPBAND_DB = 65.0
@@ -216,6 +196,15 @@ def _rabi_per_field(n, scheme):
     return mu / hbar * 1e-6
 
 
+def signal_amplitudes(lo, scheme, modulation_index):
+    """Signal field amplitudes (V/m) of the four channels that modulate
+    each channel's LO Rabi amplitude by ``modulation_index``:
+    ``A_n = m Omega_LO,n / (mu_n / hbar)``."""
+    return tuple(
+        modulation_index * lo.rf_rabi[n - 1] / _rabi_per_field(n, scheme) for n in range(1, 5)
+    )
+
+
 def validate_heterodyne(spec, lo, scheme, max_ratio=0.01):
     """Check the weak-signal condition A_RF << A_LO on every active channel.
 
@@ -349,7 +338,6 @@ def synthesize_pd_waveform(
     mode="exact",
     noise_std=0.0,
     seed=None,
-    gains=None,
     max_ratio=0.01,
 ):
     """Photodetector waveform over ``duration`` us at ``sample_rate`` MHz.
@@ -360,7 +348,8 @@ def synthesize_pd_waveform(
     the first-order model ``y_LO + sum_n G_n A_n cos(delta_omega_n t +
     delta_phi_n)`` plus optional white Gaussian detector noise; its gains
     are the analytic-model derivatives so the two modes differ only at
-    second order in the signal amplitudes.
+    second order in the signal amplitudes. ``y_LO`` and the gains come
+    from one analytic evaluation of the operating point.
 
     Raises
     ------
@@ -385,7 +374,7 @@ def synthesize_pd_waveform(
             f"synthesize_pd_waveform: {duration:g} us at {sample_rate:g} MHz holds no sample"
         )
     t = np.arange(n_samples) / sample_rate
-    y_lo = photodetector_output(lo, cell, scheme, model="analytic")
+    y_lo, gains = _operating_point(lo, cell, scheme, "analytic")
 
     if mode == "exact":
         rf_t = [heterodyne_rabi(n, t, spec, lo, scheme, max_ratio=max_ratio) for n in range(1, 5)]
@@ -394,8 +383,6 @@ def synthesize_pd_waveform(
         )
         samples = _detector_current(cell, lo.omega_p, rho21)
     elif mode == "linearized":
-        if gains is None:
-            gains = gain_coefficients(lo, cell, scheme, model="analytic")
         samples = np.full(n_samples, y_lo)
         for n in spec.active_channels():
             samples = samples + gains[n] * spec.amplitudes[n - 1] * _carrier(spec, n, t)

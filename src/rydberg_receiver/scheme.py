@@ -19,18 +19,6 @@ from importlib import resources
 
 from .config import ConfigError, Field, convert_section, read_file, read_ini
 
-__all__ = [
-    "Architecture",
-    "Level",
-    "RfTransition",
-    "LevelScheme",
-    "ValidationReport",
-    "channel_count",
-    "validate_scheme",
-    "load_scheme",
-    "cesium_scheme",
-]
-
 
 class Architecture(Enum):
     """RF coupling topology over the Rydberg manifold."""

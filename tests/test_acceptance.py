@@ -18,10 +18,10 @@ from rydberg_receiver.analytic import analytic_steady_state, rho21_from_amplitud
 from rydberg_receiver.receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
-    _rabi_per_field,
     gain_coefficients,
     iq_demodulate,
     linearization_discrepancy,
+    signal_amplitudes,
     synthesize_pd_waveform,
 )
 from rydberg_receiver.scheme import Architecture
@@ -39,13 +39,8 @@ def _report(num, ok, detail):
     return detail
 
 
-def _signal_amplitude(n, lo, scheme, modulation_index):
-    """Field amplitude (V/m) giving the requested Rabi depth on channel n."""
-    return modulation_index * lo.rf_rabi[n - 1] / _rabi_per_field(n, scheme)
-
-
 def _four_tone_spec(lo, scheme, modulation_index):
-    amps = tuple(_signal_amplitude(n, lo, scheme, modulation_index) for n in range(1, 5))
+    amps = signal_amplitudes(lo, scheme, modulation_index)
     return RfSignalSpec(amplitudes=amps, offsets=FOUR_OFFSETS)
 
 
@@ -262,7 +257,7 @@ def test_criterion_09_demodulation_separability(op_drive, scheme):
 
     # isolation with a single active tone
     amps = [0.0, 0.0, 0.0, 0.0]
-    amps[1] = _signal_amplitude(2, op_drive, scheme, 5e-3)
+    amps[1] = signal_amplitudes(op_drive, scheme, 5e-3)[1]
     solo = RfSignalSpec(amplitudes=tuple(amps), offsets=FOUR_OFFSETS)
     solo_channels = iq_demodulate(
         synthesize_pd_waveform(solo, op_drive, DEFAULT_CELL, scheme, **kw), FOUR_OFFSETS, bands

@@ -13,9 +13,16 @@ from rydberg_receiver import cli, lindblad
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
 from rydberg_receiver.config import _key_table, parse_config
 from rydberg_receiver.lindblad import make_generator, steady_state
-from rydberg_receiver.receiver import iq_demodulate
+from rydberg_receiver.receiver import iq_demodulate, signal_amplitudes
 
 TWO_PI = 2.0 * np.pi
+
+
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def run(tmp_path, *argv, config=None, name="run.ini"):
@@ -31,7 +38,7 @@ class TestParsing:
     def test_version_subprocess(self):
         out = subprocess.run(
             [sys.executable, "-m", "rydberg_receiver.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_package_env(),
         )
         assert out.returncode == 0
         assert "0.1.0" in out.stdout
@@ -327,8 +334,8 @@ class TestFidelityMap:
         assert run(tmp_path, "fidelity-map", "--out", str(tmp_path / "o"), config=cfg) == 1
 
     def test_all_points_failed_exits_2(self, tmp_path, capsys):
-        # t_end is not a multiple of dt, so every evolve point raises
-        cfg = "[scan]\nresolution = 2\nmethod = evolve\nt_end_us = 0.01005\n"
+        # dt exceeds the stability bound at every point, so every point is NaN
+        cfg = "[scan]\nresolution = 2\nmethod = evolve\ndt_us = 0.01\n"
         out = tmp_path / "out"
         assert run(tmp_path, "fidelity-map", "--out", str(out), config=cfg) == 2
         assert "fidelity-map: all 4 grid points failed" in capsys.readouterr().err
@@ -379,6 +386,16 @@ class TestWaveform:
         assert len(rows) == 1 + 3200
         demod_header = (out / "demod.csv").read_text().splitlines()[0]
         assert demod_header == "channel,t,re,im"
+
+    def test_default_amplitudes_come_from_the_modulation_index(self, tmp_path, scheme):
+        cfg = "[waveform]\nspectrogram = false\ndemodulate = false\n"
+        out = tmp_path / "out"
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
+        defaults = parse_config("", SCHEMAS["waveform"])
+        drive = _resolve_drive(defaults["drive"], scheme)
+        expected = signal_amplitudes(drive, scheme, defaults["signal"]["modulation_index"])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["amplitudes_v_per_m"] == list(expected)
 
     def test_demod_csv_bytes_match_row_writer(self, tmp_path, monkeypatch, literal_csv):
         demodulated = []
@@ -472,11 +489,8 @@ class TestNumpyOnlyRuntime:
             "print(json.dumps(sorted(m for m in sys.modules"
             " if m == 'scipy' or m.startswith('scipy.'))))\n"
         )
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, env=env)
+                             text=True, env=_package_env())
         assert out.returncode == 0, out.stderr
         assert (tmp_path / "wf" / "spectrogram.csv").exists()
         assert json.loads(out.stdout.splitlines()[-1]) == []
@@ -552,6 +566,25 @@ SMALL_RUNS = {
 }
 
 
+@pytest.mark.parametrize("command", ["steady-state", "dynamics"])
+def test_zero_probe_runs_without_the_detector(tmp_path, command):
+    sections = {name: dict(keys) for name, keys in SMALL_RUNS.get(command, {}).items()}
+    sections["drive"] = {"omega_p_mhz": "0"}
+    assert run(tmp_path, command, "--out", str(tmp_path / "out"), config=_ini(sections)) == 0
+
+
+@pytest.mark.parametrize("command, section", [("fidelity-map", "scan"), ("optimize-lo", "optimize")])
+def test_bad_horizon_exits_2_with_its_cause(tmp_path, capsys, command, section):
+    # 10 us is no multiple of 0.3 us: no point can run, and the message says why
+    sections = {name: dict(keys) for name, keys in SMALL_RUNS[command].items()}
+    sections[section].update(method="evolve", t_end_us="10", dt_us="0.3")
+    out = tmp_path / "out"
+    assert run(tmp_path, command, "--out", str(out), config=_ini(sections)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: evolve: t_end = 10.0 is not an integer multiple of dt = 0.3\n"
+    assert not out.exists()
+
+
 class TestLoadTimeChecks:
     @pytest.mark.parametrize(
         "command, section, key, raw, named",
@@ -589,6 +622,8 @@ class TestLoadTimeChecks:
             ("sumrate", "cell", "responsivity_a_per_w", "0", "responsivity"),
             ("waveform", "drive", "rf_rabi_mhz", "2, -7, 1, 6", "rf_rabi"),
             ("sumrate", "drive", "omega_c_mhz", "-0.97", "omega_c"),
+            ("sumrate", "drive", "omega_p_mhz", "0", "omega_p"),
+            ("waveform", "drive", "omega_p_mhz", "0", "omega_p"),
             ("sumrate", "sumrate", "rabi_mhz", "7, -1, 1, 1", "rabi"),
             ("waveform", "signal", "modulation_index", "-1", "modulation_index"),
             ("waveform", "signal", "amplitudes", "-1, 0, 0, 0", "amplitudes"),

@@ -1,5 +1,6 @@
 """Uhlmann fidelity, landscape scans, and the LO operating-point search."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -175,6 +176,29 @@ class TestFidelityScan:
         )
         assert np.isnan(scan.fidelities[0, 0])
         assert np.isfinite(scan.fidelities[1, 1])
+
+    def test_bad_horizon_raises_its_own_message(self, scheme):
+        # 10 us is no multiple of 0.3 us: no point can run, so the map raises
+        with pytest.raises(ValueError) as exc:
+            fidelity_scan(self._fixed(), (2, 3), scheme, resolution=3,
+                          steady_state_method="evolve", t_end=10.0, dt=0.3)
+        assert str(exc.value) == "evolve: t_end = 10.0 is not an integer multiple of dt = 0.3"
+
+    def test_open_loop_bad_horizon_raises(self, scheme):
+        # a closed-loop detuning: the time-dependent path, evolved point by point
+        fixed = dataclasses.replace(self._fixed(), rf_detunings=(0.0, 0.0, 0.0, TWO_PI * 0.05))
+        with pytest.raises(ValueError, match="not an integer multiple of dt = 0.3"):
+            fidelity_scan(fixed, (2, 3), scheme, resolution=2,
+                          steady_state_method="evolve", t_end=10.0, dt=0.3)
+
+    def test_non_hybrid_scheme_raises(self, scheme_text):
+        cut = slice(scheme_text.index("[transition.4]"), scheme_text.index("[decay.2-1]"))
+        cascade = rr.parse_scheme(
+            scheme_text.replace(scheme_text[cut], "").replace("Hybrid", "CRS")
+        )
+        with pytest.raises(ValueError, match="only the six-level hybrid scheme"):
+            fidelity_scan(self._fixed(), (2, 3), cascade, resolution=2,
+                          steady_state_method="null_space")
 
     def test_negative_amplitude_raises_not_nan(self, scheme):
         with pytest.raises(ValueError, match="Rabi amplitudes must be >= 0"):
@@ -386,6 +410,15 @@ class TestOptimizer:
                 (0.0, 0.0), TWO_PI, base_drive=self._base(), scheme=scheme,
                 grid_step=TWO_PI,
             )
+
+    def test_bad_horizon_raises_its_own_message(self, scheme):
+        with pytest.raises(ValueError) as exc:
+            optimize_operating_point(
+                (TWO_PI * 5.0, TWO_PI * 6.0), TWO_PI * 30.0, base_drive=self._base(),
+                scheme=scheme, grid_step=TWO_PI, steady_state_method="evolve",
+                t_end=10.0, dt=0.3,
+            )
+        assert str(exc.value) == "evolve: t_end = 10.0 is not an integer multiple of dt = 0.3"
 
     def test_bad_constraint(self, scheme):
         with pytest.raises(ValueError, match="sum_constraint"):

@@ -32,6 +32,7 @@ from rydberg_receiver.receiver import (
     iq_demodulate,
     linearization_discrepancy,
     photodetector_output,
+    signal_amplitudes,
     spectrogram_data,
     synthesize_pd_waveform,
     validate_heterodyne,
@@ -45,7 +46,7 @@ FOUR_OFFSETS = (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)
 
 def signal_amplitude(n, lo, scheme, modulation_index=5e-3):
     """Field amplitude giving the requested Rabi modulation depth on channel n."""
-    return modulation_index * lo.rf_rabi[n - 1] / _rabi_per_field(n, scheme)
+    return signal_amplitudes(lo, scheme, modulation_index)[n - 1]
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +323,7 @@ class TestSynthesis:
         spec = self._single_tone(lo, scheme, n=2, m=5e-3, phase=0.7)
         gains = gain_coefficients(lo, DEFAULT_CELL, scheme, model="analytic")
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, duration=20.0,
-                                      sample_rate=16.0, mode="linearized", gains=gains)
+                                      sample_rate=16.0, mode="linearized")
         manual = wave.dc_level + gains[2] * spec.amplitudes[1] * np.cos(
             spec.offsets[1] * wave.times + 0.7
         )
