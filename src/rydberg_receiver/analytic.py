@@ -28,13 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import DensityMatrix
-
-
-_DEGENERATE = (
-    "analytic model degenerate: Lambda = 0 (probe drive and loop "
-    "imbalance cannot both vanish, and the RF loop must carry power)"
-)
+from .lindblad import _LAMBDA_ZERO, _REASONS, DensityMatrix, _raise_first
 
 
 def zeta(rf_rabi):
@@ -86,17 +80,18 @@ def rho21_from_amplitudes(omega_p, omega_c, rf_rabi, gamma_21):
     """
     z, lam = _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21)
     if not np.all(lam > 0.0):
-        raise ValueError(_DEGENERATE)
+        raise ValueError(_REASONS[_LAMBDA_ZERO])
     return -1j * omega_p * gamma_21 * z * z / lam
 
 
 def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
     """Unvalidated closed-form states of a block of samples (``rf_rabi``
-    entries may be ``(B,)`` arrays), a ``(B, 6, 6)`` stack, with per-sample
-    errors: the ValueError of a degenerate sample (Lambda = 0, held as NaN),
-    or None."""
+    entries may be ``(B,)`` arrays), a ``(B, 6, 6)`` stack, with its record
+    (see :data:`~rydberg_receiver.lindblad._REASONS`): a degenerate sample,
+    Lambda = 0 or NaN, is held as NaN, with its Lambda."""
     z, lam = (np.atleast_1d(v) for v in _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21))
     valid = lam > 0.0
+    record = np.where(valid, 0, _LAMBDA_ZERO), lam
     lam = np.where(valid, lam, np.nan)
     op, oc, g = omega_p, omega_c, gamma_21
     o1, o2, o3, o4 = rf_rabi
@@ -127,7 +122,7 @@ def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
     lower = np.tril(rho, -1)
     rho = rho * np.eye(6) + lower + np.conj(np.swapaxes(lower, -1, -2))
     rho[~valid] = np.nan
-    return rho, [None if ok else ValueError(_DEGENERATE) for ok in valid.tolist()]
+    return rho, record
 
 
 class AnalyticContext(NamedTuple):
@@ -168,7 +163,6 @@ def analytic_steady_state(drive, scheme=None):
         drive, gamma_21 = drive
     else:
         gamma_21 = scheme.decay_rate(2, 1)
-    rho, errors = _closed_form(drive.omega_p, drive.omega_c, drive.rf_rabi, gamma_21)
-    if errors[0]:
-        raise errors[0]
+    rho, record = _closed_form(drive.omega_p, drive.omega_c, drive.rf_rabi, gamma_21)
+    _raise_first(*record)
     return DensityMatrix(rho[0])

@@ -28,8 +28,10 @@ from .lindblad import (
     DensityMatrix,
     DriveConfig,
     _check_method,
+    _first,
     _generator_basis,
     _numerical_states,
+    _raise_first,
     _validate_states,
 )
 from .numerics import TWO_PI, _psd_roots, write_csv
@@ -113,9 +115,10 @@ class PerturbationRegion:
 def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     """Fidelity of the numerical state against the closed form at each row
     of the ``(N, 4)`` RF amplitudes on ``base_drive``, NaN where a point
-    fails, with per-point errors (None, or what that point raises alone).
-    An error no point could escape (a scheme that is not the six-level
-    hybrid, a bad horizon) raises once.
+    fails, with the record of the first failure per point: trace loss, the
+    kernel's, the numerical state's, the closed form's, its state's. An
+    error no point could escape (a scheme that is not the six-level hybrid,
+    a bad horizon) raises once.
 
     Chunks of :data:`_CHAIN` points run the stacked kernels that the
     per-point functions run on a block of one: the generator kernels in
@@ -129,7 +132,7 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
     thetas = np.asarray(thetas, dtype=float)
     for theta in thetas[~np.all(np.isfinite(thetas) & (thetas >= 0.0), axis=1)][:1]:
         base_drive.with_rf_rabi(theta)
-    values, errors = np.full(len(thetas), np.nan), []
+    values, records = np.full(len(thetas), np.nan), []
     basis = _generator_basis(base_drive, scheme)
     for start in range(0, len(thetas), _CHAIN):
         chunk = thetas[start:start + _CHAIN]
@@ -139,12 +142,10 @@ def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
         )
         (_, w_n, v_n), invalid_n = _validate_states(states_n)
         (_, w_a, v_a), invalid_a = _validate_states(states_a)
-        found = [k or n or d or a for k, n, d, a in zip(found, invalid_n, degenerate, invalid_a)]
-        ok = [k for k, e in enumerate(found) if e is None]
-        if ok:
-            values[start + np.array(ok)] = _fidelities((w_n[ok], v_n[ok]), (w_a[ok], v_a[ok]))
-        errors += found
-    return values, errors
+        records.append(_first(found, invalid_n, degenerate, invalid_a))
+        ok = np.flatnonzero(records[-1][0] == 0)
+        values[start + ok] = _fidelities((w_n[ok], v_n[ok]), (w_a[ok], v_a[ok]))
+    return values, tuple(np.concatenate(r) for r in zip(*records))
 
 
 def _mean(values):
@@ -252,12 +253,7 @@ def fidelity_scan(
         for (lo, hi), n in zip(ranges, res)
     )
 
-    scan = FidelityScan(
-        axes=(a0, a1),
-        axis_values=values,
-        fixed=fixed,
-        fidelities=np.full((len(values[0]), len(values[1])), np.nan),
-    )
+    scan = FidelityScan((a0, a1), values, fixed, np.full(tuple(map(len, values)), np.nan))
     found, _ = _fidelity_points(fixed, scheme, scan._rf_grid(), steady_state_method, t_end, dt)
     scan.fidelities[...] = found.reshape(scan.fidelities.shape)
     return scan
@@ -275,13 +271,12 @@ def average_fidelity(
 
     The default protocol compares converged (null-space) numerical states
     against the closed form; on the operating plateau the integrand is flat
-    to a few 1e-7, so the modest default sampling (3 per axis) is plenty.
+    to a few 1e-7, so the modest default sampling (3 per axis) is plenty. A
+    failed point raises the message it raises alone.
     """
-    values, errors = _fidelity_points(
-        base_drive, scheme, region.grid(), steady_state_method, t_end, dt
-    )
-    for error in filter(None, errors):
-        raise error
+    values, record = _fidelity_points(base_drive, scheme, region.grid(), steady_state_method,
+                                      t_end, dt)
+    _raise_first(*record)
     return _mean(values)
 
 
@@ -317,8 +312,8 @@ class OperatingPointResult:
 
     ``accepted`` lists every candidate whose objective is within the
     plateau tolerance of the best value, sorted best-first; ``failures``
-    are candidates whose objective could not be evaluated (degenerate
-    analytic regime).
+    are candidates whose objective could not be evaluated because a point
+    of their region failed, for any reason.
     """
 
     point: tuple
@@ -391,19 +386,18 @@ def optimize_operating_point(
         )
         grids.append(region.grid())
     # Every candidate's region points go through the batched chain as one list.
-    values, errors = _fidelity_points(
+    values, (codes, numbers) = _fidelity_points(
         base_drive, scheme, np.concatenate(grids), steady_state_method, t_end, dt
     )
     results, start = [], 0
-    for c, grid in zip(candidates, grids):
-        stop = start + len(grid)
-        failed = any(errors[start:stop])
-        results.append((c, float("nan") if failed else _mean(values[start:stop])))
-        start = stop
+    for c, grid in zip(candidates, grids):  # a failed point is NaN, and so is its mean
+        results.append((c, _mean(values[start:start + len(grid)])))
+        start += len(grid)
 
     finite = [(c, v) for c, v in results if np.isfinite(v)]
     if not finite:
-        raise ValueError("optimize_operating_point: every candidate failed to evaluate")
+        _raise_first(codes, numbers, "optimize_operating_point: every candidate failed to "
+                     "evaluate; first failed point: ")
     # max keeps the first of equal values, so ties go by the candidate order
     best, best_val = max(finite, key=lambda cv: cv[1])
     accepted = sorted(

@@ -42,6 +42,38 @@ STEADY_STATE_METHODS = ("null_space", "evolve")
 
 _TRACE_TOL = 1e-9
 
+#: Why a point failed: its reason code (0: it did not) indexes the message it raises alone,
+#: which its one number fills in. A kernel's record is ``(codes, numbers)`` over its points.
+_REASONS = (
+    None,
+    "DensityMatrix: non-finite entries",
+    "DensityMatrix: not Hermitian (max |m - m^H| = {:.3e})",
+    f"DensityMatrix: trace {{}} deviates from 1 beyond {_TRACE_TOL:.0e}",
+    f"DensityMatrix: not PSD (min eigenvalue {{:.3e}} below {PSD_CLAMP:.0e})",
+    "Liouvillian: trace not preserved (||Tr o L|| = {:.3e})",
+    "steady_state: degenerate steady state, null-space dimension {:.0f}",
+    "evolve: dt exceeds the stability bound 0.1/||L|| = {:.3g}",
+    "analytic model degenerate: Lambda = 0 (probe drive and loop "
+    "imbalance cannot both vanish, and the RF loop must carry power)",
+)
+(_NON_FINITE, _NOT_HERMITIAN, _TRACE_OFF, _NOT_PSD,
+ _TRACE_LOST, _DEGENERATE, _UNSTABLE, _LAMBDA_ZERO) = np.arange(1, len(_REASONS), dtype=np.int8)
+
+
+def _first(*records):
+    """Per point, the first failure among the records, in the order given."""
+    codes, numbers = records[-1]
+    for earlier in reversed(records[:-1]):
+        codes, numbers = np.where(earlier[0] != 0, earlier, (codes, numbers))
+    return codes.astype(np.int8), numbers
+
+
+def _raise_first(codes, numbers, prefix=""):
+    """Raise the ValueError of the record's first failed point, if any."""
+    for k in np.flatnonzero(codes)[:1]:
+        raise ValueError(prefix + _REASONS[codes[k]].format(numbers[k]))
+
+
 #: Raised for a stationary state of a time-dependent generator.
 _NO_STATIONARY_FRAME = (
     "steady_state: generator is time dependent (nonzero closed-loop detuning); "
@@ -127,9 +159,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"DensityMatrix: expected square matrix, got shape {m.shape}")
-        (m, *eig), errors = _validate_states(m[None])
-        if errors[0]:
-            raise errors[0]
+        (m, *eig), record = _validate_states(m[None])
+        _raise_first(*record)
         m = m[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -154,26 +185,22 @@ def _dagger(m):
 
 def _validate_states(m):
     """Hermitized ``(B, d, d)`` stack with its eigenpairs, ``(m, w, v)`` as
-    :func:`numpy.linalg.eigh` returns ``(w, v)``, and per matrix the
-    ValueError of the first :class:`DensityMatrix` invariant it breaks (or
-    None). The Hermitized matrices are exactly Hermitian, so the eigenpairs
-    are those of any later Hermitization too: one decomposition serves the
-    PSD check and the fidelity roots. A non-finite matrix is zeroed and fails."""
+    :func:`numpy.linalg.eigh` returns ``(w, v)``, and its record: per matrix
+    the first :class:`DensityMatrix` invariant it breaks. The Hermitized
+    matrices are exactly Hermitian, so the eigenpairs are those of any later
+    Hermitization too: one decomposition serves the PSD check and the
+    fidelity roots. A non-finite matrix is zeroed and fails."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     m = np.where(finite[:, None, None], m, 0.0)
-    herm = np.max(np.abs(m - _dagger(m)), axis=(-2, -1)).tolist()
-    traces = np.trace(m, axis1=-2, axis2=-1).tolist()
+    herm = np.max(np.abs(m - _dagger(m)), axis=(-2, -1))
+    traces = np.trace(m, axis1=-2, axis2=-1)
     m = (m + _dagger(m)) / 2.0
     w, v = np.linalg.eigh(m)
-    return (m, w, v), [
-        ValueError("DensityMatrix: non-finite entries") if not ok
-        else ValueError(f"DensityMatrix: not Hermitian (max |m - m^H| = {h:.3e})") if h > HERMITICITY_TOL
-        else ValueError(f"DensityMatrix: trace {tr} deviates from 1 beyond {_TRACE_TOL:.0e}")
-        if abs(tr - 1.0) > _TRACE_TOL
-        else ValueError(f"DensityMatrix: not PSD (min eigenvalue {w0:.3e} below {PSD_CLAMP:.0e})")
-        if w0 < PSD_CLAMP else None
-        for ok, h, tr, w0 in zip(finite.tolist(), herm, traces, w[:, 0].tolist())
-    ]
+    broken = np.array((~finite, herm > HERMITICITY_TOL, abs(traces - 1.0) > _TRACE_TOL,
+                       w[:, 0] < PSD_CLAMP))
+    first = broken.argmax(axis=0)  # codes _NON_FINITE to _NOT_PSD, in this order
+    codes = np.where(broken.any(axis=0), first + _NON_FINITE, 0).astype(np.int8)
+    return (m, w, v), (codes, np.choose(first, (herm, herm, traces.real, w[:, 0])))
 
 
 def ground_state(dim=6):
@@ -289,16 +316,12 @@ def _hamiltonian_superop(x):
     return (-1j * (left - right)).reshape(x.shape[:-2] + (d * d, d * d))
 
 
-def _trace_errors(m):
-    """Per real generator of a ``(B, d^2, d^2)`` stack, the ValueError if
-    ``||Tr o L|| > 1e-10 max(1, ||L||_F)`` (or None)."""
-    defects = np.linalg.norm(_trace_row(m.shape[-1]) @ m, axis=-1).tolist()
-    scales = np.linalg.norm(m, axis=(-2, -1)).tolist()
-    return [
-        ValueError(f"Liouvillian: trace not preserved (||Tr o L|| = {d:.3e})")
-        if d > 1e-10 * max(1.0, scale) else None
-        for d, scale in zip(defects, scales)
-    ]
+def _trace_record(m):
+    """Per real generator of a ``(B, d^2, d^2)`` stack, trace loss if
+    ``||Tr o L|| > 1e-10 max(1, ||L||_F)``, with ``||Tr o L||``."""
+    defects = np.linalg.norm(_trace_row(m.shape[-1]) @ m, axis=-1)
+    lost = defects > 1e-10 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    return np.where(lost, _TRACE_LOST, 0), defects
 
 
 @functools.lru_cache(maxsize=4)
@@ -321,9 +344,7 @@ class Liouvillian:
         m = np.array(self.real_form, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or math.isqrt(len(m)) ** 2 != len(m):
             raise ValueError(f"Liouvillian: expected (d^2, d^2) matrix, got {m.shape}")
-        error = _trace_errors(m[None])[0]
-        if error:
-            raise error
+        _raise_first(*_trace_record(m[None]))
         m.setflags(write=False)
         object.__setattr__(self, "real_form", m)
 
@@ -608,12 +629,10 @@ def _horizon_steps(t_end, dt):
     return n_steps
 
 
-def _stability_error(dt, norm):
-    if norm > 0 and dt > 0.1 / norm:
-        return ValueError(
-            f"evolve: dt = {dt:g} exceeds the stability bound 0.1/||L|| = {0.1 / norm:.3g}"
-        )
-    return None
+def _stability_record(dt, norms):
+    """Instability per entry of ``norms`` where ``dt > 0.1 / ||L||``, with that bound (inf at 0)."""
+    bounds = np.divide(0.1, norms, out=np.full(len(norms), np.inf), where=norms > 0.0)
+    return np.where(dt > bounds, _UNSTABLE, 0), bounds
 
 
 def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
@@ -653,9 +672,8 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     if max_snapshots < 2:
         raise ValueError(f"evolve: max_snapshots must be >= 2, got {max_snapshots}")
     time_dependent = isinstance(generator, TimeDependentLiouvillian)
-    error = _stability_error(dt, generator.norm(t_end) if time_dependent else generator.norm())
-    if error:
-        raise error
+    norm = generator.norm(t_end) if time_dependent else generator.norm()
+    _raise_first(*_stability_record(dt, np.array([norm])))
 
     x = _coordinates(rho0.matrix)
     if time_dependent:
@@ -687,8 +705,9 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
 
 # ----------------------------------------------------------------------
 # Stationary states and the fixed-horizon protocol on stacks of generators.
-# Kernels return per-point errors beside the results: None, or what that
-# point raises when evaluated alone, so no point fails the rest of a stack.
+# Kernels return a record beside the results (see :data:`_REASONS`): per
+# point a reason code, 0 or why that point raises when evaluated alone, and
+# the number behind it, so no point fails the rest of a stack.
 
 #: Points per stacked generator block: the stationary solve and the Taylor
 #: powers hold a few ``(d^2, d^2)`` matrices per point, so on the 625-point
@@ -701,13 +720,6 @@ _BLOCK = 16
 def _check_method(method):
     if method not in STEADY_STATE_METHODS:
         raise ValueError(f"unknown steady-state method {method!r}")
-
-
-def _inverse_or_nan(m):
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return np.full_like(m, np.nan)
 
 
 def _trace_row_system(generators):
@@ -723,24 +735,25 @@ def _stationary_vectors(generators):
     system, the "direct" method of Johansson, Nation & Nori, Comput. Phys.
     Commun. 184, 1234 (2013). A singular point or one with 1-norm condition
     number above ``1/NULL_SPACE_TOL`` takes the SVD null space, which
-    decides degeneracy."""
+    decides degeneracy; the record gives a degenerate point's dimension."""
     a = _trace_row_system(generators)
-    try:
-        inverses = np.linalg.inv(a)
-    except np.linalg.LinAlgError:  # one singular matrix fails the whole call
-        inverses = np.array([_inverse_or_nan(m) for m in a])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            inverses = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # an exact zero pivot at one point fails the whole call
+            singular = np.linalg.slogdet(a).sign == 0.0
+            inverses = np.linalg.inv(np.where(singular[:, None, None], np.eye(a.shape[-1]), a))
+            inverses[singular] = np.nan
         cond = np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inverses, 1, axis=(-2, -1))
-    vecs, errors = inverses[..., 0].copy(), [None] * len(a)  # a view would hold every inverse
+    vecs = inverses[..., 0].copy()  # a view would hold every inverse
+    codes, dims = np.zeros(len(a), dtype=np.int8), np.ones(len(a))
     for k in np.flatnonzero(~(cond <= 1.0 / NULL_SPACE_TOL)):
         basis = null_space(generators[k])
         if len(basis) == 1:
             vecs[k] = basis[0]
         else:
-            errors[k] = ValueError(
-                f"steady_state: degenerate steady state, null-space dimension {len(basis)}"
-            )
-    return vecs, errors
+            codes[k], dims[k] = _DEGENERATE, len(basis)
+    return vecs, (codes, dims)
 
 
 def _evolve_vectors(generators, t_end, dt, norm_bounds):
@@ -748,48 +761,47 @@ def _evolve_vectors(generators, t_end, dt, norm_bounds):
     stack: the stacked Taylor propagator's step-count power applied, bit by
     bit, to the coordinates of ``|1><1|``, the first unit vector. Upper
     bounds ``norm_bounds`` clear points of the stability bound without an
-    SVD; the exact norm decides the rest, so no decision changes."""
+    SVD; the exact norm decides the rest, so no decision changes. The record
+    gives an unstable point's bound ``0.1 / ||L||``."""
     n = _horizon_steps(t_end, dt)
     unclear = np.flatnonzero(~(dt * norm_bounds * (1.0 + 1e-9) <= 0.1))
-    errors = [None] * len(generators)
+    norms = np.zeros(len(generators))  # 0 clears a point
     if unclear.size:
-        for k, norm in zip(unclear, np.linalg.norm(generators[unclear], 2, axis=(-2, -1)).tolist()):
-            errors[k] = _stability_error(dt, norm)
-    ok = [k for k, e in enumerate(errors) if e is None]
+        norms[unclear] = np.linalg.norm(generators[unclear], 2, axis=(-2, -1))
+    record = _stability_record(dt, norms)
+    ok = np.flatnonzero(record[0] == 0)
     vecs = np.zeros(generators.shape[:2])
-    if ok:
-        power, v = taylor_propagator(generators[ok], dt), vecs[ok, :, None]
-        v[:, 0] = 1.0
-        while n:
-            if n & 1:
-                v = power @ v
-            n >>= 1
-            if n:
-                power = power @ power
-        vecs[ok] = v[..., 0]
-    return vecs, errors
+    power, v = taylor_propagator(generators[ok], dt), vecs[ok, :, None]
+    v[:, 0] = 1.0
+    while n:
+        if n & 1:
+            v = power @ v
+        n >>= 1
+        if n:
+            power = power @ power
+    vecs[ok] = v[..., 0]
+    return vecs, record
 
 
-def _states(vecs, errors):
+def _states(vecs, record):
     """Trace-normalized states of the coordinate vectors, NaN where a point failed."""
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    return _matrices(_clean(np.where(failed[:, None], np.nan, vecs))[0]), errors
+    failed = record[0][:, None] != 0
+    return _matrices(_clean(np.where(failed, np.nan, vecs))[0]), record
 
 
-def _only(states, errors):
-    """The state of a block of one, validated, or its error raised."""
-    if errors[0] is not None:
-        raise errors[0]
+def _only(states, record):
+    """The state of a block of one, validated, or its failure raised."""
+    _raise_first(*record)
     return DensityMatrix(states[0])
 
 
 def _numerical_states(basis, thetas, method, t_end, dt):
     """Unvalidated ``(N, d, d)`` states of ``method`` at each row of the
-    ``(N, 4)`` RF amplitudes on a basis, NaN at a failed point, with
-    per-point errors. The generator kernels run on stacks of :data:`_BLOCK`
-    points. Errors shared by every point (a bad horizon, a time-dependent
+    ``(N, 4)`` RF amplitudes on a basis, NaN at a failed point, with their
+    record. The generator kernels run on stacks of :data:`_BLOCK` points.
+    Errors shared by every point (a bad horizon, a time-dependent
     ``null_space``) raise; a time-dependent generator is evolved point by
-    point."""
+    point, once its norm over the horizon clears the stability bound."""
     _check_method(method)
     if method == "evolve":
         _horizon_steps(t_end, dt)
@@ -797,15 +809,14 @@ def _numerical_states(basis, thetas, method, t_end, dt):
         if method == "null_space":
             raise TypeError(_NO_STATIONARY_FRAME)
         states = np.full((len(thetas),) + (basis.scheme.size,) * 2, np.nan, dtype=complex)
-        errors = [None] * len(thetas)
+        codes, numbers = np.zeros(len(thetas), dtype=np.int8), np.zeros(len(thetas))
         for k, theta in enumerate(thetas):
-            try:
-                generator = make_generator(basis.drive.with_rf_rabi(theta), basis.scheme)
-                states[k] = evolve(ground_state(), generator, t_end, dt, max_snapshots=2).matrices[-1]
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                errors[k] = exc
-        return states, errors
-    vecs, errors = [], []
+            generator = make_generator(basis.drive.with_rf_rabi(theta), basis.scheme)
+            (codes[k],), (numbers[k],) = _stability_record(dt, np.array([generator.norm(t_end)]))
+            if not codes[k]:
+                states[k] = evolve(ground_state(), generator, t_end, dt, 2).matrices[-1]
+        return states, (codes, numbers)
+    vecs, records = [], []
     for start in range(0, len(thetas), _BLOCK):
         rows = thetas[start:start + _BLOCK]
         generators = basis.assemble(rows)
@@ -814,8 +825,8 @@ def _numerical_states(basis, thetas, method, t_end, dt):
         else:  # triangle-inequality bounds on ||L||, for theta >= 0
             found = _evolve_vectors(generators, t_end, dt, basis.norms[0] + rows @ basis.norms[1])
         vecs.append(found[0])
-        errors += [e or m for e, m in zip(_trace_errors(generators), found[1])]
-    return _states(np.concatenate(vecs), errors)
+        records.append(_first(_trace_record(generators), found[1]))
+    return _states(np.concatenate(vecs), tuple(np.concatenate(r) for r in zip(*records)))
 
 
 def steady_state(liouvillian):

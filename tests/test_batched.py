@@ -30,6 +30,7 @@ from rydberg_receiver.lindblad import (
     _evolve_vectors,
     _generator_basis,
     _hermitian_basis,
+    _REASONS,
     _numerical_states,
     _trace_row,
     taylor_propagator,
@@ -98,13 +99,14 @@ def amplitude_rows(draw, n):
 
 
 def per_point(drive, scheme, theta, method, t_end, dt):
-    """The public per-point chain of one map point; NaN where it raises."""
+    """The public per-point chain of one map point: its fidelity and None,
+    or NaN and the message it raises."""
     point = drive.with_rf_rabi(theta)
     try:
         numerical = rr.steady_state_numerical(point, scheme, method=method, t_end=t_end, dt=dt)
-        return rr.fidelity(numerical, rr.analytic_steady_state(point, scheme))
-    except (ValueError, np.linalg.LinAlgError):
-        return float("nan")
+        return rr.fidelity(numerical, rr.analytic_steady_state(point, scheme)), None
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return float("nan"), str(exc)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -137,10 +139,17 @@ def check_batched_equals_per_point(drive, scheme, method, data):
     # a short horizon; the larger step breaks the stability bound for most
     # drives, the smaller one for few
     t_end, dt = 0.2, data.draw(st.sampled_from((1e-3, 2e-3)))
-    values, errors = fidelity_module._fidelity_points(drive, scheme, thetas, method, t_end, dt)
-    expected = [per_point(drive, scheme, theta, method, t_end, dt) for theta in thetas]
+    values, (codes, numbers) = fidelity_module._fidelity_points(
+        drive, scheme, thetas, method, t_end, dt
+    )
+    expected, messages = zip(
+        *(per_point(drive, scheme, theta, method, t_end, dt) for theta in thetas)
+    )
     assert np.array_equal(values, expected, equal_nan=True)
-    assert [e is not None for e in errors] == list(np.isnan(expected))
+    assert list(codes != 0) == list(np.isnan(expected))
+    # each failed point's record, formatted, is what the point raises alone
+    formatted = [_REASONS[c] and _REASONS[c].format(x) for c, x in zip(codes, numbers)]
+    assert formatted == list(messages)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -222,10 +231,10 @@ class TestVectorPowers:
         thetas = TWO_PI * rng.uniform(0.0, 10.0, (16, 4))
         generators = basis.assemble(thetas)
         dt = 1e-4
-        vecs, errors = _evolve_vectors(
+        vecs, (codes, _) = _evolve_vectors(
             generators, n * dt, dt, basis.norms[0] + thetas @ basis.norms[1]
         )
-        assert errors == [None] * 16
+        assert not codes.any()
         expected = np.linalg.matrix_power(taylor_propagator(generators, dt), n)[..., 0]
         scale = np.max(np.abs(expected), axis=1, keepdims=True)
         assert np.max(np.abs(vecs - expected) / scale) <= 1e-13
@@ -237,12 +246,13 @@ class TestGates:
         thetas = np.tile(op_drive.rf_rabi, (17, 1))
         thetas[:, 0] += TWO_PI * 0.1 * np.arange(17)
         thetas[5] = (TWO_PI * 3.0, TWO_PI * 5.0, TWO_PI * 5.0, TWO_PI * 3.0)
-        values, errors = fidelity_module._fidelity_points(
+        values, (codes, _) = fidelity_module._fidelity_points(
             op_drive, reduced_scheme, thetas, "null_space", 10.0, 1e-4
         )
         assert np.isnan(values[5])
         assert np.all(np.isfinite(np.delete(values, 5)))
-        assert "degenerate" in str(errors[5])
+        assert np.flatnonzero(codes).tolist() == [5]
+        assert "degenerate" in _REASONS[codes[5]]
         generator = rr.make_generator(op_drive.with_rf_rabi(thetas[5]), reduced_scheme)
         with pytest.raises(ValueError, match="degenerate"):
             rr.steady_state(generator)
@@ -253,15 +263,15 @@ class TestGates:
         # the stacked propagator and for the open loop's point-by-point evolve
         drive = replace(op_drive, rf_detunings=(0.0, 0.0, 0.0, detuning))
         thetas = TWO_PI * np.array([[0.0, 0.0, 2.0, 2.0], [10.0, 10.0, 2.0, 2.0], [0.0] * 4])
-        states, errors = _numerical_states(
+        states, (codes, _) = _numerical_states(
             _generator_basis(drive, scheme), thetas, "evolve", 0.2, 1.25e-3
         )
-        closed, degenerate = _closed_form(
+        closed, (degenerate, _) = _closed_form(
             drive.omega_p, drive.omega_c, tuple(thetas.T), scheme.decay_rate(2, 1)
         )
-        assert "stability bound" in str(errors[1])
-        assert [e is None for e in errors] == [True, False, True]
-        assert [e is None for e in degenerate] == [True, True, False]
+        assert "stability bound" in _REASONS[codes[1]]
+        assert (codes == 0).tolist() == [True, False, True]
+        assert (degenerate == 0).tolist() == [True, True, False]
         for stack, failed in ((states, 1), (closed, 2)):
             assert np.isnan(stack[failed]).all()
             assert np.isfinite(np.delete(stack, failed, axis=0)).all()
@@ -312,7 +322,7 @@ class TestGates:
                 expected = float("nan")
             assert np.array_equal(scan.fidelities[i, j], expected, equal_nan=True)
             assert np.array_equal(
-                per_point(drive, scheme, point.rf_rabi, "evolve", t_end, dt), expected,
+                per_point(drive, scheme, point.rf_rabi, "evolve", t_end, dt)[0], expected,
                 equal_nan=True,
             )
         assert 0 < np.isnan(scan.fidelities).sum() < scan.fidelities.size

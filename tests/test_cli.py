@@ -366,6 +366,14 @@ class TestOptimizeLo:
         )
         assert run(tmp_path, "optimize-lo", "--out", str(tmp_path / "o"), config=cfg) == 2
 
+    def test_every_candidate_failed_says_why(self, tmp_path, capsys):
+        # the one candidate is RF-off, where the closed form is degenerate
+        cfg = "[optimize]\nsearch_hi_mhz = 1\nsum_constraint_mhz = 0.5\n"
+        assert run(tmp_path, "optimize-lo", "--out", str(tmp_path / "o"), config=cfg) == 2
+        err = capsys.readouterr().err
+        assert "every candidate failed to evaluate; first failed point: analytic model " \
+            "degenerate: Lambda = 0" in err
+
 
 class TestWaveform:
     def test_default_pipeline(self, tmp_path, capsys):

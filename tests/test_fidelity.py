@@ -249,6 +249,18 @@ class TestAverageFidelity:
         avg = average_fidelity(region, op_drive, scheme)
         assert avg > 0.999
 
+    def test_degenerate_point_raises_its_message(self, reduced_scheme, op_drive):
+        # probe decay only: the balanced loop at the region's center keeps a
+        # dark state, and the region raises that point's own message
+        center = TWO_PI * np.array([3.0, 5.0, 5.0, 3.0])
+        region = PerturbationRegion(center=center, half_widths=(TWO_PI * 0.1, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError) as alone:
+            rr.steady_state(rr.make_generator(op_drive.with_rf_rabi(center), reduced_scheme))
+        assert "degenerate" in str(alone.value)
+        with pytest.raises(ValueError) as averaged:
+            average_fidelity(region, op_drive, reduced_scheme)
+        assert str(averaged.value) == str(alone.value)
+
 
 class TestOptimizer:
     def _base(self):

@@ -502,3 +502,55 @@ class TestTrajectoryCsv:
         for trajectory in (traj, odd):
             trajectory.write_csv(path, all_coherences=all_coherences)
             assert path.read_bytes() == literal_csv.trajectory(trajectory, all_coherences)
+
+
+#: Two-level real generator that keeps the populations and damps both
+#: coherence coordinates at rate 1: trace preserving, ||L|| = 1.
+_DAMPING = Liouvillian(np.diag([0.0, 0.0, -1.0, -1.0]))
+
+
+class TestFailureMessages:
+    """The full text of every failure reason, through its public
+    single-point entry; the stacked kernels record the same reasons."""
+
+    @pytest.mark.parametrize("call, text", [
+        pytest.param(
+            lambda: rr.DensityMatrix(np.diag([np.nan, 1.0])),
+            "DensityMatrix: non-finite entries",
+            id="non-finite"),
+        pytest.param(
+            lambda: rr.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])),
+            "DensityMatrix: not Hermitian (max |m - m^H| = 5.000e-01)",
+            id="non-Hermitian"),
+        pytest.param(
+            lambda: rr.DensityMatrix(0.5 * np.eye(6)),
+            "DensityMatrix: trace 3.0 deviates from 1 beyond 1e-09",  # a real trace
+            id="trace-off"),
+        pytest.param(
+            lambda: rr.DensityMatrix(np.diag([1.5, -0.5])),
+            "DensityMatrix: not PSD (min eigenvalue -5.000e-01 below -1e-08)",
+            id="non-PSD"),
+        pytest.param(
+            lambda: Liouvillian(np.eye(4)),
+            "Liouvillian: trace not preserved (||Tr o L|| = 1.414e+00)",
+            id="trace-loss"),
+        pytest.param(
+            lambda: rr.steady_state(Liouvillian(np.zeros((4, 4)))),
+            "steady_state: degenerate steady state, null-space dimension 4",
+            id="degenerate"),
+        pytest.param(
+            lambda: rr.evolve(rr.DensityMatrix(np.eye(2) / 2), _DAMPING, t_end=1.0, dt=0.5),
+            "evolve: dt exceeds the stability bound 0.1/||L|| = 0.1",
+            id="unstable"),
+        pytest.param(
+            lambda: rr.analytic_steady_state(
+                DriveConfig(omega_p=1.0, omega_c=1.0, rf_rabi=(0, 0, 0, 0)), rr.cesium_scheme()
+            ),
+            "analytic model degenerate: Lambda = 0 (probe drive and loop imbalance cannot "
+            "both vanish, and the RF loop must carry power)",
+            id="closed-form-degenerate"),
+    ])
+    def test_full_text(self, call, text):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == text
