@@ -3,8 +3,9 @@ Four-channel heterodyne waveform and IQ recovery
 ================================================
 
 Puts four weak RF tones on the air at 200/500/800/1100 kHz offsets from
-their local oscillators, synthesizes the photodetector current two ways
-(the exact adiabatic response and its first-order model), and then
+their local oscillators, synthesizes one record of the photodetector
+current in both forms (the exact adiabatic response and its first-order
+model), and then
 demodulates the exact waveform back into four complex basebands. The
 printed table compares each recovered envelope against the small-signal
 prediction |G_n| A_n and quantifies the crosstalk floor.
@@ -43,19 +44,17 @@ def main():
     spec = tone_spec(lo, scheme, modulation_index=5e-3)
     kw = dict(duration=args.duration, sample_rate=16.0)
 
-    exact = rr.synthesize_pd_waveform(spec, lo, rr.DEFAULT_CELL, scheme, mode="exact", **kw)
-    linear = rr.synthesize_pd_waveform(spec, lo, rr.DEFAULT_CELL, scheme, mode="linearized", **kw)
-    print(f"operating output y_LO = {exact.dc_level:.4e} A, "
-          f"{len(exact.samples)} samples at {exact.sample_rate:g} MHz")
-    disc = rr.linearization_discrepancy(exact, linear)
+    wave = rr.synthesize_pd_waveform(spec, lo, rr.DEFAULT_CELL, scheme, **kw)
+    print(f"operating output y_LO = {wave.dc_level:.4e} A, "
+          f"{len(wave.samples)} samples at {wave.sample_rate:g} MHz")
+    disc = rr.linearization_discrepancy(wave)
     print(f"exact vs first-order relative RMS discrepancy: {disc:.2e} "
           f"(quadratic in the modulation depth)")
 
-    gains = rr.gain_coefficients(lo, rr.DEFAULT_CELL, scheme, model="analytic")
-    channels = rr.iq_demodulate(exact, OFFSETS, bandwidths=(0.1, 0.1, 0.1, 0.1))
+    channels = rr.iq_demodulate(wave, OFFSETS, bandwidths=(0.1, 0.1, 0.1, 0.1))
     print("\nchannel  offset(kHz)  |envelope|(A)  predicted(A)  error    phase(rad)")
     for n, ch in zip(range(1, 5), channels):
-        predicted = abs(gains[n]) * spec.amplitudes[n - 1]
+        predicted = abs(wave.gains[n]) * spec.amplitudes[n - 1]
         err = ch.envelope_magnitude() / predicted - 1.0
         print(f"   {n}       {ch.offset / TWO_PI * 1e3:6.0f}     {ch.envelope_magnitude():.4e}"
               f"    {predicted:.4e}   {err:+.4f}   {ch.envelope_phase():+.4f}")
@@ -64,7 +63,7 @@ def main():
     solo_amps = [0.0] * 4
     solo_amps[1] = spec.amplitudes[1]
     solo = rr.RfSignalSpec(amplitudes=tuple(solo_amps), offsets=OFFSETS)
-    solo_wave = rr.synthesize_pd_waveform(solo, lo, rr.DEFAULT_CELL, scheme, mode="exact", **kw)
+    solo_wave = rr.synthesize_pd_waveform(solo, lo, rr.DEFAULT_CELL, scheme, **kw)
     solo_channels = rr.iq_demodulate(solo_wave, OFFSETS, bandwidths=(0.1, 0.1, 0.1, 0.1))
     active = solo_channels[1].rms()
     worst_leak = max(solo_channels[k].rms() for k in (0, 2, 3))
@@ -73,8 +72,8 @@ def main():
 
     wpath = args.out / "pd_waveform.csv"
     spath = args.out / "pd_spectrogram.csv"
-    rr.write_waveform_csv(wpath, exact, linear)
-    rr.write_spectrogram_csv(spath, exact)
+    rr.write_waveform_csv(wpath, wave)
+    rr.write_spectrogram_csv(spath, wave)
     print(f"wrote {wpath} and {spath}")
 
 

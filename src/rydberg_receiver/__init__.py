@@ -66,7 +66,6 @@ from .receiver import (
     RfSignalSpec,
     VaporCellParams,
     gain_coefficients,
-    heterodyne_rabi,
     iq_demodulate,
     linearization_discrepancy,
     photodetector_output,
@@ -140,7 +139,6 @@ __all__ = [
     "RfSignalSpec",
     "VaporCellParams",
     "gain_coefficients",
-    "heterodyne_rabi",
     "iq_demodulate",
     "linearization_discrepancy",
     "photodetector_output",

@@ -36,6 +36,7 @@ from .lindblad import (
     STEADY_STATE_METHODS,
     DriveConfig,
     TimeDependentLiouvillian,
+    _raise_first,
     basis_state,
     evolve,
     make_generator,
@@ -49,7 +50,6 @@ from .receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
     VaporCellParams,
-    gain_coefficients,
     iq_demodulate,
     linearization_discrepancy,
     signal_amplitudes,
@@ -441,7 +441,9 @@ def cmd_fidelity_map(cfg, scheme, seed):
     )
     finite = scan.fidelities[np.isfinite(scan.fidelities)]
     if finite.size == 0:
-        raise ValueError(f"fidelity-map: all {scan.fidelities.size} grid points failed")
+        failed = f"fidelity-map: all {scan.fidelities.size} grid points failed"
+        _raise_first(*scan.record, failed + "; first failed point: ")
+        raise ValueError(failed)
     i_min, j_min = scan.min_point()
     min_drive = scan.drive_at(i_min, j_min)
     min_fid = scan.fidelities[i_min, j_min]
@@ -509,39 +511,30 @@ def cmd_waveform(cfg, scheme, seed):
         phases=sig["phases"],
         bandwidths=sig["bandwidths"],
     )
-    exact = synthesize_pd_waveform(
-        spec, drive, cell, scheme, wf_cfg["duration"], wf_cfg["sample_rate"], mode="exact"
+    waveform = synthesize_pd_waveform(
+        spec, drive, cell, scheme, wf_cfg["duration"], wf_cfg["sample_rate"],
+        noise_std=wf_cfg["noise_std"], seed=seed,
     )
-    gains = gain_coefficients(drive, cell, scheme, model="analytic")
-    linearized = synthesize_pd_waveform(
-        spec,
-        drive,
-        cell,
-        scheme,
-        wf_cfg["duration"],
-        wf_cfg["sample_rate"],
-        mode="linearized",
-        noise_std=wf_cfg["noise_std"],
-        seed=seed,
-    )
-    files = {"waveform.csv": lambda path: write_waveform_csv(path, exact, linearized)}
+    files = {"waveform.csv": lambda path: write_waveform_csv(path, waveform)}
     channel_summaries = []
     if wf_cfg["demodulate"]:
         active = spec.active_channels()
         demods = iq_demodulate(
-            exact,
+            waveform,
             [spec.offsets[n - 1] for n in active],
             [spec.bandwidths[n - 1] for n in active],
         )
         for n, ch in zip(active, demods):
-            expected = gains[n] * spec.amplitudes[n - 1] * np.exp(1j * spec.phases[n - 1])
+            expected = waveform.gains[n] * spec.amplitudes[n - 1] * np.exp(1j * spec.phases[n - 1])
             measured = np.mean(ch.steady())
+            # a balanced loop has no gain, so no envelope to compare with
+            ratio = float(np.abs(measured) / np.abs(expected)) if expected != 0 else None
             channel_summaries.append(
                 {
                     "channel": n,
                     "expected_envelope": complex(expected),
                     "measured_envelope": complex(measured),
-                    "magnitude_ratio": float(np.abs(measured) / np.abs(expected)),
+                    "magnitude_ratio": ratio,
                 }
             )
 
@@ -552,18 +545,18 @@ def cmd_waveform(cfg, scheme, seed):
             [(n, ch.times, ch.baseband.real, ch.baseband.imag) for n, ch in zip(active, demods)],
         )
     if wf_cfg["spectrogram"]:
-        files["spectrogram.csv"] = lambda path: write_spectrogram_csv(path, exact)
+        files["spectrogram.csv"] = lambda path: write_spectrogram_csv(path, waveform)
     summary = {
-        "dc_level": exact.dc_level,
-        "samples": len(exact.times),
+        "dc_level": waveform.dc_level,
+        "samples": len(waveform.times),
         "sample_rate_mhz": wf_cfg["sample_rate"],
         "amplitudes_v_per_m": list(amplitudes),
-        "gains_a_per_v_per_m": list(gains.gains),
-        "linearization_rms_over_dc": linearization_discrepancy(exact, linearized),
+        "gains_a_per_v_per_m": list(waveform.gains.gains),
+        "linearization_rms_over_dc": linearization_discrepancy(waveform),
         "channels": channel_summaries,
     }
     return files, summary, (
-        f"waveform: {len(exact.times)} samples, DC {exact.dc_level:.6e} A, "
+        f"waveform: {len(waveform.times)} samples, DC {waveform.dc_level:.6e} A, "
         f"linearization residual {summary['linearization_rms_over_dc']:.3e} of DC"
     )
 

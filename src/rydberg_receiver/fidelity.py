@@ -18,7 +18,7 @@ comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,13 +162,16 @@ class FidelityScan:
 
     ``fidelities[i, j]`` corresponds to ``axis_values[0][i]`` on the first
     varying channel and ``axis_values[1][j]`` on the second; failed points
-    are NaN.
+    are NaN. ``record`` is the ``(codes, numbers)`` failure record of the
+    points in ``np.ndindex`` order (see ``lindblad._REASONS``), None on a
+    scan built by hand.
     """
 
     axes: tuple
     axis_values: tuple
     fixed: DriveConfig
     fidelities: np.ndarray
+    record: tuple = None
 
     def drive_at(self, i, j):
         rf = list(self.fixed.rf_rabi)
@@ -254,9 +257,8 @@ def fidelity_scan(
     )
 
     scan = FidelityScan((a0, a1), values, fixed, np.full(tuple(map(len, values)), np.nan))
-    found, _ = _fidelity_points(fixed, scheme, scan._rf_grid(), steady_state_method, t_end, dt)
-    scan.fidelities[...] = found.reshape(scan.fidelities.shape)
-    return scan
+    found, record = _fidelity_points(fixed, scheme, scan._rf_grid(), steady_state_method, t_end, dt)
+    return replace(scan, fidelities=found.reshape(scan.fidelities.shape), record=record)
 
 
 def average_fidelity(

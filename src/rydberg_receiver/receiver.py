@@ -240,21 +240,6 @@ def _carrier(spec, n, t):
     return np.real(np.asarray(env) * np.exp(1j * phase))
 
 
-def heterodyne_rabi(n, t, spec, lo, scheme, max_ratio=0.01):
-    """Effective Rabi amplitude of channel ``n`` at time(s) ``t`` (us).
-
-    ``Omega_n(t) = Omega_LO,n + (mu_n/hbar) A_RF,n cos(delta_omega_n t +
-    delta_phi_n)``, the first-order beat of the combined LO + signal field.
-    """
-    validate_heterodyne(spec, lo, scheme, max_ratio=max_ratio)
-    t = np.asarray(t, dtype=float)
-    base = lo.rf_rabi[n - 1]
-    amp = spec.amplitudes[n - 1]
-    if amp == 0.0:
-        return np.broadcast_to(base, t.shape).copy() if t.shape else base
-    return base + _rabi_per_field(n, scheme) * amp * _carrier(spec, n, t)
-
-
 def _detector_current(cell, omega_p, rho21):
     """``R (P0/2) exp(2 Xi0 Im rho_21)`` for a scalar or array coherence."""
     return cell.responsivity * (cell.probe_power / 2.0) * np.exp(
@@ -312,16 +297,19 @@ def gain_coefficients(lo, cell, scheme, model="analytic"):
 
 @dataclass(frozen=True)
 class Waveform:
-    """Sampled photodetector output.
-
-    ``dc_level`` is the detector current with every signal off (the LO
-    operating output), the natural normalization for modulation depths.
+    """Sampled photodetector output: the exact response ``samples`` and, on
+    the same ``times``, its first-order model ``linearized`` with the
+    ``gains`` it uses (both None unless :func:`synthesize_pd_waveform` built
+    the record). ``dc_level`` is the detector current with every signal off
+    (the LO operating output), the natural normalization for modulation depths.
     """
 
     times: np.ndarray
     samples: np.ndarray
     dc_level: float
     sample_rate: float  # MHz
+    linearized: np.ndarray = None
+    gains: GainVector = None
 
     def ac(self):
         """Samples with their own mean (DC) removed."""
@@ -335,21 +323,21 @@ def synthesize_pd_waveform(
     scheme,
     duration,
     sample_rate,
-    mode="exact",
     noise_std=0.0,
     seed=None,
     max_ratio=0.01,
 ):
     """Photodetector waveform over ``duration`` us at ``sample_rate`` MHz.
 
-    ``mode="exact"`` follows the instantaneous Rabi amplitudes through the
-    closed-form coherence sample by sample (adiabatic response; every
-    offset is far below the probe linewidth). ``mode="linearized"`` emits
-    the first-order model ``y_LO + sum_n G_n A_n cos(delta_omega_n t +
-    delta_phi_n)`` plus optional white Gaussian detector noise; its gains
-    are the analytic-model derivatives so the two modes differ only at
-    second order in the signal amplitudes. ``y_LO`` and the gains come
-    from one analytic evaluation of the operating point.
+    ``samples`` follows the Rabi amplitudes ``Omega_n(t) = Omega_LO,n +
+    (mu_n/hbar) A_n c_n(t)``, with the beat carrier ``c_n(t) = cos(delta_omega_n
+    t + delta_phi_n)``, through the closed-form coherence sample by sample
+    (adiabatic response; every offset is far below the probe linewidth).
+    ``linearized`` is the first-order model ``y_LO + sum_n G_n A_n c_n(t)``
+    plus optional white Gaussian detector noise; its gains are the
+    analytic-model derivatives, so the two forms differ only at second order
+    in the signal amplitudes. One analytic evaluation of the operating point
+    gives ``y_LO`` and the gains, and each carrier serves both forms.
 
     Raises
     ------
@@ -376,36 +364,31 @@ def synthesize_pd_waveform(
     t = np.arange(n_samples) / sample_rate
     y_lo, gains = _operating_point(lo, cell, scheme, "analytic")
 
-    if mode == "exact":
-        rf_t = [heterodyne_rabi(n, t, spec, lo, scheme, max_ratio=max_ratio) for n in range(1, 5)]
-        rho21 = rho21_from_amplitudes(
-            lo.omega_p, lo.omega_c, rf_t, scheme.decay_rate(2, 1)
-        )
-        samples = _detector_current(cell, lo.omega_p, rho21)
-    elif mode == "linearized":
-        samples = np.full(n_samples, y_lo)
-        for n in spec.active_channels():
-            samples = samples + gains[n] * spec.amplitudes[n - 1] * _carrier(spec, n, t)
-        if noise_std > 0.0:
-            samples = samples + np.random.default_rng(seed).normal(0.0, noise_std, n_samples)
-    else:
-        raise ValueError(f"synthesize_pd_waveform: unknown mode {mode!r}")
-
-    return Waveform(times=t, samples=samples, dc_level=y_lo, sample_rate=sample_rate)
+    rabi = [np.broadcast_to(base, t.shape) for base in lo.rf_rabi]
+    linearized = np.full(n_samples, y_lo)
+    for n in spec.active_channels():
+        carrier = _carrier(spec, n, t)
+        amp = spec.amplitudes[n - 1]
+        rabi[n - 1] = lo.rf_rabi[n - 1] + _rabi_per_field(n, scheme) * amp * carrier
+        linearized = linearized + gains[n] * amp * carrier
+    if noise_std > 0.0:
+        linearized = linearized + np.random.default_rng(seed).normal(0.0, noise_std, n_samples)
+    rho21 = rho21_from_amplitudes(lo.omega_p, lo.omega_c, rabi, scheme.decay_rate(2, 1))
+    return Waveform(times=t, samples=_detector_current(cell, lo.omega_p, rho21), dc_level=y_lo,
+                    sample_rate=sample_rate, linearized=linearized, gains=gains)
 
 
-def linearization_discrepancy(exact, linearized):
-    """RMS difference of the DC-removed waveforms, relative to the DC level.
+def linearization_discrepancy(waveform):
+    """RMS difference of the DC-removed exact and first-order forms of a
+    record, relative to the DC level.
 
-    Each waveform loses its own mean; the residual is the modulation error
-    of the first-order model, normalized by the operating output, so it
-    scales quadratically with the signal amplitudes (signal-relative
-    normalization would scale linearly and hide the Taylor structure).
+    Each form loses its own mean; the residual is the modulation error of
+    the first-order model, normalized by the operating output, so it scales
+    quadratically with the signal amplitudes (signal-relative normalization
+    would scale linearly and hide the Taylor structure).
     """
-    if exact.times.shape != linearized.times.shape:
-        raise ValueError("linearization_discrepancy: waveforms must share a time base")
-    resid = exact.ac() - linearized.ac()
-    return float(np.sqrt(np.mean(resid**2)) / exact.dc_level)
+    resid = waveform.ac() - (waveform.linearized - float(np.mean(waveform.linearized)))
+    return float(np.sqrt(np.mean(resid**2)) / waveform.dc_level)
 
 
 # ----------------------------------------------------------------------
@@ -579,12 +562,10 @@ def spectrogram_data(waveform, nperseg=256):
     return times, freqs, power_db
 
 
-def write_waveform_csv(path, exact, linearized):
-    """Export paired waveforms as ``t, y_exact, y_linearized`` CSV."""
-    if exact.times.shape != linearized.times.shape:
-        raise ValueError("write_waveform_csv: waveforms must share a time base")
+def write_waveform_csv(path, waveform):
+    """Export a synthesized record as ``t, y_exact, y_linearized`` CSV."""
     write_csv(path, "t,y_exact,y_linearized", "%.9g,%.12g,%.12g",
-              [(exact.times, exact.samples, linearized.samples)])
+              [(waveform.times, waveform.samples, waveform.linearized)])
 
 
 def write_spectrogram_csv(path, waveform, nperseg=256):

@@ -177,10 +177,10 @@ def _comparison_csv(comparison):
     return _csv_bytes(["architecture", "p_t_dbm", "bandwidth_hz", "rate_bps"], rows)
 
 
-def _waveform_csv(exact, linearized):
+def _waveform_csv(waveform):
     rows = [
         [f"{t:.9g}", f"{ye:.12g}", f"{yl:.12g}"]
-        for t, ye, yl in zip(exact.times, exact.samples, linearized.samples)
+        for t, ye, yl in zip(waveform.times, waveform.samples, waveform.linearized)
     ]
     return _csv_bytes(["t", "y_exact", "y_linearized"], rows)
 

@@ -18,7 +18,6 @@ from rydberg_receiver.analytic import analytic_steady_state, rho21_from_amplitud
 from rydberg_receiver.receiver import (
     DEFAULT_CELL,
     RfSignalSpec,
-    gain_coefficients,
     iq_demodulate,
     linearization_discrepancy,
     signal_amplitudes,
@@ -220,13 +219,10 @@ def test_criterion_08_linearization_validity(op_drive, scheme):
     discrepancies = []
     for m, max_ratio in ((5e-3, 0.01), (1e-2, 0.021)):
         spec = _four_tone_spec(op_drive, scheme, m)
-        exact = synthesize_pd_waveform(
-            spec, op_drive, DEFAULT_CELL, scheme, mode="exact", max_ratio=max_ratio, **kw
+        wave = synthesize_pd_waveform(
+            spec, op_drive, DEFAULT_CELL, scheme, max_ratio=max_ratio, **kw
         )
-        lin = synthesize_pd_waveform(
-            spec, op_drive, DEFAULT_CELL, scheme, mode="linearized", max_ratio=max_ratio, **kw
-        )
-        discrepancies.append(linearization_discrepancy(exact, lin))
+        discrepancies.append(linearization_discrepancy(wave))
     base, doubled = discrepancies
     ratio = doubled / base
     ok = base <= 0.02 and 3.0 <= ratio <= 5.0
@@ -241,17 +237,15 @@ def test_criterion_08_linearization_validity(op_drive, scheme):
 
 
 def test_criterion_09_demodulation_separability(op_drive, scheme):
-    kw = dict(duration=200.0, sample_rate=16.0, mode="exact")
+    kw = dict(duration=200.0, sample_rate=16.0)
     bands = (0.1, 0.1, 0.1, 0.1)
-    gains = gain_coefficients(op_drive, DEFAULT_CELL, scheme, model="analytic")
 
     # envelope accuracy with all four tones on the air at once
     spec = _four_tone_spec(op_drive, scheme, 5e-3)
-    channels = iq_demodulate(
-        synthesize_pd_waveform(spec, op_drive, DEFAULT_CELL, scheme, **kw), FOUR_OFFSETS, bands
-    )
+    wave = synthesize_pd_waveform(spec, op_drive, DEFAULT_CELL, scheme, **kw)
+    channels = iq_demodulate(wave, FOUR_OFFSETS, bands)
     mag_err = max(
-        abs(ch.envelope_magnitude() / (abs(gains[n]) * spec.amplitudes[n - 1]) - 1.0)
+        abs(ch.envelope_magnitude() / (abs(wave.gains[n]) * spec.amplitudes[n - 1]) - 1.0)
         for n, ch in zip(range(1, 5), channels)
     )
 

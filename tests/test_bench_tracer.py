@@ -1,5 +1,5 @@
 """Every function the benchmark tracer wraps still exists on the package,
-with the parameters its hooks read.
+with the parameters its hooks read, and returns what its hooks read.
 
 A renamed or deleted function, or a renamed parameter, would otherwise
 surface only when a traced benchmark run (``bench/run.py --trace 1``)
@@ -11,8 +11,12 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rydberg_receiver as rr
+
+TWO_PI = 2.0 * np.pi
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -67,3 +71,38 @@ def test_generator_matrix_takes_time_first():
     assert hook is tracer._after_generator
     method = vars(getattr(_module(mod), cls))[attr]
     assert list(inspect.signature(method).parameters)[:2] == ["self", "t"]
+
+
+class _Counters:
+    """The one method of the tracer that the after hooks call."""
+
+    def __init__(self):
+        self.added = []
+
+    def add(self, key, value):
+        self.added.append((key, value))
+
+
+def test_hooks_read_return_values(scheme, op_drive):
+    # each hook that reads a return value, fed a real one
+    counters = _Counters()
+    amps = rr.signal_amplitudes(op_drive, scheme, 5e-3)
+    spec = rr.RfSignalSpec(amplitudes=amps, offsets=tuple(TWO_PI * f for f in (0.2, 0.5, 0.8, 1.1)))
+    wave = rr.synthesize_pd_waveform(spec, op_drive, rr.DEFAULT_CELL, scheme,
+                                     duration=1.0, sample_rate=16.0)
+    tracer._after_synthesis(counters, {}, wave)
+    # the RF-off corner of this 2x2 scan is degenerate in the closed form
+    dark = op_drive.with_rf_rabi((0.0,) * 4)
+    scan = rr.fidelity_scan(dark, (1, 2), scheme, ranges=((0.0, TWO_PI * 2),) * 2,
+                            resolution=2, steady_state_method="null_space")
+    tracer._after_scan(counters, {}, scan)
+    result = rr.optimize_operating_point((TWO_PI, TWO_PI), TWO_PI * 4,
+                                         base_drive=op_drive, scheme=scheme)
+    tracer._after_optimize(counters, {}, result)
+    assert counters.added == [
+        ("receiver.synthesize_pd_waveform.samples", 16),
+        ("fidelity.points", 4),
+        ("fidelity.failed_points", 1),
+        ("fidelity.points", 1),
+        ("fidelity.failed_points", 0),
+    ]

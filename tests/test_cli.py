@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydberg_receiver import cli, lindblad
+from rydberg_receiver import cli, lindblad, receiver
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
 from rydberg_receiver.config import _key_table, parse_config
 from rydberg_receiver.lindblad import make_generator, steady_state
@@ -338,7 +338,9 @@ class TestFidelityMap:
         cfg = "[scan]\nresolution = 2\nmethod = evolve\ndt_us = 0.01\n"
         out = tmp_path / "out"
         assert run(tmp_path, "fidelity-map", "--out", str(out), config=cfg) == 2
-        assert "fidelity-map: all 4 grid points failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fidelity-map: all 4 grid points failed" in err
+        assert "; first failed point: evolve: dt exceeds the stability bound" in err
         assert not out.exists()
 
 
@@ -394,6 +396,42 @@ class TestWaveform:
         assert len(rows) == 1 + 3200
         demod_header = (out / "demod.csv").read_text().splitlines()[0]
         assert demod_header == "channel,t,re,im"
+
+    def test_balanced_loop_writes_null_ratio(self, tmp_path):
+        # zeta = 0: every gain is exactly 0, so no envelope is expected and
+        # there is no ratio to write
+        cfg = "[drive]\nrf_rabi_mhz = 1, 1, 1, 1\n[waveform]\nspectrogram = false\n"
+        out = tmp_path / "out"
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}, which is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["gains_a_per_v_per_m"] == [0.0] * 4
+        assert [ch["magnitude_ratio"] for ch in summary["channels"]] == [None] * 4
+
+    def test_one_evaluation_per_record(self, tmp_path, monkeypatch, scheme, op_drive):
+        # one operating point per record, and one carrier per active channel
+        # serving both the exact and the first-order form
+        calls = {"_operating_point": 0, "_carrier": 0}
+        for name in calls:
+            original = getattr(receiver, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(receiver, name, counted)
+        assert run(tmp_path, "waveform", "--out", str(tmp_path / "out")) == 0
+        assert calls == {"_operating_point": 1, "_carrier": 4}
+        calls.update(dict.fromkeys(calls, 0))
+        amps = (0.0, signal_amplitudes(op_drive, scheme, 5e-3)[1], 0.0, 0.0)
+        spec = receiver.RfSignalSpec(amplitudes=amps, offsets=(TWO_PI * 0.2, TWO_PI * 0.5,
+                                                               TWO_PI * 0.8, TWO_PI * 1.1))
+        receiver.synthesize_pd_waveform(spec, op_drive, receiver.DEFAULT_CELL, scheme,
+                                        duration=10.0, sample_rate=16.0)
+        assert calls == {"_operating_point": 1, "_carrier": 1}
 
     def test_default_amplitudes_come_from_the_modulation_index(self, tmp_path, scheme):
         cfg = "[waveform]\nspectrogram = false\ndemodulate = false\n"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import rydberg_receiver as rr
+from rydberg_receiver.analytic import rho21_from_amplitudes
 from rydberg_receiver.lindblad import DriveConfig
 from rydberg_receiver.numerics import CSV_CHUNK_CELLS
 from rydberg_receiver.receiver import (
@@ -23,12 +24,12 @@ from rydberg_receiver.receiver import (
     RfSignalSpec,
     VaporCellParams,
     Waveform,
+    _detector_current,
     _kaiser_bandpass,
     _kaiser_lowpass,
     _lowpass_kept,
     _rabi_per_field,
     gain_coefficients,
-    heterodyne_rabi,
     iq_demodulate,
     linearization_discrepancy,
     photodetector_output,
@@ -47,6 +48,20 @@ FOUR_OFFSETS = (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)
 def signal_amplitude(n, lo, scheme, modulation_index=5e-3):
     """Field amplitude giving the requested Rabi modulation depth on channel n."""
     return signal_amplitudes(lo, scheme, modulation_index)[n - 1]
+
+
+def first_order(wave):
+    """The record with its first-order model in place of the exact samples."""
+    return dataclasses.replace(wave, samples=wave.linearized)
+
+
+def current_at(lo, scheme, n, rabi_n):
+    """Detector current with channel ``n``'s Rabi amplitude at ``rabi_n`` and
+    every other channel at its LO amplitude."""
+    rabi = [np.full(np.shape(rabi_n), v) for v in lo.rf_rabi]
+    rabi[n - 1] = rabi_n
+    rho21 = rho21_from_amplitudes(lo.omega_p, lo.omega_c, rabi, scheme.decay_rate(2, 1))
+    return _detector_current(DEFAULT_CELL, lo.omega_p, rho21)
 
 
 @pytest.fixture(scope="module")
@@ -147,39 +162,51 @@ class TestHeterodyne:
         with pytest.raises(ValueError, match="local oscillator is off"):
             validate_heterodyne(spec, dark, scheme)
 
+    # The exact samples follow Omega_n(t) = Omega_LO,n + (mu_n/hbar) A_n
+    # cos(delta_omega_n t + delta_phi_n) through the closed form.
     def test_rabi_beat_structure(self, lo, scheme):
         amp = signal_amplitude(1, lo, scheme, modulation_index=5e-3)
         spec = RfSignalSpec(
             amplitudes=(amp, 0, 0, 0), offsets=FOUR_OFFSETS, phases=(0.3, 0, 0, 0)
         )
-        # t = 0: base plus the full beat amplitude times cos(phase)
-        v0 = heterodyne_rabi(1, 0.0, spec, lo, scheme)
+        # ten whole 5 us beat periods of channel 1
+        wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
+                                      duration=50.0, sample_rate=16.0)
         beat = _rabi_per_field(1, scheme) * amp
-        assert v0 == pytest.approx(lo.rf_rabi[0] + beat * np.cos(0.3), rel=1e-12)
-        # averaging over whole beat periods recovers the LO amplitude
-        period = TWO_PI / spec.offsets[0]
-        t = np.linspace(0.0, 10 * period, 20_000, endpoint=False)
-        assert np.mean(heterodyne_rabi(1, t, spec, lo, scheme)) == pytest.approx(
-            lo.rf_rabi[0], rel=1e-6
+        rabi = lo.rf_rabi[0] + beat * np.cos(spec.offsets[0] * wave.times + 0.3)
+        # t = 0: base plus the full beat amplitude times cos(phase)
+        assert wave.samples[0] == pytest.approx(
+            current_at(lo, scheme, 1, lo.rf_rabi[0] + beat * np.cos(0.3)), rel=1e-12
         )
+        # averaging over whole beat periods recovers the LO amplitude
+        assert np.mean(rabi) == pytest.approx(lo.rf_rabi[0], rel=1e-6)
+        assert np.allclose(wave.samples, current_at(lo, scheme, 1, rabi), rtol=1e-12, atol=0)
 
     def test_constant_envelope_halves_beat(self, lo, scheme):
         amp = signal_amplitude(2, lo, scheme, modulation_index=5e-3)
-        t = np.linspace(0.0, 5.0, 256)
         kw = dict(amplitudes=(0, amp, 0, 0), offsets=FOUR_OFFSETS, phases=(0, 0.7, 0, 0))
         plain = RfSignalSpec(**kw)
-        halved = RfSignalSpec(**kw, envelopes=(None, np.full(t.size, 0.5), None, None))
+        halved = RfSignalSpec(**kw, envelopes=(None, np.full(80, 0.5), None, None))
+        synth = dict(lo=lo, cell=DEFAULT_CELL, scheme=scheme, duration=5.0, sample_rate=16.0)
+        plain_wave = synthesize_pd_waveform(plain, **synth)
+        half_wave = synthesize_pd_waveform(halved, **synth)
         base = lo.rf_rabi[1]
-        beat = heterodyne_rabi(2, t, plain, lo, scheme) - base
-        half = heterodyne_rabi(2, t, halved, lo, scheme) - base
+        beat = _rabi_per_field(2, scheme) * amp * np.cos(FOUR_OFFSETS[1] * plain_wave.times + 0.7)
         assert np.max(np.abs(beat)) > 1e-3 * base
-        assert np.allclose(half, 0.5 * beat, rtol=0.0, atol=1e-13 * base)
+        assert np.allclose(plain_wave.samples, current_at(lo, scheme, 2, base + beat),
+                           rtol=1e-12, atol=0)
+        assert np.allclose(half_wave.samples, current_at(lo, scheme, 2, base + 0.5 * beat),
+                           rtol=1e-12, atol=0)
 
     def test_silent_channel_constant(self, lo, scheme):
         spec = RfSignalSpec(amplitudes=(1e-9, 0, 0, 0), offsets=FOUR_OFFSETS)
-        t = np.linspace(0.0, 5.0, 64)
-        out = heterodyne_rabi(3, t, spec, lo, scheme)
-        assert np.all(out == lo.rf_rabi[2])
+        wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
+                                      duration=4.0, sample_rate=16.0)
+        # channel 1 beats; channel 3, with no signal, holds its LO amplitude
+        rabi = lo.rf_rabi[0] + _rabi_per_field(1, scheme) * 1e-9 * np.cos(
+            FOUR_OFFSETS[0] * wave.times
+        )
+        assert np.array_equal(wave.samples, current_at(lo, scheme, 1, rabi))
 
 
 class TestPhotodetector:
@@ -304,12 +331,6 @@ class TestSynthesis:
             synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
                                    duration=0.01, sample_rate=16.0)
 
-    def test_unknown_mode(self, lo, scheme):
-        spec = self._single_tone(lo, scheme)
-        with pytest.raises(ValueError, match="mode"):
-            synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                   duration=10.0, sample_rate=16.0, mode="fast")
-
     def test_dc_level_is_lo_output(self, lo, scheme):
         spec = self._single_tone(lo, scheme)
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
@@ -323,27 +344,29 @@ class TestSynthesis:
         spec = self._single_tone(lo, scheme, n=2, m=5e-3, phase=0.7)
         gains = gain_coefficients(lo, DEFAULT_CELL, scheme, model="analytic")
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, duration=20.0,
-                                      sample_rate=16.0, mode="linearized")
+                                      sample_rate=16.0)
+        assert wave.gains == gains
         manual = wave.dc_level + gains[2] * spec.amplitudes[1] * np.cos(
             spec.offsets[1] * wave.times + 0.7
         )
-        assert np.allclose(wave.samples, manual, rtol=0, atol=1e-30)
+        assert np.allclose(wave.linearized, manual, rtol=0, atol=1e-30)
 
     def test_noise_seeded(self, lo, scheme):
         spec = self._single_tone(lo, scheme)
-        kw = dict(duration=20.0, sample_rate=16.0, mode="linearized",
-                  noise_std=1e-25)
+        kw = dict(duration=20.0, sample_rate=16.0, noise_std=1e-25)
         a = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, seed=7, **kw)
         b = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, seed=7, **kw)
         c = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, seed=8, **kw)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(a.linearized, b.linearized)
+        assert not np.array_equal(a.linearized, c.linearized)
+        # the noise is the detector's, added to the first-order model only
+        assert np.array_equal(a.samples, c.samples)
 
     def test_exact_mode_spectrum_single_tone(self, lo, scheme):
         # 0.5 MHz tone lands on bin 100 of a 200 us record at 16 MHz
         spec = self._single_tone(lo, scheme, n=2)
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                      duration=200.0, sample_rate=16.0, mode="exact")
+                                      duration=200.0, sample_rate=16.0)
         power = np.abs(np.fft.rfft(wave.ac())) ** 2
         peak = int(np.argmax(power))
         assert peak == 100
@@ -357,21 +380,10 @@ class TestSynthesis:
         for m in (2.5e-3, 5e-3):
             spec = self._single_tone(lo, scheme, m=m)
             kw = dict(duration=50.0, sample_rate=16.0)
-            exact = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, mode="exact", **kw)
-            lin = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                         mode="linearized", **kw)
-            vals.append(linearization_discrepancy(exact, lin))
+            wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, **kw)
+            vals.append(linearization_discrepancy(wave))
         assert vals[1] < 0.02
         assert 3.0 < vals[1] / vals[0] < 5.0
-
-    def test_discrepancy_requires_shared_time_base(self, lo, scheme):
-        spec = self._single_tone(lo, scheme)
-        a = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                   duration=20.0, sample_rate=16.0)
-        b = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                   duration=10.0, sample_rate=16.0)
-        with pytest.raises(ValueError, match="time base"):
-            linearization_discrepancy(a, b)
 
     def test_constant_envelope_scales_amplitude(self, lo, scheme):
         spec = self._single_tone(lo, scheme, n=2)
@@ -382,10 +394,11 @@ class TestSynthesis:
         scaled = RfSignalSpec(amplitudes=spec.amplitudes, offsets=spec.offsets,
                               phases=spec.phases, envelopes=env)
         full = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, duration=20.0,
-                                      sample_rate=16.0, mode="linearized")
+                                      sample_rate=16.0)
         half = synthesize_pd_waveform(scaled, lo, DEFAULT_CELL, scheme, duration=20.0,
-                                      sample_rate=16.0, mode="linearized")
-        assert np.allclose(half.ac(), 0.5 * full.ac(), rtol=1e-9, atol=1e-32)
+                                      sample_rate=16.0)
+        assert np.allclose(first_order(half).ac(), 0.5 * first_order(full).ac(),
+                           rtol=1e-9, atol=1e-32)
 
 
 class TestDemodulation:
@@ -395,7 +408,9 @@ class TestDemodulation:
             offsets=FOUR_OFFSETS, phases=(0.0, 0.7, 0.0, 0.0),
         )
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                      duration=200.0, sample_rate=16.0, mode=mode)
+                                      duration=200.0, sample_rate=16.0)
+        if mode == "linearized":
+            wave = first_order(wave)
         chans = iq_demodulate(wave, offsets=spec.offsets, bandwidths=spec.bandwidths)
         gains = gain_coefficients(lo, DEFAULT_CELL, scheme, model="analytic")
         expected = gains[2] * spec.amplitudes[1] * np.exp(1j * 0.7)
@@ -440,8 +455,7 @@ class TestDemodulation:
             offsets=FOUR_OFFSETS,
         )
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                      duration=50.0, sample_rate=16.0,
-                                      mode="linearized")
+                                      duration=50.0, sample_rate=16.0)
         with pytest.raises(ValueError, match="overlap"):
             iq_demodulate(wave, offsets=(TWO_PI * 0.2, TWO_PI * 0.3),
                           bandwidths=(0.1, 0.1))
@@ -452,8 +466,7 @@ class TestDemodulation:
             offsets=FOUR_OFFSETS,
         )
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                      duration=30.0, sample_rate=16.0,
-                                      mode="linearized")
+                                      duration=30.0, sample_rate=16.0)
         chans = iq_demodulate(wave, offsets=(spec.offsets[1],), bandwidths=(0.1,))
         with pytest.raises(ValueError, match="transients"):
             chans[0].steady()
@@ -464,8 +477,7 @@ class TestDemodulation:
             offsets=FOUR_OFFSETS,
         )
         wave = synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
-                                      duration=1.0, sample_rate=16.0,
-                                      mode="linearized")
+                                      duration=1.0, sample_rate=16.0)
         with pytest.raises(ValueError, match=r"record of 16 samples .* 425-tap filters"):
             iq_demodulate(wave, offsets=(spec.offsets[1],), bandwidths=(0.1,))
 
@@ -583,31 +595,28 @@ class TestKeptLowpass:
 
 
 class TestExports:
-    def _pair(self, lo, scheme):
+    def _wave(self, lo, scheme):
         spec = RfSignalSpec(
             amplitudes=(0.0, signal_amplitude(2, lo, scheme), 0.0, 0.0),
             offsets=FOUR_OFFSETS,
         )
-        kw = dict(duration=10.0, sample_rate=16.0)
-        return (
-            synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, mode="exact", **kw),
-            synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme, mode="linearized", **kw),
-        )
+        return synthesize_pd_waveform(spec, lo, DEFAULT_CELL, scheme,
+                                      duration=10.0, sample_rate=16.0)
 
     def test_waveform_csv(self, tmp_path, lo, scheme):
-        exact, lin = self._pair(lo, scheme)
+        wave = self._wave(lo, scheme)
         path = tmp_path / "wave.csv"
-        write_waveform_csv(path, exact, lin)
+        write_waveform_csv(path, wave)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,y_exact,y_linearized"
-        assert len(lines) == 1 + len(exact.samples)
+        assert len(lines) == 1 + len(wave.samples)
         t0, ye, yl = lines[1].split(",")
         assert float(t0) == 0.0
-        assert float(ye) == pytest.approx(exact.samples[0], rel=1e-9)
-        assert float(yl) == pytest.approx(lin.samples[0], rel=1e-9)
+        assert float(ye) == pytest.approx(wave.samples[0], rel=1e-9)
+        assert float(yl) == pytest.approx(wave.linearized[0], rel=1e-9)
 
     def test_spectrogram_shapes(self, lo, scheme):
-        exact, _lin = self._pair(lo, scheme)
+        exact = self._wave(lo, scheme)
         times, freqs, power_db = spectrogram_data(exact, nperseg=64)
         assert power_db.shape == (len(freqs), len(times))
         assert np.max(power_db) == pytest.approx(0.0, abs=1e-9)
@@ -620,7 +629,7 @@ class TestExports:
         assert np.all(power_db == -300.0)
 
     def test_spectrogram_csv(self, tmp_path, lo, scheme):
-        exact, _lin = self._pair(lo, scheme)
+        exact = self._wave(lo, scheme)
         path = tmp_path / "spec.csv"
         write_spectrogram_csv(path, exact, nperseg=64)
         lines = path.read_text().strip().splitlines()
@@ -629,20 +638,22 @@ class TestExports:
         assert len(lines) == 1 + len(times) * len(freqs)
 
     def test_csv_bytes_match_row_writer(self, tmp_path, lo, scheme, literal_csv):
-        exact, lin = self._pair(lo, scheme)
+        exact = self._wave(lo, scheme)
         path = tmp_path / "out.csv"
-        write_waveform_csv(path, exact, lin)
-        assert path.read_bytes() == literal_csv.waveform(exact, lin)
+        write_waveform_csv(path, exact)
+        assert path.read_bytes() == literal_csv.waveform(exact)
         # Two full chunks of the writer, then a partial one holding the odd cells.
         filler = np.resize(exact.samples, 2 * (CSV_CHUNK_CELLS // 3) + 5)
+        odd_cells = np.append(filler, [np.nan, -0.0, 7.0586443e-23])
         odd = Waveform(
             times=np.append(np.arange(len(filler)) / 16.0, [-0.0, 0.0625, 0.125]),
-            samples=np.append(filler, [np.nan, -0.0, 7.0586443e-23]),
+            samples=odd_cells,
             dc_level=7e-23,
             sample_rate=16.0,
+            linearized=odd_cells[::-1],
         )
-        write_waveform_csv(path, odd, odd)
-        assert path.read_bytes() == literal_csv.waveform(odd, odd)
+        write_waveform_csv(path, odd)
+        assert path.read_bytes() == literal_csv.waveform(odd)
         write_spectrogram_csv(path, exact, nperseg=64)
         assert path.read_bytes() == literal_csv.spectrogram(*spectrogram_data(exact, nperseg=64))
 
