@@ -16,9 +16,11 @@ invalid ``validate-scheme`` report), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,7 @@ _CELL_SCHEMA = {
 }
 
 _RABI_SETS = {"set1": RABI_SET1, "set2": RABI_SET2}
+_freeze_import_heap = cache(gc.freeze)  # once per process: see main
 
 SCHEMAS = {
     "steady-state": {
@@ -657,6 +660,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.
+
+    A cold call pays the import, the command and the exit. The first call per process
+    freezes what is alive then (numpy and this package stay imported until exit), so no
+    collection walks it, the ones at exit included; later calls leave their garbage collectable.
+    """
+    _freeze_import_heap()
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

@@ -1,12 +1,14 @@
-"""Shared fixtures: the bundled scheme, its probe-decay-only variants, the
-documented operating point, the stage-by-stage RK4 reference, the
+"""Shared fixtures: a fresh interpreter's environment, the bundled scheme,
+its probe-decay-only variants, the documented operating point, the stage-by-stage RK4 reference, the
 row-by-row CSV reference, the scalar E1 reference and the full-rate
 demodulator reference."""
 
 import csv
 import io
 import math
+import os
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 from importlib import resources
 
@@ -28,6 +30,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(verdicts):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    package_root = str(Path(rr.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,9 @@ fails to install its wrappers or breaks inside a hook.
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -45,6 +48,23 @@ def test_wrapped_function_resolves(mod, attr):
 def test_wrapped_method_resolves(mod, cls, attr):
     # install() replaces the method from the class dict, not an inherited one
     assert callable(vars(getattr(_module(mod), cls))[attr])
+
+
+def test_cli_import_loads_every_traced_module(package_env):
+    # install() indexes sys.modules after `import rydberg_receiver.cli` alone,
+    # so a module imported lazily by a command would break every traced run
+    names = {entry[0] for entry in tracer.LAYERS + tracer.COUNTED + tracer.COUNTED_METHODS}
+    names.add("fidelity")  # install() patches its ProcessPoolExecutor
+    script = (
+        "import json, sys\n"
+        "import rydberg_receiver.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=package_env)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    assert sorted(n for n in names if f"rydberg_receiver.{n}" not in loaded) == []
 
 
 def _entry(table, mod, attr):

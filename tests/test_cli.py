@@ -1,10 +1,8 @@
 """End-to-end CLI coverage: exit codes, artifacts, determinism."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +16,6 @@ from rydberg_receiver.receiver import iq_demodulate, signal_amplitudes
 TWO_PI = 2.0 * np.pi
 
 
-def _package_env():
-    """The environment with this checkout's package first on PYTHONPATH."""
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-
-
 def run(tmp_path, *argv, config=None, name="run.ini"):
     args = list(argv)
     if config is not None:
@@ -35,10 +26,10 @@ def run(tmp_path, *argv, config=None, name="run.ini"):
 
 
 class TestParsing:
-    def test_version_subprocess(self):
+    def test_version_subprocess(self, package_env):
         out = subprocess.run(
             [sys.executable, "-m", "rydberg_receiver.cli", "--version"],
-            capture_output=True, text=True, env=_package_env(),
+            capture_output=True, text=True, env=package_env,
         )
         assert out.returncode == 0
         assert "0.1.0" in out.stdout
@@ -521,7 +512,7 @@ class TestWaveform:
 
 
 class TestNumpyOnlyRuntime:
-    def test_commands_never_import_scipy(self, tmp_path):
+    def test_commands_never_import_scipy(self, tmp_path, package_env):
         # a fresh interpreter, so a lazy import inside a command shows too
         cfg = tmp_path / "wave.ini"
         cfg.write_text("[waveform]\nduration_us = 100\ndemodulate = true\nspectrogram = true\n")
@@ -536,10 +527,38 @@ class TestNumpyOnlyRuntime:
             " if m == 'scipy' or m.startswith('scipy.'))))\n"
         )
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, env=_package_env())
+                             text=True, env=package_env)
         assert out.returncode == 0, out.stderr
         assert (tmp_path / "wf" / "spectrogram.csv").exists()
         assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+class TestGcFreeze:
+    def test_first_call_freezes_once_and_later_garbage_is_collected(self, tmp_path, package_env):
+        # a fresh interpreter, so the first main() call is the process's first
+        script = (
+            "import gc, json, weakref\n"
+            "import rydberg_receiver.cli as cli\n"
+            "assert cli.main(['validate-scheme']) == 0\n"
+            "first = gc.get_freeze_count()\n"
+            "class Node:\n"
+            "    pass\n"
+            "node = Node()\n"
+            "node.self = node\n"
+            "alive = weakref.ref(node)\n"
+            "del node\n"
+            "assert cli.main(['validate-scheme']) == 0\n"
+            "second = gc.get_freeze_count()\n"
+            "gc.collect()\n"
+            "print(json.dumps([first, second, alive() is None]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=package_env, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        first, second, collected = json.loads(out.stdout.splitlines()[-1])
+        assert first > 0
+        assert second == first
+        assert collected
 
 
 class TestSumrate:

@@ -7,7 +7,6 @@ runs in its own temporary directory. ``optimize_lo.py`` only prints: its
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,14 +24,10 @@ PRINT_ONLY = ("optimize_lo",)
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+def test_demo_exits_0(demo, tmp_path, package_env):
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=package_env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     if demo in PRINT_ONLY:
