@@ -30,18 +30,15 @@ def main():
     base = rr.DriveConfig(
         omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97, rf_rabi=(1.0, 1.0, 1.0, 1.0)
     )
-    region = rr.PerturbationRegion(
-        center=(1.0, 1.0, 1.0, 1.0),  # template; the optimizer recenters it
-        half_widths=(TWO_PI * 2e-3,) * 4,
-        samples_per_axis=3,
-    )
+    half_widths = (TWO_PI * 2e-3,) * 4  # the +-2 kHz drift box around each candidate
     step = TWO_PI * 1.0 if args.full else TWO_PI * 2.0
 
     t0 = time.perf_counter()
     result = rr.optimize_operating_point(
         (0.0, TWO_PI * 10.0),
         sum_constraint=TWO_PI * 20.0,
-        region_template=region,
+        half_widths=half_widths,
+        samples_per_axis=3,
         base_drive=base,
         scheme=scheme,
         grid_step=step,
@@ -59,7 +56,7 @@ def main():
 
     # the documented operating point for comparison
     documented = (TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0)
-    doc_region = rr.PerturbationRegion(center=documented, half_widths=region.half_widths,
+    doc_region = rr.PerturbationRegion(center=documented, half_widths=half_widths,
                                        samples_per_axis=3)
     doc_avg = rr.average_fidelity(doc_region, base.with_rf_rabi(documented), scheme)
     print(f"\ndocumented point 2pi x (2, 7, 1, 6) MHz scores {doc_avg:.7f}")

@@ -28,11 +28,7 @@ import numpy as np
 from . import __version__
 from .comms import RABI_SET1, RABI_SET2, compare_architectures
 from .config import ConfigError, Field, dbm_to_watts, load_config, parse_config
-from .fidelity import (
-    PerturbationRegion,
-    fidelity_scan,
-    optimize_operating_point,
-)
+from .fidelity import fidelity_scan, optimize_operating_point
 from .lindblad import (
     DEFAULT_DT,
     STEADY_STATE_METHODS,
@@ -97,6 +93,9 @@ _CELL_SCHEMA = {
     "responsivity": Field("responsivity", DEFAULT_CELL.responsivity, sign=">"),
 }
 
+#: The horizon of the commands that evolve or solve a state: ``t_end`` and the step ``dt``.
+_HORIZON = {"t_end": Field("time", 10.0, sign=">="), "dt": Field("time", DEFAULT_DT, sign=">")}
+
 _RABI_SETS = {"set1": RABI_SET1, "set2": RABI_SET2}
 _freeze_import_heap = cache(gc.freeze)  # once per process: see main
 
@@ -105,16 +104,14 @@ SCHEMAS = {
         "drive": _DRIVE_SCHEMA,
         "steady_state": {
             "method": Field("str", "null_space", choices=(*STEADY_STATE_METHODS, "analytic")),
-            "t_end": Field("time", 10.0, sign=">="),
-            "dt": Field("time", DEFAULT_DT, sign=">"),
+            **_HORIZON,
             "compare_analytic": Field("bool", True),
         },
     },
     "dynamics": {
         "drive": _DRIVE_SCHEMA,
         "dynamics": {
-            "t_end": Field("time", 10.0, sign=">="),
-            "dt": Field("time", DEFAULT_DT, sign=">"),
+            **_HORIZON,
             "max_snapshots": Field("int", 1001),
             "all_coherences": Field("bool", False),
             "initial_level": Field("int", 1),
@@ -133,8 +130,7 @@ SCHEMAS = {
             ),
             "resolution": Field("int_list", (21,), sign=">", counts=(1, 2)),
             "method": Field("str", "evolve", choices=STEADY_STATE_METHODS),
-            "t_end": Field("time", 10.0, sign=">="),
-            "dt": Field("time", DEFAULT_DT, sign=">"),
+            **_HORIZON,
         },
     },
     "optimize-lo": {
@@ -154,8 +150,7 @@ SCHEMAS = {
             "samples_per_axis": Field("int", 3, sign=">"),
             "method": Field("str", "null_space", choices=STEADY_STATE_METHODS),
             "plateau_tolerance": Field("float", 1e-5, sign=">="),
-            "t_end": Field("time", 10.0, sign=">="),
-            "dt": Field("time", DEFAULT_DT, sign=">"),
+            **_HORIZON,
         },
     },
     "waveform": {
@@ -213,6 +208,8 @@ _RULES = (
      "initial_level must be in 1..{size}"),
     ("scan", lambda v, size: v["axes"][0] != v["axes"][1] and set(v["axes"]) <= {1, 2, 3, 4},
      "axes must name two distinct RF channels in 1..4"),
+    ("scan", lambda v, size: all(lo <= hi for lo, hi in zip(v["range_lo"], v["range_hi"])),
+     "range_hi must be >= range_lo"),
     ("optimize", lambda v, size: v["search_lo"] <= v["search_hi"],
      "search_hi must be >= search_lo"),
     ("sumrate", lambda v, size: v["power_min_dbm"] <= v["power_max_dbm"],
@@ -286,18 +283,8 @@ def _load_inputs(args):
 
 
 def _resolve_drive(drive_cfg, scheme):
-    detunings = drive_cfg.get("rf_detunings")
-    if detunings is None:
-        detunings = tuple(scheme.transition(n).detuning for n in range(1, 5))
-    return DriveConfig(
-        omega_p=drive_cfg["omega_p"],
-        omega_c=drive_cfg["omega_c"],
-        rf_rabi=drive_cfg["rf_rabi"],
-        delta_p=drive_cfg["delta_p"],
-        delta_c=drive_cfg["delta_c"],
-        rf_detunings=detunings,
-        rf_phases=drive_cfg["rf_phases"],
-    )
+    declared = tuple(scheme.transition(n).detuning for n in range(1, 5))  # the scheme's
+    return DriveConfig(**{**drive_cfg, "rf_detunings": drive_cfg["rf_detunings"] or declared})
 
 
 def _run(args):
@@ -400,7 +387,7 @@ def cmd_dynamics(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     dyn = cfg["dynamics"]
     trajectory = evolve(
-        basis_state(dyn["initial_level"], dim=scheme.size),
+        basis_state(dyn["initial_level"]),
         make_generator(drive, scheme),
         t_end=dyn["t_end"],
         dt=dyn["dt"],
@@ -467,14 +454,11 @@ def cmd_fidelity_map(cfg, scheme, seed):
 def cmd_optimize_lo(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
     opt = cfg["optimize"]
-    hw = opt["half_widths"]
-    template = PerturbationRegion(
-        center=hw, half_widths=hw, samples_per_axis=opt["samples_per_axis"]
-    )
     result = optimize_operating_point(
         (opt["search_lo"], opt["search_hi"]),
         opt["sum_constraint"],
-        template,
+        opt["half_widths"],
+        opt["samples_per_axis"],
         base_drive=drive,
         scheme=scheme,
         grid_step=opt["grid_step"],

@@ -328,7 +328,8 @@ class OperatingPointResult:
 def optimize_operating_point(
     search_range,
     sum_constraint,
-    region_template=None,
+    half_widths=(0.0,) * 4,
+    samples_per_axis=3,
     *,
     base_drive,
     scheme,
@@ -343,11 +344,12 @@ def optimize_operating_point(
     Candidates are the tensor grid ``search_range`` with spacing
     ``grid_step`` on each RF axis, pruned by ``sum(Omega) <=
     sum_constraint``. Each candidate's objective is one
-    :func:`average_fidelity` call over the ``region_template``
-    (:class:`PerturbationRegion`, its center ignored) moved onto the
-    candidate, or over the candidate alone when no template is given. Exact
-    objective ties are broken by the smallest amplitude sum, then
-    lexicographically.
+    :func:`average_fidelity` call over the drift box around it: the
+    :class:`PerturbationRegion` of ``half_widths``, each shrunk to the
+    candidate's own amplitude so the box stays in the quadrant ``Omega >=
+    0``, with ``samples_per_axis`` points per axis; zero half widths (the
+    default) score the candidate alone. Exact objective ties are broken by
+    the smallest amplitude sum, then lexicographically.
 
     Returns
     -------
@@ -359,9 +361,10 @@ def optimize_operating_point(
     ------
     ValueError
         If ``search_range`` starts below 0, ``grid_step`` is not positive,
-        no candidate satisfies the constraint or every candidate fails, or
-        with its own message if no point can run (as in
-        :func:`fidelity_scan`).
+        no candidate satisfies the constraint or every candidate fails, the
+        drift box is no valid :class:`PerturbationRegion` (four half widths
+        >= 0, at least one sample per axis), or with its own message if no
+        point can run (as in :func:`fidelity_scan`).
     """
     lo, hi = search_range
     if not lo >= 0:
@@ -374,19 +377,9 @@ def optimize_operating_point(
     if not candidates:
         raise ValueError("optimize_operating_point: empty feasible set")
 
-    if region_template is None:
-        region_template = PerturbationRegion(center=(0.0,) * 4, half_widths=(0.0,) * 4)
-
-    # Shrink the template toward the axes so the region never leaves the
-    # physical quadrant for near-zero candidates; a point that fails to
-    # evaluate fails its candidate.
-    grids = []
-    for c in candidates:
-        hw = tuple(min(h, v) for h, v in zip(region_template.half_widths, c))
-        region = PerturbationRegion(
-            center=c, half_widths=hw, samples_per_axis=region_template.samples_per_axis
-        )
-        grids.append(region.grid())
+    # each candidate's drift box, shrunk into the quadrant; a point that fails fails its candidate
+    boxes = ([min(h, v) for h, v in zip(half_widths, c, strict=True)] for c in candidates)
+    grids = [PerturbationRegion(c, hw, samples_per_axis).grid() for c, hw in zip(candidates, boxes)]
     # Every candidate's region points go through the batched chain as one list.
     values, (codes, numbers) = _fidelity_points(
         base_drive, scheme, np.concatenate(grids), steady_state_method, t_end, dt

@@ -203,14 +203,14 @@ def _validate_states(m):
     return (m, w, v), (codes, np.choose(first, (herm, herm, traces.real, w[:, 0])))
 
 
-def ground_state(dim=6):
-    """|1><1| on a ``dim``-level manifold."""
-    return basis_state(1, dim)
+def ground_state():
+    """|1><1| of the six-level system."""
+    return basis_state(1)
 
 
-def basis_state(k, dim=6):
-    """|k><k| (1-based) on a ``dim``-level manifold."""
-    m = np.zeros((dim, dim), dtype=complex)
+def basis_state(k):
+    """|k><k| (1-based) of the six-level system."""
+    m = np.zeros((6, 6), dtype=complex)
     m[k - 1, k - 1] = 1.0
     return DensityMatrix(m)
 
@@ -871,11 +871,9 @@ def steady_state_numerical(drive, scheme, method="null_space", t_end=10.0, dt=DE
     ``method="null_space"`` solves the stationary problem directly (the
     converged state); ``method="evolve"`` integrates from the ground state
     to ``t_end`` and returns the final snapshot, which is what a
-    fixed-horizon experiment sees. The latter is the fidelity maps' path
-    run on a block of one, so it equals a map cell.
+    fixed-horizon experiment sees. Either is the fidelity maps' path run
+    on a block of one, so it equals a map cell.
     """
     _check_method(method)
-    if method == "null_space":
-        return steady_state(make_generator(drive, scheme))
     thetas = np.array([drive.rf_rabi])
     return _only(*_numerical_states(_generator_basis(drive, scheme), thetas, method, t_end, dt))

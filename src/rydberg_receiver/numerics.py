@@ -203,49 +203,37 @@ def write_csv(path, header, fmt, blocks):
 
     ``fmt`` is a printf row format such as ``"%.9g,%.12g"`` whose
     conversions are ``%d``, ``%s`` and ``%.<p>g`` with ``p`` from 1 to 12.
-    Each block is a sequence of columns broadcast together, so a scalar
-    column (a channel number, an architecture name) repeats on every row of
-    its block; no blocks gives the header alone. A column may also be a
-    pair ``(values, index)``, standing for ``values[index]``: an axis
-    repeated over a long-form table. The bytes are those of ``(fmt +
-    "\r\n") % row`` for every row: a scalar column and each value of a pair
-    are formatted by ``%``, once, the other ``%g`` cells by the exact vector
-    kernel of ``_csvrows`` and the other cells by ``%``. Rows are formatted
-    ``CSV_CHUNK_CELLS // len(block)`` at a time (at least one) into a
-    NUL-padded word matrix, whose NULs are deleted as the chunk is written;
-    so no cell or separator may contain a NUL.
+    Each block is a sequence of columns broadcast together; no blocks gives
+    the header alone. A column may be a pair ``(values, index)``, standing
+    for ``values[index]``: an axis repeated over a long-form table. A
+    scalar column (a channel number, an architecture name) is the one-value
+    pair ``(value, 0)``, repeated on every row of its block. The bytes are
+    those of ``(fmt + "\r\n") % row`` for every row: each value of a pair is
+    formatted by ``%``, once, and gathered by index, the other ``%g`` cells
+    by the exact vector kernel of ``_csvrows`` and the other cells by ``%``;
+    the literal bytes are the format's own, so a format has one row layout.
+    Rows are formatted ``CSV_CHUNK_CELLS // len(block)`` at a time (at
+    least one) into a NUL-padded word matrix, whose NULs are deleted as the
+    chunk is written; so no cell or separator may contain a NUL.
     """
     # imported here, so that a process that writes no table does not compile it
     from ._csvrows import cell_words, format_rows, split_format
 
     pieces = split_format(fmt)
+    literals, conversions = tuple(text.encode() for text in pieces[::2]), pieces[1::2]
     with open(path, "wb") as fh:
         fh.write((header + "\r\n").encode())
         for block in blocks:
-            # a pair broadcasts as its index
-            values = {k: np.asarray(c[0]) for k, c in enumerate(block) if isinstance(c, tuple)}
-            block = [c[1] if k in values else c for k, c in enumerate(block)]
-            columns = np.broadcast_arrays(*block)
-            # the literal bytes before each varying column and after the
-            # last; a scalar column is formatted into the bytes around it
-            literals, varying, conversions, text = [], [], [], pieces[0]
-            for k, conversion in enumerate(pieces[1::2]):
-                if np.ndim(block[k]) == 0:
-                    value = values[k][block[k]] if k in values else columns[k]
-                    text += ("%" + conversion) % value.item(0)
-                else:
-                    literals.append(text.encode())
-                    if k in values:  # formatted once; each chunk gathers its words, as %s cells
-                        varying.append((cell_words(conversion, values[k]), columns[k]))
-                        conversion = "s"
-                    else:
-                        varying.append((None, columns[k]))
-                    conversions.append(conversion)
-                    text = ""
-                text += pieces[2 * k + 2]
-            literals.append(text.encode())
+            block = [c if isinstance(c, tuple) or np.ndim(c) else (np.reshape(c, 1), 0)
+                     for c in block]
+            # a pair's values are formatted once; its index gathers their words, as %s cells
+            words = {k: cell_words(conversions[k], np.asarray(c[0]))
+                     for k, c in enumerate(block) if isinstance(c, tuple)}
+            kinds = tuple("s" if k in words else c for k, c in enumerate(conversions))
+            columns = np.broadcast_arrays(*(c[1] if k in words else c for k, c in enumerate(block)))
             step = max(1, CSV_CHUNK_CELLS // len(columns))
             for start in range(0, len(columns[0]), step):
                 rows = slice(start, start + step)
-                chunk = [c[rows] if words is None else words[c[rows]] for words, c in varying]
-                fh.write(format_rows(tuple(literals), tuple(conversions), chunk))
+                chunk = [words[k][c[rows]] if k in words else c[rows]
+                         for k, c in enumerate(columns)]
+                fh.write(format_rows(literals, kinds, chunk))

@@ -728,6 +728,8 @@ class TestLoadTimeChecks:
             ("optimize-lo", "optimize", {"search_lo_mhz": "5", "search_hi_mhz": "1"}, "search_hi"),
             ("dynamics", "dynamics", {"initial_level": "9"}, "initial_level"),
             ("dynamics", "dynamics", {"max_snapshots": "1"}, "max_snapshots"),
+            ("fidelity-map", "scan", {"range_lo_mhz": "5, 5", "range_hi_mhz": "1, 1"},
+             "range_hi"),
         ],
     )
     def test_checked_before_dry_run(self, tmp_path, capsys, command, section, keys, named, dry_run):

@@ -378,11 +378,8 @@ class TestOptimizer:
 
     def test_region_objective_with_single_sample_matches_point(self, scheme):
         base = self._base()
-        template = PerturbationRegion(
-            center=(TWO_PI,) * 4, half_widths=(TWO_PI * 1e-3,) * 4, samples_per_axis=1
-        )
         with_region = optimize_operating_point(
-            (TWO_PI * 5.0, TWO_PI * 6.0), TWO_PI * 30.0, template,
+            (TWO_PI * 5.0, TWO_PI * 6.0), TWO_PI * 30.0, (TWO_PI * 1e-3,) * 4, 1,
             base_drive=base, scheme=scheme, grid_step=TWO_PI * 1.0,
         )
         point_only = optimize_operating_point(
@@ -393,18 +390,15 @@ class TestOptimizer:
 
     def test_accepted_objectives_are_shrunken_region_averages(self, scheme):
         # 2 samples on two axes; the all-zero candidate fails on the analytic side
-        template = PerturbationRegion(
-            center=(TWO_PI,) * 4, half_widths=(TWO_PI * 0.1, TWO_PI * 0.1, 0.0, 0.0),
-            samples_per_axis=2,
-        )
+        half_widths = (TWO_PI * 0.1, TWO_PI * 0.1, 0.0, 0.0)
         result = optimize_operating_point(
-            (0.0, TWO_PI * 2.0), TWO_PI * 3.0, template,
+            (0.0, TWO_PI * 2.0), TWO_PI * 3.0, half_widths, samples_per_axis=2,
             base_drive=self._base(), scheme=scheme, grid_step=TWO_PI, plateau_tolerance=1.0,
         )
         assert result.failures == ((0.0, 0.0, 0.0, 0.0),)
         assert len(result.accepted) == result.evaluated - 1
         for candidate, value in result.accepted:
-            hw = tuple(min(h, v) for h, v in zip(template.half_widths, candidate))
+            hw = tuple(min(h, v) for h, v in zip(half_widths, candidate))
             region = PerturbationRegion(center=candidate, half_widths=hw, samples_per_axis=2)
             assert value == average_fidelity(region, self._base(), scheme)
 
@@ -437,12 +431,24 @@ class TestOptimizer:
             optimize_operating_point(
                 (0.0, TWO_PI), 0.0, base_drive=self._base(), scheme=scheme
             )
-        # a negative lower bound is named, with or without a template
-        for template in (None, PerturbationRegion(center=(1.0,) * 4, half_widths=(1.0,) * 4)):
+        # a negative lower bound is named, with or without a drift box
+        for half_widths in ((0.0,) * 4, (1.0,) * 4):
             with pytest.raises(ValueError, match="search_range must start at >= 0"):
                 optimize_operating_point(
-                    (-TWO_PI * 2.0, TWO_PI * 4.0), TWO_PI * 30.0, template,
+                    (-TWO_PI * 2.0, TWO_PI * 4.0), TWO_PI * 30.0, half_widths,
                     base_drive=self._base(), scheme=scheme, grid_step=TWO_PI * 2.0,
+                )
+
+    def test_invalid_drift_box_raises(self, scheme):
+        for half_widths, samples, message in [
+            ((-1.0, 0.0, 0.0, 0.0), 3, "half_widths must be >= 0"),
+            ((0.0,) * 4, 0, "samples_per_axis must be >= 1"),
+            ((0.0,) * 3, 3, None),  # not four half widths
+        ]:
+            with pytest.raises(ValueError, match=message):
+                optimize_operating_point(
+                    (TWO_PI * 5.0, TWO_PI * 6.0), TWO_PI * 30.0, half_widths, samples,
+                    base_drive=self._base(), scheme=scheme, grid_step=TWO_PI,
                 )
 
     def test_result_type(self, scheme):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from rydberg_receiver._csvrows import g_cells
+from rydberg_receiver._csvrows import _row_layout, g_cells
 from rydberg_receiver.numerics import (
     CSV_CHUNK_CELLS,
     exp_e1_scaled,
@@ -267,6 +267,17 @@ class TestWriteCsv:
         write_csv(path, "name,k,a,b,c", fmt, blocks)
         expected = "name,k,a,b,c\r\n" + "".join((fmt + "\r\n") % row for row in rows)
         assert path.read_bytes() == expected.encode()
+
+    def test_scalar_columns_share_one_row_layout(self, tmp_path, literal_csv):
+        # a scalar column is a one-value pair, not literal text: 90 blocks
+        # with 90 distinct channel numbers lay their rows out once
+        y = np.linspace(-1.0, 1.0, 5)
+        _row_layout.cache_clear()
+        path = tmp_path / "t.csv"
+        write_csv(path, "k,y", "%d,%.12g", [(k, y) for k in range(10, 100)])
+        assert _row_layout.cache_info().currsize == 1
+        rows = [(k, v) for k in range(10, 100) for v in y.tolist()]
+        assert path.read_bytes() == literal_csv.table("k,y", "%d,%.12g", rows)
 
     @pytest.mark.parametrize("fmt", ["%.13g", "%.0g", "%f", "%5.3g", "%x", "%%"])
     def test_rejects_unsupported_conversions(self, tmp_path, fmt):

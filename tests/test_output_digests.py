@@ -74,7 +74,9 @@ def digests(work):
             argv += ["--config", str(path)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            assert main(argv) == 0, name
+            code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"{name}: exit {code}")
         files = sorted(out.iterdir()) if out.exists() else []
         found[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
         found[name]["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
