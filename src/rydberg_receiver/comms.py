@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import c_light, dbm_to_watts, epsilon_0, hbar, k_B
+from .config import Field, c_light, check_fields, dbm_to_watts, epsilon_0, hbar, k_B, rule_breach
 from .lindblad import DriveConfig
 from .numerics import TWO_PI, exp_e1_scaled, write_csv
 from .receiver import DEFAULT_CELL, _operating_point
@@ -79,12 +79,7 @@ class EnvironmentParams:
     omega_probe: float = DEFAULT_CELL.probe_angular_frequency
 
     def __post_init__(self):
-        if not self.y_lo > 0:
-            raise ValueError("EnvironmentParams: y_lo must be > 0")
-        if not self.temperature > 0:
-            raise ValueError("EnvironmentParams: temperature must be > 0")
-        if not self.omega_probe > 0:
-            raise ValueError("EnvironmentParams: omega_probe must be > 0")
+        check_fields(self, Field(sign=">"), "y_lo", "temperature", "omega_probe")
 
 
 @dataclass(frozen=True)
@@ -119,18 +114,9 @@ class ChannelModel:
     sigma_e_sq: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.gain):
-            raise ValueError("ChannelModel: gain must be finite")
-        if np.any(self.transmit_power < 0):
-            raise ValueError("ChannelModel: transmit_power must be >= 0")
-        if not np.all(self.bandwidth > 0):
-            raise ValueError("ChannelModel: bandwidth must be > 0")
-        if not self.rf_frequency > 0:
-            raise ValueError("ChannelModel: rf_frequency must be > 0")
-        if not self.fading_scale > 0:
-            raise ValueError("ChannelModel: fading_scale must be > 0")
-        if np.any(self.sigma_i_sq < 0) or np.any(self.sigma_e_sq < 0):
-            raise ValueError("ChannelModel: noise variances must be >= 0")
+        check_fields(self, Field(), "gain")
+        check_fields(self, Field(sign=">="), "transmit_power", "sigma_i_sq", "sigma_e_sq")
+        check_fields(self, Field(sign=">"), "bandwidth", "rf_frequency", "fading_scale")
 
     @property
     def sigma_sq(self):
@@ -262,17 +248,13 @@ class ArchitectureComparison:
 
     def rate_at_power(self, architecture, p_dbm):
         """Sum rate of one architecture at a swept power point (dBm)."""
-        idx = int(np.argmin(np.abs(self.power_dbm - p_dbm)))
-        if abs(self.power_dbm[idx] - p_dbm) > 1e-9:
-            raise ValueError(f"rate_at_power: {p_dbm} dBm not in the sweep")
-        return float(self.power_rates[architecture][idx])
+        return _swept(self.power_dbm, self.power_rates[architecture], p_dbm, 1e-9,
+                      f"rate_at_power: {p_dbm} dBm")
 
     def rate_at_bandwidth(self, architecture, b_hz):
         """Sum rate of one architecture at a swept bandwidth point (Hz)."""
-        idx = int(np.argmin(np.abs(self.bandwidth_hz - b_hz)))
-        if abs(self.bandwidth_hz[idx] - b_hz) > max(1e-6, 1e-9 * b_hz):
-            raise ValueError(f"rate_at_bandwidth: {b_hz} Hz not in the sweep")
-        return float(self.bandwidth_rates[architecture][idx])
+        return _swept(self.bandwidth_hz, self.bandwidth_rates[architecture], b_hz,
+                      max(1e-6, 1e-9 * b_hz), f"rate_at_bandwidth: {b_hz} Hz")
 
     def write_csv(self, path):
         """Long-form CSV: architecture, p_t_dbm, bandwidth_hz, rate_bps.
@@ -289,6 +271,14 @@ class ArchitectureComparison:
             (arch.value, p_dbm, b_hz, rates[arch]) for p_dbm, b_hz, rates in sweeps for arch in order
         ]
         write_csv(path, "architecture,p_t_dbm,bandwidth_hz,rate_bps", "%s,%.9g,%.9g,%.12g", blocks)
+
+
+def _swept(points, rates, x, tol, what):
+    """The rate at the sweep point within ``tol`` of ``x``, never a NaN ``x``."""
+    idx = int(np.argmin(np.abs(points - x)))
+    if not abs(points[idx] - x) <= tol:
+        raise ValueError(f"{what} not in the sweep")
+    return float(rates[idx])
 
 
 def compare_architectures(
@@ -321,8 +311,8 @@ def compare_architectures(
     """
     power_range_dbm = np.atleast_1d(np.asarray(power_range_dbm, dtype=float))
     bandwidth_range_hz = np.atleast_1d(np.asarray(bandwidth_range_hz, dtype=float))
-    if np.any(bandwidth_range_hz <= 0):
-        raise ValueError("compare_architectures: bandwidths must be > 0")
+    if breach := rule_breach(Field(sign=">"), bandwidth_range_hz):
+        raise ValueError(f"compare_architectures: bandwidths {breach}")
 
     power_w = dbm_to_watts(power_range_dbm)
     sweep_power_w = dbm_to_watts(bandwidth_sweep_power_dbm)

@@ -22,6 +22,8 @@ import configparser
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import TWO_PI
 
 #: SI constants, CODATA 2022.
@@ -81,19 +83,19 @@ _SCALARS = {
 
 @dataclass(frozen=True)
 class Field:
-    """Schema entry for one config key.
+    """Schema entry for one config key, and the number rule of a record field.
 
     ``kind`` selects the converter (and, for dimensioned kinds, the set of
     accepted unit suffixes); ``default`` is the value of an absent key. The
-    remaining fields are the key's rule, which the reader checks on every
-    value it reads (defaults are not checked): every number must be finite;
-    ``sign`` (``">"`` or ``">="``) bounds the value, or each list entry,
-    against 0; ``counts`` lists the allowed list lengths; ``choices`` lists
-    the allowed strings.
+    remaining fields are the rule, which the reader checks on every value it
+    reads (defaults are not checked) and :func:`check_fields` on a record's
+    fields: every number must be finite; ``sign`` (``">"`` or ``">="``)
+    bounds the value, or each entry, against 0; ``counts`` lists the allowed
+    numbers of entries; ``choices`` lists the allowed strings.
     """
 
-    kind: str
-    default: object
+    kind: str = "float"
+    default: object = None
     sign: str | None = None
     counts: tuple | None = None
     choices: tuple | None = None
@@ -170,18 +172,35 @@ def read_ini(text, origin):
     return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
-def _check(field, value, where):
-    """Raise unless ``value`` keeps ``field``'s rule."""
-    entries = value if isinstance(value, tuple) else (value,)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-        raise ConfigError(f"{where} must be finite, got {value}")
+def rule_breach(field, value):
+    """How ``value`` (a number, a tuple, a list or an array) breaks ``field``'s rule,
+    as ``"must ..."`` text, or None if it keeps it. An array is checked by
+    numpy as a whole; an integer is compared as it is, never converted to float."""
+    array = isinstance(value, np.ndarray)
+    entries = value if array or isinstance(value, (tuple, list)) else (value,)
+    if not (np.isfinite(value).all() if array
+            else all(math.isfinite(v) for v in entries if isinstance(v, (float, np.floating)))):
+        return f"must be finite, got {value}"
     if field.counts and len(value) not in field.counts:
-        counts = " or ".join(str(n) for n in field.counts)
-        raise ConfigError(f"{where} must have {counts} entries")
-    if field.sign and not all(v > 0 if field.sign == ">" else v >= 0 for v in entries):
-        raise ConfigError(f"{where} must be {field.sign} 0")
+        return f"must have {' or '.join(str(n) for n in field.counts)} entries"
+    if field.sign:
+        low = value.min(initial=math.inf) if array else min(entries)
+        if not (low > 0 if field.sign == ">" else low >= 0):
+            return f"must be {field.sign} 0"
     if field.choices and value not in field.choices:
-        raise ConfigError(f"{where} must be one of {', '.join(field.choices)}")
+        return f"must be one of {', '.join(field.choices)}"
+
+
+def check_fields(record, rule, *names):
+    """Hold each named field of the frozen ``record`` as floats (a tuple if ``rule``
+    counts entries, an array as it is); ValueError naming ``Record.field`` if one breaks it."""
+    for name in names:
+        value = getattr(record, name)
+        if rule.counts or not isinstance(value, np.ndarray):
+            value = tuple(float(v) for v in value) if rule.counts else float(value)
+            object.__setattr__(record, name, value)
+        if breach := rule_breach(rule, value):
+            raise ValueError(f"{type(record).__name__}.{name} {breach}")
 
 
 def convert_section(section_schema, section, items, origin):
@@ -215,7 +234,8 @@ def convert_section(section_schema, section, items, origin):
                 value = _apply(factor, _scalar(mode, raw_value, where))
         except OverflowError:
             raise ConfigError(f"{where}: {raw_value.strip()!r} is out of range") from None
-        _check(section_schema[base], value, f"{origin}: [{section}] {base}")
+        if breach := rule_breach(section_schema[base], value):
+            raise ConfigError(f"{origin}: [{section}] {base} {breach}")
         values[base] = value
         seen_raw[base] = raw_key
     for base, field in section_schema.items():

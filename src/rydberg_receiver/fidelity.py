@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import _closed_form
+from .config import Field, check_fields, rule_breach
 from .lindblad import (
     DEFAULT_DT,
     DensityMatrix,
@@ -82,18 +83,12 @@ class PerturbationRegion:
     samples_per_axis: int = 3
 
     def __post_init__(self):
-        center = tuple(float(v) for v in self.center)
-        hw = tuple(float(v) for v in self.half_widths)
-        if len(center) != 4 or len(hw) != 4:
-            raise ValueError("PerturbationRegion: center and half_widths must have 4 entries")
-        if any(h < 0 for h in hw):
-            raise ValueError("PerturbationRegion: half_widths must be >= 0")
-        if any(c - h < 0 for c, h in zip(center, hw)):
+        check_fields(self, Field(counts=(4,)), "center")
+        check_fields(self, Field(sign=">=", counts=(4,)), "half_widths")
+        if any(c - h < 0 for c, h in zip(self.center, self.half_widths)):
             raise ValueError("PerturbationRegion: region leaves the quadrant Omega >= 0")
         if self.samples_per_axis < 1:
             raise ValueError("PerturbationRegion: samples_per_axis must be >= 1")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_widths", hw)
 
     def axis_samples(self):
         """Per-axis sample values (degenerate axes collapse to the center)."""
@@ -238,14 +233,17 @@ def fidelity_scan(
     Raises
     ------
     ValueError
-        If no point can run: the scheme is not the six-level hybrid, or
-        ``t_end`` and ``dt`` are not a valid evolve horizon.
+        If no point can run: ``ranges`` is not two pairs of finite numbers,
+        the scheme is not the six-level hybrid, or ``t_end`` and ``dt`` are
+        not a valid evolve horizon.
     """
     a0, a1 = axes
     if not (1 <= a0 <= 4 and 1 <= a1 <= 4 and a0 != a1):
         raise ValueError(f"fidelity_scan: axes must be two distinct RF channels in 1..4, got {axes}")
     if ranges is None:
         ranges = ((0.0, TWO_PI * 10.0), (0.0, TWO_PI * 10.0))
+    if breach := rule_breach(Field(counts=(2,)), np.asarray(ranges, dtype=float)):
+        raise ValueError(f"fidelity_scan: ranges {breach}")
     res = (resolution, resolution) if np.isscalar(resolution) else tuple(resolution)
     if len(res) != 2 or min(res) < 1:
         raise ValueError(
@@ -360,12 +358,14 @@ def optimize_operating_point(
     Raises
     ------
     ValueError
-        If ``search_range`` starts below 0, ``grid_step`` is not positive,
-        no candidate satisfies the constraint or every candidate fails, the
-        drift box is no valid :class:`PerturbationRegion` (four half widths
-        >= 0, at least one sample per axis), or with its own message if no
-        point can run (as in :func:`fidelity_scan`).
+        If ``search_range`` is not two finite numbers starting at >= 0,
+        ``grid_step`` is not positive, no candidate satisfies the constraint
+        or every candidate fails, the drift box is no valid
+        :class:`PerturbationRegion`, or with its own message if no point can
+        run (as in :func:`fidelity_scan`).
     """
+    if breach := rule_breach(Field(counts=(2,)), search_range):
+        raise ValueError(f"optimize_operating_point: search_range {breach}")
     lo, hi = search_range
     if not lo >= 0:
         raise ValueError(f"optimize_operating_point: search_range must start at >= 0, got {lo}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import Field, check_fields
 from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, null_space, write_csv
 from .scheme import require_hybrid_six
 
@@ -85,8 +86,8 @@ _NO_STATIONARY_FRAME = (
 class DriveConfig:
     """All coherent drive parameters of the six-level system.
 
-    Rabi amplitudes are nonnegative (phases are carried separately in
-    ``rf_phases``); every angular frequency is rad/us.
+    Each Rabi amplitude is a magnitude, its phase carried in ``rf_phases``;
+    every angular frequency is rad/us.
 
     Attributes
     ----------
@@ -111,19 +112,10 @@ class DriveConfig:
     rf_phases: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("rf_rabi", "rf_detunings", "rf_phases"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) != 4:
-                raise ValueError(f"DriveConfig.{name}: expected 4 entries, got {len(vals)}")
-            if not all(np.isfinite(vals)):
-                raise ValueError(f"DriveConfig.{name}: non-finite entry in {vals}")
-            object.__setattr__(self, name, vals)
-        for name in ("omega_p", "omega_c", "delta_p", "delta_c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.omega_p < 0 or self.omega_c < 0 or any(v < 0 for v in self.rf_rabi):
-            raise ValueError(
-                "DriveConfig: Rabi amplitudes must be >= 0 (carry signs in rf_phases)"
-            )
+        check_fields(self, Field(sign=">="), "omega_p", "omega_c")
+        check_fields(self, Field(sign=">=", counts=(4,)), "rf_rabi")
+        check_fields(self, Field(), "delta_p", "delta_c")
+        check_fields(self, Field(counts=(4,)), "rf_detunings", "rf_phases")
 
     @property
     def closed_loop_delta(self):
@@ -142,7 +134,7 @@ class DriveConfig:
 
     def with_rf_rabi(self, rf_rabi):
         """Copy with the RF Rabi 4-vector replaced."""
-        return replace(self, rf_rabi=tuple(float(v) for v in rf_rabi))
+        return replace(self, rf_rabi=rf_rabi)
 
 
 @dataclass(frozen=True)
@@ -317,11 +309,12 @@ def _hamiltonian_superop(x):
 
 
 def _trace_record(m):
-    """Per real generator of a ``(B, d^2, d^2)`` stack, trace loss if
-    ``||Tr o L|| > 1e-10 max(1, ||L||_F)``, with ``||Tr o L||``."""
+    """Per real generator of a ``(B, d^2, d^2)`` stack, trace loss unless ``||L||_F``
+    is finite and ``||Tr o L|| <= 1e-10 max(1, ||L||_F)``, with ``||Tr o L||``."""
     defects = np.linalg.norm(_trace_row(m.shape[-1]) @ m, axis=-1)
-    lost = defects > 1e-10 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    return np.where(lost, _TRACE_LOST, 0), defects
+    size = np.linalg.norm(m, axis=(-2, -1))
+    kept = (defects <= 1e-10 * np.maximum(1.0, size)) & np.isfinite(size)
+    return np.where(kept, 0, _TRACE_LOST), defects
 
 
 @functools.lru_cache(maxsize=4)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _rho21_gradient, rho21_from_amplitudes
-from .config import EA0, c_light, epsilon_0, hbar
+from .config import EA0, Field, c_light, check_fields, epsilon_0, hbar
 from .lindblad import _stationary_response
 from .numerics import TWO_PI, write_csv
 
@@ -67,18 +67,8 @@ class VaporCellParams:
     responsivity: float = 1.0
 
     def __post_init__(self):
-        for name in (
-            "cell_length",
-            "atomic_density",
-            "probe_dipole",
-            "probe_wavelength",
-            "probe_power",
-            "responsivity",
-        ):
-            value = float(getattr(self, name))
-            if not value > 0:
-                raise ValueError(f"VaporCellParams.{name} must be > 0, got {value}")
-            object.__setattr__(self, name, value)
+        check_fields(self, Field(sign=">"), "cell_length", "atomic_density", "probe_dipole",
+                     "probe_wavelength", "probe_power", "responsivity")
 
     def xi0(self, omega_p):
         """Susceptibility constant for probe Rabi ``omega_p`` (rad/us).
@@ -146,15 +136,9 @@ class RfSignalSpec:
     envelopes: tuple = (None, None, None, None)
 
     def __post_init__(self):
-        for name in ("amplitudes", "offsets", "phases", "bandwidths"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) != 4:
-                raise ValueError(f"RfSignalSpec.{name}: expected 4 entries")
-            object.__setattr__(self, name, vals)
-        if any(a < 0 for a in self.amplitudes):
-            raise ValueError("RfSignalSpec: amplitudes must be >= 0")
-        if any(b <= 0 for b in self.bandwidths):
-            raise ValueError("RfSignalSpec: bandwidths must be > 0")
+        check_fields(self, Field(sign=">=", counts=(4,)), "amplitudes")
+        check_fields(self, Field(counts=(4,)), "offsets", "phases")
+        check_fields(self, Field(sign=">", counts=(4,)), "bandwidths")
         object.__setattr__(self, "envelopes", tuple(self.envelopes))
         if len(self.envelopes) != 4:
             raise ValueError("RfSignalSpec.envelopes: expected 4 entries")
@@ -178,12 +162,7 @@ class GainVector:
     gains: tuple
 
     def __post_init__(self):
-        vals = tuple(float(g) for g in self.gains)
-        if len(vals) != 4:
-            raise ValueError("GainVector: expected 4 gains")
-        if not all(np.isfinite(vals)):
-            raise ValueError(f"GainVector: non-finite gain in {vals}")
-        object.__setattr__(self, "gains", vals)
+        check_fields(self, Field(counts=(4,)), "gains")
 
     def __getitem__(self, n):
         """Gain of channel ``n`` (1-based)."""

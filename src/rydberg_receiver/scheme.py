@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .config import ConfigError, Field, convert_section, read_file, read_ini
+from .config import ConfigError, Field, check_fields, convert_section, read_file, read_ini
 
 
 class Architecture(Enum):
@@ -70,10 +70,11 @@ class RfTransition:
     application_band: str = ""
 
     def __post_init__(self):
+        check_fields(self, Field(sign=">"), "carrier_frequency", "dipole_moment")
+        check_fields(self, Field(), "detuning")
         if not self.lower < self.upper:
             raise ValueError(
-                f"RfTransition: lower < upper required, got ({self.lower}, {self.upper})"
-            )
+                f"RfTransition: lower < upper required, got ({self.lower}, {self.upper})")
 
 
 #: Canonical hybrid six-level RF graph: cascade 3-4-5-6 plus the 3-6 branch.
@@ -115,10 +116,9 @@ class LevelScheme:
         for (src, dst, rate) in self.decay_channels:
             if not (1 <= dst < src <= k):
                 raise ValueError(f"LevelScheme: decay ({src},{dst}) must go downward within 1..{k}")
-            if rate < 0:
-                raise ValueError(
-                    f"LevelScheme: decay rate for {src}->{dst} is negative ({rate} rad/us)"
-                )
+            if not 0 <= rate < float("inf"):
+                raise ValueError(f"LevelScheme: decay rate for {src}->{dst} is negative or "
+                                 f"not finite ({rate} rad/us)")
         if self.architecture is Architecture.HYBRID and k == 6:
             edges = tuple((tr.lower, tr.upper) for tr in self.rf_transitions)
             if edges != HYBRID_SIX_EDGES:

@@ -192,7 +192,7 @@ class TestDegenerate:
             analytic_steady_state(drive, unit_scheme)
 
     def test_bad_rf_length(self):
-        with pytest.raises(ValueError, match="expected 4 entries"):
+        with pytest.raises(ValueError, match=r"DriveConfig\.rf_rabi must have 4 entries"):
             DriveConfig(omega_p=1.0, omega_c=1.0, rf_rabi=(1.0, 2.0))
 
     def test_negative_gamma(self, probe_decay_scheme):

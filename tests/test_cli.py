@@ -288,6 +288,15 @@ class TestDynamics:
         cfg = "[dynamics]\nt_end_us = 1\ndt_us = 0.5\n"
         assert run(tmp_path, "dynamics", "--out", str(tmp_path / "o"), config=cfg) == 2
 
+    def test_huge_integer_dry_run(self, tmp_path, capsys):
+        # an integer key is checked as it is, never converted to float
+        cfg = "[dynamics]\nmax_snapshots = 1" + "0" * 400 + "\n"
+        out = tmp_path / "o"
+        assert run(tmp_path, "dynamics", "--out", str(out), "--dry-run", config=cfg) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["dynamics"]["max_snapshots"] == 10**400
+        assert not out.exists()
+
 
 class TestFidelityMap:
     def test_small_scan(self, tmp_path, capsys):
@@ -580,6 +589,14 @@ class TestSumrate:
         assert set(summary["y_lo"]) == {"Hybrid", "CRS", "PRS"}
         rates = summary["rate_at_max_power"]
         assert rates["Hybrid"] >= rates["CRS"] >= rates["PRS"] > 0
+
+    def test_record_rule_in_command_exits_2(self, tmp_path, capsys):
+        # so dense a cell absorbs the whole probe: the operating output y_lo is 0
+        cfg = self.CFG + "[cell]\natomic_density_per_m3 = 1e30\n"
+        out = tmp_path / "out"
+        assert run(tmp_path, "sumrate", "--out", str(out), config=cfg) == 2
+        assert "EnvironmentParams.y_lo must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_power_sweep_stops_at_max(self, tmp_path, capsys):
         # 40 dB in 7 dB steps: -30 .. 5 dBm, not rounded up past power_max_dbm

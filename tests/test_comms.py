@@ -280,10 +280,12 @@ class TestArchitectureComparison:
         assert comparison.rate_at_bandwidth(Architecture.PRS, 1e5) == pytest.approx(
             comparison.bandwidth_rates[Architecture.PRS][1]
         )
-        with pytest.raises(ValueError, match="not in the sweep"):
-            comparison.rate_at_power(Architecture.CRS, -7.0)
-        with pytest.raises(ValueError, match="not in the sweep"):
-            comparison.rate_at_bandwidth(Architecture.CRS, 5e4)
+        for p_dbm in (-7.0, np.nan):
+            with pytest.raises(ValueError, match="not in the sweep"):
+                comparison.rate_at_power(Architecture.CRS, p_dbm)
+        for b_hz in (5e4, np.nan):
+            with pytest.raises(ValueError, match="not in the sweep"):
+                comparison.rate_at_bandwidth(Architecture.CRS, b_hz)
 
     def test_operating_outputs_positive(self, comparison):
         for arch in ARCH_CHANNELS:

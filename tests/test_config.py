@@ -9,8 +9,9 @@ import scipy.constants
 from scipy.constants import e, physical_constants
 
 import rydberg_receiver
-from rydberg_receiver import comms, config, receiver, scheme
+from rydberg_receiver import comms, config, lindblad, receiver, scheme
 from rydberg_receiver.config import ConfigError, Field, load_config, parse_config
+from rydberg_receiver.fidelity import PerturbationRegion
 
 TWO_PI = 2.0 * np.pi
 
@@ -151,6 +152,96 @@ class TestValueErrors:
     def test_error_names_location(self):
         with pytest.raises(ConfigError, match=r"site\.ini: \[drive\] omega_p_mhz"):
             parse_config("[drive]\nomega_p_mhz = fast\n", SCHEMA, origin="site.ini")
+
+
+#: record -> (constructor, valid arguments, {numeric field: its sign rule or None})
+RECORDS = {
+    "DriveConfig": (
+        lindblad.DriveConfig, {"omega_p": 1.0, "omega_c": 1.0, "rf_rabi": (1.0,) * 4},
+        {"omega_p": ">=", "omega_c": ">=", "rf_rabi": ">=", "delta_p": None, "delta_c": None,
+         "rf_detunings": None, "rf_phases": None},
+    ),
+    "VaporCellParams": (
+        receiver.VaporCellParams, {},
+        dict.fromkeys(("cell_length", "atomic_density", "probe_dipole", "probe_wavelength",
+                       "probe_power", "responsivity"), ">"),
+    ),
+    "RfSignalSpec": (
+        receiver.RfSignalSpec,
+        {"amplitudes": (1.0, 0.0, 0.0, 0.0), "offsets": (TWO_PI * 0.2, TWO_PI * 0.5,
+                                                          TWO_PI * 0.8, TWO_PI * 1.1)},
+        {"amplitudes": ">=", "offsets": None, "phases": None, "bandwidths": ">"},
+    ),
+    "GainVector": (receiver.GainVector, {"gains": (1.0, 2.0, 3.0, 4.0)}, {"gains": None}),
+    "PerturbationRegion": (
+        PerturbationRegion, {"center": (1.0,) * 4, "half_widths": (0.1,) * 4},
+        {"center": None, "half_widths": ">="},
+    ),
+    "EnvironmentParams": (
+        comms.EnvironmentParams, {"y_lo": 1e-22},
+        dict.fromkeys(("y_lo", "temperature", "omega_probe"), ">"),
+    ),
+    "ChannelModel": (
+        comms.ChannelModel,
+        {"gain": 1.0, "transmit_power": 1.0, "bandwidth": 1.0, "rf_frequency": 1.0},
+        {"gain": None, "transmit_power": ">=", "bandwidth": ">", "rf_frequency": ">",
+         "fading_scale": ">", "sigma_i_sq": ">=", "sigma_e_sq": ">="},
+    ),
+    "RfTransition": (
+        scheme.RfTransition,
+        {"lower": 3, "upper": 4, "carrier_frequency": 1.0, "dipole_moment": 1.0},
+        {"carrier_frequency": ">", "dipole_moment": ">", "detuning": None},
+    ),
+}
+
+#: ChannelModel fields that may hold a sweep array.
+SWEPT = ("transmit_power", "bandwidth", "sigma_i_sq", "sigma_e_sq")
+
+
+def _rule_cases():
+    """(record, field, bad value, the rule it breaks) for every numeric field:
+    NaN, inf, a value against its sign and, for a 4-vector, two entries."""
+    for record, (make, kwargs, fields) in RECORDS.items():
+        for name, sign in fields.items():
+            base = getattr(make(**kwargs), name)
+            bad = [(np.nan, "must be finite"), (np.inf, "must be finite")]
+            if sign:
+                bad.append(({">": 0.0, ">=": -1.0}[sign], f"must be {sign} 0"))
+            for value, rule in bad:
+                if isinstance(base, tuple):
+                    yield record, name, (value,) + base[1:], rule
+                else:
+                    yield record, name, value, rule
+                    if record == "ChannelModel" and name in SWEPT:
+                        yield record, name, np.array([base, value]), rule
+            if isinstance(base, tuple):
+                yield record, name, base[:2], "must have 4 entries"
+
+
+class TestRecordRules:
+    @pytest.mark.parametrize(
+        "record, name, value, rule", list(_rule_cases()),
+        ids=lambda x: repr(x).replace(" ", "") if not isinstance(x, str) else x,
+    )
+    def test_every_numeric_field_keeps_its_rule(self, record, name, value, rule):
+        make, kwargs, _ = RECORDS[record]
+        with pytest.raises(ValueError, match=rf"^{record}\.{name} {rule}"):
+            make(**{**kwargs, name: value})
+
+    def test_fields_held_as_floats(self):
+        drive = lindblad.DriveConfig(omega_p=1, omega_c=np.float64(2.0),
+                                     rf_rabi=np.array([1, 2, 3, 4]))
+        assert type(drive.omega_p) is float and type(drive.omega_c) is float
+        assert drive.rf_rabi == (1.0, 2.0, 3.0, 4.0)
+        assert all(type(v) is float for v in drive.rf_rabi)
+        sweep = np.array([1.0, 2.0])
+        assert comms.ChannelModel(gain=1.0, transmit_power=sweep, bandwidth=1.0,
+                                  rf_frequency=1.0).transmit_power is sweep
+
+    def test_integers_are_not_converted(self):
+        huge = 10**400
+        assert config.rule_breach(Field("int", None, sign=">"), huge) is None
+        assert config.rule_breach(Field("int", None, sign=">"), -huge) == "must be > 0"
 
 
 class TestLoadConfig:

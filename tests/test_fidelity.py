@@ -201,9 +201,16 @@ class TestFidelityScan:
                           steady_state_method="null_space")
 
     def test_negative_amplitude_raises_not_nan(self, scheme):
-        with pytest.raises(ValueError, match="Rabi amplitudes must be >= 0"):
+        with pytest.raises(ValueError, match=r"DriveConfig\.rf_rabi must be >= 0"):
             fidelity_scan(
                 self._fixed(), (1, 4), scheme, ranges=((-TWO_PI, TWO_PI), (0.0, TWO_PI)),
+                resolution=2, steady_state_method="null_space",
+            )
+
+    def test_range_not_finite_is_named(self, scheme):
+        with pytest.raises(ValueError, match="fidelity_scan: ranges must be finite"):
+            fidelity_scan(
+                self._fixed(), (1, 4), scheme, ranges=((0.0, 1.0), (0.0, np.inf)),
                 resolution=2, steady_state_method="null_space",
             )
 
@@ -431,6 +438,11 @@ class TestOptimizer:
             optimize_operating_point(
                 (0.0, TWO_PI), 0.0, base_drive=self._base(), scheme=scheme
             )
+        for search_range in ((0.0, np.inf), (0.0, np.nan), [0.0, np.inf]):
+            with pytest.raises(ValueError, match="search_range must be finite"):
+                optimize_operating_point(
+                    search_range, TWO_PI * 30.0, base_drive=self._base(), scheme=scheme
+                )
         # a negative lower bound is named, with or without a drift box
         for half_widths in ((0.0,) * 4, (1.0,) * 4):
             with pytest.raises(ValueError, match="search_range must start at >= 0"):

@@ -195,6 +195,14 @@ class TestLiouvillian:
         gen = rr.make_generator(drive, scheme)
         assert np.linalg.norm(gen.matrix @ rr.vectorize(rr.ground_state().matrix)) < 1e-12
 
+    def test_non_finite_generator_loses_trace(self):
+        # an infinite entry on the trace row makes the bound infinite too
+        on_trace_row = np.zeros((36, 36))
+        on_trace_row[0, 0] = np.inf
+        for m in (np.full((36, 36), np.nan), on_trace_row):
+            with pytest.raises(ValueError, match="trace not preserved"):
+                Liouvillian(m)
+
 
 class TestEvolve:
     def test_expm_oracle(self, op_drive, scheme):

@@ -137,9 +137,9 @@ class TestGainVector:
         assert g[1] == 1.0 and g[4] == 4.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="4 gains"):
+        with pytest.raises(ValueError, match=r"GainVector\.gains must have 4 entries"):
             GainVector(gains=(1.0,))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"GainVector\.gains must be finite"):
             GainVector(gains=(1.0, np.nan, 0.0, 0.0))
 
 

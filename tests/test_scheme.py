@@ -153,6 +153,14 @@ class TestValidation:
                 rf_transitions=scheme.rf_transitions,
                 decay_channels=((3, 2, -1.0),),
             )
+        for rate in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="rate for 3->2 is negative or not finite"):
+                LevelScheme(
+                    levels=scheme.levels,
+                    architecture=Architecture.HYBRID,
+                    rf_transitions=scheme.rf_transitions,
+                    decay_channels=((3, 2, rate),),
+                )
 
     def test_transition_ordering_validated(self):
         with pytest.raises(ValueError):
