@@ -19,17 +19,20 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .comms import RABI_SET1, RABI_SET2, compare_architectures
+from .comms import RABI_SET1, RABI_SET2, EnvironmentParams, compare_architectures
 from .config import ConfigError, Field, dbm_to_watts, load_config, parse_config
-from .fidelity import fidelity_scan, optimize_operating_point
+from .fidelity import (
+    _OPTIMIZE_RULES, _SCAN_RULES, PerturbationRegion, fidelity_scan, optimize_operating_point,
+)
 from .lindblad import (
+    _EVOLVE_RULES,
     DEFAULT_DT,
     STEADY_STATE_METHODS,
     DriveConfig,
@@ -38,13 +41,13 @@ from .lindblad import (
     basis_state,
     evolve,
     make_generator,
-    steady_state,
     steady_state_numerical,
     vectorize,
 )
 from .analytic import analytic_steady_state
 from .numerics import TWO_PI, write_csv
 from .receiver import (
+    _SYNTHESIS_RULES,
     DEFAULT_CELL,
     RfSignalSpec,
     VaporCellParams,
@@ -64,37 +67,27 @@ from .scheme import (
     validate_scheme,
 )
 
-_DRIVE_SCHEMA = {
-    "omega_p": Field("angular_frequency", TWO_PI * 5.7, sign=">="),
-    "omega_c": Field("angular_frequency", TWO_PI * 0.97, sign=">="),
-    "rf_rabi": Field(
-        "angular_frequency_list",
-        (TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0),
-        sign=">=",
-        counts=(4,),
-    ),
-    "delta_p": Field("angular_frequency", 0.0),
-    "delta_c": Field("angular_frequency", 0.0),
+
+def _keys(rules, **defaults):
+    """The config keys of the library ``rules`` named in ``defaults``, each with its default."""
+    return {name: replace(rules[name], default=default) for name, default in defaults.items()}
+
+
+_DRIVE_SCHEMA = _keys(
+    DriveConfig.RULES, omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
+    rf_rabi=(TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0), delta_p=0.0, delta_c=0.0,
     # None: inherit the per-transition detunings declared by the scheme.
-    "rf_detunings": Field("angular_frequency_list", None, counts=(4,)),
-    "rf_phases": Field("float_list", (0.0, 0.0, 0.0, 0.0), counts=(4,)),
-}
+    rf_detunings=None, rf_phases=(0.0, 0.0, 0.0, 0.0),
+)
 
 #: The drive of the commands that read the detector, whose susceptibility
 #: constant divides by the probe Rabi amplitude.
 _PROBED_DRIVE_SCHEMA = {**_DRIVE_SCHEMA, "omega_p": replace(_DRIVE_SCHEMA["omega_p"], sign=">")}
 
-_CELL_SCHEMA = {
-    "cell_length": Field("length", DEFAULT_CELL.cell_length, sign=">"),
-    "atomic_density": Field("density", DEFAULT_CELL.atomic_density, sign=">"),
-    "probe_dipole": Field("dipole", DEFAULT_CELL.probe_dipole, sign=">"),
-    "probe_wavelength": Field("length", DEFAULT_CELL.probe_wavelength, sign=">"),
-    "probe_power": Field("power", DEFAULT_CELL.probe_power, sign=">"),
-    "responsivity": Field("responsivity", DEFAULT_CELL.responsivity, sign=">"),
-}
+_CELL_SCHEMA = _keys(VaporCellParams.RULES, **asdict(DEFAULT_CELL))
 
 #: The horizon of the commands that evolve or solve a state: ``t_end`` and the step ``dt``.
-_HORIZON = {"t_end": Field("time", 10.0, sign=">="), "dt": Field("time", DEFAULT_DT, sign=">")}
+_HORIZON = _keys(_EVOLVE_RULES, t_end=10.0, dt=DEFAULT_DT)
 
 _RABI_SETS = {"set1": RABI_SET1, "set2": RABI_SET2}
 _freeze_import_heap = cache(gc.freeze)  # once per process: see main
@@ -112,7 +105,7 @@ SCHEMAS = {
         "drive": _DRIVE_SCHEMA,
         "dynamics": {
             **_HORIZON,
-            "max_snapshots": Field("int", 1001),
+            **_keys(_EVOLVE_RULES, max_snapshots=1001),
             "all_coherences": Field("bool", False),
             "initial_level": Field("int", 1),
         },
@@ -122,13 +115,9 @@ SCHEMAS = {
         "scan": {
             "axes": Field("int_list", (1, 4), counts=(2,)),
             "range_lo": Field("angular_frequency_list", (0.0, 0.0), sign=">=", counts=(2,)),
-            "range_hi": Field(
-                "angular_frequency_list",
-                (TWO_PI * 10.0, TWO_PI * 10.0),
-                sign=">=",
-                counts=(2,),
-            ),
-            "resolution": Field("int_list", (21,), sign=">", counts=(1, 2)),
+            "range_hi": Field("angular_frequency_list", (TWO_PI * 10.0,) * 2, sign=">=",
+                              counts=(2,)),
+            **_keys(_SCAN_RULES, resolution=(21,)),
             "method": Field("str", "evolve", choices=STEADY_STATE_METHODS),
             **_HORIZON,
         },
@@ -136,20 +125,12 @@ SCHEMAS = {
     "optimize-lo": {
         "drive": _DRIVE_SCHEMA,
         "optimize": {
-            "search_lo": Field("angular_frequency", 0.0, sign=">="),
+            **_keys(_OPTIMIZE_RULES, search_lo=0.0, grid_step=TWO_PI * 1.0,
+                    sum_constraint=TWO_PI * 16.0, plateau_tolerance=1e-5),
             "search_hi": Field("angular_frequency", TWO_PI * 10.0),
-            "grid_step": Field("angular_frequency", TWO_PI * 1.0, sign=">"),
-            "sum_constraint": Field("angular_frequency", TWO_PI * 16.0, sign=">"),
             # documented robustness region: 2 kHz perturbations per channel
-            "half_widths": Field(
-                "angular_frequency_list",
-                (TWO_PI * 2e-3, TWO_PI * 2e-3, TWO_PI * 2e-3, TWO_PI * 2e-3),
-                sign=">=",
-                counts=(4,),
-            ),
-            "samples_per_axis": Field("int", 3, sign=">"),
+            **_keys(PerturbationRegion.RULES, half_widths=(TWO_PI * 2e-3,) * 4, samples_per_axis=3),
             "method": Field("str", "null_space", choices=STEADY_STATE_METHODS),
-            "plateau_tolerance": Field("float", 1e-5, sign=">="),
             **_HORIZON,
         },
     },
@@ -158,22 +139,12 @@ SCHEMAS = {
         "cell": _CELL_SCHEMA,
         "signal": {
             # None: calibrate amplitudes from modulation_index per channel.
-            "amplitudes": Field("float_list", None, sign=">=", counts=(4,)),
+            **_keys(RfSignalSpec.RULES, amplitudes=None, phases=(0.0,) * 4, bandwidths=(0.1,) * 4,
+                    offsets=(TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)),
             "modulation_index": Field("float", 5e-3, sign=">="),
-            "offsets": Field(
-                "angular_frequency_list",
-                (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1),
-                counts=(4,),
-            ),
-            "phases": Field("float_list", (0.0, 0.0, 0.0, 0.0), counts=(4,)),
-            "bandwidths": Field(
-                "ordinary_frequency_list", (0.1, 0.1, 0.1, 0.1), sign=">", counts=(4,)
-            ),
         },
         "waveform": {
-            "duration": Field("time", 200.0, sign=">"),
-            "sample_rate": Field("ordinary_frequency", 16.0, sign=">"),
-            "noise_std": Field("float", 0.0, sign=">="),
+            **_keys(_SYNTHESIS_RULES, duration=200.0, sample_rate=16.0, noise_std=0.0),
             "spectrogram": Field("bool", True),
             "demodulate": Field("bool", True),
         },
@@ -188,12 +159,11 @@ SCHEMAS = {
             "power_max_dbm": Field("float", 10.0),
             "power_step_db": Field("float", 2.0, sign=">"),
             # any number of bandwidths
-            "bandwidths": Field(
-                "ordinary_frequency_list", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0), sign=">"
-            ),
+            "bandwidths": Field("ordinary_frequency_list", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
+                                sign=">"),
             "power_sweep_bandwidth": Field("ordinary_frequency", 0.1, sign=">"),
             "bandwidth_sweep_power_dbm": Field("float", -10.0),
-            "temperature": Field("temperature", 300.0, sign=">"),
+            **_keys(EnvironmentParams.RULES, temperature=300.0),
             "beta": Field("float", 1.0, sign=">"),
         },
     },
@@ -334,27 +304,20 @@ def _run(args):
 
 def cmd_steady_state(cfg, scheme, seed):
     drive = _resolve_drive(cfg["drive"], scheme)
-    method = cfg["steady_state"]["method"]
+    ss = cfg["steady_state"]
+    method = ss["method"]
     if method == "analytic":
         rho = analytic_steady_state(drive, scheme)
         residual = None
     else:
-        generator = make_generator(drive, scheme)
-        if method == "null_space":
-            rho = steady_state(generator)
-        else:
-            rho = steady_state_numerical(
-                drive, scheme, method, cfg["steady_state"]["t_end"], cfg["steady_state"]["dt"]
-            )
-        matrix = (
-            generator.matrix(0.0)
-            if isinstance(generator, TimeDependentLiouvillian)
-            else generator.matrix
-        )
+        rho = steady_state_numerical(drive, scheme, method, ss["t_end"], ss["dt"])
+        generator = make_generator(drive, scheme)  # for the residual only
+        time_dependent = isinstance(generator, TimeDependentLiouvillian)
+        matrix = generator.matrix(0.0) if time_dependent else generator.matrix
         residual = float(np.linalg.norm(matrix @ vectorize(rho.matrix)))
 
     comparison = None
-    if cfg["steady_state"]["compare_analytic"] and method != "analytic":
+    if ss["compare_analytic"] and method != "analytic":
         try:
             ref = analytic_steady_state(drive, scheme)
             comparison = {
@@ -417,14 +380,12 @@ def cmd_fidelity_map(cfg, scheme, seed):
     scan_cfg = cfg["scan"]
     axes = scan_cfg["axes"]
     lo, hi = scan_cfg["range_lo"], scan_cfg["range_hi"]
-    res = scan_cfg["resolution"]
-    resolution = res[0] if len(res) == 1 else tuple(res)
     scan = fidelity_scan(
         drive,
         axes,
         scheme,
         ranges=((lo[0], hi[0]), (lo[1], hi[1])),
-        resolution=resolution,
+        resolution=scan_cfg["resolution"],
         steady_state_method=scan_cfg["method"],
         t_end=scan_cfg["t_end"],
         dt=scan_cfg["dt"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Field, c_light, check_fields, dbm_to_watts, epsilon_0, hbar, k_B, rule_breach
+from .config import Field, c_light, check_args, check_fields, dbm_to_watts, epsilon_0, hbar, k_B
 from .lindblad import DriveConfig
 from .numerics import TWO_PI, exp_e1_scaled, write_csv
 from .receiver import DEFAULT_CELL, _operating_point
@@ -40,6 +40,9 @@ ARCH_CHANNELS = {
     Architecture.PRS: (1, 4),
 }
 
+#: Rules of :func:`blackbody_psd`'s arguments; every noise temperature keeps the second.
+_BLACKBODY_RULES = {"omega": Field(sign=">"), "temperature": Field("temperature", sign=">")}
+
 
 def blackbody_psd(omega, temperature):
     """One-sided blackbody field spectral density at ``omega`` (rad/s), T (K).
@@ -49,10 +52,7 @@ def blackbody_psd(omega, temperature):
     ``coth(x/2)``, which is the same function without overflow at large x.
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("blackbody_psd: omega must be > 0")
-    if not temperature > 0:
-        raise ValueError("blackbody_psd: temperature must be > 0")
+    check_args("blackbody_psd", _BLACKBODY_RULES, omega=omega, temperature=temperature)
     x = hbar * omega / (k_B * temperature)
     factor = 1.0 / np.tanh(x / 2.0)
     out = 4.0 * hbar * omega**3 / (epsilon_0 * c_light**3) * factor
@@ -78,8 +78,9 @@ class EnvironmentParams:
     temperature: float = 300.0
     omega_probe: float = DEFAULT_CELL.probe_angular_frequency
 
-    def __post_init__(self):
-        check_fields(self, Field(sign=">"), "y_lo", "temperature", "omega_probe")
+    RULES = {"y_lo": Field(sign=">"), "temperature": _BLACKBODY_RULES["temperature"],
+             "omega_probe": Field(sign=">")}
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,10 @@ class ChannelModel:
     sigma_i_sq: float = 0.0
     sigma_e_sq: float = 0.0
 
-    def __post_init__(self):
-        check_fields(self, Field(), "gain")
-        check_fields(self, Field(sign=">="), "transmit_power", "sigma_i_sq", "sigma_e_sq")
-        check_fields(self, Field(sign=">"), "bandwidth", "rf_frequency", "fading_scale")
+    RULES = {"gain": Field(),
+             **dict.fromkeys(("transmit_power", "sigma_i_sq", "sigma_e_sq"), Field(sign=">=")),
+             **dict.fromkeys(("bandwidth", "rf_frequency", "fading_scale"), Field(sign=">"))}
+    __post_init__ = check_fields
 
     @property
     def sigma_sq(self):
@@ -311,8 +312,8 @@ def compare_architectures(
     """
     power_range_dbm = np.atleast_1d(np.asarray(power_range_dbm, dtype=float))
     bandwidth_range_hz = np.atleast_1d(np.asarray(bandwidth_range_hz, dtype=float))
-    if breach := rule_breach(Field(sign=">"), bandwidth_range_hz):
-        raise ValueError(f"compare_architectures: bandwidths {breach}")
+    check_args("compare_architectures", {"bandwidths": ChannelModel.RULES["bandwidth"]},
+               bandwidths=bandwidth_range_hz)
 
     power_w = dbm_to_watts(power_range_dbm)
     sweep_power_w = dbm_to_watts(bandwidth_sweep_power_dbm)

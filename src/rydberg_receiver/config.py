@@ -69,6 +69,9 @@ _LIST_KINDS = {
     "ordinary_frequency_list": "ordinary_frequency",
 }
 
+#: Kinds whose every value must be an integer.
+_INTEGER_KINDS = ("int", "int_list")
+
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -83,15 +86,15 @@ _SCALARS = {
 
 @dataclass(frozen=True)
 class Field:
-    """Schema entry for one config key, and the number rule of a record field.
+    """The rule of a config key, record field or function argument, declared once at import.
 
     ``kind`` selects the converter (and, for dimensioned kinds, the set of
     accepted unit suffixes); ``default`` is the value of an absent key. The
-    remaining fields are the rule, which the reader checks on every value it
-    reads (defaults are not checked) and :func:`check_fields` on a record's
-    fields: every number must be finite; ``sign`` (``">"`` or ``">="``)
-    bounds the value, or each entry, against 0; ``counts`` lists the allowed
-    numbers of entries; ``choices`` lists the allowed strings.
+    rest is the rule, which the reader checks on every value it reads (not
+    defaults), :func:`check_fields` on a record's ``RULES`` and :func:`check_args`
+    on arguments: every number must be finite, and an ``int`` kind's an integer;
+    ``sign`` (``">"`` or ``">="``) bounds the value, or each entry, against 0;
+    ``counts`` lists the allowed numbers of entries; ``choices`` the allowed strings.
     """
 
     kind: str = "float"
@@ -181,6 +184,8 @@ def rule_breach(field, value):
     if not (np.isfinite(value).all() if array
             else all(math.isfinite(v) for v in entries if isinstance(v, (float, np.floating)))):
         return f"must be finite, got {value}"
+    if field.kind in _INTEGER_KINDS and not all(isinstance(v, (int, np.integer)) for v in entries):
+        return f"must be an integer, got {value}"
     if field.counts and len(value) not in field.counts:
         return f"must have {' or '.join(str(n) for n in field.counts)} entries"
     if field.sign:
@@ -191,16 +196,22 @@ def rule_breach(field, value):
         return f"must be one of {', '.join(field.choices)}"
 
 
-def check_fields(record, rule, *names):
-    """Hold each named field of the frozen ``record`` as floats (a tuple if ``rule``
-    counts entries, an array as it is); ValueError naming ``Record.field`` if one breaks it."""
-    for name in names:
+def check_args(owner, rules, **values):
+    """ValueError naming ``owner.name`` for the first value that breaks its rule in ``rules``."""
+    for name, value in values.items():
+        if breach := rule_breach(rules[name], value):
+            raise ValueError(f"{owner}.{name} {breach}")
+
+
+def check_fields(record):
+    """Hold each non-integer field in the frozen ``record``'s ``RULES`` as floats (a tuple if its
+    rule counts entries, an array as it is); ValueError naming ``Record.field`` if one breaks it."""
+    for name, rule in record.RULES.items():
         value = getattr(record, name)
-        if rule.counts or not isinstance(value, np.ndarray):
+        if rule.kind not in _INTEGER_KINDS and (rule.counts or not isinstance(value, np.ndarray)):
             value = tuple(float(v) for v in value) if rule.counts else float(value)
             object.__setattr__(record, name, value)
-        if breach := rule_breach(rule, value):
-            raise ValueError(f"{type(record).__name__}.{name} {breach}")
+        check_args(type(record).__name__, record.RULES, **{name: value})
 
 
 def convert_section(section_schema, section, items, origin):

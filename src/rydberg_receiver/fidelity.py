@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import _closed_form
-from .config import Field, check_fields, rule_breach
+from .config import Field, check_args, check_fields
 from .lindblad import (
     DEFAULT_DT,
     DensityMatrix,
@@ -42,6 +42,17 @@ from .numerics import TWO_PI, _psd_roots, write_csv
 #: the 625-point maps the traced peak is about 1.6-1.8 MB, against
 #: 0.7-1.2 MB for chunks of 16 and 3.4 MB for the whole map in one chunk.
 _CHAIN = 256
+
+#: Rules of :func:`fidelity_scan`'s sweep: two ``(lo, hi)`` ranges, one or two counts.
+_SCAN_RULES = {"ranges": Field(counts=(2,)),
+               "resolution": Field("int_list", sign=">", counts=(1, 2))}
+
+#: Rules of :func:`optimize_operating_point`'s arguments; ``search_lo`` starts ``search_range``.
+_OPTIMIZE_RULES = {
+    "search_range": Field(counts=(2,)), "search_lo": Field("angular_frequency", sign=">="),
+    **dict.fromkeys(("grid_step", "sum_constraint"), Field("angular_frequency", sign=">")),
+    "plateau_tolerance": Field(sign=">="),
+}
 
 
 def _fidelities(eig_n, eig_a):
@@ -82,13 +93,14 @@ class PerturbationRegion:
     half_widths: tuple
     samples_per_axis: int = 3
 
+    RULES = {"center": Field("angular_frequency_list", counts=(4,)),
+             "half_widths": Field("angular_frequency_list", sign=">=", counts=(4,)),
+             "samples_per_axis": Field("int", sign=">")}
+
     def __post_init__(self):
-        check_fields(self, Field(counts=(4,)), "center")
-        check_fields(self, Field(sign=">=", counts=(4,)), "half_widths")
+        check_fields(self)
         if any(c - h < 0 for c, h in zip(self.center, self.half_widths)):
             raise ValueError("PerturbationRegion: region leaves the quadrant Omega >= 0")
-        if self.samples_per_axis < 1:
-            raise ValueError("PerturbationRegion: samples_per_axis must be >= 1")
 
     def axis_samples(self):
         """Per-axis sample values (degenerate axes collapse to the center)."""
@@ -218,9 +230,9 @@ def fidelity_scan(
         Supplies the full decay set and gamma_21 for the analytic oracle.
     ranges : pair of (lo, hi), optional
         Per-axis sweep ranges in rad/us; defaults to [0, 2 pi * 10].
-    resolution : int or (int, int)
+    resolution : int, or one or two ints
         Grid points per axis (>= 2, or 1 for a degenerate single-point
-        scan); a count below 1 raises ``ValueError``.
+        scan); one count serves both axes.
     steady_state_method : {"evolve", "null_space"}
         Numerical-state protocol per grid point; an unknown name raises
         ``ValueError`` before any point is evaluated.
@@ -233,22 +245,19 @@ def fidelity_scan(
     Raises
     ------
     ValueError
-        If no point can run: ``ranges`` is not two pairs of finite numbers,
-        the scheme is not the six-level hybrid, or ``t_end`` and ``dt`` are
-        not a valid evolve horizon.
+        If no point can run: ``ranges`` or ``resolution`` breaks its rule in
+        ``_SCAN_RULES``, the scheme is not the six-level hybrid, or ``t_end``
+        and ``dt`` are not a valid evolve horizon.
     """
     a0, a1 = axes
     if not (1 <= a0 <= 4 and 1 <= a1 <= 4 and a0 != a1):
         raise ValueError(f"fidelity_scan: axes must be two distinct RF channels in 1..4, got {axes}")
     if ranges is None:
         ranges = ((0.0, TWO_PI * 10.0), (0.0, TWO_PI * 10.0))
-    if breach := rule_breach(Field(counts=(2,)), np.asarray(ranges, dtype=float)):
-        raise ValueError(f"fidelity_scan: ranges {breach}")
-    res = (resolution, resolution) if np.isscalar(resolution) else tuple(resolution)
-    if len(res) != 2 or min(res) < 1:
-        raise ValueError(
-            f"fidelity_scan: resolution must be one or two counts >= 1, got {resolution}"
-        )
+    res = (resolution,) if np.isscalar(resolution) else tuple(resolution)
+    check_args("fidelity_scan", _SCAN_RULES,
+               ranges=np.asarray(ranges, dtype=float), resolution=res)
+    res = res * 2 if len(res) == 1 else res  # one count serves both axes
     values = tuple(
         np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
         for (lo, hi), n in zip(ranges, res)
@@ -358,21 +367,16 @@ def optimize_operating_point(
     Raises
     ------
     ValueError
-        If ``search_range`` is not two finite numbers starting at >= 0,
-        ``grid_step`` is not positive, no candidate satisfies the constraint
+        If an argument breaks its rule in ``_OPTIMIZE_RULES``, no candidate
+        satisfies the constraint
         or every candidate fails, the drift box is no valid
         :class:`PerturbationRegion`, or with its own message if no point can
         run (as in :func:`fidelity_scan`).
     """
-    if breach := rule_breach(Field(counts=(2,)), search_range):
-        raise ValueError(f"optimize_operating_point: search_range {breach}")
+    check_args("optimize_operating_point", _OPTIMIZE_RULES, search_range=search_range)
     lo, hi = search_range
-    if not lo >= 0:
-        raise ValueError(f"optimize_operating_point: search_range must start at >= 0, got {lo}")
-    if not grid_step > 0:
-        raise ValueError(f"optimize_operating_point: grid_step must be positive, got {grid_step}")
-    if not sum_constraint > 0:
-        raise ValueError("optimize_operating_point: sum_constraint must be positive")
+    check_args("optimize_operating_point", _OPTIMIZE_RULES, search_lo=lo, grid_step=grid_step,
+               sum_constraint=sum_constraint, plateau_tolerance=plateau_tolerance)
     candidates = _candidates(lo, hi, grid_step, sum_constraint)
     if not candidates:
         raise ValueError("optimize_operating_point: empty feasible set")

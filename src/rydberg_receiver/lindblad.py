@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Field, check_fields
+from .config import Field, check_args, check_fields
 from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, null_space, write_csv
 from .scheme import require_hybrid_six
 
@@ -37,6 +37,10 @@ from .scheme import require_hybrid_six
 #: norm is a few tens of rad/us, so 1e-4 sits two orders below the
 #: stability bound dt <= 0.1 / ||L||.
 DEFAULT_DT = 1e-4
+
+#: Rules of :func:`evolve`'s arguments; every horizon ``(t_end, dt)`` keeps the first two.
+_EVOLVE_RULES = {"t_end": Field("time", sign=">="), "dt": Field("time", sign=">"),
+                 "max_snapshots": Field("int")}
 
 #: Protocols of :func:`steady_state_numerical`.
 STEADY_STATE_METHODS = ("null_space", "evolve")
@@ -111,11 +115,12 @@ class DriveConfig:
     rf_detunings: tuple = (0.0, 0.0, 0.0, 0.0)
     rf_phases: tuple = (0.0, 0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        check_fields(self, Field(sign=">="), "omega_p", "omega_c")
-        check_fields(self, Field(sign=">=", counts=(4,)), "rf_rabi")
-        check_fields(self, Field(), "delta_p", "delta_c")
-        check_fields(self, Field(counts=(4,)), "rf_detunings", "rf_phases")
+    RULES = {**dict.fromkeys(("omega_p", "omega_c"), Field("angular_frequency", sign=">=")),
+             "rf_rabi": Field("angular_frequency_list", sign=">=", counts=(4,)),
+             **dict.fromkeys(("delta_p", "delta_c"), Field("angular_frequency")),
+             "rf_detunings": Field("angular_frequency_list", counts=(4,)),
+             "rf_phases": Field("float_list", counts=(4,))}
+    __post_init__ = check_fields
 
     @property
     def closed_loop_delta(self):
@@ -612,10 +617,7 @@ def _clean(x):
 
 def _horizon_steps(t_end, dt):
     """Number of ``dt`` steps to ``t_end``, after checking both."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"evolve: dt must be finite and positive, got {dt}")
-    if not (np.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"evolve: t_end must be finite and nonnegative, got {t_end}")
+    check_args("evolve", _EVOLVE_RULES, t_end=t_end, dt=dt)
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"evolve: t_end = {t_end} is not an integer multiple of dt = {dt}")
@@ -662,8 +664,9 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0))
     n_steps = _horizon_steps(t_end, dt)
-    if max_snapshots < 2:
-        raise ValueError(f"evolve: max_snapshots must be >= 2, got {max_snapshots}")
+    check_args("evolve", _EVOLVE_RULES, max_snapshots=max_snapshots)
+    if max_snapshots < 2:  # a bound no sign rule states
+        raise ValueError(f"evolve.max_snapshots must be >= 2, got {max_snapshots}")
     time_dependent = isinstance(generator, TimeDependentLiouvillian)
     norm = generator.norm(t_end) if time_dependent else generator.norm()
     _raise_first(*_stability_record(dt, np.array([norm])))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _rho21_gradient, rho21_from_amplitudes
-from .config import EA0, Field, c_light, check_fields, epsilon_0, hbar
+from .config import EA0, Field, c_light, check_args, check_fields, epsilon_0, hbar
 from .lindblad import _stationary_response
 from .numerics import TWO_PI, write_csv
 
@@ -34,6 +34,11 @@ FILTER_STOPBAND_DB = 65.0
 BPF_HALF_WIDTH = 0.6
 LPF_CUTOFF = 0.6
 TRANSITION_BANDWIDTHS = 1.5
+
+#: Rules of :func:`synthesize_pd_waveform`'s record length, rate and noise.
+_SYNTHESIS_RULES = {"duration": Field("time", sign=">"), "noise_std": Field(sign=">="),
+                    "sample_rate": Field("ordinary_frequency", sign=">")}
+
 
 @dataclass(frozen=True)
 class VaporCellParams:
@@ -66,9 +71,11 @@ class VaporCellParams:
     probe_power: float = 1e-3
     responsivity: float = 1.0
 
-    def __post_init__(self):
-        check_fields(self, Field(sign=">"), "cell_length", "atomic_density", "probe_dipole",
-                     "probe_wavelength", "probe_power", "responsivity")
+    RULES = {name: Field(kind, sign=">") for name, kind in (
+        ("cell_length", "length"), ("atomic_density", "density"), ("probe_dipole", "dipole"),
+        ("probe_wavelength", "length"), ("probe_power", "power"), ("responsivity", "responsivity"),
+    )}
+    __post_init__ = check_fields
 
     def xi0(self, omega_p):
         """Susceptibility constant for probe Rabi ``omega_p`` (rad/us).
@@ -135,10 +142,13 @@ class RfSignalSpec:
     bandwidths: tuple = (0.1, 0.1, 0.1, 0.1)
     envelopes: tuple = (None, None, None, None)
 
+    RULES = {"amplitudes": Field("float_list", sign=">=", counts=(4,)),
+             "offsets": Field("angular_frequency_list", counts=(4,)),
+             "phases": Field("float_list", counts=(4,)),
+             "bandwidths": Field("ordinary_frequency_list", sign=">", counts=(4,))}
+
     def __post_init__(self):
-        check_fields(self, Field(sign=">=", counts=(4,)), "amplitudes")
-        check_fields(self, Field(counts=(4,)), "offsets", "phases")
-        check_fields(self, Field(sign=">", counts=(4,)), "bandwidths")
+        check_fields(self)
         object.__setattr__(self, "envelopes", tuple(self.envelopes))
         if len(self.envelopes) != 4:
             raise ValueError("RfSignalSpec.envelopes: expected 4 entries")
@@ -161,8 +171,8 @@ class GainVector:
 
     gains: tuple
 
-    def __post_init__(self):
-        check_fields(self, Field(counts=(4,)), "gains")
+    RULES = {"gains": Field("float_list", counts=(4,))}
+    __post_init__ = check_fields
 
     def __getitem__(self, n):
         """Gain of channel ``n`` (1-based)."""
@@ -321,10 +331,12 @@ def synthesize_pd_waveform(
     Raises
     ------
     ValueError
-        On undersampling (the rate must exceed four times the highest
-        occupied frequency), a record with no sample or
-        heterodyne-condition violations.
+        On an argument that breaks its rule in ``_SYNTHESIS_RULES``, on
+        undersampling (the rate must exceed four times the highest occupied
+        frequency), a record with no sample or heterodyne-condition violations.
     """
+    check_args("synthesize_pd_waveform", _SYNTHESIS_RULES,
+               duration=duration, sample_rate=sample_rate, noise_std=noise_std)
     needed = 4.0 * max(
         (spec.offsets[n - 1] + np.pi * spec.bandwidths[n - 1]) / TWO_PI
         for n in range(1, 5)

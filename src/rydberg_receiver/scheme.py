@@ -13,11 +13,13 @@ converted by :mod:`.config`'s INI reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 
-from .config import ConfigError, Field, check_fields, convert_section, read_file, read_ini
+from .config import (
+    ConfigError, Field, check_fields, convert_section, read_file, read_ini, rule_breach,
+)
 
 
 class Architecture(Enum):
@@ -69,13 +71,18 @@ class RfTransition:
     detuning: float = 0.0
     application_band: str = ""
 
+    RULES = {"carrier_frequency": Field("angular_frequency", sign=">"),
+             "dipole_moment": Field(sign=">"), "detuning": Field("angular_frequency")}
+
     def __post_init__(self):
-        check_fields(self, Field(sign=">"), "carrier_frequency", "dipole_moment")
-        check_fields(self, Field(), "detuning")
+        check_fields(self)
         if not self.lower < self.upper:
             raise ValueError(
                 f"RfTransition: lower < upper required, got ({self.lower}, {self.upper})")
 
+
+#: The rule of a decay rate (rad/us), in a scheme file's ``[decay]`` sections too.
+_DECAY_RATE = Field("angular_frequency", sign=">=")
 
 #: Canonical hybrid six-level RF graph: cascade 3-4-5-6 plus the 3-6 branch.
 HYBRID_SIX_EDGES = ((3, 4), (4, 5), (5, 6), (3, 6))
@@ -116,9 +123,8 @@ class LevelScheme:
         for (src, dst, rate) in self.decay_channels:
             if not (1 <= dst < src <= k):
                 raise ValueError(f"LevelScheme: decay ({src},{dst}) must go downward within 1..{k}")
-            if not 0 <= rate < float("inf"):
-                raise ValueError(f"LevelScheme: decay rate for {src}->{dst} is negative or "
-                                 f"not finite ({rate} rad/us)")
+            if breach := rule_breach(_DECAY_RATE, rate):
+                raise ValueError(f"LevelScheme: decay rate for {src}->{dst} {breach}")
         if self.architecture is Architecture.HYBRID and k == 6:
             edges = tuple((tr.lower, tr.upper) for tr in self.rf_transitions)
             if edges != HYBRID_SIX_EDGES:
@@ -298,11 +304,11 @@ _SECTION_FIELDS = {
     "level": {"parity": Field("int", None), "label": Field("str", "")},
     "transition": {
         "lower": Field("int", None), "upper": Field("int", None),
-        "carrier": Field("angular_frequency", None, sign=">"),
-        "dipole_ea0": Field("float", None, sign=">"),
-        "detuning": Field("angular_frequency", 0.0), "band": Field("str", ""),
+        "carrier": RfTransition.RULES["carrier_frequency"],
+        "dipole_ea0": RfTransition.RULES["dipole_moment"],
+        "detuning": replace(RfTransition.RULES["detuning"], default=0.0), "band": Field("str", ""),
     },
-    "decay": {"rate": Field("angular_frequency", None)},
+    "decay": {"rate": _DECAY_RATE},
 }
 
 

@@ -196,7 +196,7 @@ class TestDegenerate:
             DriveConfig(omega_p=1.0, omega_c=1.0, rf_rabi=(1.0, 2.0))
 
     def test_negative_gamma(self, probe_decay_scheme):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="decay rate for 2->1 must be >= 0"):
             probe_decay_scheme(-1.0)
 
 

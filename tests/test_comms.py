@@ -89,6 +89,15 @@ class TestBlackbody:
         with pytest.raises(ValueError, match="temperature"):
             blackbody_psd(1e9, 0.0)
 
+    def test_non_finite_inputs_rejected(self):
+        for omega, temperature, name in [
+            (np.nan, 300.0, "omega"), (np.inf, 300.0, "omega"),
+            (np.array([1e9, np.nan]), 300.0, "omega"),
+            (1e9, np.inf, "temperature"), (1e9, np.nan, "temperature"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^blackbody_psd\.{name} must be finite"):
+                blackbody_psd(omega, temperature)
+
 
 class TestNoise:
     def test_variance_formulas(self):

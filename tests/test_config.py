@@ -11,7 +11,7 @@ from scipy.constants import e, physical_constants
 import rydberg_receiver
 from rydberg_receiver import comms, config, lindblad, receiver, scheme
 from rydberg_receiver.config import ConfigError, Field, load_config, parse_config
-from rydberg_receiver.fidelity import PerturbationRegion
+from rydberg_receiver.fidelity import PerturbationRegion, fidelity_scan, optimize_operating_point
 
 TWO_PI = 2.0 * np.pi
 
@@ -244,6 +244,93 @@ class TestRecordRules:
         assert config.rule_breach(Field("int", None, sign=">"), -huge) == "must be > 0"
 
 
+DRIVE = lindblad.DriveConfig(omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
+                             rf_rabi=(TWO_PI * 2, TWO_PI * 7, TWO_PI * 1, TWO_PI * 6))
+OFFSETS = (TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)
+
+
+def _evolve(scheme, t_end=0.01, dt=1e-3, max_snapshots=3):
+    generator = lindblad.make_generator(DRIVE, scheme)
+    return lindblad.evolve(lindblad.ground_state(), generator, t_end, dt, max_snapshots)
+
+
+def _scan(scheme, resolution):
+    return fidelity_scan(DRIVE, (1, 4), scheme, resolution=resolution,
+                         steady_state_method="null_space")
+
+
+def _optimize(scheme, search_range=None, search_lo=0.0, sum_constraint=TWO_PI * 4.0, **kwargs):
+    return optimize_operating_point(
+        (search_lo, TWO_PI) if search_range is None else search_range, sum_constraint,
+        base_drive=DRIVE, scheme=scheme, **{"grid_step": TWO_PI, **kwargs},
+    )
+
+
+def _synthesize(scheme, duration=1.0, sample_rate=16.0, noise_std=0.0):
+    spec = receiver.RfSignalSpec(amplitudes=(0.0,) * 4, offsets=OFFSETS)
+    return receiver.synthesize_pd_waveform(spec, DRIVE, receiver.DEFAULT_CELL, scheme,
+                                           duration, sample_rate, noise_std)
+
+
+def _region(scheme, samples_per_axis):
+    return PerturbationRegion((1.0,) * 4, (0.1,) * 4, samples_per_axis)
+
+
+#: owner -> (call of (scheme, argument=value), {argument: its rules}). A finite
+#: search_range leaves search_lo only its sign to break.
+ARGUMENTS = {
+    "evolve": (_evolve, {"t_end": ("finite", ">="), "dt": ("finite", ">"),
+                         "max_snapshots": ("finite", "int")}),
+    "fidelity_scan": (_scan, {"resolution": ("finite", ">", "int")}),
+    "optimize_operating_point": (
+        _optimize,
+        {"search_range": ("finite",), "search_lo": (">=",), "grid_step": ("finite", ">"),
+         "sum_constraint": ("finite", ">"), "plateau_tolerance": ("finite", ">=")},
+    ),
+    "synthesize_pd_waveform": (
+        _synthesize, {"duration": ("finite", ">"), "sample_rate": ("finite", ">"),
+                      "noise_std": ("finite", ">=")},
+    ),
+    "PerturbationRegion": (_region, {"samples_per_axis": ("finite", ">", "int")}),
+}
+
+
+def _argument_cases():
+    """(owner, argument, bad value, the rule it breaks) for every argument the
+    library checks by its declared rule: NaN, inf, a value against its sign
+    and, for an integer, a fraction."""
+    for owner, (_, arguments) in ARGUMENTS.items():
+        for name, rules in arguments.items():
+            integer = "int" in rules
+            for rule in rules:
+                if rule == "finite":
+                    bad = [(np.nan, "must be finite"), (np.inf, "must be finite")]
+                elif rule == "int":
+                    bad = [(2.5, "must be an integer")]
+                else:
+                    against = {">": 0, ">=": -1}[rule]
+                    bad = [(against if integer else float(against), f"must be {rule} 0")]
+                for value, breach in bad:
+                    yield owner, name, value, breach
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize(
+        "owner, name, value, rule", list(_argument_cases()),
+        ids=lambda x: repr(x).replace(" ", "") if not isinstance(x, str) else x,
+    )
+    def test_every_checked_argument_keeps_its_rule(self, scheme, owner, name, value, rule):
+        call, _ = ARGUMENTS[owner]
+        with pytest.raises(ValueError, match=rf"^{owner}\.{name} {rule}"):
+            call(scheme, **{name: value})
+
+    def test_integer_rule(self):
+        rule = Field("int_list", None, sign=">")
+        assert config.rule_breach(rule, (3, np.int64(4))) is None
+        assert config.rule_breach(rule, (3, 4.0)) == "must be an integer, got (3, 4.0)"
+        assert config.rule_breach(Field("float", None, sign=">"), 4) is None
+
+
 class TestLoadConfig:
     def test_round_trip_file(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -284,6 +371,20 @@ class TestConstants:
             if isinstance(node, ast.Call)
         ]
         assert not [f for f in calls if getattr(f, "id", getattr(f, "attr", None)) == "open"]
+
+    def test_every_rule_is_declared_at_import(self):
+        # a Field built in a function body would be a per-call copy of a rule
+        src = Path(config.__file__).parent
+        inside = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Field"
+        ]
+        assert inside == []
 
     def test_literals_equal_scipy_constants(self):
         assert config.hbar == scipy.constants.hbar

@@ -146,7 +146,7 @@ class TestValidation:
                 rf_transitions=scheme.rf_transitions,
                 decay_channels=((1, 2, 1.0),),
             )
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="rate for 3->2 must be >= 0"):
             LevelScheme(
                 levels=scheme.levels,
                 architecture=Architecture.HYBRID,
@@ -154,7 +154,7 @@ class TestValidation:
                 decay_channels=((3, 2, -1.0),),
             )
         for rate in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="rate for 3->2 is negative or not finite"):
+            with pytest.raises(ValueError, match="rate for 3->2 must be finite"):
                 LevelScheme(
                     levels=scheme.levels,
                     architecture=Architecture.HYBRID,
