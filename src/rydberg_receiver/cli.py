@@ -34,6 +34,7 @@ from .fidelity import (
 from .lindblad import (
     _EVOLVE_RULES,
     DEFAULT_DT,
+    MIN_SNAPSHOTS,
     STEADY_STATE_METHODS,
     DriveConfig,
     TimeDependentLiouvillian,
@@ -173,7 +174,8 @@ SCHEMAS = {
 #: Rules that relate a section's keys to each other or to the scheme:
 #: (section, test of the section's values and the scheme size, message).
 _RULES = (
-    ("dynamics", lambda v, size: v["max_snapshots"] >= 2, "max_snapshots must be >= 2"),
+    ("dynamics", lambda v, size: v["max_snapshots"] >= MIN_SNAPSHOTS,
+     f"max_snapshots must be >= {MIN_SNAPSHOTS}"),
     ("dynamics", lambda v, size: 1 <= v["initial_level"] <= size,
      "initial_level must be in 1..{size}"),
     ("scan", lambda v, size: v["axes"][0] != v["axes"][1] and set(v["axes"]) <= {1, 2, 3, 4},

@@ -149,11 +149,14 @@ def noise_variances(channel, env):
     return s_i, s_e
 
 
+#: Rule of :func:`snr`'s fading power sample ``|h|^2``.
+_SNR_RULES = {"fading_power": Field(sign=">=")}
+
+
 def snr(channel, fading_power):
     """Instantaneous SNR at fading power sample ``|h|^2``."""
     fading_power = np.asarray(fading_power, dtype=float)
-    if np.any(fading_power < 0):
-        raise ValueError("snr: fading power must be >= 0")
+    check_args("snr", _SNR_RULES, fading_power=fading_power)
     if not np.all(channel.sigma_sq > 0):
         raise ValueError("snr: zero noise variance (call with_noise first)")
     out = channel.gain**2 * channel.transmit_power * fading_power / channel.sigma_sq

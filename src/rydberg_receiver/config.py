@@ -94,7 +94,7 @@ class Field:
     defaults), :func:`check_fields` on a record's ``RULES`` and :func:`check_args`
     on arguments: every number must be finite, and an ``int`` kind's an integer;
     ``sign`` (``">"`` or ``">="``) bounds the value, or each entry, against 0;
-    ``counts`` lists the allowed numbers of entries; ``choices`` the allowed strings.
+    ``counts`` lists the allowed numbers of entries; ``choices`` the allowed values.
     """
 
     kind: str = "float"
@@ -193,7 +193,7 @@ def rule_breach(field, value):
         if not (low > 0 if field.sign == ">" else low >= 0):
             return f"must be {field.sign} 0"
     if field.choices and value not in field.choices:
-        return f"must be one of {', '.join(field.choices)}"
+        return f"must be one of {', '.join(map(str, field.choices))}"
 
 
 def check_args(owner, rules, **values):
@@ -201,6 +201,13 @@ def check_args(owner, rules, **values):
     for name, value in values.items():
         if breach := rule_breach(rules[name], value):
             raise ValueError(f"{owner}.{name} {breach}")
+
+
+def _position(owner, number, count):
+    """0-based position of the 1-based ``number``; ValueError naming ``owner`` unless 1..count."""
+    if not (isinstance(number, (int, np.integer)) and 1 <= number <= count):
+        raise ValueError(f"{owner}: {number} is not in 1..{count}")
+    return number - 1
 
 
 def check_fields(record):

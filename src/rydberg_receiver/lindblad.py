@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Field, check_args, check_fields
+from .config import Field, _position, check_args, check_fields
 from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, null_space, write_csv
 from .scheme import require_hybrid_six
 
@@ -41,6 +41,9 @@ DEFAULT_DT = 1e-4
 #: Rules of :func:`evolve`'s arguments; every horizon ``(t_end, dt)`` keeps the first two.
 _EVOLVE_RULES = {"t_end": Field("time", sign=">="), "dt": Field("time", sign=">"),
                  "max_snapshots": Field("int")}
+
+#: Fewest states :func:`evolve` stores, the first and the last: a bound no sign rule states.
+MIN_SNAPSHOTS = 2
 
 #: Protocols of :func:`steady_state_numerical`.
 STEADY_STATE_METHODS = ("null_space", "evolve")
@@ -169,11 +172,12 @@ class DensityMatrix:
 
     def population(self, k):
         """Occupation of level ``k`` (1-based)."""
-        return float(self.matrix[k - 1, k - 1].real)
+        return float(np.diag(self.matrix)[_position("DensityMatrix.population", k, self.dim)].real)
 
     def coherence(self, i, j):
         """Matrix element rho_{i,j} (1-based indices)."""
-        return complex(self.matrix[i - 1, j - 1])
+        i, j = (_position("DensityMatrix.coherence", n, self.dim) for n in (i, j))
+        return complex(self.matrix[i, j])
 
 
 def _dagger(m):
@@ -207,9 +211,8 @@ def ground_state():
 
 def basis_state(k):
     """|k><k| (1-based) of the six-level system."""
-    m = np.zeros((6, 6), dtype=complex)
-    m[k - 1, k - 1] = 1.0
-    return DensityMatrix(m)
+    k = _position("basis_state", k, 6)
+    return DensityMatrix(np.diag(np.arange(6) == k).astype(complex))
 
 
 def vectorize(m):
@@ -586,7 +589,8 @@ class Trajectory:
 
     def coherence(self, i, j):
         """Time series of rho_{i,j} (1-based)."""
-        return self.matrices[:, i - 1, j - 1]
+        i, j = (_position("Trajectory.coherence", n, self.matrices.shape[1]) for n in (i, j))
+        return self.matrices[:, i, j]
 
     def write_csv(self, path, all_coherences=False):
         """Export ``t, rho11..rho66, re_rho21, im_rho21`` (and optionally
@@ -665,8 +669,8 @@ def evolve(rho0, generator, t_end, dt=DEFAULT_DT, max_snapshots=1001):
         rho0 = DensityMatrix(np.asarray(rho0))
     n_steps = _horizon_steps(t_end, dt)
     check_args("evolve", _EVOLVE_RULES, max_snapshots=max_snapshots)
-    if max_snapshots < 2:  # a bound no sign rule states
-        raise ValueError(f"evolve.max_snapshots must be >= 2, got {max_snapshots}")
+    if max_snapshots < MIN_SNAPSHOTS:
+        raise ValueError(f"evolve.max_snapshots must be >= {MIN_SNAPSHOTS}, got {max_snapshots}")
     time_dependent = isinstance(generator, TimeDependentLiouvillian)
     norm = generator.norm(t_end) if time_dependent else generator.norm()
     _raise_first(*_stability_record(dt, np.array([norm])))

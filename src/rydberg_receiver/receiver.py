@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _rho21_gradient, rho21_from_amplitudes
-from .config import EA0, Field, c_light, check_args, check_fields, epsilon_0, hbar
+from .config import EA0, Field, _position, c_light, check_args, check_fields, epsilon_0, hbar
 from .lindblad import _stationary_response
 from .numerics import TWO_PI, write_csv
 
@@ -176,7 +176,7 @@ class GainVector:
 
     def __getitem__(self, n):
         """Gain of channel ``n`` (1-based)."""
-        return self.gains[n - 1]
+        return self.gains[_position("GainVector", n, len(self.gains))]
 
 
 def _rabi_per_field(n, scheme):

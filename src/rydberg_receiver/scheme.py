@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 
 from .config import (
-    ConfigError, Field, check_fields, convert_section, read_file, read_ini, rule_breach,
+    ConfigError, Field, _position, check_fields, convert_section, read_file, read_ini, rule_breach,
 )
 
 
@@ -32,27 +32,21 @@ class Architecture(Enum):
 
 @dataclass(frozen=True)
 class Level:
-    """One atomic level.
+    """One atomic level; level k of a scheme is ``LevelScheme.levels[k - 1]``.
 
     Attributes
     ----------
-    index : int
-        1-based position in the ladder; indices in a scheme are contiguous.
     parity : int
         +1 or -1; electric-dipole transitions connect opposite parities only.
     label : str
         Free-text spectroscopic name, e.g. ``"60D5/2"``.
     """
 
-    index: int
     parity: int
     label: str = ""
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"Level: index must be >= 1, got {self.index}")
-        if self.parity not in (1, -1):
-            raise ValueError(f"Level {self.index}: parity must be +1 or -1, got {self.parity}")
+    RULES = {"parity": Field("int", choices=(1, -1))}
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,8 @@ class RfTransition:
     detuning: float = 0.0
     application_band: str = ""
 
-    RULES = {"carrier_frequency": Field("angular_frequency", sign=">"),
+    RULES = {"lower": Field("int", sign=">"), "upper": Field("int", sign=">"),
+             "carrier_frequency": Field("angular_frequency", sign=">"),
              "dipole_moment": Field(sign=">"), "detuning": Field("angular_frequency")}
 
     def __post_init__(self):
@@ -95,7 +90,7 @@ class LevelScheme:
     Attributes
     ----------
     levels : tuple of Level
-        Unique, contiguous indices starting at 1.
+        Level k is entry k (1-based), so levels are numbered by position.
     architecture : Architecture
     rf_transitions : tuple of RfTransition
         RF channel n is entry n; a six-level hybrid lists exactly
@@ -113,13 +108,9 @@ class LevelScheme:
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "rf_transitions", tuple(self.rf_transitions))
         object.__setattr__(self, "decay_channels", tuple(tuple(ch) for ch in self.decay_channels))
-        indices = sorted(lv.index for lv in self.levels)
-        if indices != list(range(1, len(indices) + 1)):
-            raise ValueError(f"LevelScheme: level indices must be 1..K contiguous, got {indices}")
-        k = len(indices)
-        for tr in self.rf_transitions:
-            if tr.upper > k:
-                raise ValueError(f"LevelScheme: transition ({tr.lower},{tr.upper}) exceeds K={k}")
+        k = self.size
+        for n, tr in enumerate(self.rf_transitions, 1):
+            _position(f"LevelScheme: transition {n} upper", tr.upper, k)
         for (src, dst, rate) in self.decay_channels:
             if not (1 <= dst < src <= k):
                 raise ValueError(f"LevelScheme: decay ({src},{dst}) must go downward within 1..{k}")
@@ -138,16 +129,13 @@ class LevelScheme:
         """Number of levels K."""
         return len(self.levels)
 
-    def level(self, index):
-        """Level with the given 1-based index."""
-        for lv in self.levels:
-            if lv.index == index:
-                return lv
-        raise KeyError(f"no level with index {index}")
+    def level(self, k):
+        """Level ``k`` (1-based)."""
+        return self.levels[_position("LevelScheme.level", k, self.size)]
 
     def transition(self, n):
         """RF transition number ``n`` (1-based, in scheme order)."""
-        return self.rf_transitions[n - 1]
+        return self.rf_transitions[_position("LevelScheme.transition", n, len(self.rf_transitions))]
 
     def decay_rate(self, src, dst):
         """Decay rate of channel ``src -> dst`` (rad/us); 0.0 if absent."""
@@ -190,7 +178,7 @@ class ValidationReport:
     """Outcome of :func:`validate_scheme`.
 
     ``parity_violations`` holds one message per offending transition;
-    ``odd_loops`` holds one representative cycle (tuple of level indices)
+    ``odd_loops`` holds one representative cycle (tuple of level numbers)
     per detected odd-length RF loop. An empty report means the scheme is
     realizable.
     """
@@ -205,11 +193,9 @@ class ValidationReport:
     def summary(self):
         if self.valid:
             return "scheme valid: parity rules satisfied, no odd RF loops"
-        lines = []
-        for msg in self.parity_violations:
-            lines.append(f"parity violation: {msg}")
-        for loop in self.odd_loops:
-            lines.append(f"odd-length RF loop (parity-infeasible): {'-'.join(map(str, loop))}")
+        lines = [f"parity violation: {msg}" for msg in self.parity_violations]
+        lines += [f"odd-length RF loop (parity-infeasible): {'-'.join(map(str, loop))}"
+                  for loop in self.odd_loops]
         return "\n".join(lines)
 
 
@@ -262,17 +248,11 @@ def validate_scheme(scheme):
     any odd-length loop in the RF graph is infeasible outright because
     parities two-color the graph.
     """
-    violations = []
-    for tr in scheme.rf_transitions:
-        pl = scheme.level(tr.lower).parity
-        pu = scheme.level(tr.upper).parity
-        if pl * pu != -1:
-            violations.append(
-                f"transition {tr.lower}-{tr.upper} connects equal parities ({pl:+d}, {pu:+d})"
-            )
     edges = [(tr.lower, tr.upper) for tr in scheme.rf_transitions]
-    loops = _odd_cycles(scheme.size, edges)
-    return ValidationReport(parity_violations=tuple(violations), odd_loops=loops)
+    parities = [(a, b, scheme.level(a).parity, scheme.level(b).parity) for a, b in edges]
+    violations = tuple(f"transition {a}-{b} connects equal parities ({pa:+d}, {pb:+d})"
+                       for a, b, pa, pb in parities if pa == pb)
+    return ValidationReport(violations, _odd_cycles(scheme.size, edges))
 
 
 def require_hybrid_six(scheme):
@@ -301,9 +281,9 @@ class SchemeFileError(ValueError):
 #: required key.
 _SECTION_FIELDS = {
     "scheme": {"architecture": Field("str", None, choices=tuple(a.value for a in Architecture))},
-    "level": {"parity": Field("int", None), "label": Field("str", "")},
+    "level": {"parity": Level.RULES["parity"], "label": Field("str", "")},
     "transition": {
-        "lower": Field("int", None), "upper": Field("int", None),
+        "lower": RfTransition.RULES["lower"], "upper": RfTransition.RULES["upper"],
         "carrier": RfTransition.RULES["carrier_frequency"],
         "dipole_ea0": RfTransition.RULES["dipole_moment"],
         "detuning": replace(RfTransition.RULES["detuning"], default=0.0), "band": Field("str", ""),
@@ -335,8 +315,9 @@ def parse_scheme(text, origin="<string>"):
     All frequencies are ordinary (not angular) and converted on load, by
     the same reader and rules as run configs (:mod:`.config`).
 
-    RF channel N is section ``[transition.N]``; transitions are numbered
-    1..T and no two sections share a number. A six-level hybrid numbers its
+    Level k is section ``[level.k]`` and RF channel N is section
+    ``[transition.N]``: each kind is numbered 1..K (or 1..T) with no gap,
+    and no two sections share a number. A six-level hybrid numbers its
     transitions 3-4, 4-5, 5-6, 3-6 (the loop branch is channel 4); any
     other numbering is rejected.
     """
@@ -359,7 +340,7 @@ def parse_scheme(text, origin="<string>"):
             if kind == "scheme":
                 part = Architecture(v["architecture"])
             elif kind == "level":
-                part = Level(number, v["parity"], v["label"])
+                part = Level(v["parity"], v["label"])
             elif kind == "transition":
                 part = RfTransition(v["lower"], v["upper"], v["carrier"], v["dipole_ea0"],
                                     v["detuning"], v["band"])
@@ -367,14 +348,16 @@ def parse_scheme(text, origin="<string>"):
                 part = (*number, v["rate"])
             parts[kind][number] = part
         where = f"{origin}:"
-        levels, transitions = parts["level"], parts["transition"]
-        if sorted(transitions) != list(range(1, len(transitions) + 1)):
-            raise ConfigError(f"{where} transitions must be numbered 1..{len(transitions)}, "
-                              f"got {sorted(transitions)}")
+        for kind in ("level", "transition"):
+            numbers = sorted(parts[kind])
+            if numbers != list(range(1, len(numbers) + 1)):
+                raise ConfigError(f"{where} [{kind}.N] must be numbered 1..{len(numbers)}, "
+                                  f"got {numbers}")
+            parts[kind] = tuple(parts[kind][n] for n in numbers)
         return LevelScheme(
-            levels=tuple(levels[n] for n in sorted(levels)),
+            levels=parts["level"],
             architecture=parts["scheme"][()],
-            rf_transitions=tuple(transitions[n] for n in sorted(transitions)),
+            rf_transitions=parts["transition"],
             decay_channels=tuple(parts["decay"].values()),
         )
     except ConfigError as exc:

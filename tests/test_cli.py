@@ -96,6 +96,25 @@ class TestMemoryBackstop:
         assert capsys.readouterr().err == "error: out of memory\n"
 
 
+#: case -> (edits of the bundled scheme file, what the error names after the file's path)
+BROKEN_SCHEMES = {
+    "missing-parity": ([("label = 60D5/2\nparity = +1", "label = 60D5/2")],
+                       "[level.3] missing key 'parity'"),
+    "missing-carrier": ([("carrier_ghz = 3.054\n", "")],
+                        "[transition.2] missing key 'carrier_<unit>'"),
+    "level-0": ([("[level.1]", "[level.0]")],
+                "[level.N] must be numbered 1..6, got [0, 2, 3, 4, 5, 6]"),
+    "level-gap": ([("[level.5]", "[level.7]")],
+                  "[level.N] must be numbered 1..6, got [1, 2, 3, 4, 6, 7]"),
+    "past-K": ([("lower = 5\nupper = 6", "lower = 5\nupper = 7")],
+               "LevelScheme: transition 3 upper: 7 is not in 1..6"),
+    # a CRS file skips the hybrid edge check, so only the rule on `lower` stops it
+    "crs-lower-0": ([("architecture = Hybrid", "architecture = CRS"),
+                     ("lower = 3\nupper = 6", "lower = 0\nupper = 6")],
+                    "[transition.4] lower must be > 0"),
+}
+
+
 class TestValidateScheme:
     def test_bundled_scheme_valid(self, capsys):
         assert main(["validate-scheme"]) == 0
@@ -163,6 +182,22 @@ class TestValidateScheme:
                 code = main([command, "--scheme", str(path), "--out", str(tmp_path / "o")])
                 assert code == 1
                 assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-scheme", "steady-state"])
+    @pytest.mark.parametrize("case", list(BROKEN_SCHEMES))
+    def test_broken_scheme_file_names_its_section(self, tmp_path, capsys, scheme_text, command,
+                                                  case):
+        edits, named = BROKEN_SCHEMES[case]
+        text = scheme_text
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "broken.ini"
+        path.write_text(text)
+        assert main([command, "--scheme", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {named}" in err
+        assert "Traceback" not in err
 
 
 class TestSteadyState:

@@ -1,6 +1,7 @@
 """Strict INI parsing with unit-suffixed keys."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,11 @@ def _region(scheme, samples_per_axis):
     return PerturbationRegion((1.0,) * 4, (0.1,) * 4, samples_per_axis)
 
 
+def _snr(scheme, fading_power):
+    channel = comms.ChannelModel(gain=1.0, transmit_power=1.0, bandwidth=1.0, rf_frequency=1.0)
+    return comms.snr(channel.with_noise(comms.EnvironmentParams(y_lo=1e-22)), fading_power)
+
+
 #: owner -> (call of (scheme, argument=value), {argument: its rules}). A finite
 #: search_range leaves search_lo only its sign to break.
 ARGUMENTS = {
@@ -292,6 +298,7 @@ ARGUMENTS = {
                       "noise_std": ("finite", ">=")},
     ),
     "PerturbationRegion": (_region, {"samples_per_axis": ("finite", ">", "int")}),
+    "snr": (_snr, {"fading_power": ("finite", ">=")}),
 }
 
 
@@ -329,6 +336,46 @@ class TestArgumentRules:
         assert config.rule_breach(rule, (3, np.int64(4))) is None
         assert config.rule_breach(rule, (3, 4.0)) == "must be an integer, got (3, 4.0)"
         assert config.rule_breach(Field("float", None, sign=">"), 4) is None
+        assert config.rule_breach(Field("int", choices=(1, -1)), 3) == "must be one of 1, -1"
+
+    def test_integer_fields_keep_their_rules(self):
+        with pytest.raises(ValueError, match=r"^Level\.parity must be one of 1, -1$"):
+            scheme.Level(2)
+        valid = {"lower": 3, "upper": 4, "carrier_frequency": 1.0, "dipole_moment": 1.0}
+        for name in ("lower", "upper"):
+            for value, rule in ((0, "must be > 0"), (-1, "must be > 0"),
+                                (3.0, "must be an integer")):
+                with pytest.raises(ValueError, match=rf"^RfTransition\.{name} {rule}"):
+                    scheme.RfTransition(**{**valid, name: value})
+
+
+#: accessor -> (call of (scheme, a 1-based number), how many numbers it accepts)
+ACCESSORS = {
+    "basis_state": (lambda scheme, k: lindblad.basis_state(k), 6),
+    "DensityMatrix.population": (lambda scheme, k: lindblad.ground_state().population(k), 6),
+    "DensityMatrix.coherence": (lambda scheme, k: lindblad.ground_state().coherence(k, 1), 6),
+    "Trajectory.coherence": (lambda scheme, k: _evolve(scheme).coherence(1, k), 6),
+    "LevelScheme.level": (lambda scheme, k: scheme.level(k), 6),
+    "LevelScheme.transition": (lambda scheme, k: scheme.transition(k), 4),
+    "GainVector": (lambda scheme, k: receiver.GainVector((1.0, 2.0, 3.0, 4.0))[k], 4),
+}
+
+
+class TestOneBasedNumbers:
+    @pytest.mark.parametrize("owner", list(ACCESSORS))
+    @pytest.mark.parametrize("past_the_end", [False, True], ids=["zero", "count+1"])
+    def test_every_accessor_rejects_a_number_out_of_range(self, scheme, owner, past_the_end):
+        call, count = ACCESSORS[owner]
+        call(scheme, count)
+        number = count + 1 if past_the_end else 0  # an unchecked n - 1 wraps 0 to the last entry
+        message = rf"^{re.escape(owner)}: {number} is not in 1\.\.{count}$"
+        with pytest.raises(ValueError, match=message):
+            call(scheme, number)
+
+    def test_numbers_are_positions(self, scheme):
+        assert lindblad.basis_state(3).population(3) == 1.0
+        assert scheme.level(1).label == "6S1/2" and scheme.transition(4).lower == 3
+        assert receiver.GainVector((1.0, 2.0, 3.0, 4.0))[1] == 1.0
 
 
 class TestLoadConfig:

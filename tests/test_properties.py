@@ -72,7 +72,7 @@ def test_generator_invariants(literal_rk4, drive, t):
 
 _TRANSITIONS = [f"transition.{n}" for n in range(1, 5)]
 _DECAYS = [f"decay.{src}-{dst}" for (src, dst, _rate) in _SCHEME.decay_channels]
-_LEVELS = [f"level.{lv.index}" for lv in _SCHEME.levels]
+_LEVELS = [f"level.{k}" for k in range(1, _SCHEME.size + 1)]
 _NUMBERED = _LEVELS + _TRANSITIONS + _DECAYS
 
 #: (section, key prefix, values), each of which spoils a scheme file: a value
@@ -152,6 +152,40 @@ def test_mutated_scheme_exit_codes(scheme_text, edits):
         path.write_text(text)
         code = main(["steady-state", "--scheme", str(path), "--out", str(Path(tmp) / "out")])
     assert code == 1 if spoiled else code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def _number_slots():
+    """Regexes whose group 1 is one 1-based number of the bundled scheme file:
+    a section's number, a transition's ``lower`` or ``upper``, or one end of a decay."""
+    for name in _LEVELS + _TRANSITIONS:
+        kind, n = name.split(".")
+        yield rf"(?m)^\[{kind}\.({n})\]"
+    for name in _TRANSITIONS:
+        for key in ("lower", "upper"):
+            yield rf"(?ms)^\[{re.escape(name)}\][^[]*?^{key} = (\d+)"
+    for (src, dst, _rate) in _SCHEME.decay_channels:
+        yield rf"(?m)^\[decay\.({src})-{dst}\]"
+        yield rf"(?m)^\[decay\.{src}-({dst})\]"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    slot=st.sampled_from(list(_number_slots())),
+    number=st.sampled_from([0, -1, _SCHEME.size + 1]),
+    architecture=st.sampled_from(["Hybrid", "CRS", "PRS"]),
+)
+def test_spoiled_number_exits_1(scheme_text, slot, number, architecture):
+    # a CRS or PRS file skips the hybrid edge check, so only the numbering rules stop it
+    text = scheme_text.replace("architecture = Hybrid", f"architecture = {architecture}")
+    found = re.search(slot, text)
+    text = text[: found.start(1)] + str(number) + text[found.end(1) :]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "scheme.ini"
+        path.write_text(text)
+        code = main(["validate-scheme", "--scheme", str(path)])
+    assert code == 1
     assert "Traceback" not in err.getvalue()
 
 

@@ -89,9 +89,7 @@ class TestBundledScheme:
 
 
 def _levels(parities):
-    return tuple(
-        Level(index=i + 1, parity=p, label=f"L{i + 1}") for i, p in enumerate(parities)
-    )
+    return tuple(Level(parity=p, label=f"L{k}") for k, p in enumerate(parities, 1))
 
 
 class TestValidation:
@@ -270,7 +268,7 @@ dipole_ea0 = 1.0
         ghz, mhz, khz = TWO_PI * 1e3, TWO_PI, TWO_PI * 1e-3
         labels = ("6S1/2", "6P3/2", "60D5/2", "62P3/2", "61D5/2", "60F7/2")
         expected = LevelScheme(
-            levels=tuple(Level(k, (-1) ** (k + 1), label) for k, label in enumerate(labels, 1)),
+            levels=tuple(Level((-1) ** (k + 1), label) for k, label in enumerate(labels, 1)),
             architecture=Architecture.HYBRID,
             rf_transitions=(
                 RfTransition(3, 4, 30.615 * ghz, 2329.67, 1.0 * khz, "mmWave"),
