@@ -46,7 +46,7 @@ from .lindblad import (
     vectorize,
 )
 from .analytic import analytic_steady_state
-from .numerics import TWO_PI, write_csv
+from .numerics import TWO_PI, _lattice, write_csv
 from .receiver import (
     _SYNTHESIS_RULES,
     DEFAULT_CELL,
@@ -215,25 +215,20 @@ PLANNED = {
 }
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, Architecture):
-        return x.value
+def _json_default(x):
+    """What ``json`` writes for the types it cannot encode; it walks dicts, lists and tuples."""
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
+    if isinstance(x, Architecture):
+        return x.value
+    if isinstance(x, (np.ndarray, np.generic)):  # a numpy scalar's tolist() is its item()
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _dump_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -275,7 +270,7 @@ def _run(args):
         if planned is not None:
             planned = [n for n in planned if n not in _OPTIONAL or cfg["waveform"][_OPTIONAL[n]]]
             report.update(parameters=cfg, would_write=planned)
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
         return 0
     files, summary, message = args.func(cfg, scheme, args.seed)
     if summary is not None:
@@ -341,10 +336,9 @@ def cmd_steady_state(cfg, scheme, seed):
         "liouvillian_residual": residual,
         "analytic_comparison": comparison,
     }
-    pops = ", ".join(f"{rho.population(k):.6f}" for k in range(1, 7))
+    pops = ", ".join(f"{p:.6f}" for p in summary["populations"])
     return {"steady_state.csv": write_states}, summary, (
-        f"steady-state ({method}): populations [{pops}]\n"
-        f"rho21 = {rho.coherence(2, 1):.6e}"
+        f"steady-state ({method}): populations [{pops}]\nrho21 = {summary['rho21']:.6e}"
     )
 
 
@@ -372,8 +366,8 @@ def cmd_dynamics(cfg, scheme, seed):
         trajectory.write_csv(path, all_coherences=dyn["all_coherences"])
 
     return {"trajectory.csv": write_trajectory}, summary, (
-        f"dynamics: {len(trajectory.times)} snapshots to t={dyn['t_end']:g} us, "
-        f"trace drift {trajectory.max_trace_drift:.3e}"
+        f"dynamics: {summary['snapshots']} snapshots to t={dyn['t_end']:g} us, "
+        f"trace drift {summary['max_trace_drift']:.3e}"
     )
 
 
@@ -398,19 +392,17 @@ def cmd_fidelity_map(cfg, scheme, seed):
         _raise_first(*scan.record, failed + "; first failed point: ")
         raise ValueError(failed)
     i_min, j_min = scan.min_point()
-    min_drive = scan.drive_at(i_min, j_min)
-    min_fid = scan.fidelities[i_min, j_min]
     summary = {
         "axes": list(axes),
         "points": int(scan.fidelities.size),
         "failures": int(scan.fidelities.size - finite.size),
-        "min_fidelity": float(min_fid),
+        "min_fidelity": float(scan.fidelities[i_min, j_min]),
         "max_fidelity": float(np.max(finite)),
-        "min_point_rf_rabi": list(min_drive.rf_rabi),
+        "min_point_rf_rabi": list(scan.drive_at(i_min, j_min).rf_rabi),
     }
     return {"fidelity_map.csv": scan.write_csv}, summary, (
         f"fidelity-map: {scan.fidelities.size} points on axes {axes}, "
-        f"min {min_fid:.6f}, max {float(np.max(finite)):.6f}"
+        f"min {summary['min_fidelity']:.6f}, max {summary['max_fidelity']:.6f}"
     )
 
 
@@ -438,11 +430,11 @@ def cmd_optimize_lo(cfg, scheme, seed):
         "evaluated": result.evaluated,
         "failures": [list(p) for p in result.failures],
     }
-    mhz = ", ".join(f"{v / TWO_PI:.3f}" for v in result.point)
+    mhz = ", ".join(f"{v:.3f}" for v in payload["operating_point_mhz"])
     return {"operating_point.json": lambda path: _dump_json(path, payload)}, None, (
         f"optimize-lo: best point 2pi x [{mhz}] MHz, "
-        f"average fidelity {result.average_fidelity:.8f}, "
-        f"{len(result.accepted)} plateau candidates of {result.evaluated} evaluated"
+        f"average fidelity {payload['average_fidelity']:.8f}, "
+        f"{len(result.accepted)} plateau candidates of {payload['evaluated']} evaluated"
     )
 
 
@@ -506,7 +498,7 @@ def cmd_waveform(cfg, scheme, seed):
         "channels": channel_summaries,
     }
     return files, summary, (
-        f"waveform: {len(waveform.times)} samples, DC {waveform.dc_level:.6e} A, "
+        f"waveform: {summary['samples']} samples, DC {summary['dc_level']:.6e} A, "
         f"linearization residual {summary['linearization_rms_over_dc']:.3e} of DC"
     )
 
@@ -514,8 +506,7 @@ def cmd_waveform(cfg, scheme, seed):
 def cmd_sumrate(cfg, scheme, seed):
     sr = cfg["sumrate"]
     rabi_set = sr["rabi"] if sr["rabi"] is not None else _RABI_SETS[sr["rabi_set"]]
-    n_steps = int(np.floor((sr["power_max_dbm"] - sr["power_min_dbm"]) / sr["power_step_db"] + 1e-9))
-    powers = sr["power_min_dbm"] + sr["power_step_db"] * np.arange(n_steps + 1)
+    powers = _lattice(sr["power_min_dbm"], sr["power_max_dbm"], sr["power_step_db"])
     bandwidths_hz = np.asarray(sr["bandwidths"]) * 1e6  # MHz -> Hz
 
     comparison = compare_architectures(
@@ -531,23 +522,19 @@ def cmd_sumrate(cfg, scheme, seed):
         power_sweep_bandwidth_hz=sr["power_sweep_bandwidth"] * 1e6,
         bandwidth_sweep_power_dbm=sr["bandwidth_sweep_power_dbm"],
     )
-    ref_idx = int(np.argmax(comparison.power_rates[Architecture.HYBRID]))
+    at_max = {a.value: float(rates[-1]) for a, rates in comparison.power_rates.items()}
     summary = {
         "rabi_set_rad_per_us": list(comparison.rabi_set),
         "gains": {a.value: list(g.gains) for a, g in comparison.gains.items()},
         "y_lo": {a.value: v for a, v in comparison.y_lo.items()},
         "power_sweep_bandwidth_hz": comparison.power_sweep_bandwidth_hz,
         "bandwidth_sweep_power_dbm": comparison.bandwidth_sweep_power_dbm,
-        "rate_at_max_power": {
-            a.value: float(comparison.power_rates[a][ref_idx]) for a in comparison.power_rates
-        },
+        "rate_at_max_power": at_max,
     }
-    hyb = comparison.power_rates[Architecture.HYBRID][-1]
-    crs = comparison.power_rates[Architecture.CRS][-1]
-    prs = comparison.power_rates[Architecture.PRS][-1]
     return {"rates.csv": comparison.write_csv}, summary, (
         f"sumrate at {powers[-1]:g} dBm, {sr['power_sweep_bandwidth']:g} MHz: "
-        f"hybrid {hyb:.4g} bit/s, cascade {crs:.4g} bit/s, parallel {prs:.4g} bit/s"
+        f"hybrid {at_max['Hybrid']:.4g} bit/s, cascade {at_max['CRS']:.4g} bit/s, "
+        f"parallel {at_max['PRS']:.4g} bit/s"
     )
 
 

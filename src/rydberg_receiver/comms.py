@@ -231,7 +231,7 @@ def _arch_channels(scheme, gains, active, p_t, bandwidth, env, beta):
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArchitectureComparison:
     """Ergodic sum-rate sweeps for the three architectures.
 

@@ -204,8 +204,9 @@ def check_args(owner, rules, **values):
 
 
 def _position(owner, number, count):
-    """0-based position of the 1-based ``number``; ValueError naming ``owner`` unless 1..count."""
-    if not (isinstance(number, (int, np.integer)) and 1 <= number <= count):
+    """0-based position of the 1-based ``number``; ValueError naming ``owner`` unless an
+    integer in 1..count, and not ``True``."""
+    if number is True or not (isinstance(number, (int, np.integer)) and 1 <= number <= count):
         raise ValueError(f"{owner}: {number} is not in 1..{count}")
     return number - 1
 

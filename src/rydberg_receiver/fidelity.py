@@ -18,12 +18,12 @@ comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import _closed_form
-from .config import Field, check_args, check_fields
+from .config import Field, _position, check_args, check_fields
 from .lindblad import (
     DEFAULT_DT,
     DensityMatrix,
@@ -35,7 +35,7 @@ from .lindblad import (
     _raise_first,
     _validate_states,
 )
-from .numerics import TWO_PI, _psd_roots, write_csv
+from .numerics import TWO_PI, _lattice, _psd_roots, write_csv
 
 #: Points per chunk of the state chain (validation, closed form, roots,
 #: product and SVD), which holds a few ``(d, d)`` matrices per point. On
@@ -102,21 +102,13 @@ class PerturbationRegion:
         if any(c - h < 0 for c, h in zip(self.center, self.half_widths)):
             raise ValueError("PerturbationRegion: region leaves the quadrant Omega >= 0")
 
-    def axis_samples(self):
-        """Per-axis sample values (degenerate axes collapse to the center)."""
-        out = []
-        for c, h in zip(self.center, self.half_widths):
-            if h == 0.0 or self.samples_per_axis == 1:
-                out.append(np.array([c]))
-            else:
-                out.append(np.linspace(c - h, c + h, self.samples_per_axis))
-        return out
-
     def grid(self):
-        """All sample points as an (n, 4) array (tensor product of axes)."""
-        axes = self.axis_samples()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All sample points as an (n, 4) array, the tensor product of the
+        axes' samples (a degenerate axis collapses to the center)."""
+        n = self.samples_per_axis
+        axes = [np.linspace(c - h, c + h, n) if h and n > 1 else [c]
+                for c, h in zip(self.center, self.half_widths)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
 def _fidelity_points(base_drive, scheme, thetas, method, t_end, dt):
@@ -163,7 +155,7 @@ def _mean(values):
     return total / len(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityScan:
     """2-D fidelity landscape over two RF amplitude axes.
 
@@ -181,19 +173,9 @@ class FidelityScan:
     record: tuple = None
 
     def drive_at(self, i, j):
-        rf = list(self.fixed.rf_rabi)
-        rf[self.axes[0] - 1] = float(self.axis_values[0][i])
-        rf[self.axes[1] - 1] = float(self.axis_values[1][j])
-        return self.fixed.with_rf_rabi(rf)
-
-    def _rf_grid(self):
-        """The RF 4-vector of every grid point, ``(n0 * n1, 4)`` in
-        ``np.ndindex`` order; row ``i * n1 + j`` is ``drive_at(i, j).rf_rabi``."""
-        n0, n1 = self.fidelities.shape
-        rf = np.tile(np.asarray(self.fixed.rf_rabi, dtype=float), (n0 * n1, 1))
-        rf[:, self.axes[0] - 1] = np.repeat(self.axis_values[0], n1)
-        rf[:, self.axes[1] - 1] = np.tile(self.axis_values[1], n0)
-        return rf
+        """The drive of grid point ``(i, j)``."""
+        values = ([self.axis_values[0][i]], [self.axis_values[1][j]])
+        return self.fixed.with_rf_rabi(_rf_grid(self.fixed, self.axes, values)[0])
 
     def min_point(self):
         """(i, j) of the smallest finite fidelity."""
@@ -205,7 +187,18 @@ class FidelityScan:
         """Long-form export: one row per grid point with the full RF
         4-vector and the fidelity."""
         write_csv(path, "omega1,omega2,omega3,omega4,fidelity", ",".join(["%.12g"] * 5),
-                  [[*self._rf_grid().T, self.fidelities.ravel()]])
+                  [[*_rf_grid(self.fixed, self.axes, self.axis_values).T,
+                    self.fidelities.ravel()]])
+
+
+def _rf_grid(fixed, axes, axis_values):
+    """The RF 4-vector of every point of the grid ``axis_values`` on the RF
+    channels ``axes`` of ``fixed``, ``(n0 * n1, 4)`` in ``np.ndindex`` order."""
+    n0, n1 = map(len, axis_values)
+    rf = np.tile(np.asarray(fixed.rf_rabi, dtype=float), (n0 * n1, 1))
+    rf[:, axes[0] - 1] = np.repeat(axis_values[0], n1)
+    rf[:, axes[1] - 1] = np.tile(axis_values[1], n0)
+    return rf
 
 
 def fidelity_scan(
@@ -250,8 +243,8 @@ def fidelity_scan(
         and ``dt`` are not a valid evolve horizon.
     """
     a0, a1 = axes
-    if not (1 <= a0 <= 4 and 1 <= a1 <= 4 and a0 != a1):
-        raise ValueError(f"fidelity_scan: axes must be two distinct RF channels in 1..4, got {axes}")
+    if _position("fidelity_scan.axes", a0, 4) == _position("fidelity_scan.axes", a1, 4):
+        raise ValueError(f"fidelity_scan: axes must be two distinct RF channels, got {axes}")
     if ranges is None:
         ranges = ((0.0, TWO_PI * 10.0), (0.0, TWO_PI * 10.0))
     res = (resolution,) if np.isscalar(resolution) else tuple(resolution)
@@ -262,10 +255,9 @@ def fidelity_scan(
         np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
         for (lo, hi), n in zip(ranges, res)
     )
-
-    scan = FidelityScan((a0, a1), values, fixed, np.full(tuple(map(len, values)), np.nan))
-    found, record = _fidelity_points(fixed, scheme, scan._rf_grid(), steady_state_method, t_end, dt)
-    return replace(scan, fidelities=found.reshape(scan.fidelities.shape), record=record)
+    found, record = _fidelity_points(fixed, scheme, _rf_grid(fixed, axes, values),
+                                     steady_state_method, t_end, dt)
+    return FidelityScan((a0, a1), values, fixed, found.reshape(tuple(map(len, values))), record)
 
 
 def average_fidelity(
@@ -296,8 +288,7 @@ def _candidates(lo, hi, grid_step, sum_constraint):
     lowers a float sum, so the first value whose partial sum passes the cap
     ends its loop: the work scales with the feasible set, not with n^4.
     """
-    n = int(np.floor((hi - lo) / grid_step + 1e-9)) + 1
-    axis = (lo + grid_step * np.arange(n)).tolist()
+    axis = _lattice(lo, hi, grid_step).tolist()
 
     def fitting(total):
         return itertools.takewhile(lambda v: total + v <= sum_constraint + 1e-12, axis)

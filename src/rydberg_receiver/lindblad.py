@@ -145,7 +145,7 @@ class DriveConfig:
         return replace(self, rf_rabi=rf_rabi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated quantum state: finite, Hermitian, unit trace, PSD within tolerance.
 
@@ -333,7 +333,7 @@ def _trace_row(n2):
     return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Time-independent generator, held as the real ``T L T^H`` on
     coordinates (see :func:`_hermitian_basis`). Construction checks trace
@@ -366,7 +366,7 @@ class Liouvillian:
         return float(np.abs(lam[k])), float(np.max(rest.real)) if rest.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeDependentLiouvillian:
     """Generator ``L(p) = constant + 2 Re(p loop)`` at loop phase ``p =
     exp(-i delta t)``, on coordinates (see :class:`Liouvillian`).
@@ -397,7 +397,7 @@ class TimeDependentLiouvillian:
         return float(np.linalg.norm(self._at(1.0), 2) + 2.0 * swing * np.linalg.norm(self.loop, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GeneratorBasis:
     """``L(theta) = constant + sum_k theta_k channels_k`` in real form (see
     :class:`Liouvillian`), where channel k is the superoperator of its
@@ -560,7 +560,7 @@ def _gap_pieces(polynomial, phase_step, gap):
     return pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Stored snapshots of an evolution run.
 

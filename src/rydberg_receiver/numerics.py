@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels and special functions.
 
 Everything in this module is physics-agnostic: SVD-based null spaces,
-positive-semidefinite matrix square roots, the exponential integral E1 and
-the CSV table writer.
+positive-semidefinite matrix square roots, the exponential integral E1, the
+inclusive step lattice and the CSV table writer.
 
 Storage convention
 ------------------
@@ -50,6 +50,11 @@ def _as_square(m, name, dtype=complex):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _lattice(lo, hi, step):
+    """``lo, lo + step, ...`` up to ``hi`` inclusive, with 1e-9 of a step as slack."""
+    return lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
 
 
 def null_space(m):

@@ -39,6 +39,9 @@ TRANSITION_BANDWIDTHS = 1.5
 _SYNTHESIS_RULES = {"duration": Field("time", sign=">"), "noise_std": Field(sign=">="),
                     "sample_rate": Field("ordinary_frequency", sign=">")}
 
+#: Rule of the coherence ``model`` of :func:`photodetector_output` and :func:`gain_coefficients`.
+_MODEL_RULES = {"model": Field("str", choices=("analytic", "numerical"))}
+
 
 @dataclass(frozen=True)
 class VaporCellParams:
@@ -239,15 +242,13 @@ def _detector_current(cell, omega_p, rho21):
 def _operating_point(drive, cell, scheme, model):
     """``(photodetector_output, gain_coefficients)`` at a drive point, from
     one evaluation of the probe coherence ``rho_21`` and its derivatives
-    ``d rho_21 / d Omega_n`` under ``model``."""
+    ``d rho_21 / d Omega_n`` under ``model``, ``"analytic"`` or ``"numerical"``."""
     if model == "analytic":
         args = (drive.omega_p, drive.omega_c, drive.rf_rabi, scheme.decay_rate(2, 1))
         rho21, drho21 = rho21_from_amplitudes(*args), _rho21_gradient(*args)
-    elif model == "numerical":
+    else:
         rho, drho = _stationary_response(drive, scheme)
         rho21, drho21 = rho.coherence(2, 1), drho[:, 1, 0]
-    else:
-        raise ValueError(f"photodetector_output: unknown model {model!r}")
     y = _detector_current(cell, drive.omega_p, rho21)
     slope = y * 2.0 * cell.xi0(drive.omega_p) * drho21.imag
     gains = tuple(_rabi_per_field(n, scheme) * slope[n - 1] for n in range(1, 5))
@@ -265,6 +266,7 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
     ``model="numerical"`` uses the converged full-decay steady state, which
     also covers balanced-loop points where the closed form is degenerate.
     """
+    check_args("photodetector_output", _MODEL_RULES, model=model)
     return _operating_point(drive, cell, scheme, model)[0]
 
 
@@ -279,12 +281,13 @@ def gain_coefficients(lo, cell, scheme, model="analytic"):
     Raises
     ------
     ValueError
-        If a gain comes out non-finite (operating-point error).
+        If ``model`` is unknown, or a gain comes out non-finite (operating-point error).
     """
+    check_args("gain_coefficients", _MODEL_RULES, model=model)
     return _operating_point(lo, cell, scheme, model)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """Sampled photodetector output: the exact response ``samples`` and, on
     the same ``times``, its first-order model ``linearized`` with the
@@ -386,7 +389,7 @@ def linearization_discrepancy(waveform):
 # IQ demodulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemodChannel:
     """One recovered complex baseband channel."""
 

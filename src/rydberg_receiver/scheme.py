@@ -112,8 +112,9 @@ class LevelScheme:
         for n, tr in enumerate(self.rf_transitions, 1):
             _position(f"LevelScheme: transition {n} upper", tr.upper, k)
         for (src, dst, rate) in self.decay_channels:
-            if not (1 <= dst < src <= k):
-                raise ValueError(f"LevelScheme: decay ({src},{dst}) must go downward within 1..{k}")
+            owner = f"LevelScheme: decay ({src},{dst})"
+            if not _position(owner, dst, k) < _position(owner, src, k):
+                raise ValueError(f"{owner} must go downward")
             if breach := rule_breach(_DECAY_RATE, rate):
                 raise ValueError(f"LevelScheme: decay rate for {src}->{dst} {breach}")
         if self.architecture is Architecture.HYBRID and k == 6:

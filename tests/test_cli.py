@@ -12,6 +12,7 @@ from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
 from rydberg_receiver.config import _key_table, parse_config
 from rydberg_receiver.lindblad import make_generator, steady_state
 from rydberg_receiver.receiver import iq_demodulate, signal_amplitudes
+from rydberg_receiver.scheme import Architecture
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,6 +57,15 @@ class TestParsing:
             assert parser.format_help() == copy.format_help()
             assert parser.parse_args(argv) == copy.parse_args(argv)
             assert parser.parse_args([]) == copy.parse_args([])
+
+    def test_json_encodes_the_four_foreign_types(self, tmp_path):
+        path = tmp_path / "out.json"
+        cli._dump_json(path, {"z": np.complex128(1 - 2j), "arch": Architecture.CRS,
+                              "v": np.arange(2.0), "n": (np.int64(3), np.float32(0.5))})
+        assert json.loads(path.read_text()) == {
+            "z": {"re": 1.0, "im": -2.0}, "arch": "CRS", "v": [0.0, 1.0], "n": [3, 0.5]}
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli._dump_json(path, {"x": object()})
 
     def test_bad_common_option_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -624,6 +634,16 @@ class TestSumrate:
         assert set(summary["y_lo"]) == {"Hybrid", "CRS", "PRS"}
         rates = summary["rate_at_max_power"]
         assert rates["Hybrid"] >= rates["CRS"] >= rates["PRS"] > 0
+
+    def test_message_reads_the_rates_at_max_power(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(tmp_path, "sumrate", "--out", str(out), config=self.CFG) == 0
+        rates = json.loads((out / "summary.json").read_text())["rate_at_max_power"]
+        rows = [row.split(",") for row in (out / "rates.csv").read_text().splitlines()[1:]]
+        last = {row[0]: float(row[3]) for row in rows if row[1] == "0" and row[2] == "100000"}
+        assert last == pytest.approx(rates, rel=1e-11)
+        assert (f"hybrid {rates['Hybrid']:.4g} bit/s, cascade {rates['CRS']:.4g} bit/s, "
+                f"parallel {rates['PRS']:.4g} bit/s") in capsys.readouterr().out
 
     def test_record_rule_in_command_exits_2(self, tmp_path, capsys):
         # so dense a cell absorbs the whole probe: the operating output y_lo is 0

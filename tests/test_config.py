@@ -363,11 +363,12 @@ ACCESSORS = {
 
 class TestOneBasedNumbers:
     @pytest.mark.parametrize("owner", list(ACCESSORS))
-    @pytest.mark.parametrize("past_the_end", [False, True], ids=["zero", "count+1"])
-    def test_every_accessor_rejects_a_number_out_of_range(self, scheme, owner, past_the_end):
+    # an unchecked n - 1 wraps 0 to the last entry, and True is the int 1
+    @pytest.mark.parametrize("bad", [0, None, True], ids=["zero", "count+1", "True"])
+    def test_every_accessor_rejects_a_number_out_of_range(self, scheme, owner, bad):
         call, count = ACCESSORS[owner]
         call(scheme, count)
-        number = count + 1 if past_the_end else 0  # an unchecked n - 1 wraps 0 to the last entry
+        number = count + 1 if bad is None else bad
         message = rf"^{re.escape(owner)}: {number} is not in 1\.\.{count}$"
         with pytest.raises(ValueError, match=message):
             call(scheme, number)

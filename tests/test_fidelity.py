@@ -133,6 +133,19 @@ class TestFidelityScan:
         with pytest.raises(ValueError, match="axes"):
             fidelity_scan(self._fixed(), (0, 3), scheme)
 
+    @pytest.mark.parametrize("axes, message", [
+        ((1.5, 4), r"^fidelity_scan\.axes: 1\.5 is not in 1\.\.4$"),
+        ((True, 4), r"^fidelity_scan\.axes: True is not in 1\.\.4$"),
+        ((np.float64(2.0), 4), r"^fidelity_scan\.axes: 2\.0 is not in 1\.\.4$"),
+        ((0, 3), r"^fidelity_scan\.axes: 0 is not in 1\.\.4$"),
+        ((2, 5), r"^fidelity_scan\.axes: 5 is not in 1\.\.4$"),
+        ((3, 3), r"^fidelity_scan: axes must be two distinct RF channels, got \(3, 3\)$"),
+    ])
+    def test_bad_axes_raise_before_any_point(self, scheme, axes, message):
+        with pytest.raises(ValueError, match=message):
+            fidelity_scan(self._fixed(), axes, scheme, resolution=2,
+                          steady_state_method="null_space")
+
     def test_resolution_validated(self, scheme):
         for resolution in (0, -3, (2, 0), (3, 4, 5)):
             with pytest.raises(ValueError, match="resolution"):

@@ -229,6 +229,14 @@ class TestEvolve:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
 
+    def test_trajectories_compare_by_identity(self, op_drive, scheme):
+        # a generated __eq__ would compare arrays and raise, a generated __hash__ raise TypeError
+        gen = rr.make_generator(op_drive, scheme)
+        first, second = (rr.evolve(rr.ground_state(), gen, t_end=0.1, dt=1e-3, max_snapshots=2)
+                         for _ in range(2))
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
     def test_unstable_dt_rejected(self, op_drive, scheme):
         gen = rr.make_generator(op_drive, scheme)
         with pytest.raises(ValueError, match="dt"):

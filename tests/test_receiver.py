@@ -225,6 +225,12 @@ class TestPhotodetector:
         with pytest.raises(ValueError, match="model"):
             photodetector_output(lo, DEFAULT_CELL, scheme, model="exact")
 
+    @pytest.mark.parametrize("function", [photodetector_output, gain_coefficients])
+    def test_unknown_model_names_the_function_called(self, lo, scheme, function):
+        message = rf"^{function.__name__}\.model must be one of analytic, numerical$"
+        with pytest.raises(ValueError, match=message):
+            function(lo, DEFAULT_CELL, scheme, model="exact")
+
     def test_numerical_model_runs(self, lo, scheme):
         y = photodetector_output(lo, DEFAULT_CELL, scheme, model="numerical")
         assert 0.0 < y < DEFAULT_CELL.probe_power / 2.0

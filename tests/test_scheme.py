@@ -136,6 +136,11 @@ class TestValidation:
         with pytest.raises(SchemeFileError, match="RF edges"):
             parse_scheme(renumbered_scheme_text)
 
+    def test_float_decay_level_rejected(self, scheme):
+        channels = scheme.decay_channels[:-1] + ((6.0, 2.5, 1.0),)
+        with pytest.raises(ValueError, match=r"^LevelScheme: decay \(6\.0,2\.5\): 2\.5 is not in"):
+            LevelScheme(scheme.levels, scheme.architecture, scheme.rf_transitions, channels)
+
     def test_upward_decay_rejected(self, scheme):
         with pytest.raises(ValueError, match="downward"):
             LevelScheme(
