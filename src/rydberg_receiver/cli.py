@@ -19,7 +19,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -49,7 +49,6 @@ from .analytic import analytic_steady_state
 from .numerics import TWO_PI, _lattice, write_csv
 from .receiver import (
     _SYNTHESIS_RULES,
-    DEFAULT_CELL,
     RfSignalSpec,
     VaporCellParams,
     iq_demodulate,
@@ -74,18 +73,17 @@ def _keys(rules, **defaults):
     return {name: replace(rules[name], default=default) for name, default in defaults.items()}
 
 
-_DRIVE_SCHEMA = _keys(
+_DRIVE_SCHEMA = {**DriveConfig.RULES, **_keys(
     DriveConfig.RULES, omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
-    rf_rabi=(TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0), delta_p=0.0, delta_c=0.0,
+    rf_rabi=(TWO_PI * 2.0, TWO_PI * 7.0, TWO_PI * 1.0, TWO_PI * 6.0),
     # None: inherit the per-transition detunings declared by the scheme.
-    rf_detunings=None, rf_phases=(0.0, 0.0, 0.0, 0.0),
-)
+    rf_detunings=None,
+)}
 
-#: The drive of the commands that read the detector, whose susceptibility
-#: constant divides by the probe Rabi amplitude.
-_PROBED_DRIVE_SCHEMA = {**_DRIVE_SCHEMA, "omega_p": replace(_DRIVE_SCHEMA["omega_p"], sign=">")}
-
-_CELL_SCHEMA = _keys(VaporCellParams.RULES, **asdict(DEFAULT_CELL))
+#: The drive keys the detector commands read: the lasers and the RF amplitudes, which
+#: ``sumrate`` takes from its rabi set. The susceptibility constant divides by the probe Rabi.
+_PROBED_DRIVE_SCHEMA = {"omega_p": replace(_DRIVE_SCHEMA["omega_p"], sign=">"),
+                        **{key: _DRIVE_SCHEMA[key] for key in ("omega_c", "rf_rabi")}}
 
 #: The horizon of the commands that evolve or solve a state: ``t_end`` and the step ``dt``.
 _HORIZON = _keys(_EVOLVE_RULES, t_end=10.0, dt=DEFAULT_DT)
@@ -130,18 +128,20 @@ SCHEMAS = {
                     sum_constraint=TWO_PI * 16.0, plateau_tolerance=1e-5),
             "search_hi": Field("angular_frequency", TWO_PI * 10.0),
             # documented robustness region: 2 kHz perturbations per channel
-            **_keys(PerturbationRegion.RULES, half_widths=(TWO_PI * 2e-3,) * 4, samples_per_axis=3),
+            **_keys(PerturbationRegion.RULES, half_widths=(TWO_PI * 2e-3,) * 4),
+            "samples_per_axis": PerturbationRegion.RULES["samples_per_axis"],
             "method": Field("str", "null_space", choices=STEADY_STATE_METHODS),
             **_HORIZON,
         },
     },
     "waveform": {
         "drive": _PROBED_DRIVE_SCHEMA,
-        "cell": _CELL_SCHEMA,
+        "cell": VaporCellParams.RULES,
         "signal": {
-            # None: calibrate amplitudes from modulation_index per channel.
-            **_keys(RfSignalSpec.RULES, amplitudes=None, phases=(0.0,) * 4, bandwidths=(0.1,) * 4,
-                    offsets=(TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8, TWO_PI * 1.1)),
+            # amplitudes None: calibrate them from modulation_index per channel.
+            **RfSignalSpec.RULES,
+            **_keys(RfSignalSpec.RULES, offsets=(TWO_PI * 0.2, TWO_PI * 0.5, TWO_PI * 0.8,
+                                                 TWO_PI * 1.1)),
             "modulation_index": Field("float", 5e-3, sign=">="),
         },
         "waveform": {
@@ -152,7 +152,7 @@ SCHEMAS = {
     },
     "sumrate": {
         "drive": {key: _PROBED_DRIVE_SCHEMA[key] for key in ("omega_p", "omega_c")},
-        "cell": _CELL_SCHEMA,
+        "cell": VaporCellParams.RULES,
         "sumrate": {
             "rabi_set": Field("str", "set1", choices=tuple(_RABI_SETS)),
             "rabi": Field("angular_frequency_list", None, sign=">=", counts=(4,)),
@@ -164,7 +164,7 @@ SCHEMAS = {
                                 sign=">"),
             "power_sweep_bandwidth": Field("ordinary_frequency", 0.1, sign=">"),
             "bandwidth_sweep_power_dbm": Field("float", -10.0),
-            **_keys(EnvironmentParams.RULES, temperature=300.0),
+            "temperature": EnvironmentParams.RULES["temperature"],
             "beta": Field("float", 1.0, sign=">"),
         },
     },
@@ -439,7 +439,7 @@ def cmd_optimize_lo(cfg, scheme, seed):
 
 
 def cmd_waveform(cfg, scheme, seed):
-    drive = _resolve_drive(cfg["drive"], scheme)
+    drive = DriveConfig(**cfg["drive"])
     cell = VaporCellParams(**cfg["cell"])
     sig = cfg["signal"]
     wf_cfg = cfg["waveform"]
@@ -506,7 +506,8 @@ def cmd_waveform(cfg, scheme, seed):
 def cmd_sumrate(cfg, scheme, seed):
     sr = cfg["sumrate"]
     rabi_set = sr["rabi"] if sr["rabi"] is not None else _RABI_SETS[sr["rabi_set"]]
-    powers = _lattice(sr["power_min_dbm"], sr["power_max_dbm"], sr["power_step_db"])
+    powers = _lattice(sr["power_min_dbm"], sr["power_max_dbm"], sr["power_step_db"],
+                      "sumrate.power_step_db")
     bandwidths_hz = np.asarray(sr["bandwidths"]) * 1e6  # MHz -> Hz
 
     comparison = compare_architectures(

@@ -14,11 +14,11 @@ it inherits the receiver calibration exactly like the signal does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import Field, c_light, check_args, check_fields, dbm_to_watts, epsilon_0, hbar, k_B
+from .config import Field, c_light, check_args, dbm_to_watts, epsilon_0, hbar, k_B, record
 from .lindblad import DriveConfig
 from .numerics import TWO_PI, exp_e1_scaled, write_csv
 from .receiver import DEFAULT_CELL, _operating_point
@@ -41,7 +41,8 @@ ARCH_CHANNELS = {
 }
 
 #: Rules of :func:`blackbody_psd`'s arguments; every noise temperature keeps the second.
-_BLACKBODY_RULES = {"omega": Field(sign=">"), "temperature": Field("temperature", sign=">")}
+_BLACKBODY_RULES = {"omega": Field(sign=">"),
+                    "temperature": Field("temperature", 300.0, sign=">")}
 
 
 def blackbody_psd(omega, temperature):
@@ -59,7 +60,7 @@ def blackbody_psd(omega, temperature):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@record
 class EnvironmentParams:
     """Shared noise environment of every channel.
 
@@ -74,16 +75,11 @@ class EnvironmentParams:
         quantum.
     """
 
-    y_lo: float
-    temperature: float = 300.0
-    omega_probe: float = DEFAULT_CELL.probe_angular_frequency
-
     RULES = {"y_lo": Field(sign=">"), "temperature": _BLACKBODY_RULES["temperature"],
-             "omega_probe": Field(sign=">")}
-    __post_init__ = check_fields
+             "omega_probe": Field("float", DEFAULT_CELL.probe_angular_frequency, sign=">")}
 
 
-@dataclass(frozen=True)
+@record
 class ChannelModel:
     """One RF channel as seen at the detector output.
 
@@ -106,18 +102,10 @@ class ChannelModel:
         Mean of the Rayleigh fading power |h|^2.
     """
 
-    gain: float
-    transmit_power: float
-    bandwidth: float
-    rf_frequency: float
-    fading_scale: float = 1.0
-    sigma_i_sq: float = 0.0
-    sigma_e_sq: float = 0.0
-
-    RULES = {"gain": Field(),
-             **dict.fromkeys(("transmit_power", "sigma_i_sq", "sigma_e_sq"), Field(sign=">=")),
-             **dict.fromkeys(("bandwidth", "rf_frequency", "fading_scale"), Field(sign=">"))}
-    __post_init__ = check_fields
+    RULES = {"gain": Field(), "transmit_power": Field(sign=">="),
+             **dict.fromkeys(("bandwidth", "rf_frequency"), Field(sign=">")),
+             "fading_scale": Field("float", 1.0, sign=">"),
+             **dict.fromkeys(("sigma_i_sq", "sigma_e_sq"), Field("float", 0.0, sign=">="))}
 
     @property
     def sigma_sq(self):
@@ -143,9 +131,11 @@ def noise_variances(channel, env):
     gain, ``gain^2 B S_BB(omega_RF, T)``.
     """
     s_i = env.y_lo * channel.bandwidth * hbar * env.omega_probe
-    s_e = channel.gain**2 * channel.bandwidth * blackbody_psd(
-        channel.rf_frequency, env.temperature
-    )
+    try:
+        gain_sq = channel.gain**2
+    except OverflowError:
+        raise ValueError(f"noise_variances: gain {channel.gain} squared overflows") from None
+    s_e = gain_sq * channel.bandwidth * blackbody_psd(channel.rf_frequency, env.temperature)
     return s_i, s_e
 
 
@@ -231,7 +221,7 @@ def _arch_channels(scheme, gains, active, p_t, bandwidth, env, beta):
     ]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ArchitectureComparison:
     """Ergodic sum-rate sweeps for the three architectures.
 

@@ -19,6 +19,7 @@ conversions; the other modules take them from here.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,12 +85,34 @@ _SCALARS = {
 }
 
 
-@dataclass(frozen=True)
+def record(cls=None, *, eq=True):
+    """Declare ``cls`` a frozen dataclass (``eq=False``: equal only to itself) whose
+    fields are its ``RULES`` in order, each defaulting to its :class:`Field`'s
+    ``default`` (None: required), then the names the class body annotates.
+    :func:`check_fields` runs before the class's own ``__post_init__``."""
+    if cls is None:
+        return functools.partial(record, eq=eq)
+    rules = vars(cls).get("RULES", {})
+    cls.__annotations__ = {**dict.fromkeys(rules, "object"), **vars(cls).get("__annotations__", {})}
+    for name, rule in rules.items():
+        if rule.default is not None:
+            setattr(cls, name, rule.default)
+    if rules:
+        own = vars(cls).get("__post_init__")
+        def __post_init__(self):
+            check_fields(self)
+            own(self)
+        cls.__post_init__ = __post_init__ if own else check_fields
+    return dataclass(frozen=True, eq=eq)(cls)
+
+
+@record
 class Field:
     """The rule of a config key, record field or function argument, declared once at import.
 
     ``kind`` selects the converter (and, for dimensioned kinds, the set of
-    accepted unit suffixes); ``default`` is the value of an absent key. The
+    accepted unit suffixes); ``default`` is the value of an absent key and the
+    default of a record field, where None makes the field required. The
     rest is the rule, which the reader checks on every value it reads (not
     defaults), :func:`check_fields` on a record's ``RULES`` and :func:`check_args`
     on arguments: every number must be finite, and an ``int`` kind's an integer;

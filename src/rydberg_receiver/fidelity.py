@@ -18,12 +18,11 @@ comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import _closed_form
-from .config import Field, _position, check_args, check_fields
+from .config import Field, _position, check_args, record
 from .lindblad import (
     DEFAULT_DT,
     DensityMatrix,
@@ -80,7 +79,7 @@ def fidelity(rho_n, rho_a):
     return float(_fidelities(eig_n, eig_a)[0])
 
 
-@dataclass(frozen=True)
+@record
 class PerturbationRegion:
     """Axis-aligned box of LO drift around a center point in RF space.
 
@@ -89,16 +88,11 @@ class PerturbationRegion:
     quadrant ``Omega_n >= 0``.
     """
 
-    center: tuple
-    half_widths: tuple
-    samples_per_axis: int = 3
-
     RULES = {"center": Field("angular_frequency_list", counts=(4,)),
              "half_widths": Field("angular_frequency_list", sign=">=", counts=(4,)),
-             "samples_per_axis": Field("int", sign=">")}
+             "samples_per_axis": Field("int", 3, sign=">")}
 
     def __post_init__(self):
-        check_fields(self)
         if any(c - h < 0 for c, h in zip(self.center, self.half_widths)):
             raise ValueError("PerturbationRegion: region leaves the quadrant Omega >= 0")
 
@@ -155,7 +149,7 @@ def _mean(values):
     return total / len(values)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FidelityScan:
     """2-D fidelity landscape over two RF amplitude axes.
 
@@ -288,7 +282,7 @@ def _candidates(lo, hi, grid_step, sum_constraint):
     lowers a float sum, so the first value whose partial sum passes the cap
     ends its loop: the work scales with the feasible set, not with n^4.
     """
-    axis = _lattice(lo, hi, grid_step).tolist()
+    axis = _lattice(lo, hi, grid_step, "optimize_operating_point.grid_step").tolist()
 
     def fitting(total):
         return itertools.takewhile(lambda v: total + v <= sum_constraint + 1e-12, axis)
@@ -306,7 +300,7 @@ def _candidates(lo, hi, grid_step, sum_constraint):
     return candidates
 
 
-@dataclass(frozen=True)
+@record
 class OperatingPointResult:
     """Outcome of the constrained operating-point search.
 

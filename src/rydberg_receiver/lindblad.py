@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import Field, _position, check_args, check_fields
-from .numerics import HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, null_space, write_csv
+from .config import Field, _position, check_args, record
+from .numerics import (
+    HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, _finite_count, null_space, write_csv,
+)
 from .scheme import require_hybrid_six
 
 #: Default integrator step (us). At the bundled parameters the generator
@@ -89,7 +91,7 @@ _NO_STATIONARY_FRAME = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DriveConfig:
     """All coherent drive parameters of the six-level system.
 
@@ -110,20 +112,11 @@ class DriveConfig:
         upper triangle.
     """
 
-    omega_p: float
-    omega_c: float
-    rf_rabi: tuple
-    delta_p: float = 0.0
-    delta_c: float = 0.0
-    rf_detunings: tuple = (0.0, 0.0, 0.0, 0.0)
-    rf_phases: tuple = (0.0, 0.0, 0.0, 0.0)
-
     RULES = {**dict.fromkeys(("omega_p", "omega_c"), Field("angular_frequency", sign=">=")),
              "rf_rabi": Field("angular_frequency_list", sign=">=", counts=(4,)),
-             **dict.fromkeys(("delta_p", "delta_c"), Field("angular_frequency")),
-             "rf_detunings": Field("angular_frequency_list", counts=(4,)),
-             "rf_phases": Field("float_list", counts=(4,))}
-    __post_init__ = check_fields
+             **dict.fromkeys(("delta_p", "delta_c"), Field("angular_frequency", 0.0)),
+             "rf_detunings": Field("angular_frequency_list", (0.0,) * 4, counts=(4,)),
+             "rf_phases": Field("float_list", (0.0,) * 4, counts=(4,))}
 
     @property
     def closed_loop_delta(self):
@@ -145,7 +138,7 @@ class DriveConfig:
         return replace(self, rf_rabi=rf_rabi)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DensityMatrix:
     """Validated quantum state: finite, Hermitian, unit trace, PSD within tolerance.
 
@@ -333,7 +326,7 @@ def _trace_row(n2):
     return row
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Liouvillian:
     """Time-independent generator, held as the real ``T L T^H`` on
     coordinates (see :func:`_hermitian_basis`). Construction checks trace
@@ -366,7 +359,7 @@ class Liouvillian:
         return float(np.abs(lam[k])), float(np.max(rest.real)) if rest.size else 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TimeDependentLiouvillian:
     """Generator ``L(p) = constant + 2 Re(p loop)`` at loop phase ``p =
     exp(-i delta t)``, on coordinates (see :class:`Liouvillian`).
@@ -397,7 +390,7 @@ class TimeDependentLiouvillian:
         return float(np.linalg.norm(self._at(1.0), 2) + 2.0 * swing * np.linalg.norm(self.loop, 2))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class _GeneratorBasis:
     """``L(theta) = constant + sum_k theta_k channels_k`` in real form (see
     :class:`Liouvillian`), where channel k is the superoperator of its
@@ -560,7 +553,7 @@ def _gap_pieces(polynomial, phase_step, gap):
     return pieces
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Trajectory:
     """Stored snapshots of an evolution run.
 
@@ -622,7 +615,7 @@ def _clean(x):
 def _horizon_steps(t_end, dt):
     """Number of ``dt`` steps to ``t_end``, after checking both."""
     check_args("evolve", _EVOLVE_RULES, t_end=t_end, dt=dt)
-    n_steps = int(round(t_end / dt)) if t_end > 0 else 0
+    n_steps = round(_finite_count("evolve.dt: the step count", t_end / dt)) if t_end > 0 else 0
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"evolve: t_end = {t_end} is not an integer multiple of dt = {dt}")
     return n_steps

@@ -52,9 +52,17 @@ def _as_square(m, name, dtype=complex):
     return m
 
 
-def _lattice(lo, hi, step):
+def _finite_count(what, count):
+    """The float ``count``; ValueError naming ``what`` unless it is finite."""
+    if not math.isfinite(count):
+        raise ValueError(f"{what} {count} is not finite")
+    return count
+
+
+def _lattice(lo, hi, step, owner):
     """``lo, lo + step, ...`` up to ``hi`` inclusive, with 1e-9 of a step as slack."""
-    return lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+    count = _finite_count(f"{owner}: the step count", (hi - lo) / step + 1e-9)
+    return lo + step * np.arange(math.floor(count) + 1)
 
 
 def null_space(m):

@@ -19,14 +19,14 @@ them (gains, shot-noise variance) is calibration-dependent in the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .analytic import _rho21_gradient, rho21_from_amplitudes
-from .config import EA0, Field, _position, c_light, check_args, check_fields, epsilon_0, hbar
+from .config import EA0, Field, _position, c_light, check_args, epsilon_0, hbar, record
 from .lindblad import _stationary_response
-from .numerics import TWO_PI, write_csv
+from .numerics import TWO_PI, _finite_count, write_csv
 
 #: Demodulator filter plan: linear-phase FIR, bandpass width 1.2 B, lowpass
 #: cutoff 0.6 B, >= 60 dB stopband (we design for 65), transition 1.5 B.
@@ -43,7 +43,7 @@ _SYNTHESIS_RULES = {"duration": Field("time", sign=">"), "noise_std": Field(sign
 _MODEL_RULES = {"model": Field("str", choices=("analytic", "numerical"))}
 
 
-@dataclass(frozen=True)
+@record
 class VaporCellParams:
     """Vapor cell, probe beam, and detector calibration (SI).
 
@@ -67,18 +67,11 @@ class VaporCellParams:
         Photodetector responsivity (A/W). Calibration default.
     """
 
-    cell_length: float = 0.02
-    atomic_density: float = 4.89e16
-    probe_dipole: float = 3.17 * EA0
-    probe_wavelength: float = 852.35e-9
-    probe_power: float = 1e-3
-    responsivity: float = 1.0
-
-    RULES = {name: Field(kind, sign=">") for name, kind in (
-        ("cell_length", "length"), ("atomic_density", "density"), ("probe_dipole", "dipole"),
-        ("probe_wavelength", "length"), ("probe_power", "power"), ("responsivity", "responsivity"),
+    RULES = {name: Field(kind, default, sign=">") for name, kind, default in (
+        ("cell_length", "length", 0.02), ("atomic_density", "density", 4.89e16),
+        ("probe_dipole", "dipole", 3.17 * EA0), ("probe_wavelength", "length", 852.35e-9),
+        ("probe_power", "power", 1e-3), ("responsivity", "responsivity", 1.0),
     )}
-    __post_init__ = check_fields
 
     def xi0(self, omega_p):
         """Susceptibility constant for probe Rabi ``omega_p`` (rad/us).
@@ -88,13 +81,14 @@ class VaporCellParams:
         """
         if not omega_p > 0:
             raise ValueError("xi0: probe Rabi must be > 0")
-        return (
-            TWO_PI
-            * self.cell_length
-            * self.atomic_density
-            * self.probe_dipole**2
-            / (epsilon_0 * hbar * self.probe_wavelength * (omega_p * 1e6))
-        )
+        try:
+            xi0 = (TWO_PI * self.cell_length * self.atomic_density * self.probe_dipole**2
+                   / (epsilon_0 * hbar * self.probe_wavelength * (omega_p * 1e6)))
+        except (OverflowError, ZeroDivisionError):  # a square too large, a product underflowed
+            xi0 = math.inf
+        if not math.isfinite(xi0):
+            raise ValueError(f"xi0: susceptibility constant is not finite at probe Rabi {omega_p}")
+        return xi0
 
     @property
     def probe_angular_frequency(self):
@@ -119,7 +113,7 @@ def _check_bands(caller, names, offsets, bandwidths):
                 )
 
 
-@dataclass(frozen=True)
+@record
 class RfSignalSpec:
     """Incident RF signal plan for the four channels.
 
@@ -139,19 +133,13 @@ class RfSignalSpec:
         ``None`` means an unmodulated tone.
     """
 
-    amplitudes: tuple
-    offsets: tuple
-    phases: tuple = (0.0, 0.0, 0.0, 0.0)
-    bandwidths: tuple = (0.1, 0.1, 0.1, 0.1)
-    envelopes: tuple = (None, None, None, None)
-
     RULES = {"amplitudes": Field("float_list", sign=">=", counts=(4,)),
              "offsets": Field("angular_frequency_list", counts=(4,)),
-             "phases": Field("float_list", counts=(4,)),
-             "bandwidths": Field("ordinary_frequency_list", sign=">", counts=(4,))}
+             "phases": Field("float_list", (0.0,) * 4, counts=(4,)),
+             "bandwidths": Field("ordinary_frequency_list", (0.1,) * 4, sign=">", counts=(4,))}
+    envelopes: tuple = (None, None, None, None)
 
     def __post_init__(self):
-        check_fields(self)
         object.__setattr__(self, "envelopes", tuple(self.envelopes))
         if len(self.envelopes) != 4:
             raise ValueError("RfSignalSpec.envelopes: expected 4 entries")
@@ -164,7 +152,7 @@ class RfSignalSpec:
         return tuple(n for n in range(1, 5) if self.amplitudes[n - 1] > 0)
 
 
-@dataclass(frozen=True)
+@record
 class GainVector:
     """RF-to-electrical conversion gains, A per (V/m), one per channel.
 
@@ -172,10 +160,7 @@ class GainVector:
     magnitudes inherit the calibration of :class:`VaporCellParams`.
     """
 
-    gains: tuple
-
     RULES = {"gains": Field("float_list", counts=(4,))}
-    __post_init__ = check_fields
 
     def __getitem__(self, n):
         """Gain of channel ``n`` (1-based)."""
@@ -287,7 +272,7 @@ def gain_coefficients(lo, cell, scheme, model="analytic"):
     return _operating_point(lo, cell, scheme, model)[1]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Waveform:
     """Sampled photodetector output: the exact response ``samples`` and, on
     the same ``times``, its first-order model ``linearized`` with the
@@ -389,7 +374,7 @@ def linearization_discrepancy(waveform):
 # IQ demodulation
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DemodChannel:
     """One recovered complex baseband channel."""
 
@@ -426,8 +411,9 @@ def _kaiser_fir(left, right, transition, fs):
     unit gain at DC or mid-band: ``scipy.signal.kaiserord`` + ``firwin``, after
     Oppenheim & Schafer, *Discrete-Time Signal Processing*, 3rd ed., sec. 7.6."""
     nyq = fs / 2.0
-    width = transition / nyq
-    numtaps = int(np.ceil((FILTER_STOPBAND_DB - 7.95) / 2.285 / (np.pi * width) + 1))
+    width = transition / nyq  # 0 where a subnormal transition underflows
+    taps = (FILTER_STOPBAND_DB - 7.95) / 2.285 / (np.pi * width) + 1 if width else math.inf
+    numtaps = math.ceil(_finite_count("iq_demodulate.bandwidths: the filter tap count", taps))
     numtaps += 1 - numtaps % 2  # odd length keeps the filter zero-phase
     beta = 0.1102 * (FILTER_STOPBAND_DB - 8.7)  # Kaiser's beta above 50 dB
     m = np.arange(numtaps) - 0.5 * (numtaps - 1)

@@ -13,12 +13,11 @@ converted by :mod:`.config`'s INI reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 
 from .config import (
-    ConfigError, Field, _position, check_fields, convert_section, read_file, read_ini, rule_breach,
+    ConfigError, Field, _position, convert_section, read_file, read_ini, record, rule_breach,
 )
 
 
@@ -30,7 +29,7 @@ class Architecture(Enum):
     HYBRID = "Hybrid"  # cascade plus the loop-closing branch
 
 
-@dataclass(frozen=True)
+@record
 class Level:
     """One atomic level; level k of a scheme is ``LevelScheme.levels[k - 1]``.
 
@@ -42,14 +41,11 @@ class Level:
         Free-text spectroscopic name, e.g. ``"60D5/2"``.
     """
 
-    parity: int
+    RULES = {"parity": Field("int", choices=(1, -1))}
     label: str = ""
 
-    RULES = {"parity": Field("int", choices=(1, -1))}
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class RfTransition:
     """One RF-driven transition and its physical metadata.
 
@@ -58,19 +54,12 @@ class RfTransition:
     scheme level where the levels are known.
     """
 
-    lower: int
-    upper: int
-    carrier_frequency: float
-    dipole_moment: float
-    detuning: float = 0.0
-    application_band: str = ""
-
     RULES = {"lower": Field("int", sign=">"), "upper": Field("int", sign=">"),
              "carrier_frequency": Field("angular_frequency", sign=">"),
-             "dipole_moment": Field(sign=">"), "detuning": Field("angular_frequency")}
+             "dipole_moment": Field(sign=">"), "detuning": Field("angular_frequency", 0.0)}
+    application_band: str = ""
 
     def __post_init__(self):
-        check_fields(self)
         if not self.lower < self.upper:
             raise ValueError(
                 f"RfTransition: lower < upper required, got ({self.lower}, {self.upper})")
@@ -83,7 +72,7 @@ _DECAY_RATE = Field("angular_frequency", sign=">=")
 HYBRID_SIX_EDGES = ((3, 4), (4, 5), (5, 6), (3, 6))
 
 
-@dataclass(frozen=True)
+@record
 class LevelScheme:
     """Immutable K-level manifold description.
 
@@ -174,7 +163,7 @@ def channel_count(architecture, k):
     return (k - 2) // 2
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     """Outcome of :func:`validate_scheme`.
 
@@ -287,7 +276,7 @@ _SECTION_FIELDS = {
         "lower": RfTransition.RULES["lower"], "upper": RfTransition.RULES["upper"],
         "carrier": RfTransition.RULES["carrier_frequency"],
         "dipole_ea0": RfTransition.RULES["dipole_moment"],
-        "detuning": replace(RfTransition.RULES["detuning"], default=0.0), "band": Field("str", ""),
+        "detuning": RfTransition.RULES["detuning"], "band": Field("str", ""),
     },
     "decay": {"rate": _DECAY_RATE},
 }

@@ -10,7 +10,7 @@ import pytest
 from rydberg_receiver import cli, lindblad, receiver
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
 from rydberg_receiver.config import _key_table, parse_config
-from rydberg_receiver.lindblad import make_generator, steady_state
+from rydberg_receiver.lindblad import DriveConfig, make_generator, steady_state
 from rydberg_receiver.receiver import iq_demodulate, signal_amplitudes
 from rydberg_receiver.scheme import Architecture
 
@@ -478,12 +478,22 @@ class TestWaveform:
                                         duration=10.0, sample_rate=16.0)
         assert calls == {"_operating_point": 1, "_carrier": 1}
 
+    def test_drive_keys_it_does_not_read_exit_1(self, tmp_path, capsys):
+        # the closed form reads only omega_p, omega_c and rf_rabi: an open
+        # loop with detunings and phases would be silently simulated as resonant
+        cfg = ("[drive]\ndelta_p_mhz = 3\nrf_detunings_khz = 1, 1, 2, 500\n"
+               "rf_phases = 0.5, 1, 0, 2\n")
+        out = tmp_path / "out"
+        assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 1
+        assert "[drive] unknown key 'delta_p_mhz'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_amplitudes_come_from_the_modulation_index(self, tmp_path, scheme):
         cfg = "[waveform]\nspectrogram = false\ndemodulate = false\n"
         out = tmp_path / "out"
         assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 0
         defaults = parse_config("", SCHEMAS["waveform"])
-        drive = _resolve_drive(defaults["drive"], scheme)
+        drive = DriveConfig(**defaults["drive"])
         expected = signal_amplitudes(drive, scheme, defaults["signal"]["modulation_index"])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["amplitudes_v_per_m"] == list(expected)
@@ -710,6 +720,34 @@ def test_zero_probe_runs_without_the_detector(tmp_path, command):
     assert run(tmp_path, command, "--out", str(tmp_path / "out"), config=_ini(sections)) == 0
 
 
+#: Configs whose counts, squares or quotients leave the finite floats: a step so
+#: small that its count is infinite, a square that overflows, a quotient by an
+#: underflowed zero.
+NON_FINITE_INTERMEDIATES = [
+    ("dynamics", "[dynamics]\ndt_us = 5e-324\n"),
+    ("fidelity-map", "[scan]\ndt_us = 5e-324\n"),
+    ("sumrate", "[sumrate]\npower_step_db = 5e-324\n"),
+    ("optimize-lo", "[optimize]\ngrid_step_hz = 1e-310\n"),
+    ("waveform", "[signal]\nbandwidths_ghz = 5e-324, 5e-324, 5e-324, 5e-324\n"),
+    # a filter width that underflows to 0
+    ("waveform", "[signal]\nbandwidths_mhz = 5e-324, 5e-324, 5e-324, 5e-324\n"),
+    ("waveform", "[cell]\nprobe_dipole_ea0 = 1e300\n"),
+    ("sumrate", "[cell]\nprobe_dipole_ea0 = 1e300\n"),
+    ("waveform", "[drive]\nomega_p_ghz = 5e-324\n"),
+    ("sumrate", "[drive]\nomega_p_ghz = 5e-324\n"),
+    ("sumrate", "[cell]\nresponsivity_a_per_w = 1e300\n"),
+]
+
+
+@pytest.mark.parametrize("command, cfg", NON_FINITE_INTERMEDIATES)
+def test_non_finite_intermediate_exits_with_a_message(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    assert run(tmp_path, command, "--out", str(out), config=cfg) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section", [("fidelity-map", "scan"), ("optimize-lo", "optimize")])
 def test_bad_horizon_exits_2_with_its_cause(tmp_path, capsys, command, section):
     # 10 us is no multiple of 0.3 us: no point can run, and the message says why
@@ -771,8 +809,8 @@ class TestLoadTimeChecks:
             ("waveform", "waveform", "sample_rate_mhz", "0", "sample_rate"),
             ("waveform", "drive", "rf_rabi_mhz", "2, 7, 1", "rf_rabi"),
             ("fidelity-map", "drive", "rf_rabi_mhz", "2, 7, 1, 6, 1", "rf_rabi"),
-            ("waveform", "drive", "rf_detunings_mhz", "0, 0", "rf_detunings"),
-            ("waveform", "drive", "rf_phases", "0, 0, 0", "rf_phases"),
+            ("steady-state", "drive", "rf_detunings_mhz", "0, 0", "rf_detunings"),
+            ("steady-state", "drive", "rf_phases", "0, 0, 0", "rf_phases"),
             ("waveform", "signal", "offsets_mhz", "0.2, 0.5, 0.8", "offsets"),
             ("waveform", "signal", "phases", "0, 0, 0, 0, 0", "phases"),
             ("waveform", "signal", "bandwidths_mhz", "0.1, 0.1, 0.1", "bandwidths"),
@@ -782,7 +820,7 @@ class TestLoadTimeChecks:
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, command, section, key, raw, named):
-        sections = {name: dict(keys) for name, keys in SMALL_RUNS[command].items()}
+        sections = {name: dict(keys) for name, keys in SMALL_RUNS.get(command, {}).items()}
         sections.setdefault(section, {})[key] = raw
         out = tmp_path / "out"
         assert run(tmp_path, command, "--out", str(out), config=_ini(sections)) == 1

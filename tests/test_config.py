@@ -1,7 +1,10 @@
 """Strict INI parsing with unit-suffixed keys."""
 
 import ast
+import dataclasses
+import importlib
 import re
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +246,135 @@ class TestRecordRules:
         huge = 10**400
         assert config.rule_breach(Field("int", None, sign=">"), huge) is None
         assert config.rule_breach(Field("int", None, sign=">"), -huge) == "must be > 0"
+
+
+@config.record
+class _Probe:
+    RULES = {"width": Field(sign=">"), "pair": Field("float_list", (1.0, 2.0), counts=(2,))}
+    label: str = "probe"
+
+    def __post_init__(self):
+        object.__setattr__(self, "seen", (self.width, self.pair))
+
+
+#: ``(name, default)`` of every field of each record with ``RULES``, MISSING where the
+#: field is required, in the order positional construction fills them.
+FIELD_ORDER = {
+    lindblad.DriveConfig: [
+        ("omega_p", MISSING), ("omega_c", MISSING), ("rf_rabi", MISSING), ("delta_p", 0.0),
+        ("delta_c", 0.0), ("rf_detunings", (0.0, 0.0, 0.0, 0.0)),
+        ("rf_phases", (0.0, 0.0, 0.0, 0.0)),
+    ],
+    receiver.VaporCellParams: [
+        ("cell_length", 0.02), ("atomic_density", 4.89e16),
+        ("probe_dipole", 2.6876380974730977e-29), ("probe_wavelength", 8.5235e-07),
+        ("probe_power", 0.001), ("responsivity", 1.0),
+    ],
+    receiver.RfSignalSpec: [
+        ("amplitudes", MISSING), ("offsets", MISSING), ("phases", (0.0, 0.0, 0.0, 0.0)),
+        ("bandwidths", (0.1, 0.1, 0.1, 0.1)), ("envelopes", (None, None, None, None)),
+    ],
+    receiver.GainVector: [("gains", MISSING)],
+    comms.EnvironmentParams: [
+        ("y_lo", MISSING), ("temperature", 300.0), ("omega_probe", 2209950803436209.5),
+    ],
+    comms.ChannelModel: [
+        ("gain", MISSING), ("transmit_power", MISSING), ("bandwidth", MISSING),
+        ("rf_frequency", MISSING), ("fading_scale", 1.0), ("sigma_i_sq", 0.0),
+        ("sigma_e_sq", 0.0),
+    ],
+    PerturbationRegion: [("center", MISSING), ("half_widths", MISSING), ("samples_per_axis", 3)],
+    scheme.Level: [("parity", MISSING), ("label", "")],
+    scheme.RfTransition: [
+        ("lower", MISSING), ("upper", MISSING), ("carrier_frequency", MISSING),
+        ("dipole_moment", MISSING), ("detuning", 0.0), ("application_band", ""),
+    ],
+}
+
+
+def _names_dataclass(node):
+    return (isinstance(node, ast.Name) and node.id == "dataclass"
+            or isinstance(node, ast.Attribute) and node.attr == "dataclass"
+            or isinstance(node, ast.alias) and node.name == "dataclass")
+
+
+class TestRecord:
+    def test_rule_fields_then_own_fields(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(_Probe)] == [
+            ("width", MISSING), ("pair", (1.0, 2.0)), ("label", "probe")]
+        probe = _Probe(2, (3, 4), "x")
+        assert (probe.width, probe.pair, probe.label) == (2.0, (3.0, 4.0), "x")
+        with pytest.raises(TypeError):
+            _Probe()
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            _Probe(1.0).width = 2.0
+
+    def test_rule_error_names_record_and_field(self):
+        with pytest.raises(ValueError, match=r"^_Probe\.width must be > 0"):
+            _Probe(0.0)
+        with pytest.raises(ValueError, match=r"^_Probe\.pair must have 2 entries"):
+            _Probe(1.0, (1.0,))
+
+    def test_own_post_init_sees_checked_floats(self):
+        width, pair = _Probe(np.int64(2), np.array([3, 4])).seen
+        assert type(width) is float and pair == (3.0, 4.0)
+        assert all(type(v) is float for v in pair)
+
+    def test_eq_false_compares_by_identity(self):
+        @config.record(eq=False)
+        class Holder:
+            values: np.ndarray
+
+        values = np.zeros(2)
+        one, other = Holder(values), Holder(values)
+        assert one == one and one != other
+        assert hash(one) == object.__hash__(one)
+
+    def test_value_equality_and_hashing(self):
+        assert _Probe(2, (3, 4)) == _Probe(2.0, (3.0, 4.0))
+        assert hash(_Probe(2, (3, 4))) == hash(_Probe(2.0, (3.0, 4.0)))
+        same = dataclasses.replace(DRIVE)
+        assert same is not DRIVE and same == DRIVE and hash(same) == hash(DRIVE)
+        levels = scheme.cesium_scheme()
+        assert {levels: 1}[scheme.cesium_scheme()] == 1
+
+    @pytest.mark.parametrize("record", FIELD_ORDER, ids=lambda cls: cls.__name__)
+    def test_field_order(self, record):
+        assert [(f.name, f.default) for f in dataclasses.fields(record)] == FIELD_ORDER[record]
+
+    def test_only_record_builds_a_dataclass(self):
+        src = Path(config.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            builder = {
+                id(node) for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and func.name == "record"
+                and path.name == "config.py"
+                for node in ast.walk(func)
+            }
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if _names_dataclass(node) and id(node) not in builder
+                and not (path.name == "config.py" and isinstance(node, ast.alias))
+            ]
+        assert found == []
+
+    def test_no_class_body_annotates_a_rule_field(self):
+        src = Path(config.__file__).parent
+        twice = []
+        for path in sorted(src.glob("*.py")):
+            module = importlib.import_module(f"rydberg_receiver.{path.stem}")
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    rules = vars(getattr(module, node.name)).get("RULES", {})
+                    twice += [
+                        f"{node.name}.{stmt.target.id}" for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and stmt.target.id in rules
+                    ]
+        assert twice == []
 
 
 DRIVE = lindblad.DriveConfig(omega_p=TWO_PI * 5.7, omega_c=TWO_PI * 0.97,
