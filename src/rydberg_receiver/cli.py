@@ -310,7 +310,7 @@ def cmd_steady_state(cfg, scheme, seed):
         rho = steady_state_numerical(drive, scheme, method, ss["t_end"], ss["dt"])
         generator = make_generator(drive, scheme)  # for the residual only
         time_dependent = isinstance(generator, TimeDependentLiouvillian)
-        matrix = generator.matrix(0.0) if time_dependent else generator.matrix
+        matrix = generator.matrix(ss["t_end"]) if time_dependent else generator.matrix
         residual = float(np.linalg.norm(matrix @ vectorize(rho.matrix)))
 
     comparison = None

@@ -189,8 +189,9 @@ def _sum_rates(channel_sets):
 def monte_carlo_sum_rate(channels, n_samples, seed=None):
     """Monte Carlo estimate of the ergodic sum rate (bits/s).
 
-    Independent fading per channel; one shared seed spawns per-channel
-    substreams so the estimate is reproducible regardless of channel count.
+    Independent fading per channel, every channel drawn from one generator
+    seeded with ``seed``, in channel order; a channel with zero transmit power
+    draws nothing, so each powered channel's draws depend on those before it.
     """
     rng = np.random.default_rng(seed)
     total = 0.0

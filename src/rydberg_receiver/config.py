@@ -65,23 +65,17 @@ _SUFFIXES = {
     "responsivity": {"a_per_w": 1.0},
 }
 
-_LIST_KINDS = {
-    "angular_frequency_list": "angular_frequency",
-    "ordinary_frequency_list": "ordinary_frequency",
-}
-
-#: Kinds whose every value must be an integer.
-_INTEGER_KINDS = ("int", "int_list")
-
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
-#: scalar kind -> (converter, noun for its error message)
-_SCALARS = {
-    "float": (float, "a number"),
-    "int": (int, "an integer"),
-    "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
-    "str": (str, None),
+#: plain kind -> (converter, noun, plural noun) of its error messages. A kind
+#: of :data:`_SUFFIXES` reads as a float with a unit suffix, and ``<kind>_list``
+#: is a comma-separated list of ``<kind>``.
+_KINDS = {
+    "float": (float, "a number", "numbers"),
+    "int": (int, "an integer", "integers"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean", "booleans"),
+    "str": (str, None, None),
 }
 
 
@@ -133,42 +127,28 @@ def _apply(factor, value):
     return factor(value) if callable(factor) else factor * value
 
 
-def _scalar(kind, raw, where):
-    convert, noun = _SCALARS[kind]
-    try:
-        return convert(raw.strip())
-    except (KeyError, ValueError):
-        raise ConfigError(f"{where}: expected {noun}, got {raw.strip()!r}") from None
-
-
-def _list(raw, where, convert):
-    parts = [p.strip() for p in raw.split(",")]
-    if parts == [""]:
-        raise ConfigError(f"{where}: empty list")
-    try:
-        return tuple(convert(p) for p in parts)
-    except ValueError:
-        noun = "integers" if convert is int else "numbers"
-        raise ConfigError(f"{where}: expected comma-separated {noun}, got {raw!r}") from None
+def _kind(field):
+    """``field``'s kind by the ``_list`` rule, as (plain kind, whether a list,
+    {unit suffix: factor}); a plain kind's one suffix is "" with no factor."""
+    kind = field.kind
+    base = kind.removesuffix("_list")
+    if base in _SUFFIXES:
+        return "float", base != kind, _SUFFIXES[base]
+    if base in _KINDS:
+        return base, base != kind, {"": None}
+    raise ConfigError(f"has unknown kind {kind!r}")
 
 
 def _key_table(section_schema, section, origin):
-    """Map every acceptable raw key of a section to (base, kind, factor)."""
+    """Map every acceptable raw key of a section to (base, (plain kind, whether a list), factor)."""
     table = {}
     for base, field in section_schema.items():
-        kind = field.kind
-        if kind in _SUFFIXES:
-            for suffix, factor in _SUFFIXES[kind].items():
-                table[f"{base}_{suffix}"] = (base, "float", factor)
-        elif kind in _LIST_KINDS:
-            for suffix, factor in _SUFFIXES[_LIST_KINDS[kind]].items():
-                table[f"{base}_{suffix}"] = (base, "float_list", factor)
-        elif kind in ("float", "int", "bool", "str", "float_list", "int_list"):
-            table[base] = (base, kind, None)
-        else:
-            raise ConfigError(
-                f"{origin}: schema for [{section}] {base} has unknown kind {kind!r}"
-            )
+        try:
+            plain, is_list, units = _kind(field)
+        except ConfigError as exc:
+            raise ConfigError(f"{origin}: schema for [{section}] {base} {exc}") from None
+        for suffix, factor in units.items():
+            table[f"{base}_{suffix}" if suffix else base] = (base, (plain, is_list), factor)
     return table
 
 
@@ -207,7 +187,7 @@ def rule_breach(field, value):
     if not (np.isfinite(value).all() if array
             else all(math.isfinite(v) for v in entries if isinstance(v, (float, np.floating)))):
         return f"must be finite, got {value}"
-    if field.kind in _INTEGER_KINDS and not all(isinstance(v, (int, np.integer)) for v in entries):
+    if _kind(field)[0] == "int" and not all(isinstance(v, (int, np.integer)) for v in entries):
         return f"must be an integer, got {value}"
     if field.counts and len(value) not in field.counts:
         return f"must have {' or '.join(str(n) for n in field.counts)} entries"
@@ -239,7 +219,7 @@ def check_fields(record):
     rule counts entries, an array as it is); ValueError naming ``Record.field`` if one breaks it."""
     for name, rule in record.RULES.items():
         value = getattr(record, name)
-        if rule.kind not in _INTEGER_KINDS and (rule.counts or not isinstance(value, np.ndarray)):
+        if _kind(rule)[0] != "int" and (rule.counts or not isinstance(value, np.ndarray)):
             value = tuple(float(v) for v in value) if rule.counts else float(value)
             object.__setattr__(record, name, value)
         check_args(type(record).__name__, record.RULES, **{name: value})
@@ -260,22 +240,26 @@ def convert_section(section_schema, section, items, origin):
             suffixed = [key for key, (base, _, _) in table.items() if base == raw_key]
             hint = f" (needs a unit suffix: {', '.join(suffixed)})" if suffixed else ""
             raise ConfigError(f"{origin}: [{section}] unknown key {raw_key!r}{hint}")
-        base, mode, factor = table[raw_key]
+        base, (plain, is_list), factor = table[raw_key]
         if base in values:
             raise ConfigError(
                 f"{origin}: [{section}] keys {seen_raw[base]!r} and "
                 f"{raw_key!r} both set {base!r}"
             )
         where = f"{origin}: [{section}] {raw_key}"
+        convert, noun, nouns = _KINDS[plain]
+        raw = raw_value.strip()
+        parts = [p.strip() for p in raw.split(",")] if is_list else [raw]
+        if parts == [""] and is_list:
+            raise ConfigError(f"{where}: empty list")
         try:
-            if mode == "int_list":
-                value = _list(raw_value, where, int)
-            elif mode == "float_list":
-                value = tuple(_apply(factor, v) for v in _list(raw_value, where, float))
-            else:
-                value = _apply(factor, _scalar(mode, raw_value, where))
+            value = tuple(_apply(factor, convert(p)) for p in parts)
+        except (KeyError, ValueError):
+            expected = f"comma-separated {nouns}" if is_list else noun
+            raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
         except OverflowError:
-            raise ConfigError(f"{where}: {raw_value.strip()!r} is out of range") from None
+            raise ConfigError(f"{where}: {raw!r} is out of range") from None
+        value = value if is_list else value[0]
         if breach := rule_breach(section_schema[base], value):
             raise ConfigError(f"{origin}: [{section}] {base} {breach}")
         values[base] = value

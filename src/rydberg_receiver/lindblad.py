@@ -65,9 +65,10 @@ _REASONS = (
     "evolve: dt exceeds the stability bound 0.1/||L|| = {:.3g}",
     "analytic model degenerate: Lambda = 0 (probe drive and loop "
     "imbalance cannot both vanish, and the RF loop must carry power)",
+    "Liouvillian: non-finite entries or norm",
 )
-(_NON_FINITE, _NOT_HERMITIAN, _TRACE_OFF, _NOT_PSD,
- _TRACE_LOST, _DEGENERATE, _UNSTABLE, _LAMBDA_ZERO) = np.arange(1, len(_REASONS), dtype=np.int8)
+(_NON_FINITE, _NOT_HERMITIAN, _TRACE_OFF, _NOT_PSD, _TRACE_LOST, _DEGENERATE, _UNSTABLE,
+ _LAMBDA_ZERO, _L_NON_FINITE) = np.arange(1, len(_REASONS), dtype=np.int8)
 
 
 def _first(*records):
@@ -310,12 +311,12 @@ def _hamiltonian_superop(x):
 
 
 def _trace_record(m):
-    """Per real generator of a ``(B, d^2, d^2)`` stack, trace loss unless ``||L||_F``
+    """Per real generator of a ``(B, d^2, d^2)`` stack, a failure unless ``||L||_F``
     is finite and ``||Tr o L|| <= 1e-10 max(1, ||L||_F)``, with ``||Tr o L||``."""
     defects = np.linalg.norm(_trace_row(m.shape[-1]) @ m, axis=-1)
     size = np.linalg.norm(m, axis=(-2, -1))
-    kept = (defects <= 1e-10 * np.maximum(1.0, size)) & np.isfinite(size)
-    return np.where(kept, 0, _TRACE_LOST), defects
+    lost = np.where(defects <= 1e-10 * np.maximum(1.0, size), 0, _TRACE_LOST)
+    return np.where(np.isfinite(size), lost, _L_NON_FINITE), defects
 
 
 @functools.lru_cache(maxsize=4)

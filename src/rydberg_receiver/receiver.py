@@ -335,7 +335,8 @@ def synthesize_pd_waveform(
             f"plan (needs > {needed:g} MHz)"
         )
     validate_heterodyne(spec, lo, scheme, max_ratio=max_ratio)
-    n_samples = int(round(duration * sample_rate))
+    n_samples = round(_finite_count("synthesize_pd_waveform: the sample count",
+                                    duration * sample_rate))
     if n_samples < 1:
         raise ValueError(
             f"synthesize_pd_waveform: {duration:g} us at {sample_rate:g} MHz holds no sample"

@@ -17,7 +17,8 @@ from enum import Enum
 from importlib import resources
 
 from .config import (
-    ConfigError, Field, _position, convert_section, read_file, read_ini, record, rule_breach,
+    ConfigError, Field, _key_table, _position, convert_section, read_file, read_ini, record,
+    rule_breach,
 )
 
 
@@ -325,7 +326,7 @@ def parse_scheme(text, origin="<string>"):
             v = convert_section(fields, name, items, origin)
             for key, value in v.items():
                 if value is None:
-                    unit = "_<unit>" if fields[key].kind == "angular_frequency" else ""
+                    unit = "" if key in _key_table(fields, name, origin) else "_<unit>"
                     raise ConfigError(f"{where} missing key '{key}{unit}'")
             if kind == "scheme":
                 part = Architecture(v["architecture"])

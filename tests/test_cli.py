@@ -10,7 +10,9 @@ import pytest
 from rydberg_receiver import cli, lindblad, receiver
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive, main
 from rydberg_receiver.config import _key_table, parse_config
-from rydberg_receiver.lindblad import DriveConfig, make_generator, steady_state
+from rydberg_receiver.lindblad import (
+    DriveConfig, make_generator, steady_state, steady_state_numerical, vectorize,
+)
 from rydberg_receiver.receiver import iq_demodulate, signal_amplitudes
 from rydberg_receiver.scheme import Architecture
 
@@ -235,6 +237,19 @@ class TestSteadyState:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["method"] == "analytic"
         assert summary["liouvillian_residual"] is None
+
+    def test_open_loop_residual_is_taken_at_t_end(self, tmp_path, scheme):
+        # an open loop's L(t) turns with time: the residual is ||d rho/dt|| at t_end
+        cfg = "[drive]\nrf_detunings_khz = 1, 1, 2, 24\n[steady_state]\nmethod = evolve\n"
+        out = tmp_path / "out"
+        assert run(tmp_path, "steady-state", "--out", str(out), config=cfg) == 0
+        values = parse_config(cfg, SCHEMAS["steady-state"])
+        drive, ss = _resolve_drive(values["drive"], scheme), values["steady_state"]
+        rho = steady_state_numerical(drive, scheme, "evolve", ss["t_end"], ss["dt"])
+        expected = np.linalg.norm(
+            make_generator(drive, scheme).matrix(ss["t_end"]) @ vectorize(rho.matrix))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["liouvillian_residual"] == pytest.approx(expected, rel=1e-9)
 
     def test_unknown_method_exits_1(self, tmp_path, capsys):
         cfg = "[steady_state]\nmethod = magic\n"
@@ -736,6 +751,8 @@ NON_FINITE_INTERMEDIATES = [
     ("waveform", "[drive]\nomega_p_ghz = 5e-324\n"),
     ("sumrate", "[drive]\nomega_p_ghz = 5e-324\n"),
     ("sumrate", "[cell]\nresponsivity_a_per_w = 1e300\n"),
+    # a sample count that overflows to inf
+    ("waveform", "[waveform]\nduration_us = 1e300\nsample_rate_mhz = 1e10\n"),
 ]
 
 

@@ -200,7 +200,7 @@ class TestLiouvillian:
         on_trace_row = np.zeros((36, 36))
         on_trace_row[0, 0] = np.inf
         for m in (np.full((36, 36), np.nan), on_trace_row):
-            with pytest.raises(ValueError, match="trace not preserved"):
+            with pytest.raises(ValueError, match="non-finite entries or norm"):
                 Liouvillian(m)
 
 
@@ -565,6 +565,10 @@ class TestFailureMessages:
             "analytic model degenerate: Lambda = 0 (probe drive and loop imbalance cannot "
             "both vanish, and the RF loop must carry power)",
             id="closed-form-degenerate"),
+        pytest.param(
+            lambda: Liouvillian(np.diag([np.inf, 0.0, 0.0, 0.0])),
+            "Liouvillian: non-finite entries or norm",
+            id="generator-non-finite"),
     ])
     def test_full_text(self, call, text):
         with pytest.raises(ValueError) as exc:

@@ -3,8 +3,9 @@ stdout of a fixed set of runs, checked against ``data/output_digests.json``.
 
 The runs are the default run of every command but ``optimize-lo``, the
 benchmark's 35-candidate ``optimize-lo`` lattice, one open-loop
-``dynamics`` (nonzero loop detuning) and one ``waveform`` at a balanced
-loop (every gain 0, so a ``null`` magnitude ratio).
+``dynamics`` and one open-loop ``steady-state`` (nonzero loop detuning),
+and one ``waveform`` at a balanced loop (every gain 0, so a ``null``
+magnitude ratio).
 
 A change that moves an output byte on purpose regenerates the file and
 names the moved files::
@@ -49,6 +50,10 @@ RUNS = {
         "[dynamics]\nt_end_us = 1\ndt_us = 0.0001\nmax_snapshots = 11\n"
     )),
     "waveform-balanced-loop": ("waveform", "[drive]\nrf_rabi_mhz = 1, 1, 1, 1\n"),
+    "steady-state-open-loop": ("steady-state", (
+        "[drive]\nrf_detunings_khz = 1, 1, 2, 24\n\n"
+        "[steady_state]\nmethod = evolve\nt_end_us = 1\n"
+    )),
 }
 
 

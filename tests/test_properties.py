@@ -1,11 +1,12 @@
 """Property tests: invariants of the generator over random drives, and the
 CLI's exit-code contract over random mutations of the bundled scheme file,
-over bad integrator times and over bad values of range-checked keys."""
+over bad integrator times and over extreme values of every number key."""
 
 import contextlib
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydberg_receiver as rr
-from rydberg_receiver.cli import main
+from rydberg_receiver.cli import SCHEMAS, main
+from rydberg_receiver.config import _key_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -206,56 +208,72 @@ def test_dynamics_time_inputs_exit_codes(dt, t_end, max_snapshots):
     assert code in (0, 1, 2)
 
 
-#: Range-checked keys of three commands, each with a valid value that keeps
-#: the run small; the optimizer's grid step stays coarse because the
-#: candidate grid grows as n^4.
-_CHECKED_KEYS = {
-    "optimize-lo": {
-        ("optimize", "search_lo_mhz"): "5",
-        ("optimize", "search_hi_mhz"): "6",
-        ("optimize", "grid_step_mhz"): "3",
-        ("optimize", "sum_constraint_mhz"): "30",
-        ("optimize", "samples_per_axis"): "1",
-        ("optimize", "plateau_tolerance"): "1e-5",
-    },
-    "sumrate": {
-        ("sumrate", "beta"): "1",
-        ("sumrate", "temperature_k"): "300",
-        ("sumrate", "bandwidths_mhz"): "0.1",
-        ("sumrate", "power_sweep_bandwidth_mhz"): "0.1",
-        ("sumrate", "power_step_db"): "10",
-        ("sumrate", "bandwidth_sweep_power_dbm"): "-10",
-    },
-    "waveform": {
-        ("signal", "modulation_index"): "5e-3",
-        ("waveform", "noise_std"): "1e-25",
-        ("waveform", "spectrogram"): "false",
-    },
+#: A small valid run of each command; ``optimize-lo`` searches the output
+#: digests' 35-candidate lattice.
+_BASE_RUNS = {
+    "steady-state": {},
+    "dynamics": {"dynamics": {"t_end_us": "0.01", "max_snapshots": "3"}},
+    "fidelity-map": {"scan": {"resolution": "2", "method": "null_space"}},
+    "optimize-lo": {"optimize": {
+        "search_lo_mhz": "0", "search_hi_mhz": "3.6", "grid_step_mhz": "1.2",
+        "sum_constraint_mhz": "4.2", "half_widths_khz": "2, 1.5, 2.5, 1",
+        "samples_per_axis": "3", "method": "null_space",
+    }},
+    "waveform": {"waveform": {"duration_us": "20", "spectrogram": "false"}},
+    "sumrate": {"sumrate": {
+        "rabi_set": "set2", "power_min_dbm": "-10", "power_max_dbm": "0",
+        "power_step_db": "5", "bandwidths_mhz": "0.05, 0.1",
+    }},
 }
 
+#: Keys whose values scale a run's work (horizon, resolution, duration, sample
+#: rate, sweep step, snapshots, samples per axis, sum cap): checked under --dry-run.
+_WORK_KEYS = {"t_end", "dt", "resolution", "duration", "sample_rate", "power_step_db",
+              "max_snapshots", "samples_per_axis", "sum_constraint"}
 
-@pytest.mark.parametrize("command", sorted(_CHECKED_KEYS))
+#: Values drawn for each plain kind of number.
+_DRAWS = {"float": ("0", "-1", "5e-324", "1e300", "nan", "inf"),
+          "int": ("0", "-1", "1", str(10**21))}
+
+
+def _numeric_keys(command):
+    """``{(section, base key): (raw key, draws, entries)}`` of every number key of
+    ``command``, each in a unit with a plain factor."""
+    keys = {}
+    for section, fields in SCHEMAS[command].items():
+        for raw, (base, (plain, _), factor) in _key_table(fields, section, "<schema>").items():
+            if plain in _DRAWS and not callable(factor) and (section, base) not in keys:
+                counts = fields[base].counts
+                keys[section, base] = (raw, _DRAWS[plain], counts[0] if counts else 1)
+    return keys
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_RUNS))
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_checked_keys_exit_codes(command, data):
-    keys = _CHECKED_KEYS[command]
-    spoiled = data.draw(
-        st.dictionaries(
-            st.sampled_from([k for k in keys if k[1] != "spectrogram"]),
-            st.sampled_from(["0", "-1", "nan", "inf"]),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    keys = _numeric_keys(command)
+    spoiled = data.draw(st.lists(st.sampled_from(sorted(keys)), min_size=1, max_size=3,
+                                 unique=True))
     sections = {}
-    for (section, key), valid in keys.items():
-        value = spoiled.get((section, key), valid)
-        sections.setdefault(section, []).append(f"{key} = {value}\n")
-    text = "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+    for section, items in _BASE_RUNS[command].items():
+        table = _key_table(SCHEMAS[command][section], section, "<schema>")
+        sections[section] = {table[raw][0]: f"{raw} = {value}" for raw, value in items.items()}
+    for section, base in spoiled:
+        raw, draws, entries = keys[section, base]
+        value = ", ".join([data.draw(st.sampled_from(draws))] * entries)
+        sections.setdefault(section, {})[base] = f"{raw} = {value}"
+    text = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines.values())
+                   for name, lines in sections.items())
+    dry_run = ["--dry-run"] if any(base in _WORK_KEYS for _, base in spoiled) else []
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    # numpy's overflow warnings on 1e300 go to stderr in a real run; the contract here is
+    # the exit code and no traceback
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         path = Path(tmp) / "run.ini"
         path.write_text(text)
-        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2)
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out"), *dry_run])
+    assert code in (0, 1, 2), text
     assert "Traceback" not in err.getvalue()
