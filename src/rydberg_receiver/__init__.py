@@ -30,6 +30,7 @@ from .comms import (
     noise_variances,
     snr,
 )
+from .config import ConfigError
 from .fidelity import (
     FidelityScan,
     OperatingPointResult,
@@ -81,7 +82,6 @@ from .scheme import (
     Level,
     LevelScheme,
     RfTransition,
-    SchemeFileError,
     cesium_scheme,
     channel_count,
     load_scheme,
@@ -95,12 +95,13 @@ __all__ = [
     "exp_e1_scaled",
     "null_space",
     "psd_sqrt",
+    # config and scheme files
+    "ConfigError",
     # scheme
     "Architecture",
     "Level",
     "LevelScheme",
     "RfTransition",
-    "SchemeFileError",
     "cesium_scheme",
     "channel_count",
     "load_scheme",

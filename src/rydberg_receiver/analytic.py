@@ -84,6 +84,7 @@ def rho21_from_amplitudes(omega_p, omega_c, rf_rabi, gamma_21):
     return -1j * omega_p * gamma_21 * z * z / lam
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sample is recorded
 def _closed_form(omega_p, omega_c, rf_rabi, gamma_21):
     """Unvalidated closed-form states of a block of samples (``rf_rabi``
     entries may be ``(B,)`` arrays), a ``(B, 6, 6)`` stack, with its record

@@ -60,7 +60,6 @@ from .receiver import (
 )
 from .scheme import (
     Architecture,
-    SchemeFileError,
     cesium_scheme,
     load_scheme,
     require_hybrid_six,
@@ -242,7 +241,7 @@ def _load_inputs(args):
         try:
             require_hybrid_six(scheme)
         except ValueError as exc:
-            raise SchemeFileError(f"{args.scheme}: {exc}") from None
+            raise ConfigError(f"{args.scheme}: {exc}") from None
     for section, test, message in _RULES:
         if section in cfg and not test(cfg[section], scheme.size):
             raise ConfigError(f"{origin}: [{section}] " + message.format(size=scheme.size))
@@ -388,9 +387,8 @@ def cmd_fidelity_map(cfg, scheme, seed):
     )
     finite = scan.fidelities[np.isfinite(scan.fidelities)]
     if finite.size == 0:
-        failed = f"fidelity-map: all {scan.fidelities.size} grid points failed"
-        _raise_first(*scan.record, failed + "; first failed point: ")
-        raise ValueError(failed)
+        _raise_first(*scan.record, f"fidelity-map: all {scan.fidelities.size} grid points "
+                     "failed; first failed point: ")
     i_min, j_min = scan.min_point()
     summary = {
         "axes": list(axes),
@@ -605,7 +603,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, SchemeFileError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, np.linalg.LinAlgError) as exc:

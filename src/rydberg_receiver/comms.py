@@ -113,8 +113,11 @@ class ChannelModel:
         return self.sigma_i_sq + self.sigma_e_sq
 
     def with_noise(self, env):
-        """Copy of the channel with both noise terms filled from ``env``."""
+        """Copy of the channel with both noise terms filled from ``env``;
+        ValueError if their sum underflows to 0."""
         s_i, s_e = noise_variances(self, env)
+        if not np.all(s_i + s_e > 0):
+            raise ValueError("ChannelModel.with_noise: the noise variance underflows to 0")
         return replace(self, sigma_i_sq=s_i, sigma_e_sq=s_e)
 
     @property
@@ -159,10 +162,10 @@ def ergodic_sum_rate(channels):
     Per channel ``(B/ln 2) e^{1/SNR} E1(1/SNR)`` with the average SNR from
     :attr:`ChannelModel.mean_snr`, evaluated through the overflow-free
     scaled exponential integral. A channel with zero transmit power
-    contributes zero (the continuous limit); negative average SNR is an
-    error. Channels over a power or bandwidth sweep give the rate at every
-    sweep point as an array, from one E1 evaluation over all channels. A
-    mean SNR so small that its inverse overflows gives the limit 0.
+    contributes zero (the continuous limit). Channels over a power or
+    bandwidth sweep give the rate at every sweep point as an array, from
+    one E1 evaluation over all channels. A mean SNR so small that its
+    inverse overflows gives the limit 0.
     """
     return _sum_rates([list(channels)])[0]
 
@@ -172,8 +175,6 @@ def _sum_rates(channel_sets):
     evaluation over the channels of every list."""
     gams = [np.array(np.broadcast_arrays(*(ch.mean_snr for ch in chs))) for chs in channel_sets]
     gam = np.concatenate([g.ravel() for g in gams])
-    if np.any(gam < 0):
-        raise ValueError("ergodic_sum_rate: negative average SNR")
     on = gam != 0.0
     with np.errstate(over="ignore"):
         inverse = 1.0 / np.where(on, gam, 1.0)

@@ -199,7 +199,7 @@ def fidelity_scan(
     fixed,
     axes,
     scheme,
-    ranges=None,
+    ranges=((0.0, TWO_PI * 10.0), (0.0, TWO_PI * 10.0)),
     resolution=21,
     steady_state_method="evolve",
     t_end=10.0,
@@ -239,8 +239,6 @@ def fidelity_scan(
     a0, a1 = axes
     if _position("fidelity_scan.axes", a0, 4) == _position("fidelity_scan.axes", a1, 4):
         raise ValueError(f"fidelity_scan: axes must be two distinct RF channels, got {axes}")
-    if ranges is None:
-        ranges = ((0.0, TWO_PI * 10.0), (0.0, TWO_PI * 10.0))
     res = (resolution,) if np.isscalar(resolution) else tuple(resolution)
     check_args("fidelity_scan", _SCAN_RULES,
                ranges=np.asarray(ranges, dtype=float), resolution=res)
@@ -278,26 +276,13 @@ def average_fidelity(
 def _candidates(lo, hi, grid_step, sum_constraint):
     """The search lattice's 4-tuples under the sum cap, smallest sum first.
 
-    The axis ascends from ``lo >= 0``, and adding a nonnegative float never
-    lowers a float sum, so the first value whose partial sum passes the cap
-    ends its loop: the work scales with the feasible set, not with n^4.
+    Every coordinate is at least ``lo >= 0``, so none exceeds the cap: the
+    axis ends there, however far above it ``hi`` lies.
     """
-    axis = _lattice(lo, hi, grid_step, "optimize_operating_point.grid_step").tolist()
-
-    def fitting(total):
-        return itertools.takewhile(lambda v: total + v <= sum_constraint + 1e-12, axis)
-
-    candidates = [
-        (w, x, y, z)
-        for w in fitting(0.0)
-        for x in fitting(w)
-        for y in fitting(w + x)
-        for z in axis
-        if w + x + y + z <= sum_constraint + 1e-12
-    ]
-    # Tie-break order: smallest total amplitude, then lexicographic.
-    candidates.sort(key=lambda c: (sum(c), c))
-    return candidates
+    cap = sum_constraint + 1e-12
+    axis = _lattice(lo, min(hi, cap), grid_step, "optimize_operating_point.grid_step").tolist()
+    fitting = (c for c in itertools.product(axis, repeat=4) if c[0] + c[1] + c[2] + c[3] <= cap)
+    return sorted(fitting, key=lambda c: (sum(c), c))  # smallest total, then lexicographic
 
 
 @record

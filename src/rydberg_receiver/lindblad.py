@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import Field, _position, check_args, record
 from .numerics import (
-    HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, _finite_count, null_space, write_csv,
+    HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, _as_square, _finite_count, null_space, write_csv,
 )
 from .scheme import require_hybrid_six
 
@@ -150,10 +150,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"DensityMatrix: expected square matrix, got shape {m.shape}")
-        (m, *eig), record = _validate_states(m[None])
+        (m, *eig), record = _validate_states(_as_square(self.matrix, "DensityMatrix")[None])
         _raise_first(*record)
         m = m[0]
         m.setflags(write=False)
@@ -310,6 +307,7 @@ def _hamiltonian_superop(x):
     return (-1j * (left - right)).reshape(x.shape[:-2] + (d * d, d * d))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a norm that overflows is recorded
 def _trace_record(m):
     """Per real generator of a ``(B, d^2, d^2)`` stack, a failure unless ``||L||_F``
     is finite and ``||Tr o L|| <= 1e-10 max(1, ||L||_F)``, with ``||Tr o L||``."""
@@ -806,7 +804,9 @@ def _numerical_states(basis, thetas, method, t_end, dt):
         codes, numbers = np.zeros(len(thetas), dtype=np.int8), np.zeros(len(thetas))
         for k, theta in enumerate(thetas):
             generator = make_generator(basis.drive.with_rf_rabi(theta), basis.scheme)
-            (codes[k],), (numbers[k],) = _stability_record(dt, np.array([generator.norm(t_end)]))
+            (codes[k],), (numbers[k],) = _first(
+                _trace_record(generator._at(1.0)[None]),
+                _stability_record(dt, np.array([generator.norm(t_end)])))
             if not codes[k]:
                 states[k] = evolve(ground_state(), generator, t_end, dt, 2).matrices[-1]
         return states, (codes, numbers)

@@ -88,10 +88,7 @@ def null_space(m):
     if m.size == 0:
         return []
     _, s, vh = np.linalg.svd(m)
-    scale = s[0]
-    if scale == 0.0:
-        return [vh[i].conj() for i in range(m.shape[0])]
-    return [vh[i].conj() for i in range(len(s)) if s[i] <= NULL_SPACE_TOL * scale]
+    return [vh[i].conj() for i in range(len(s)) if s[i] <= NULL_SPACE_TOL * s[0]]
 
 
 def _psd_roots(w, v):

@@ -235,6 +235,8 @@ def _operating_point(drive, cell, scheme, model):
         rho, drho = _stationary_response(drive, scheme)
         rho21, drho21 = rho.coherence(2, 1), drho[:, 1, 0]
     y = _detector_current(cell, drive.omega_p, rho21)
+    if y == 0.0:
+        raise ValueError("the photodetector output underflows to 0 A")
     slope = y * 2.0 * cell.xi0(drive.omega_p) * drho21.imag
     gains = tuple(_rabi_per_field(n, scheme) * slope[n - 1] for n in range(1, 5))
     return float(y), GainVector(gains=gains)
@@ -250,6 +252,7 @@ def photodetector_output(drive, cell, scheme, model="analytic"):
     ``model="analytic"`` evaluates the closed-form coherence;
     ``model="numerical"`` uses the converged full-decay steady state, which
     also covers balanced-loop points where the closed form is degenerate.
+    An output that underflows to 0 raises ``ValueError``.
     """
     check_args("photodetector_output", _MODEL_RULES, model=model)
     return _operating_point(drive, cell, scheme, model)[0]
@@ -266,7 +269,7 @@ def gain_coefficients(lo, cell, scheme, model="analytic"):
     Raises
     ------
     ValueError
-        If ``model`` is unknown, or a gain comes out non-finite (operating-point error).
+        If ``model`` is unknown, the output underflows to 0 or a gain is not finite.
     """
     check_args("gain_coefficients", _MODEL_RULES, model=model)
     return _operating_point(lo, cell, scheme, model)[1]

@@ -264,10 +264,6 @@ def require_hybrid_six(scheme):
 # Scheme files
 
 
-class SchemeFileError(ValueError):
-    """Malformed scheme file; the message names the offending section/key."""
-
-
 #: Keys of each kind of scheme-file section; a None default marks a
 #: required key.
 _SECTION_FIELDS = {
@@ -351,19 +347,15 @@ def parse_scheme(text, origin="<string>"):
             rf_transitions=parts["transition"],
             decay_channels=tuple(parts["decay"].values()),
         )
-    except ConfigError as exc:
-        raise SchemeFileError(str(exc)) from None
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise SchemeFileError(f"{where} {exc}") from None
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def load_scheme(path):
     """Load a :class:`LevelScheme` from a scheme file on disk."""
-    try:
-        text = read_file(path, "scheme")
-    except ConfigError as exc:
-        raise SchemeFileError(str(exc)) from None
-    return parse_scheme(text, origin=str(path))
+    return parse_scheme(read_file(path, "scheme"), origin=str(path))
 
 
 def cesium_scheme():

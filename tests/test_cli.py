@@ -403,6 +403,16 @@ class TestFidelityMap:
         assert "; first failed point: evolve: dt exceeds the stability bound" in err
         assert not out.exists()
 
+    def test_overflowing_generator_fails_open_and_closed_loops_alike(self, tmp_path, capsys):
+        # a 1e300 coupling overflows the generator's norm whether or not the loop is detuned
+        for detunings in ("0, 0, 0, 0", "1, 1, 2, 24"):
+            cfg = (f"[drive]\nomega_c_ghz = 1e300\nrf_detunings_khz = {detunings}\n"
+                   "[scan]\nresolution = 2\n")
+            assert run(tmp_path, "fidelity-map", "--out", str(tmp_path / "out"), config=cfg) == 2
+            assert capsys.readouterr().err == (
+                "error: fidelity-map: all 4 grid points failed; first failed point: "
+                "Liouvillian: non-finite entries or norm\n")
+
 
 class TestOptimizeLo:
     def test_tiny_window(self, tmp_path, capsys):
@@ -675,7 +685,7 @@ class TestSumrate:
         cfg = self.CFG + "[cell]\natomic_density_per_m3 = 1e30\n"
         out = tmp_path / "out"
         assert run(tmp_path, "sumrate", "--out", str(out), config=cfg) == 2
-        assert "EnvironmentParams.y_lo must be > 0" in capsys.readouterr().err
+        assert "the photodetector output underflows to 0 A" in capsys.readouterr().err
         assert not out.exists()
 
     def test_power_sweep_stops_at_max(self, tmp_path, capsys):
@@ -753,6 +763,10 @@ NON_FINITE_INTERMEDIATES = [
     ("sumrate", "[cell]\nresponsivity_a_per_w = 1e300\n"),
     # a sample count that overflows to inf
     ("waveform", "[waveform]\nduration_us = 1e300\nsample_rate_mhz = 1e10\n"),
+    # a generator norm that overflows: a numpy warning would fail the run here
+    ("steady-state", "[drive]\nomega_p_ghz = 1e300\n"),
+    ("dynamics", "[drive]\nrf_rabi_ghz = 1e300, 1, 1, 1\n"),
+    ("fidelity-map", "[drive]\nomega_c_ghz = 1e300\n[scan]\nresolution = 2\n"),
 ]
 
 
@@ -762,6 +776,18 @@ def test_non_finite_intermediate_exits_with_a_message(tmp_path, capsys, command,
     assert run(tmp_path, command, "--out", str(out), config=cfg) in (1, 2)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("waveform", "[cell]\nresponsivity_a_per_w = 5e-324\n", "photodetector output underflows to 0"),
+    ("sumrate", "[cell]\nresponsivity_a_per_w = 5e-324\n", "photodetector output underflows to 0"),
+    ("sumrate", "[sumrate]\nbandwidths_ghz = 5e-324\n", "noise variance underflows to 0"),
+])
+def test_quantity_underflowing_to_0_exits_2_naming_it(tmp_path, capsys, command, cfg, named):
+    out = tmp_path / "out"
+    assert run(tmp_path, command, "--out", str(out), config=cfg) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

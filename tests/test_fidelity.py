@@ -360,12 +360,18 @@ class TestOptimizer:
         assert fidelity_module._candidates(lo, hi, step, cap) == expected
 
     def test_fine_axis_builds_only_feasible_candidates(self):
-        # 1001 points per axis: 1e12 tuples, of which 35 fit under three steps
+        # 1001 points per axis, of which the four under the cap make 256 tuples; 35 fit
         step = TWO_PI * 0.01
         candidates = fidelity_module._candidates(0.0, TWO_PI * 10.0, step, 3 * step)
         assert len(candidates) == 35
         assert candidates[0] == (0.0,) * 4
         assert all(sum(c) <= 3 * step + 1e-12 for c in candidates)
+
+    @pytest.mark.parametrize("step", [1.0, TWO_PI * 1.2, 0.813])
+    def test_search_ceiling_far_above_the_cap(self, step):
+        # a ceiling of 1e300 steps builds no axis beyond the cap
+        far = fidelity_module._candidates(0.0, 1e300, step, 3.5 * step)
+        assert far == fidelity_module._candidates(0.0, 3 * step, step, 3.5 * step)
 
     def test_nonpositive_grid_step_raises(self, scheme):
         for grid_step in (0.0, -TWO_PI, float("nan")):

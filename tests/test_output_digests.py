@@ -2,8 +2,9 @@
 stdout of a fixed set of runs, checked against ``data/output_digests.json``.
 
 The runs are the default run of every command but ``optimize-lo``, the
-benchmark's 35-candidate ``optimize-lo`` lattice, one open-loop
-``dynamics`` and one open-loop ``steady-state`` (nonzero loop detuning),
+benchmark's 35-candidate ``optimize-lo`` lattice under two search ceilings,
+one open-loop ``dynamics`` and one open-loop ``steady-state`` (nonzero loop
+detuning), one ``steady-state`` with every RF channel off (no closed form),
 and one ``waveform`` at a balanced loop (every gain 0, so a ``null``
 magnitude ratio).
 
@@ -31,6 +32,14 @@ from rydberg_receiver.cli import main
 
 DATA = Path(__file__).parent / "data" / "output_digests.json"
 
+#: k * 1.2 MHz on four axes, sum(k) <= 3: 35 candidates of 81 region points,
+#: under the search ceiling ``search_hi_{hi}``.
+_LATTICE_35 = (
+    "[optimize]\nsearch_lo_mhz = 0\nsearch_hi_{hi}\ngrid_step_mhz = 1.2\n"
+    "sum_constraint_mhz = 4.2\nhalf_widths_khz = 2, 1.5, 2.5, 1\n"
+    "samples_per_axis = 3\nmethod = null_space\n"
+)
+
 #: Each run by name: its command and its INI text (None: the defaults).
 RUNS = {
     "steady-state": ("steady-state", None),
@@ -39,12 +48,9 @@ RUNS = {
     "waveform": ("waveform", None),
     "sumrate": ("sumrate", None),
     "validate-scheme": ("validate-scheme", None),
-    # k * 1.2 MHz on four axes, sum(k) <= 3: 35 candidates of 81 region points
-    "optimize-lo-35": ("optimize-lo", (
-        "[optimize]\nsearch_lo_mhz = 0\nsearch_hi_mhz = 3.6\ngrid_step_mhz = 1.2\n"
-        "sum_constraint_mhz = 4.2\nhalf_widths_khz = 2, 1.5, 2.5, 1\n"
-        "samples_per_axis = 3\nmethod = null_space\n"
-    )),
+    "optimize-lo-35": ("optimize-lo", _LATTICE_35.format(hi="mhz = 3.6")),
+    # the same candidates under a ceiling far above the sum cap
+    "optimize-lo-35-far-hi": ("optimize-lo", _LATTICE_35.format(hi="ghz = 1e300")),
     "dynamics-open-loop": ("dynamics", (
         "[drive]\nrf_detunings_khz = 1, 1, 2, 24\n\n"
         "[dynamics]\nt_end_us = 1\ndt_us = 0.0001\nmax_snapshots = 11\n"
@@ -54,6 +60,8 @@ RUNS = {
         "[drive]\nrf_detunings_khz = 1, 1, 2, 24\n\n"
         "[steady_state]\nmethod = evolve\nt_end_us = 1\n"
     )),
+    # every RF channel off: no closed form to compare with
+    "steady-state-rf-off": ("steady-state", "[drive]\nrf_rabi_mhz = 0, 0, 0, 0\n"),
 }
 
 
@@ -86,6 +94,12 @@ def digests(work):
         found[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
         found[name]["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     return found
+
+
+def test_far_ceiling_finds_the_same_operating_point():
+    runs = json.loads(DATA.read_text())["runs"]
+    point = runs["optimize-lo-35"]["operating_point.json"]
+    assert runs["optimize-lo-35-far-hi"]["operating_point.json"] == point
 
 
 def test_outputs_match_recorded_digests(tmp_path):

@@ -267,8 +267,9 @@ def test_checked_keys_exit_codes(command, data):
                    for name, lines in sections.items())
     dry_run = ["--dry-run"] if any(base in _WORK_KEYS for _, base in spoiled) else []
     err = io.StringIO()
-    # numpy's overflow warnings on 1e300 go to stderr in a real run; the contract here is
-    # the exit code and no traceback
+    # numpy's overflow warnings on 1e300 go to stderr in a real run (sumrate's MHz-to-Hz
+    # product at bandwidths_ghz = 1e300, the closed-form gain gradient at a 1e300 drive);
+    # the contract here is the exit code and no traceback
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from rydberg_receiver.cli import SCHEMAS, _resolve_drive
-from rydberg_receiver.config import parse_config
+from rydberg_receiver.config import ConfigError, parse_config
 from rydberg_receiver.lindblad import Liouvillian, make_generator
 from rydberg_receiver.scheme import (
     Architecture,
     Level,
     LevelScheme,
     RfTransition,
-    SchemeFileError,
     cesium_scheme,
     channel_count,
     parse_scheme,
@@ -133,7 +132,7 @@ class TestValidation:
                 decay_channels=scheme.decay_channels,
             )
         # the right edges under the wrong channel numbers
-        with pytest.raises(SchemeFileError, match="RF edges"):
+        with pytest.raises(ConfigError, match="RF edges"):
             parse_scheme(renumbered_scheme_text)
 
     def test_float_decay_level_rejected(self, scheme):
@@ -214,7 +213,7 @@ class TestParsing:
         # in every kind of section
         for after in ("label = g", "architecture = CRS", "dipole_ea0 = 100.0", "rate_mhz = 5.0"):
             bad = _MINIMAL.replace(after, f"{after}\ncolour = red")
-            with pytest.raises(SchemeFileError, match="unknown key 'colour'"):
+            with pytest.raises(ConfigError, match="unknown key 'colour'"):
                 parse_scheme(bad)
 
     @pytest.mark.parametrize(
@@ -231,7 +230,7 @@ class TestParsing:
         ],
     )
     def test_section_and_value_rules(self, edit, message):
-        with pytest.raises(SchemeFileError, match=message):
+        with pytest.raises(ConfigError, match=message):
             parse_scheme(_MINIMAL.replace(*edit))
 
     def test_percent_is_literal(self):
@@ -240,17 +239,17 @@ class TestParsing:
 
     def test_missing_unit_suffix_rejected(self):
         bad = _MINIMAL.replace("carrier_ghz = 10.0", "carrier = 10.0")
-        with pytest.raises(SchemeFileError, match="carrier"):
+        with pytest.raises(ConfigError, match="carrier"):
             parse_scheme(bad)
 
     def test_duplicate_unit_variants_rejected(self):
         bad = _MINIMAL.replace("rate_mhz = 5.0", "rate_mhz = 5.0\nrate_khz = 5000.0")
-        with pytest.raises(SchemeFileError, match="rate"):
+        with pytest.raises(ConfigError, match="rate"):
             parse_scheme(bad)
 
     def test_bad_parity_rejected(self):
         bad = _MINIMAL.replace("parity = +1", "parity = 2", 1)
-        with pytest.raises(SchemeFileError, match="parity"):
+        with pytest.raises(ConfigError, match="parity"):
             parse_scheme(bad)
 
     def test_transitions_sorted_by_section_number(self):
