@@ -54,6 +54,7 @@ def _lambda_terms(omega_p, omega_c, rf_rabi, gamma_21):
     return z, lam
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite gain is raised by its caller
 def _rho21_gradient(omega_p, omega_c, rf_rabi, gamma_21):
     """``d rho_21 / d Omega_n`` for n = 1..4, the quotient rule on
     ``Im rho_21 = -Omega_P gamma_21 zeta^2 / Lambda`` with

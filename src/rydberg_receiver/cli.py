@@ -186,15 +186,19 @@ _RULES = (
     ("sumrate", lambda v, size: v["power_min_dbm"] <= v["power_max_dbm"],
      "power_max_dbm must be >= power_min_dbm"),
 ) + tuple(
-    ("sumrate", lambda v, size, key=key: _has_watts(v[key]), f"{key} overflows in watts")
-    for key in ("power_min_dbm", "power_max_dbm", "bandwidth_sweep_power_dbm")
+    ("sumrate", lambda v, size, key=key, to=to: _converts(to, v[key]), f"{key} overflows in {unit}")
+    for keys, to, unit in ((("power_min_dbm", "power_max_dbm", "bandwidth_sweep_power_dbm"),
+                            dbm_to_watts, "watts"),
+                           (("bandwidths", "power_sweep_bandwidth"), (1e6).__mul__, "Hz"))
+    for key in keys
 )
 
 
-def _has_watts(dbm):
-    """Whether ``dbm`` dBm converts to watts without overflow."""
+def _converts(to, value):
+    """Whether ``to`` maps ``value``, or each of its entries, to a finite float (MHz to Hz,
+    dBm to watts) without overflow."""
     try:
-        return np.isfinite(dbm_to_watts(dbm))
+        return all(np.isfinite(to(x)) for x in np.ravel(value).tolist())
     except OverflowError:
         return False
 
@@ -606,7 +610,7 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:  # numpy's linear-algebra errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size the config allows but this machine cannot hold

@@ -54,7 +54,8 @@ def blackbody_psd(omega, temperature):
     """
     omega = np.asarray(omega, dtype=float)
     check_args("blackbody_psd", _BLACKBODY_RULES, omega=omega, temperature=temperature)
-    x = hbar * omega / (k_B * temperature)
+    with np.errstate(divide="ignore", over="ignore"):  # x = inf where k_B T underflows: T -> 0
+        x = hbar * omega / (k_B * temperature)
     factor = 1.0 / np.tanh(x / 2.0)
     out = 4.0 * hbar * omega**3 / (epsilon_0 * c_light**3) * factor
     return out if out.ndim else float(out)
@@ -244,13 +245,10 @@ class ArchitectureComparison:
 
     def rate_at_power(self, architecture, p_dbm):
         """Sum rate of one architecture at a swept power point (dBm)."""
-        return _swept(self.power_dbm, self.power_rates[architecture], p_dbm, 1e-9,
-                      f"rate_at_power: {p_dbm} dBm")
-
-    def rate_at_bandwidth(self, architecture, b_hz):
-        """Sum rate of one architecture at a swept bandwidth point (Hz)."""
-        return _swept(self.bandwidth_hz, self.bandwidth_rates[architecture], b_hz,
-                      max(1e-6, 1e-9 * b_hz), f"rate_at_bandwidth: {b_hz} Hz")
+        idx = int(np.argmin(np.abs(self.power_dbm - p_dbm)))
+        if not abs(self.power_dbm[idx] - p_dbm) <= 1e-9:
+            raise ValueError(f"rate_at_power: {p_dbm} dBm not in the sweep")
+        return float(self.power_rates[architecture][idx])
 
     def write_csv(self, path):
         """Long-form CSV: architecture, p_t_dbm, bandwidth_hz, rate_bps.
@@ -267,14 +265,6 @@ class ArchitectureComparison:
             (arch.value, p_dbm, b_hz, rates[arch]) for p_dbm, b_hz, rates in sweeps for arch in order
         ]
         write_csv(path, "architecture,p_t_dbm,bandwidth_hz,rate_bps", "%s,%.9g,%.9g,%.12g", blocks)
-
-
-def _swept(points, rates, x, tol, what):
-    """The rate at the sweep point within ``tol`` of ``x``, never a NaN ``x``."""
-    idx = int(np.argmin(np.abs(points - x)))
-    if not abs(points[idx] - x) <= tol:
-        raise ValueError(f"{what} not in the sweep")
-    return float(rates[idx])
 
 
 def compare_architectures(

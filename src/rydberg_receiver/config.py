@@ -136,17 +136,14 @@ def _kind(field):
         return "float", base != kind, _SUFFIXES[base]
     if base in _KINDS:
         return base, base != kind, {"": None}
-    raise ConfigError(f"has unknown kind {kind!r}")
+    raise TypeError(f"Field has unknown kind {kind!r}")
 
 
-def _key_table(section_schema, section, origin):
+def _key_table(section_schema):
     """Map every acceptable raw key of a section to (base, (plain kind, whether a list), factor)."""
     table = {}
     for base, field in section_schema.items():
-        try:
-            plain, is_list, units = _kind(field)
-        except ConfigError as exc:
-            raise ConfigError(f"{origin}: schema for [{section}] {base} {exc}") from None
+        plain, is_list, units = _kind(field)
         for suffix, factor in units.items():
             table[f"{base}_{suffix}" if suffix else base] = (base, (plain, is_list), factor)
     return table
@@ -232,7 +229,7 @@ def convert_section(section_schema, section, items, origin):
     :class:`Field`'s rule as it is read. Returns {base key: value} with
     every schema key present, absent keys at their defaults.
     """
-    table = _key_table(section_schema, section, origin)
+    table = _key_table(section_schema)
     values = {}
     seen_raw = {}
     for raw_key, raw_value in items.items():

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import Field, _position, check_args, record
 from .numerics import (
-    HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, _as_square, _finite_count, null_space, write_csv,
+    HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, _as_square, _finite, null_space, write_csv,
 )
 from .scheme import require_hybrid_six
 
@@ -614,7 +614,7 @@ def _clean(x):
 def _horizon_steps(t_end, dt):
     """Number of ``dt`` steps to ``t_end``, after checking both."""
     check_args("evolve", _EVOLVE_RULES, t_end=t_end, dt=dt)
-    n_steps = round(_finite_count("evolve.dt: the step count", t_end / dt)) if t_end > 0 else 0
+    n_steps = round(_finite("evolve.dt: the step count", t_end / dt)) if t_end > 0 else 0
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"evolve: t_end = {t_end} is not an integer multiple of dt = {dt}")
     return n_steps
@@ -748,14 +748,13 @@ def _stationary_vectors(generators):
     return vecs, (codes, dims)
 
 
-def _evolve_vectors(generators, t_end, dt, norm_bounds):
-    """``evolve(ground_state(), L, t_end, dt, 2).final`` as vectors, for a
-    stack: the stacked Taylor propagator's step-count power applied, bit by
-    bit, to the coordinates of ``|1><1|``, the first unit vector. Upper
-    bounds ``norm_bounds`` clear points of the stability bound without an
-    SVD; the exact norm decides the rest, so no decision changes. The record
-    gives an unstable point's bound ``0.1 / ||L||``."""
-    n = _horizon_steps(t_end, dt)
+def _evolve_vectors(generators, n, dt, norm_bounds):
+    """``evolve(ground_state(), L, n * dt, dt, 2).final`` as vectors, for a
+    stack: the stacked Taylor propagator's power ``n`` (a checked step count)
+    applied, bit by bit, to the coordinates of ``|1><1|``, the first unit
+    vector. Upper bounds ``norm_bounds`` clear points of the stability bound
+    without an SVD; the exact norm decides the rest, so no decision changes.
+    The record gives an unstable point's bound ``0.1 / ||L||``."""
     unclear = np.flatnonzero(~(dt * norm_bounds * (1.0 + 1e-9) <= 0.1))
     norms = np.zeros(len(generators))  # 0 clears a point
     if unclear.size:
@@ -791,15 +790,14 @@ def _numerical_states(basis, thetas, method, t_end, dt):
     """Unvalidated ``(N, d, d)`` states of ``method`` at each row of the
     ``(N, 4)`` RF amplitudes on a basis, NaN at a failed point, with their
     record. The generator kernels run on stacks of :data:`_BLOCK` points.
-    Errors shared by every point (a bad horizon, a time-dependent
-    ``null_space``) raise; a time-dependent generator is evolved point by
-    point, once its norm over the horizon clears the stability bound."""
-    _check_method(method)
-    if method == "evolve":
-        _horizon_steps(t_end, dt)
+    ``method`` is a checked one of :data:`STEADY_STATE_METHODS`. Errors
+    shared by every point (a bad horizon, a time-dependent ``null_space``)
+    raise ValueError; a time-dependent generator is evolved point by point,
+    once its norm over the horizon clears the stability bound."""
+    n = _horizon_steps(t_end, dt) if method == "evolve" else 0
     if basis.drive.closed_loop_delta != 0.0:
         if method == "null_space":
-            raise TypeError(_NO_STATIONARY_FRAME)
+            raise ValueError(_NO_STATIONARY_FRAME)
         states = np.full((len(thetas),) + (basis.scheme.size,) * 2, np.nan, dtype=complex)
         codes, numbers = np.zeros(len(thetas), dtype=np.int8), np.zeros(len(thetas))
         for k, theta in enumerate(thetas):
@@ -817,7 +815,7 @@ def _numerical_states(basis, thetas, method, t_end, dt):
         if method == "null_space":
             found = _stationary_vectors(generators)
         else:  # triangle-inequality bounds on ||L||, for theta >= 0
-            found = _evolve_vectors(generators, t_end, dt, basis.norms[0] + rows @ basis.norms[1])
+            found = _evolve_vectors(generators, n, dt, basis.norms[0] + rows @ basis.norms[1])
         vecs.append(found[0])
         records.append(_first(_trace_record(generators), found[1]))
     return _states(np.concatenate(vecs), tuple(np.concatenate(r) for r in zip(*records)))

@@ -52,16 +52,16 @@ def _as_square(m, name, dtype=complex):
     return m
 
 
-def _finite_count(what, count):
-    """The float ``count``; ValueError naming ``what`` unless it is finite."""
-    if not math.isfinite(count):
-        raise ValueError(f"{what} {count} is not finite")
-    return count
+def _finite(what, value):
+    """The float ``value``; ValueError naming ``what`` unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value} is not finite")
+    return value
 
 
 def _lattice(lo, hi, step, owner):
     """``lo, lo + step, ...`` up to ``hi`` inclusive, with 1e-9 of a step as slack."""
-    count = _finite_count(f"{owner}: the step count", (hi - lo) / step + 1e-9)
+    count = _finite(f"{owner}: the step count", (hi - lo) / step + 1e-9)
     return lo + step * np.arange(math.floor(count) + 1)
 
 
@@ -85,8 +85,6 @@ def null_space(m):
         the kernel is trivial.
     """
     m = _as_square(m, "null_space", dtype=None)
-    if m.size == 0:
-        return []
     _, s, vh = np.linalg.svd(m)
     return [vh[i].conj() for i in range(len(s)) if s[i] <= NULL_SPACE_TOL * s[0]]
 

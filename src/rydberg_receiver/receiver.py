@@ -26,7 +26,7 @@ import numpy as np
 from .analytic import _rho21_gradient, rho21_from_amplitudes
 from .config import EA0, Field, _position, c_light, check_args, epsilon_0, hbar, record
 from .lindblad import _stationary_response
-from .numerics import TWO_PI, _finite_count, write_csv
+from .numerics import TWO_PI, _finite, write_csv
 
 #: Demodulator filter plan: linear-phase FIR, bandpass width 1.2 B, lowpass
 #: cutoff 0.6 B, >= 60 dB stopband (we design for 65), transition 1.5 B.
@@ -239,6 +239,8 @@ def _operating_point(drive, cell, scheme, model):
         raise ValueError("the photodetector output underflows to 0 A")
     slope = y * 2.0 * cell.xi0(drive.omega_p) * drho21.imag
     gains = tuple(_rabi_per_field(n, scheme) * slope[n - 1] for n in range(1, 5))
+    for n in np.flatnonzero(~np.isfinite(gains))[:1]:
+        raise ValueError(f"the gain of RF channel {n + 1} is {gains[n]} A per (V/m), not finite")
     return float(y), GainVector(gains=gains)
 
 
@@ -338,8 +340,7 @@ def synthesize_pd_waveform(
             f"plan (needs > {needed:g} MHz)"
         )
     validate_heterodyne(spec, lo, scheme, max_ratio=max_ratio)
-    n_samples = round(_finite_count("synthesize_pd_waveform: the sample count",
-                                    duration * sample_rate))
+    n_samples = round(_finite("synthesize_pd_waveform: the sample count", duration * sample_rate))
     if n_samples < 1:
         raise ValueError(
             f"synthesize_pd_waveform: {duration:g} us at {sample_rate:g} MHz holds no sample"
@@ -368,10 +369,13 @@ def linearization_discrepancy(waveform):
     Each form loses its own mean; the residual is the modulation error of
     the first-order model, normalized by the operating output, so it scales
     quadratically with the signal amplitudes (signal-relative normalization
-    would scale linearly and hide the Taylor structure).
+    would scale linearly and hide the Taylor structure). A ratio that is
+    not finite (a noise so large that ``resid**2`` overflows) raises ValueError.
     """
     resid = waveform.ac() - (waveform.linearized - float(np.mean(waveform.linearized)))
-    return float(np.sqrt(np.mean(resid**2)) / waveform.dc_level)
+    with np.errstate(over="ignore"):
+        ratio = float(np.sqrt(np.mean(resid**2)) / waveform.dc_level)
+    return _finite("linearization_discrepancy: the residual RMS over DC", ratio)
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +421,7 @@ def _kaiser_fir(left, right, transition, fs):
     nyq = fs / 2.0
     width = transition / nyq  # 0 where a subnormal transition underflows
     taps = (FILTER_STOPBAND_DB - 7.95) / 2.285 / (np.pi * width) + 1 if width else math.inf
-    numtaps = math.ceil(_finite_count("iq_demodulate.bandwidths: the filter tap count", taps))
+    numtaps = math.ceil(_finite("iq_demodulate.bandwidths: the filter tap count", taps))
     numtaps += 1 - numtaps % 2  # odd length keeps the filter zero-phase
     beta = 0.1102 * (FILTER_STOPBAND_DB - 8.7)  # Kaiser's beta above 50 dB
     m = np.arange(numtaps) - 0.5 * (numtaps - 1)

@@ -322,7 +322,7 @@ def parse_scheme(text, origin="<string>"):
             v = convert_section(fields, name, items, origin)
             for key, value in v.items():
                 if value is None:
-                    unit = "" if key in _key_table(fields, name, origin) else "_<unit>"
+                    unit = "" if key in _key_table(fields) else "_<unit>"
                     raise ConfigError(f"{where} missing key '{key}{unit}'")
             if kind == "scheme":
                 part = Architecture(v["architecture"])

@@ -232,7 +232,7 @@ class TestVectorPowers:
         generators = basis.assemble(thetas)
         dt = 1e-4
         vecs, (codes, _) = _evolve_vectors(
-            generators, n * dt, dt, basis.norms[0] + thetas @ basis.norms[1]
+            generators, n, dt, basis.norms[0] + thetas @ basis.norms[1]
         )
         assert not codes.any()
         expected = np.linalg.matrix_power(taylor_propagator(generators, dt), n)[..., 0]
@@ -341,15 +341,19 @@ class TestGates:
             tracemalloc.stop()
         assert peak <= 2.5e6
 
-    def test_time_dependent_null_space_map_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, section", [
+        ("fidelity-map", "[scan]\nresolution = 2\nmethod = null_space\n"),
+        ("steady-state", ""),  # null_space is its default
+        ("optimize-lo", "[optimize]\nmethod = null_space\n"),
+    ])
+    def test_time_dependent_null_space_exits_2(self, tmp_path, capsys, command, section):
+        # the refusal is a ValueError: the drive's loop detuning rules the method out
         cfg = tmp_path / "td.ini"
-        cfg.write_text(
-            "[drive]\nrf_detunings_khz = 1, 1, 2, 40\n\n"
-            "[scan]\nresolution = 2\nmethod = null_space\n"
-        )
-        code = main(["fidelity-map", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
+        cfg.write_text("[drive]\nrf_detunings_khz = 1, 1, 2, 40\n\n" + section)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "time dependent" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _mp_sqrt(m):

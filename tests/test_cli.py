@@ -69,6 +69,15 @@ class TestParsing:
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             cli._dump_json(path, {"x": object()})
 
+    def test_type_error_in_a_command_propagates(self, tmp_path, monkeypatch):
+        # exit 2 is the ValueError family: any other exception is a bug, and ends in a traceback
+        def broken(cfg, scheme, seed):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_validate_scheme", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["validate-scheme", "--out", str(tmp_path / "out")])
+
     def test_bad_common_option_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["waveform", "--seed", "x"])
@@ -767,6 +776,10 @@ NON_FINITE_INTERMEDIATES = [
     ("steady-state", "[drive]\nomega_p_ghz = 1e300\n"),
     ("dynamics", "[drive]\nrf_rabi_ghz = 1e300, 1, 1, 1\n"),
     ("fidelity-map", "[drive]\nomega_c_ghz = 1e300\n[scan]\nresolution = 2\n"),
+    # a closed-form gain gradient that overflows to NaN
+    ("waveform", "[drive]\nomega_c_ghz = 1e300\n"),
+    # a noise so large that the linearization residual's square overflows
+    ("waveform", "[waveform]\nnoise_std = 1e300\n"),
 ]
 
 
@@ -777,6 +790,31 @@ def test_non_finite_intermediate_exits_with_a_message(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ("[drive]\nomega_c_ghz = 1e300\n", "the gain of RF channel 1 is nan A per (V/m), not finite"),
+    ("[waveform]\nnoise_std = 1e300\n", "the residual RMS over DC inf is not finite"),
+])
+def test_non_finite_waveform_result_exits_2_naming_it(tmp_path, capsys, cfg, named):
+    out = tmp_path / "out"
+    assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_temperature_underflowing_k_b_t_is_the_zero_temperature_limit(tmp_path, capsys):
+    # k_B T underflows to 0, so x = hbar omega / k_B T is inf and coth(x/2) = 1: the rates
+    # of a cold run, with no numpy warning
+    rates = []
+    for temperature in ("5e-324", "1e-10"):
+        sections = {name: dict(keys) for name, keys in SMALL_RUNS["sumrate"].items()}
+        sections["sumrate"]["temperature_k"] = temperature
+        out = tmp_path / temperature
+        assert run(tmp_path, "sumrate", "--out", str(out), config=_ini(sections)) == 0
+        assert capsys.readouterr().err == ""
+        rates.append((out / "rates.csv").read_bytes())
+    assert rates[0] == rates[1]
 
 
 @pytest.mark.parametrize("command, cfg, named", [
@@ -823,6 +861,9 @@ class TestLoadTimeChecks:
             ("sumrate", "sumrate", "power_max_dbm", "4000", "power_max_dbm"),
             ("sumrate", "sumrate", "bandwidths_mhz", "0.05, 0", "bandwidths"),
             ("sumrate", "sumrate", "power_sweep_bandwidth_mhz", "0", "power_sweep_bandwidth"),
+            ("sumrate", "sumrate", "bandwidths_mhz", "0.05, 1e303", "bandwidths overflows in Hz"),
+            ("sumrate", "sumrate", "power_sweep_bandwidth_ghz", "1e300",
+             "power_sweep_bandwidth overflows in Hz"),
             ("waveform", "signal", "modulation_index", "nan", "modulation_index"),
             ("waveform", "waveform", "noise_std", "-1", "noise_std"),
             ("waveform", "waveform", "noise_std", "nan", "noise_std"),
@@ -921,7 +962,7 @@ def _rule_cases():
     cases = []
     for command, schema in SCHEMAS.items():
         for section, fields in schema.items():
-            table = _key_table(fields, section, "<schema>")
+            table = _key_table(fields)
             for key, field in fields.items():
                 # a unit with a plain factor, so that 0 and -1 keep their sign
                 raw = next(

@@ -286,15 +286,9 @@ class TestArchitectureComparison:
         assert comparison.rate_at_power(Architecture.HYBRID, -10.0) == pytest.approx(
             comparison.power_rates[Architecture.HYBRID][0]
         )
-        assert comparison.rate_at_bandwidth(Architecture.PRS, 1e5) == pytest.approx(
-            comparison.bandwidth_rates[Architecture.PRS][1]
-        )
         for p_dbm in (-7.0, np.nan):
             with pytest.raises(ValueError, match="not in the sweep"):
                 comparison.rate_at_power(Architecture.CRS, p_dbm)
-        for b_hz in (5e4, np.nan):
-            with pytest.raises(ValueError, match="not in the sweep"):
-                comparison.rate_at_bandwidth(Architecture.CRS, b_hz)
 
     def test_operating_outputs_positive(self, comparison):
         for arch in ARCH_CHANNELS:

@@ -131,6 +131,11 @@ class TestStrictness:
         with pytest.raises(ConfigError):
             parse_config("omega_p_mhz = 5.7\n", SCHEMA)  # key before any section
 
+    def test_unknown_kind_is_a_schema_bug_not_a_config_error(self):
+        # a typo in a Field the package declares must not exit 1 blaming the user's file
+        with pytest.raises(TypeError, match="unknown kind 'flaot'"):
+            config._key_table({"x": Field("flaot")})
+
 
 class TestValueErrors:
     def test_bad_number(self):

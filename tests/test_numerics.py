@@ -104,6 +104,9 @@ class TestNullSpace:
     def test_full_rank_empty(self):
         assert null_space(np.eye(4)) == []
 
+    def test_empty_matrix_empty_basis(self):
+        assert null_space(np.zeros((0, 0))) == []
+
     def test_zero_matrix_full_basis(self):
         vecs = null_space(np.zeros((3, 3)))
         assert len(vecs) == 3
