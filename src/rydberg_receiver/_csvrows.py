@@ -1,14 +1,16 @@
 """Byte-exact CSV rows for :func:`rydberg_receiver.numerics.write_csv`.
 
-A row's ``%g`` cells come from :func:`g_cells`, a numpy kernel that gives
+A row format is comma-joined cells, each ``%d``, ``%s`` or ``%.<p>g``. A
+row's ``%g`` cells come from :func:`g_cells`, a numpy kernel that gives
 the bytes of Python's ``"%.{p}g" % v`` for ``p <= 12`` and hands the cells
 near a rounding tie back to ``%``; ``%d`` and ``%s`` cells are formatted by
 ``%``. ``write_csv`` imports this module at its first write, so a process
 that writes no table does not compile it.
 
 Each chunk of rows is laid out in a matrix of 8-byte words, one row per
-table row, in which every part of the row (literal text, a cell) takes
-whole words, NUL-padded; deleting the NULs leaves the CSV bytes.
+table row, in which every cell takes whole words, NUL-padded, with the
+separator after it (a comma, or the row's CRLF) inside its own words;
+deleting the NULs leaves the CSV bytes.
 """
 
 import functools
@@ -16,8 +18,8 @@ import re
 
 import numpy as np
 
-#: A row format's conversions: ``%d``, ``%s`` and ``%.<p>g``.
-CONVERSION = re.compile(r"%(\.\d+g|[ds])")
+#: One cell of a row format: ``%d``, ``%s`` or ``%.<p>g``.
+CELL = re.compile(r"%(?:\.([0-9]+)g|[ds])")
 #: Most significant digits of a ``%g`` cell the kernel formats: a mantissa
 #: below 10**12 is scaled with an error under 2.3e-4, so a cell that the
 #: kernel rounds (more than 1e-3 from a tie) rounds as the exact value does.
@@ -31,96 +33,73 @@ CELL_WORDS = 5
 
 
 def split_format(fmt):
-    """The row ``fmt + "\r\n"`` split by :data:`CONVERSION`: literal text
-    at even indices, conversions such as ``.9g`` at odd ones.
+    """The cells of the row ``fmt + "\r\n"``: for each comma-joined cell
+    of ``fmt``, its printf piece with the separator after it (``"%.9g,"``,
+    ``"%d\r\n"``) and its ``%g`` precision (0 for ``%d`` and ``%s``).
 
-    Raises ``ValueError`` for any other ``%`` conversion, and for ``%g``
-    precisions outside 1 to 12.
+    Raises ``ValueError`` unless every cell is ``%d``, ``%s`` or ``%.<p>g``
+    with ``p`` from 1 to 12.
     """
-    pieces = CONVERSION.split(fmt + "\r\n")
-    if any("%" in text for text in pieces[::2]) or any(
-        c.endswith("g") and not 1 <= int(c[1:-1]) <= MAX_DIGITS for c in pieces[1::2]
-    ):
+    cells = fmt.split(",")
+    found = [CELL.fullmatch(cell) for cell in cells]
+    if not all(m and (m[1] is None or 1 <= int(m[1]) <= MAX_DIGITS) for m in found):
         raise ValueError(f"write_csv: unsupported conversion in {fmt!r}")
-    return pieces
+    ends = [","] * (len(cells) - 1) + ["\r\n"]
+    return tuple((cell + end, int(m[1] or 0)) for cell, end, m in zip(cells, ends, found))
 
 
-def cell_words(conversion, values):
-    """The cells ``("%" + conversion) % v`` of ``values``, NUL-padded to
-    whole 8-byte words: a ``(len(values), words)`` uint64 array."""
-    strings = [(("%" + conversion) % v).encode() for v in values.tolist()]
+def cell_words(piece, values):
+    """The cells ``piece % v`` of ``values``, NUL-padded to whole 8-byte
+    words: a ``(len(values), words)`` uint64 array."""
+    strings = [(piece % v).encode() for v in values.tolist()]
     width = max(1, -(-max(map(len, strings), default=0) // 8))
     return np.array(strings, dtype=f"S{8 * width}").view(np.uint64).reshape(len(strings), width)
 
 
-def format_rows(literals, conversions, columns):
-    """CSV bytes of the rows of ``columns``, formatted by ``conversions``,
-    with ``literals[k]`` before column ``k`` and ``literals[-1]`` after the
-    last. A column of ``%d``/``%s`` cells may come formatted, as the
-    :func:`cell_words` of its rows."""
-    others = {  # the %d and %s cells, and those formatted beforehand
-        k: column if column.ndim == 2 else cell_words(conversion, column)
-        for k, (conversion, column) in enumerate(zip(conversions, columns))
-        if conversion[-1] != "g"
-    }
-    template, offsets, floats, p, tails = _row_layout(
-        literals, conversions, tuple(c.shape[1] for c in others.values())
-    )
-    n = len(columns[0])
+def format_rows(cells, columns):
+    """CSV bytes of the rows of ``columns``, column ``k`` formatted by
+    ``cells[k]`` of :func:`split_format`. A column may come formatted, as
+    the :func:`cell_words` of its rows."""
+    columns = [c if c.ndim == 2 or cell[1] else cell_words(cell[0], c)
+               for cell, c in zip(cells, columns)]
+    widths = tuple(c.shape[1] if c.ndim == 2 else 0 for c in columns)
+    offsets, floats, p, tails = _row_layout(cells, widths)
+    n, width = len(columns[0]), offsets[-1]
     # a bytearray holds the matrix, so the NULs are deleted without a copy
-    buf = bytearray(8 * n * template.size)
-    matrix = np.frombuffer(buf, np.uint64).reshape(n, template.size)
-    matrix[:] = template
-    for k, cells in others.items():
-        matrix[:, offsets[k]:offsets[k] + cells.shape[1]] = cells
+    buf = bytearray(8 * n * width)
+    matrix = np.frombuffer(buf, np.uint64).reshape(n, width)
+    for k, column in enumerate(columns):
+        if column.ndim == 2:
+            matrix[:, offsets[k]:offsets[k + 1]] = column
     if floats:
-        first = offsets[list(floats), None] + template.size * np.arange(n)
+        first = offsets[list(floats), None] + width * np.arange(n)
         x = np.array([columns[k] for k in floats], dtype=float)
         g_cells(x, p, tails, matrix.reshape(-1), first)
     return buf.translate(None, b"\0")
 
 
 @functools.lru_cache(maxsize=64)
-def _row_layout(literals, conversions, widths):
-    """Where each part of a CSV row goes in its row of 8-byte words.
+def _row_layout(cells, widths):
+    """Where each cell of a CSV row goes in its row of 8-byte words.
 
-    ``widths`` are the words of the ``%d``/``%s`` cells, in order. Returns
-    the row ``template`` holding the literal bytes, each column's first word
-    (``offsets``), and for the ``%g`` columns (``floats``) their precisions
-    ``p`` and ``tails``: a literal of up to 3 bytes after a ``%g`` cell
-    rides in the top bytes of the cell's last word.
+    ``widths[k]`` is the words of cell ``k`` if it comes formatted, 0 if
+    the kernel formats it. Returns each cell's first word and, last, the
+    row's width (``offsets``), and for the kernel cells (``floats``) their
+    precisions ``p`` and ``tails``: the separator, in the top bytes of the
+    cell's last word.
     """
-    row, offsets, floats, p, tails = [_words(literals[0])], [], [], [], []
-    width, others = row[0].size, iter(widths)
-    for k, (conversion, text) in enumerate(zip(conversions, literals[1:])):
-        offsets.append(width)
-        if conversion[-1] == "g":
-            floats.append(k)
-            p.append(int(conversion[1:-1]))
-            fold = len(text) <= 3
-            tails.append(_words(bytes(5) + text)[0] if fold else 0)
-            text = b"" if fold else text
-            words = CELL_WORDS
-        else:
-            words = next(others)
-        row += [np.zeros(words, np.uint64), _words(text)]
-        width += words + row[-1].size
+    floats = tuple(k for k, w in enumerate(widths) if not w)
+    ends = [cells[k][0].partition("g")[2].encode() for k in floats]
     layout = (
-        np.concatenate(row),
-        np.array(offsets),
-        tuple(floats),
-        np.array(p)[:, None],
-        np.array(tails, dtype=np.uint64)[:, None],
+        np.cumsum([0] + [w or CELL_WORDS for w in widths]),
+        floats,
+        np.array([cells[k][1] for k in floats])[:, None],
+        np.frombuffer(b"".join(bytes(5) + end.ljust(3, b"\0") for end in ends), np.uint64)[:, None],
     )
     for part in layout:
         if isinstance(part, np.ndarray):
             part.flags.writeable = False
     return layout
-
-
-def _words(text):
-    """``text`` NUL-padded to whole 8-byte words, as uint64."""
-    return np.frombuffer(text.ljust(8 * -(-len(text) // 8), b"\0"), np.uint64)
 
 
 @functools.cache

@@ -457,7 +457,7 @@ def cmd_waveform(cfg, scheme, seed):
     )
     waveform = synthesize_pd_waveform(
         spec, drive, cell, scheme, wf_cfg["duration"], wf_cfg["sample_rate"],
-        noise_std=wf_cfg["noise_std"], seed=seed,
+        noise_std=wf_cfg["noise_std"], seed=0 if seed is None else seed,  # reruns write the same bytes
     )
     files = {"waveform.csv": lambda path: write_waveform_csv(path, waveform)}
     channel_summaries = []
@@ -556,7 +556,7 @@ def _add_common(sp):
         "--scheme", default=None, help="level-scheme INI file (default: bundled cesium)"
     )
     sp.add_argument("--out", default=".", help="output directory (default: current)")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed for noisy synthesis")
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed for noisy synthesis (default 0)")
     sp.add_argument("--workers", type=int, help="accepted and ignored; every run is serial")
     sp.add_argument(
         "--dry-run", action="store_true", help="resolve inputs and report without computing"
@@ -604,7 +604,10 @@ def main(argv=None):
     collection walks it, the ones at exit included; later calls leave their garbage collectable.
     """
     _freeze_import_heap()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.seed or 0) < 0:  # numpy's generators take no negative seed
+        parser.error(f"argument --seed: must be 0 or more, got {args.seed}")
     try:
         return _run(args)
     except (ConfigError, OSError) as exc:

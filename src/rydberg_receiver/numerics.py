@@ -17,9 +17,9 @@ The Liouvillian construction in :mod:`rydberg_receiver.lindblad` relies on
 this convention; do not mix in row-major flattening.
 
 Every table the package exports goes through :func:`write_csv`: a bare
-header line, one printf-formatted line per row, CRLF line ends. It
-formats its rows with the private module ``_csvrows``, whose ``%g`` kernel
-reproduces Python's ``%`` byte for byte.
+header line, one line of comma-joined printf cells per row, CRLF line
+ends. It formats its rows with the private module ``_csvrows``, whose
+``%g`` kernel reproduces Python's ``%`` byte for byte.
 """
 
 from __future__ import annotations
@@ -209,39 +209,37 @@ def write_csv(path, header, fmt, blocks):
     """Write a table as CSV: the ``header`` line, then one ``fmt`` row per
     row of each block, every line ended by CRLF, as UTF-8.
 
-    ``fmt`` is a printf row format such as ``"%.9g,%.12g"`` whose
-    conversions are ``%d``, ``%s`` and ``%.<p>g`` with ``p`` from 1 to 12.
-    Each block is a sequence of columns broadcast together; no blocks gives
-    the header alone. A column may be a pair ``(values, index)``, standing
-    for ``values[index]``: an axis repeated over a long-form table. A
-    scalar column (a channel number, an architecture name) is the one-value
-    pair ``(value, 0)``, repeated on every row of its block. The bytes are
-    those of ``(fmt + "\r\n") % row`` for every row: each value of a pair is
-    formatted by ``%``, once, and gathered by index, the other ``%g`` cells
-    by the exact vector kernel of ``_csvrows`` and the other cells by ``%``;
-    the literal bytes are the format's own, so a format has one row layout.
+    ``fmt`` is comma-joined printf cells such as ``"%.9g,%.12g"``, each
+    ``%d``, ``%s`` or ``%.<p>g`` with ``p`` from 1 to 12; any other text
+    raises ``ValueError``. Each block is a sequence of columns broadcast
+    together; no blocks gives the header alone. A column may be a pair
+    ``(values, index)``, standing for ``values[index]``: an axis repeated
+    over a long-form table. A scalar column (a channel number, an
+    architecture name) is the one-value pair ``(value, 0)``, repeated on
+    every row of its block. The bytes are those of ``(fmt + "\r\n") % row``
+    for every row: each value of a pair is formatted by ``%``, once, with
+    the separator after it, and gathered by index, the other ``%g`` cells
+    by the exact vector kernel of ``_csvrows`` and the other cells by ``%``.
     Rows are formatted ``CSV_CHUNK_CELLS // len(block)`` at a time (at
     least one) into a NUL-padded word matrix, whose NULs are deleted as the
-    chunk is written; so no cell or separator may contain a NUL.
+    chunk is written; so no cell may contain a NUL.
     """
     # imported here, so that a process that writes no table does not compile it
     from ._csvrows import cell_words, format_rows, split_format
 
-    pieces = split_format(fmt)
-    literals, conversions = tuple(text.encode() for text in pieces[::2]), pieces[1::2]
+    cells = split_format(fmt)
     with open(path, "wb") as fh:
         fh.write((header + "\r\n").encode())
         for block in blocks:
             block = [c if isinstance(c, tuple) or np.ndim(c) else (np.reshape(c, 1), 0)
                      for c in block]
-            # a pair's values are formatted once; its index gathers their words, as %s cells
-            words = {k: cell_words(conversions[k], np.asarray(c[0]))
+            # a pair's values are formatted once, separator included; its index gathers their words
+            words = {k: cell_words(cells[k][0], np.asarray(c[0]))
                      for k, c in enumerate(block) if isinstance(c, tuple)}
-            kinds = tuple("s" if k in words else c for k, c in enumerate(conversions))
             columns = np.broadcast_arrays(*(c[1] if k in words else c for k, c in enumerate(block)))
             step = max(1, CSV_CHUNK_CELLS // len(columns))
             for start in range(0, len(columns[0]), step):
                 rows = slice(start, start + step)
                 chunk = [words[k][c[rows]] if k in words else c[rows]
                          for k, c in enumerate(columns)]
-                fh.write(format_rows(literals, kinds, chunk))
+                fh.write(format_rows(cells, chunk))

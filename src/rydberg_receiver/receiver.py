@@ -370,11 +370,16 @@ def linearization_discrepancy(waveform):
     the first-order model, normalized by the operating output, so it scales
     quadratically with the signal amplitudes (signal-relative normalization
     would scale linearly and hide the Taylor structure). A ratio that is
-    not finite (a noise so large that ``resid**2`` overflows) raises ValueError.
+    not finite raises ValueError; where ``resid**2`` overflows, the RMS is
+    taken again scaled by the largest residual.
     """
-    resid = waveform.ac() - (waveform.linearized - float(np.mean(waveform.linearized)))
-    with np.errstate(over="ignore"):
-        ratio = float(np.sqrt(np.mean(resid**2)) / waveform.dc_level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = waveform.ac() - (waveform.linearized - float(np.mean(waveform.linearized)))
+        rms = np.sqrt(np.mean(resid**2))
+        if not np.isfinite(rms):
+            top = np.max(np.abs(resid))
+            rms = top * np.sqrt(np.mean((resid / top) ** 2))
+        ratio = float(rms / waveform.dc_level)
     return _finite("linearization_discrepancy: the residual RMS over DC", ratio)
 
 

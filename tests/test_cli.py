@@ -84,6 +84,15 @@ class TestParsing:
         assert exc.value.code == 1
         assert "invalid int value" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: a usage error, before any work
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["waveform", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "argument --seed: must be 0 or more" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMemoryBackstop:
     """A size that passes the load checks but not the machine's memory exits
@@ -801,6 +810,15 @@ def test_non_finite_waveform_result_exits_2_naming_it(tmp_path, capsys, cfg, nam
     assert run(tmp_path, "waveform", "--out", str(out), config=cfg) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_noise_whose_residual_square_overflows_has_a_finite_ratio(tmp_path):
+    # resid**2 overflows at noise 1e160, but the residual RMS over DC does not
+    out = tmp_path / "out"
+    assert run(tmp_path, "waveform", "--out", str(out),
+               config="[waveform]\nnoise_std = 1e160\n") == 0
+    ratio = json.loads((out / "summary.json").read_text())["linearization_rms_over_dc"]
+    assert 1e181 < ratio < 1e183
 
 
 def test_temperature_underflowing_k_b_t_is_the_zero_temperature_limit(tmp_path, capsys):

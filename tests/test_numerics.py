@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from rydberg_receiver._csvrows import _row_layout, g_cells
+from rydberg_receiver._csvrows import _row_layout, cell_words, g_cells, split_format
 from rydberg_receiver.numerics import (
     CSV_CHUNK_CELLS,
     exp_e1_scaled,
@@ -256,8 +256,8 @@ class TestWriteCsv:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(10) * 10.0 ** rng.integers(-9, 9, 10)
         x[:3] = 0.0, np.nan, 1234565.0  # cells that % formats (a tie at %.6g)
-        # separators of up to 3 bytes after a %g cell share its last word
-        fmt = "%s,%d,%.6g -- %.12g;%.9g"
+        # each cell carries the separator after it: a comma, or the row's CRLF
+        fmt = "%s,%d,%.6g,%.12g,%.9g"
         blocks = [
             ("tag", np.arange(10), x, -x, x),
             (np.array(["u", "vw"]), 3, 1.5, x[:2], 2.0),
@@ -271,6 +271,59 @@ class TestWriteCsv:
         expected = "name,k,a,b,c\r\n" + "".join((fmt + "\r\n") % row for row in rows)
         assert path.read_bytes() == expected.encode()
 
+    def test_a_short_cell_and_its_comma_share_a_word(self):
+        # "1," is one word, so a demod row is 16 words wide, not 17
+        cells = split_format("%d,%.9g,%.12g,%.12g")
+        channels = cell_words(cells[0][0], np.arange(1, 5))
+        assert _row_layout(cells, (channels.shape[1], 0, 0, 0))[0][-1] == 16
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_comma_joined_rows_match_row_writer(self, tmp_path_factory, literal_csv, data):
+        # any comma-joined format of %d, %s and %.<p>g cells, over blocks
+        # that mix arrays, scalars and (values, index) pairs
+        kinds = {
+            "%d": st.integers(-10**12, 10**12),
+            "%s": st.text(alphabet="abXY-_ .\u00e9", min_size=1, max_size=12),
+            "%g": st.floats(allow_nan=True, allow_infinity=True),
+        }
+        formats = data.draw(st.lists(
+            st.sampled_from(["%d", "%s"]) | st.integers(1, 12).map("%.{}g".format),
+            min_size=1, max_size=6,
+        ))
+        fmt, rows, blocks = ",".join(formats), [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            n = data.draw(st.integers(1, 9))
+            shapes = data.draw(st.lists(st.sampled_from(["array", "scalar", "pair", "pair at"]),
+                                        min_size=len(formats), max_size=len(formats)))
+            if "array" not in shapes and "pair" not in shapes:
+                shapes[0] = "array"
+            block, table = [], []
+            for f, shape in zip(formats, shapes):
+                size = {"array": n, "scalar": 1}.get(shape)
+                values = data.draw(st.lists(kinds[f[0] + f[-1]], min_size=size or 1,
+                                            max_size=size or n))
+                last = len(values) - 1
+                if shape == "array":
+                    block.append(np.array(values))
+                elif shape == "scalar":
+                    block.append(values[0])
+                elif shape == "pair at":  # a scalar index
+                    block.append((np.array(values), data.draw(st.integers(0, last))))
+                else:
+                    index = data.draw(st.lists(st.integers(0, last), min_size=n, max_size=n))
+                    block.append((np.array(values), np.array(index)))
+                column = block[-1]
+                if isinstance(column, tuple):
+                    column = column[0][column[1]]
+                table.append(np.broadcast_to(column, n).tolist())
+            blocks.append(tuple(block))
+            rows += zip(*table)
+        header = ",".join(f"c{k}" for k in range(len(formats)))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, fmt, blocks)
+        assert path.read_bytes() == literal_csv.table(header, fmt, rows)
+
     def test_scalar_columns_share_one_row_layout(self, tmp_path, literal_csv):
         # a scalar column is a one-value pair, not literal text: 90 blocks
         # with 90 distinct channel numbers lay their rows out once
@@ -282,7 +335,11 @@ class TestWriteCsv:
         rows = [(k, v) for k in range(10, 100) for v in y.tolist()]
         assert path.read_bytes() == literal_csv.table("k,y", "%d,%.12g", rows)
 
-    @pytest.mark.parametrize("fmt", ["%.13g", "%.0g", "%f", "%5.3g", "%x", "%%"])
+    @pytest.mark.parametrize("fmt", [
+        "%.13g", "%.0g", "%f", "%5.3g", "%x", "%%",
+        # a row format is comma-joined cells, with no other text
+        "%d -- %.9g", "%d;%d", "x%d", "%d,", "",
+    ])
     def test_rejects_unsupported_conversions(self, tmp_path, fmt):
         with pytest.raises(ValueError, match="unsupported conversion"):
             write_csv(tmp_path / "t.csv", "a", fmt, [(np.ones(2),)])

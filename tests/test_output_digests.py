@@ -5,8 +5,9 @@ The runs are the default run of every command but ``optimize-lo``, the
 benchmark's 35-candidate ``optimize-lo`` lattice under two search ceilings,
 one open-loop ``dynamics`` and one open-loop ``steady-state`` (nonzero loop
 detuning), one ``steady-state`` with every RF channel off (no closed form),
-and one ``waveform`` at a balanced loop (every gain 0, so a ``null``
-magnitude ratio).
+one ``waveform`` at a balanced loop (every gain 0, so a ``null``
+magnitude ratio) and one noisy ``waveform`` without ``--seed`` (drawn from
+seed 0).
 
 A change that moves an output byte on purpose regenerates the file and
 names the moved files::
@@ -56,6 +57,8 @@ RUNS = {
         "[dynamics]\nt_end_us = 1\ndt_us = 0.0001\nmax_snapshots = 11\n"
     )),
     "waveform-balanced-loop": ("waveform", "[drive]\nrf_rabi_mhz = 1, 1, 1, 1\n"),
+    # noise and no --seed: the same bytes on every run
+    "waveform-noise-no-seed": ("waveform", "[waveform]\nnoise_std = 1e-25\n"),
     "steady-state-open-loop": ("steady-state", (
         "[drive]\nrf_detunings_khz = 1, 1, 2, 24\n\n"
         "[steady_state]\nmethod = evolve\nt_end_us = 1\n"
