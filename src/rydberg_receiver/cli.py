@@ -19,7 +19,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .comms import RABI_SET1, RABI_SET2, EnvironmentParams, compare_architectures
-from .config import ConfigError, Field, dbm_to_watts, load_config, parse_config
+from .config import ConfigError, Field, dbm_to_watts, load_config, parse_config, replace
 from .fidelity import (
     _OPTIMIZE_RULES, _SCAN_RULES, PerturbationRegion, fidelity_scan, optimize_operating_point,
 )

@@ -14,11 +14,10 @@ it inherits the receiver calibration exactly like the signal does.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .config import Field, c_light, check_args, dbm_to_watts, epsilon_0, hbar, k_B, record
+from .config import Field, c_light, check_args, dbm_to_watts, epsilon_0, hbar, k_B, record, replace
 from .lindblad import DriveConfig
 from .numerics import TWO_PI, exp_e1_scaled, write_csv
 from .receiver import DEFAULT_CELL, _operating_point

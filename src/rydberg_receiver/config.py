@@ -21,7 +21,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -79,25 +79,47 @@ _KINDS = {
 }
 
 
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 def record(cls=None, *, eq=True):
-    """Declare ``cls`` a frozen dataclass (``eq=False``: equal only to itself) whose
-    fields are its ``RULES`` in order, each defaulting to its :class:`Field`'s
-    ``default`` (None: required), then the names the class body annotates.
-    :func:`check_fields` runs before the class's own ``__post_init__``."""
+    """Declare ``cls`` a frozen record. Its ``_fields``, {name: default, ``...`` if required},
+    are its ``RULES`` in order, each defaulting to its :class:`Field`'s ``default`` (None:
+    required), then the names the class body annotates. ``__init__`` takes them by position
+    or keyword, then runs :func:`check_fields` and the class's own ``__post_init__``. With
+    ``eq`` a record equals and hashes as its field tuple, else it equals only itself."""
     if cls is None:
         return functools.partial(record, eq=eq)
-    rules = vars(cls).get("RULES", {})
-    cls.__annotations__ = {**dict.fromkeys(rules, "object"), **vars(cls).get("__annotations__", {})}
-    for name, rule in rules.items():
-        if rule.default is not None:
-            setattr(cls, name, rule.default)
-    if rules:
-        own = vars(cls).get("__post_init__")
-        def __post_init__(self):
-            check_fields(self)
-            own(self)
-        cls.__post_init__ = __post_init__ if own else check_fields
-    return dataclass(frozen=True, eq=eq)(cls)
+    rules, own = vars(cls).get("RULES", {}), vars(cls).get("__annotations__", {})
+    fields = cls._fields = {name: ... if rule.default is None else rule.default
+                            for name, rule in rules.items()}
+    fields.update((name, vars(cls).get(name, ...)) for name in own)
+    names, post_init = tuple(fields), vars(cls).get("__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        values, given = {**fields, **dict(zip(names, args)), **kwargs}, names[:len(args)]
+        if extra := [*args[len(names):], *(n for n in kwargs if n in given or n not in fields)]:
+            raise TypeError(f"{cls.__qualname__}() got unexpected or repeated arguments {extra}")
+        if missing := [name for name in names if values[name] is ...]:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments {missing}")
+        check_fields(cls.__name__, rules, values)
+        vars(self).update(values)
+        post_init(self)
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, _frozen, _frozen
+    cls.__repr__ = lambda self: f"{type(self).__qualname__}(" + ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in names) + ")"
+    if eq:
+        key = operator.attrgetter(*names)
+        cls.__eq__ = lambda a, b: key(a) == key(b) if type(b) is type(a) else NotImplemented
+        cls.__hash__ = lambda self: hash(key(self))
+    return cls
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, built and checked by its ``__init__``."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
 
 
 @record
@@ -211,15 +233,14 @@ def _position(owner, number, count):
     return number - 1
 
 
-def check_fields(record):
-    """Hold each non-integer field in the frozen ``record``'s ``RULES`` as floats (a tuple if its
-    rule counts entries, an array as it is); ValueError naming ``Record.field`` if one breaks it."""
-    for name, rule in record.RULES.items():
-        value = getattr(record, name)
+def check_fields(owner, rules, values):
+    """Hold each non-integer value in ``values`` of a field in ``rules`` as floats (a tuple if its
+    rule counts entries, an array as it is); ValueError naming ``owner.field`` if one breaks it."""
+    for name, rule in rules.items():
+        value = values[name]
         if _kind(rule)[0] != "int" and (rule.counts or not isinstance(value, np.ndarray)):
-            value = tuple(float(v) for v in value) if rule.counts else float(value)
-            object.__setattr__(record, name, value)
-        check_args(type(record).__name__, record.RULES, **{name: value})
+            values[name] = value = tuple(float(v) for v in value) if rule.counts else float(value)
+        check_args(owner, rules, **{name: value})
 
 
 def convert_section(section_schema, section, items, origin):

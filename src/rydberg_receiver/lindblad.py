@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .config import Field, _position, check_args, record
+from .config import Field, _position, check_args, record, replace
 from .numerics import (
     HERMITICITY_TOL, NULL_SPACE_TOL, PSD_CLAMP, _as_square, _finite, null_space, write_csv,
 )

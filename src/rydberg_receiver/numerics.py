@@ -236,7 +236,8 @@ def write_csv(path, header, fmt, blocks):
             # a pair's values are formatted once, separator included; its index gathers their words
             words = {k: cell_words(cells[k][0], np.asarray(c[0]))
                      for k, c in enumerate(block) if isinstance(c, tuple)}
-            columns = np.broadcast_arrays(*(c[1] if k in words else c for k, c in enumerate(block)))
+            indexed = (c[1] if k in words else c for k, c in enumerate(block))
+            columns = np.broadcast_arrays(np.empty(1), *indexed)[1:]  # scalars alone: one row
             step = max(1, CSV_CHUNK_CELLS // len(columns))
             for start in range(0, len(columns[0]), step):
                 rows = slice(start, start + step)

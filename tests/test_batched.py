@@ -13,7 +13,6 @@ bound and time-dependent generators, and the chain's memory bound.
 
 import importlib
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -25,6 +24,7 @@ from hypothesis import strategies as st
 import rydberg_receiver as rr
 from rydberg_receiver.analytic import _closed_form
 from rydberg_receiver.cli import main
+from rydberg_receiver.config import replace
 from rydberg_receiver.lindblad import (
     STEADY_STATE_METHODS,
     _evolve_vectors,

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from rydberg_receiver.comms import (
     noise_variances,
     snr,
 )
+from rydberg_receiver.config import replace
 from rydberg_receiver.receiver import DEFAULT_CELL
 from rydberg_receiver.scheme import Architecture
 

@@ -1,10 +1,10 @@
 """Strict INI parsing with unit-suffixed keys."""
 
 import ast
-import dataclasses
 import importlib
 import re
-from dataclasses import MISSING
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,9 @@ from scipy.constants import e, physical_constants
 import rydberg_receiver
 from rydberg_receiver import comms, config, lindblad, receiver, scheme
 from rydberg_receiver.config import ConfigError, Field, load_config, parse_config
-from rydberg_receiver.fidelity import PerturbationRegion, fidelity_scan, optimize_operating_point
+from rydberg_receiver.fidelity import (
+    OperatingPointResult, PerturbationRegion, fidelity_scan, optimize_operating_point,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -262,11 +264,14 @@ class _Probe:
         object.__setattr__(self, "seen", (self.width, self.pair))
 
 
-#: ``(name, default)`` of every field of each record with ``RULES``, MISSING where the
+#: The default that a record's ``_fields`` gives a required field.
+REQUIRED = ...
+
+#: ``(name, default)`` of every field of each record with ``RULES``, REQUIRED where the
 #: field is required, in the order positional construction fills them.
 FIELD_ORDER = {
     lindblad.DriveConfig: [
-        ("omega_p", MISSING), ("omega_c", MISSING), ("rf_rabi", MISSING), ("delta_p", 0.0),
+        ("omega_p", REQUIRED), ("omega_c", REQUIRED), ("rf_rabi", REQUIRED), ("delta_p", 0.0),
         ("delta_c", 0.0), ("rf_detunings", (0.0, 0.0, 0.0, 0.0)),
         ("rf_phases", (0.0, 0.0, 0.0, 0.0)),
     ],
@@ -276,45 +281,91 @@ FIELD_ORDER = {
         ("probe_power", 0.001), ("responsivity", 1.0),
     ],
     receiver.RfSignalSpec: [
-        ("amplitudes", MISSING), ("offsets", MISSING), ("phases", (0.0, 0.0, 0.0, 0.0)),
+        ("amplitudes", REQUIRED), ("offsets", REQUIRED), ("phases", (0.0, 0.0, 0.0, 0.0)),
         ("bandwidths", (0.1, 0.1, 0.1, 0.1)), ("envelopes", (None, None, None, None)),
     ],
-    receiver.GainVector: [("gains", MISSING)],
+    receiver.GainVector: [("gains", REQUIRED)],
     comms.EnvironmentParams: [
-        ("y_lo", MISSING), ("temperature", 300.0), ("omega_probe", 2209950803436209.5),
+        ("y_lo", REQUIRED), ("temperature", 300.0), ("omega_probe", 2209950803436209.5),
     ],
     comms.ChannelModel: [
-        ("gain", MISSING), ("transmit_power", MISSING), ("bandwidth", MISSING),
-        ("rf_frequency", MISSING), ("fading_scale", 1.0), ("sigma_i_sq", 0.0),
+        ("gain", REQUIRED), ("transmit_power", REQUIRED), ("bandwidth", REQUIRED),
+        ("rf_frequency", REQUIRED), ("fading_scale", 1.0), ("sigma_i_sq", 0.0),
         ("sigma_e_sq", 0.0),
     ],
-    PerturbationRegion: [("center", MISSING), ("half_widths", MISSING), ("samples_per_axis", 3)],
-    scheme.Level: [("parity", MISSING), ("label", "")],
+    PerturbationRegion: [("center", REQUIRED), ("half_widths", REQUIRED), ("samples_per_axis", 3)],
+    scheme.Level: [("parity", REQUIRED), ("label", "")],
     scheme.RfTransition: [
-        ("lower", MISSING), ("upper", MISSING), ("carrier_frequency", MISSING),
-        ("dipole_moment", MISSING), ("detuning", 0.0), ("application_band", ""),
+        ("lower", REQUIRED), ("upper", REQUIRED), ("carrier_frequency", REQUIRED),
+        ("dipole_moment", REQUIRED), ("detuning", 0.0), ("application_band", ""),
     ],
 }
 
 
-def _names_dataclass(node):
-    return (isinstance(node, ast.Name) and node.id == "dataclass"
-            or isinstance(node, ast.Attribute) and node.attr == "dataclass"
-            or isinstance(node, ast.alias) and node.name == "dataclass")
+def _every_record_class():
+    """Every class of the package that :func:`config.record` built, by name."""
+    src = Path(config.__file__).parent
+    modules = [importlib.import_module(f"rydberg_receiver.{p.stem}") for p in src.glob("*.py")]
+    return {cls.__name__: cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and vars(cls).get("__setattr__") is config._frozen}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each of the package's records, by class name."""
+    cesium = scheme.cesium_scheme()
+    times = np.linspace(0.0, 1.0, 5)
+    gains = receiver.GainVector((1.0, -2.0, 3.0, 4.0))
+    loop = config.replace(DRIVE, rf_detunings=(0.0, 0.0, 0.0, TWO_PI * 0.02))
+    samples = [
+        Field("float_list", (1.0,), sign=">", counts=(1,)),
+        comms.EnvironmentParams(y_lo=1e-3),
+        comms.ChannelModel(1.0, 1e-3, 1e5, 1e10),
+        comms.ArchitectureComparison(comms.RABI_SET1, {}, {}, times, {}, 1e5, times, {}, -10.0),
+        PerturbationRegion(OFFSETS, (0.0,) * 4, 1),
+        _scan(cesium, 3),
+        OperatingPointResult(OFFSETS, 0.99, (OFFSETS,), 1),
+        DRIVE,
+        lindblad.ground_state(),
+        lindblad.make_generator(DRIVE, cesium),
+        lindblad.make_generator(loop, cesium),
+        lindblad._generator_basis(DRIVE, cesium),
+        _evolve(cesium),
+        receiver.VaporCellParams(),
+        receiver.RfSignalSpec((1.0, 0.0, 0.0, 0.0), OFFSETS),
+        gains,
+        receiver.Waveform(times, times**2, 1.0, 4.0, times, gains),
+        receiver.DemodChannel(OFFSETS[0], 0.1, times, times + 1j, 4.0, 1),
+        cesium.levels[0],
+        cesium.rf_transitions[0],
+        cesium,
+        scheme.validate_scheme(cesium),
+    ]
+    return {type(sample).__name__: sample for sample in samples}
+
+
+#: The records that compare and hash by identity: those that hold arrays.
+ARRAY_HOLDERS = {"ArchitectureComparison", "FidelityScan", "DensityMatrix", "Liouvillian",
+                 "TimeDependentLiouvillian", "_GeneratorBasis", "Trajectory", "Waveform",
+                 "DemodChannel"}
 
 
 class TestRecord:
     def test_rule_fields_then_own_fields(self):
-        assert [(f.name, f.default) for f in dataclasses.fields(_Probe)] == [
-            ("width", MISSING), ("pair", (1.0, 2.0)), ("label", "probe")]
+        assert _Probe._fields == {"width": REQUIRED, "pair": (1.0, 2.0), "label": "probe"}
+        assert list(_Probe._fields) == ["width", "pair", "label"]
         probe = _Probe(2, (3, 4), "x")
         assert (probe.width, probe.pair, probe.label) == (2.0, (3.0, 4.0), "x")
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^_Probe\(\) missing required arguments \['width'\]$"):
             _Probe()
 
     def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            _Probe(1.0).width = 2.0
+        probe = _Probe(1.0)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'width'$"):
+            probe.width = 2.0
+        with pytest.raises(AttributeError, match="^cannot delete field 'label'$"):
+            del probe.label
+        assert probe.width == 1.0 and probe.label == "probe"
 
     def test_rule_error_names_record_and_field(self):
         with pytest.raises(ValueError, match=r"^_Probe\.width must be > 0"):
@@ -340,32 +391,113 @@ class TestRecord:
     def test_value_equality_and_hashing(self):
         assert _Probe(2, (3, 4)) == _Probe(2.0, (3.0, 4.0))
         assert hash(_Probe(2, (3, 4))) == hash(_Probe(2.0, (3.0, 4.0)))
-        same = dataclasses.replace(DRIVE)
+        assert _Probe(2) != _Probe(3) and _Probe(2) != (2.0, (1.0, 2.0), "probe")
+        same = config.replace(DRIVE)
         assert same is not DRIVE and same == DRIVE and hash(same) == hash(DRIVE)
         levels = scheme.cesium_scheme()
         assert {levels: 1}[scheme.cesium_scheme()] == 1
 
+    def test_replace_checks_the_changes(self):
+        assert config.replace(DRIVE, omega_p=1).omega_p == 1.0
+        with pytest.raises(ValueError, match=r"^DriveConfig\.omega_p must be >= 0"):
+            config.replace(DRIVE, omega_p=-1.0)
+        with pytest.raises(TypeError, match=r"unexpected or repeated arguments \['omega'\]"):
+            config.replace(DRIVE, omega=1.0)
+
     @pytest.mark.parametrize("record", FIELD_ORDER, ids=lambda cls: cls.__name__)
     def test_field_order(self, record):
-        assert [(f.name, f.default) for f in dataclasses.fields(record)] == FIELD_ORDER[record]
+        assert list(record._fields.items()) == FIELD_ORDER[record]
 
-    def test_only_record_builds_a_dataclass(self):
+    def test_samples_cover_every_record(self, records):
+        classes = _every_record_class()
+        assert len(classes) == 22 and sorted(records) == sorted(classes)
+        assert {name for name, cls in classes.items() if "__eq__" not in vars(cls)} == ARRAY_HOLDERS
+
+    @pytest.mark.parametrize("name", sorted(_every_record_class()))
+    def test_repr_is_name_and_fields_in_order(self, records, name):
+        sample = records[name]
+        fields = ", ".join(f"{field}={getattr(sample, field)!r}" for field in sample._fields)
+        assert repr(sample) == f"{name}({fields})"
+
+    def test_repr_literal(self):
+        assert repr(scheme.Level(1, "6S1/2")) == "Level(parity=1, label='6S1/2')"
+        assert repr(receiver.GainVector((1, 2, 3, 4))) == "GainVector(gains=(1.0, 2.0, 3.0, 4.0))"
+
+    @pytest.mark.parametrize("name", sorted(_every_record_class()))
+    def test_positional_and_keyword_construction_agree(self, records, name):
+        sample = records[name]
+        cls, values = type(sample), [getattr(sample, field) for field in sample._fields]
+        by_position, by_keyword = cls(*values), cls(**dict(zip(sample._fields, values)))
+        assert repr(by_position) == repr(by_keyword) == repr(sample)
+        if name not in ARRAY_HOLDERS:
+            assert by_position == by_keyword == sample
+
+    @pytest.mark.parametrize("name", sorted(_every_record_class()))
+    def test_bad_arguments_raise_type_error(self, records, name):
+        sample = records[name]
+        cls, names = type(sample), list(sample._fields)
+        values = {field: getattr(sample, field) for field in names}
+        bad = f"^{name}\\(\\) got unexpected or repeated arguments "
+        with pytest.raises(TypeError, match=bad + r"\['bogus'\]$"):
+            cls(**values, bogus=1)
+        with pytest.raises(TypeError, match=bad + rf"\['{names[0]}'\]$"):
+            cls(*values.values(), **{names[0]: values[names[0]]})
+        with pytest.raises(TypeError, match=bad + r"\[None\]$"):
+            cls(*values.values(), None)
+        if required := [field for field, default in sample._fields.items() if default is REQUIRED]:
+            del values[required[0]]
+            missing = rf"^{name}\(\) missing required arguments \['{required[0]}'\]$"
+            with pytest.raises(TypeError, match=missing):
+                cls(**values)
+
+    @pytest.mark.parametrize("name", sorted(_every_record_class()))
+    def test_replace_equality_hash_and_frozen(self, records, name):
+        sample = records[name]
+        copy = config.replace(sample)
+        assert copy is not sample and repr(copy) == repr(sample)
+        if name in ARRAY_HOLDERS:
+            assert copy != sample and hash(copy) == object.__hash__(copy)
+        else:
+            assert copy == sample and hash(copy) == hash(sample)
+        first = next(iter(sample._fields))
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{first}'$"):
+            setattr(sample, first, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{first}'$"):
+            delattr(sample, first)
+
+    def test_equal_drives_and_schemes_share_one_generator_basis(self):
+        lindblad.make_generator(DRIVE, scheme.cesium_scheme())
+        before = lindblad._basis_at.cache_info()
+        drive = lindblad.DriveConfig(*(getattr(DRIVE, field) for field in DRIVE._fields))
+        lindblad.make_generator(drive, scheme.cesium_scheme())
+        after = lindblad._basis_at.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_a_method_can_be_rebound_on_its_class(self, monkeypatch, records):
+        # as bench/tracer.py's COUNTED_METHODS wraps TimeDependentLiouvillian.matrix
+        cls, calls = lindblad.TimeDependentLiouvillian, []
+        original = vars(cls)["matrix"]
+        monkeypatch.setattr(cls, "matrix", lambda self, t: calls.append(t) or original(self, t))
+        generator = records["TimeDependentLiouvillian"]
+        assert np.array_equal(generator.matrix(0.5), original(generator, 0.5)) and calls == [0.5]
+
+    def test_no_module_imports_dataclasses(self):
         src = Path(config.__file__).parent
-        found = []
-        for path in sorted(src.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            builder = {
-                id(node) for func in ast.walk(tree)
-                if isinstance(func, ast.FunctionDef) and func.name == "record"
-                and path.name == "config.py"
-                for node in ast.walk(func)
-            }
-            found += [
-                f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                if _names_dataclass(node) and id(node) not in builder
-                and not (path.name == "config.py" and isinstance(node, ast.alias))
-            ]
+        found = [
+            f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            for module in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if module.partition(".")[0] == "dataclasses"
+        ]
         assert found == []
+
+    def test_cli_import_leaves_dataclasses_unloaded(self, package_env):
+        script = "import sys\nimport rydberg_receiver.cli\nprint('dataclasses' in sys.modules)\n"
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=package_env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
 
     def test_no_class_body_annotates_a_rule_field(self):
         src = Path(config.__file__).parent

@@ -1,6 +1,5 @@
 """Uhlmann fidelity, landscape scans, and the LO operating-point search."""
 
-import dataclasses
 import importlib
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 import rydberg_receiver as rr
 from rydberg_receiver.analytic import analytic_steady_state
+from rydberg_receiver.config import replace
 from rydberg_receiver.fidelity import (
     FidelityScan,
     OperatingPointResult,
@@ -199,7 +199,7 @@ class TestFidelityScan:
 
     def test_open_loop_bad_horizon_raises(self, scheme):
         # a closed-loop detuning: the time-dependent path, evolved point by point
-        fixed = dataclasses.replace(self._fixed(), rf_detunings=(0.0, 0.0, 0.0, TWO_PI * 0.05))
+        fixed = replace(self._fixed(), rf_detunings=(0.0, 0.0, 0.0, TWO_PI * 0.05))
         with pytest.raises(ValueError, match="not an integer multiple of dt = 0.3"):
             fidelity_scan(fixed, (2, 3), scheme, resolution=2,
                           steady_state_method="evolve", t_end=10.0, dt=0.3)

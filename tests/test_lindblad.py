@@ -4,7 +4,6 @@ stiff-tolerance scipy ODE integration for the time-dependent branch."""
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from scipy.linalg import expm
 from scipy.integrate import solve_ivp
 
 import rydberg_receiver as rr
+from rydberg_receiver.config import replace
 from rydberg_receiver.lindblad import (
     DriveConfig,
     Liouvillian,

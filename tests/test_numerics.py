@@ -271,6 +271,13 @@ class TestWriteCsv:
         expected = "name,k,a,b,c\r\n" + "".join((fmt + "\r\n") % row for row in rows)
         assert path.read_bytes() == expected.encode()
 
+    def test_a_block_of_scalars_is_one_row(self, tmp_path):
+        fmt, path = "%d,%.9g", tmp_path / "t.csv"
+        write_csv(path, "a,b", fmt, [(3, 2.5), (np.arange(2), 0.5), (np.int64(4), np.float64(1 / 3))])
+        rows = [(3, 2.5), (0, 0.5), (1, 0.5), (4, 1 / 3)]
+        expected = "a,b\r\n" + "".join((fmt + "\r\n") % row for row in rows)
+        assert path.read_bytes() == expected.encode()
+
     def test_a_short_cell_and_its_comma_share_a_word(self):
         # "1," is one word, so a demod row is 16 words wide, not 17
         cells = split_format("%d,%.9g,%.12g,%.12g")

@@ -1,6 +1,5 @@
 """Receiver chain: cell calibration, gains, waveform synthesis, IQ demodulation."""
 
-import dataclasses
 import tracemalloc
 
 import mpmath
@@ -12,6 +11,7 @@ from scipy import signal
 
 import rydberg_receiver as rr
 from rydberg_receiver.analytic import rho21_from_amplitudes
+from rydberg_receiver.config import replace
 from rydberg_receiver.lindblad import DriveConfig
 from rydberg_receiver.numerics import CSV_CHUNK_CELLS
 from rydberg_receiver.receiver import (
@@ -52,7 +52,7 @@ def signal_amplitude(n, lo, scheme, modulation_index=5e-3):
 
 def first_order(wave):
     """The record with its first-order model in place of the exact samples."""
-    return dataclasses.replace(wave, samples=wave.linearized)
+    return replace(wave, samples=wave.linearized)
 
 
 def current_at(lo, scheme, n, rabi_n):
@@ -579,10 +579,10 @@ class TestKeptLowpass:
         expected = literal_demod(wave, FOUR_OFFSETS, bandwidths)
         assert len(got) == len(expected) == 4
         for channel, reference in zip(got, expected):
-            for field in dataclasses.fields(channel):
-                value, ref = getattr(channel, field.name), getattr(reference, field.name)
-                assert np.asarray(value).dtype == np.asarray(ref).dtype, field.name
-                assert np.array_equal(value, ref), field.name
+            for name in channel._fields:
+                value, ref = getattr(channel, name), getattr(reference, name)
+                assert np.asarray(value).dtype == np.asarray(ref).dtype, name
+                assert np.array_equal(value, ref), name
 
     def test_peak_memory_at_most_full_rate(self, literal_demod):
         # a gathered copy of the kept windows, (1600, 425) doubles per arm,
@@ -685,7 +685,7 @@ class TestExports:
     def test_spectrogram_bytes_match_row_writer(self, tmp_path, literal_csv, n_samples, silent):
         wave = _noisy_tones(n_samples)
         if silent:
-            wave = dataclasses.replace(wave, samples=np.zeros(n_samples))
+            wave = replace(wave, samples=np.zeros(n_samples))
         times, freqs, power_db = spectrogram_data(wave)
         assert (len(times) == 1) == (n_samples < 256)  # a short record is one segment
         path = tmp_path / "spec.csv"
