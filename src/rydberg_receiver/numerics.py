@@ -211,23 +211,26 @@ def write_csv(path, header, fmt, blocks):
 
     ``fmt`` is comma-joined printf cells such as ``"%.9g,%.12g"``, each
     ``%d``, ``%s`` or ``%.<p>g`` with ``p`` from 1 to 12; any other text
-    raises ``ValueError``. Each block is a sequence of columns broadcast
-    together; no blocks gives the header alone. A column may be a pair
-    ``(values, index)``, standing for ``values[index]``: an axis repeated
-    over a long-form table. A scalar column (a channel number, an
-    architecture name) is the one-value pair ``(value, 0)``, repeated on
-    every row of its block. The bytes are those of ``(fmt + "\r\n") % row``
-    for every row: each value of a pair is formatted by ``%``, once, with
-    the separator after it, and gathered by index, the other ``%g`` cells
-    by the exact vector kernel of ``_csvrows`` and the other cells by ``%``.
-    Rows are formatted ``CSV_CHUNK_CELLS // len(block)`` at a time (at
-    least one) into a NUL-padded word matrix, whose NULs are deleted as the
-    chunk is written; so no cell may contain a NUL.
+    raises ``ValueError``, as does a block whose column count is not the cell
+    count. Each block is a sequence of columns broadcast together; no blocks
+    gives the header alone. A column may be a pair ``(values, index)``,
+    standing for ``values[index]``: an axis repeated over a long-form table. A
+    scalar column (a channel number, an architecture name) is the one-value
+    pair ``(value, 0)``, repeated on every row of its block. The bytes are
+    those of ``(fmt + "\r\n") % row`` for every row: each value of a pair is
+    formatted by ``%``, once, with the separator after it, and gathered by
+    index, the other ``%g`` cells by the exact vector kernel of ``_csvrows``
+    and the other cells by ``%``. Rows are formatted ``CSV_CHUNK_CELLS //
+    len(block)`` at a time (at least one) into a NUL-padded word matrix, whose
+    NULs are deleted as the chunk is written; so no cell may contain a NUL.
     """
     # imported here, so that a process that writes no table does not compile it
     from ._csvrows import cell_words, format_rows, split_format
 
     cells = split_format(fmt)
+    for block in blocks:
+        if len(block) != len(cells):
+            raise ValueError(f"write_csv: {len(block)} columns for {len(cells)} cells in {fmt!r}")
     with open(path, "wb") as fh:
         fh.write((header + "\r\n").encode())
         for block in blocks:

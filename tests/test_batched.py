@@ -12,7 +12,11 @@ bound and time-dependent generators, and the chain's memory bound.
 """
 
 import importlib
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -30,16 +34,22 @@ from rydberg_receiver.lindblad import (
     _evolve_vectors,
     _generator_basis,
     _hermitian_basis,
+    _probes,
     _REASONS,
     _numerical_states,
+    _stationary_vectors,
     _trace_row,
+    _trace_row_system,
     taylor_propagator,
 )
+from rydberg_receiver.numerics import NULL_SPACE_TOL
 from rydberg_receiver.scheme import Architecture, LevelScheme
 
 TWO_PI = 2.0 * np.pi
 _SCHEME = rr.cesium_scheme()
 fidelity_module = importlib.import_module("rydberg_receiver.fidelity")
+lindblad_module = importlib.import_module("rydberg_receiver.lindblad")
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 #: Point counts around the block size: one, a block less one, a block,
 #: a block plus one and two blocks plus one.
@@ -354,6 +364,130 @@ class TestGates:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "time dependent" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _bench_workloads():
+    # Executed from its source text, so nothing (no bytecode cache) is
+    # written under bench/.
+    module = types.ModuleType("bench_workloads")
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+def _conditions(generators):
+    """Per trace-row system ``A``, the exact ``||A||_1 ||A^-1||_1`` (inf if
+    singular) and the kernel's lower bound ``||A||_1 max_j ||A^-1 r_j||_1``
+    over its probes (NaN if singular)."""
+    exact, estimated = [], []
+    for a in _trace_row_system(generators):
+        try:
+            inverse = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            exact.append(np.inf)
+            estimated.append(np.nan)
+            continue
+        norm = np.linalg.norm(a, 1)
+        exact.append(norm * np.linalg.norm(inverse, 1))
+        estimated.append(norm * np.abs(np.linalg.solve(a, _probes(len(a)))).sum(axis=0).max())
+    return np.array(exact), np.array(estimated)
+
+
+def _recorded_stacks(runs):
+    """Every generator stack that reaches the stationary kernel in the CLI runs ``runs``."""
+    stacks = []
+
+    def recorded(generators):
+        stacks.append(generators.copy())
+        return _stationary_vectors(generators)
+
+    with mock.patch.object(lindblad_module, "_stationary_vectors", recorded):
+        for argv in runs:
+            assert main(argv) == 0
+    return stacks
+
+
+def _landscape_runs(tmp_path, scheme_text, seed):
+    """The bench's ``landscape`` commands at ``seed``, the evolve map solved by
+    null space too, all in this process, where the kernel's recorder sees them."""
+    bench = _bench_workloads()
+    plan, _ = bench.generate("landscape", seed, tmp_path / "in", scheme_text)
+    for step in plan:
+        argv = [a.replace(bench.OUT, str(tmp_path / "out")) for a in step["argv"]]
+        config = Path(argv[argv.index("--config") + 1])
+        config.write_text(config.read_text().replace("method = evolve", "method = null_space"))
+        if "--workers" in argv:
+            at = argv.index("--workers")
+            del argv[at:at + 2]
+        yield argv
+
+
+def _check_decisions(generators):
+    """The kernel's SVD points equal the exact rule's, ``||A||_1 ||A^-1||_1 >
+    1/NULL_SPACE_TOL`` or singular; returns each point's cond / est."""
+    cond, est = _conditions(generators)
+    assert not np.any(est > cond)  # a lower bound (NaN where singular)
+    passed = []
+    with mock.patch.object(lindblad_module, "null_space",
+                           side_effect=lambda m: passed.append(m) or rr.null_space(m)):
+        _stationary_vectors(generators)
+    svd = [k for k in range(len(generators))
+           if any(np.shares_memory(m, generators[k]) for m in passed)]
+    assert svd == np.flatnonzero(~(cond <= 1.0 / NULL_SPACE_TOL)).tolist()
+    return cond / est
+
+
+def _check_lattice(name, stacks):
+    ratios = np.concatenate([_check_decisions(g) for g in stacks])
+    print(f"{name}: {ratios.size} points, largest cond / est {ratios.max():.1f}")
+    assert ratios.max() < lindblad_module._COND_MARGIN  # the shortfall stays inside the margin
+
+
+class TestConditionEstimate:
+    """The kernel sends a point to the SVD null space when it is singular or
+    its condition estimate times ``_COND_MARGIN`` reaches ``1/NULL_SPACE_TOL``;
+    on every map and search lattice here that is the exact rule's choice."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 61])
+    def test_bench_lattices(self, tmp_path, scheme_text, seed):
+        stacks = _recorded_stacks(_landscape_runs(tmp_path, scheme_text, seed))
+        assert sum(map(len, stacks)) > 2 * 625  # both maps and the search
+        _check_lattice(f"landscape seed {seed}", stacks)
+
+    def test_default_map_lattice(self, tmp_path):
+        # the 21 x 21 panel of the acceptance criteria, solved by null space
+        cfg = tmp_path / "map.ini"
+        cfg.write_text("[scan]\nmethod = null_space\n")
+        stacks = _recorded_stacks([["fidelity-map", "--config", str(cfg),
+                                    "--out", str(tmp_path / "o")]])
+        assert sum(map(len, stacks)) == 21 * 21
+        _check_lattice("default map", stacks)
+
+    def test_degenerate_and_singular_points(self, reduced_scheme, op_drive):
+        thetas = np.tile(op_drive.rf_rabi, (17, 1))
+        thetas[:, 0] += TWO_PI * 0.1 * np.arange(17)
+        thetas[5] = (TWO_PI * 3.0, TWO_PI * 5.0, TWO_PI * 5.0, TWO_PI * 3.0)
+        generators = _generator_basis(op_drive, reduced_scheme).assemble(thetas)
+        generators[9] = 0.0  # an exact zero pivot
+        ratios = _check_decisions(generators)
+        assert np.isnan(ratios[9]) and np.isfinite(np.delete(ratios, 9)).all()
+        print(f"largest cond / est: {np.nanmax(ratios):.1f}")
+        _, (codes, dims) = _stationary_vectors(generators)
+        assert np.flatnonzero(codes).tolist() == [5, 9] and dims[9] == 36
+
+    def test_null_space_map_draws_no_random_numbers(self, tmp_path, package_env):
+        # the probes are fixed arithmetic: no run imports numpy.random
+        cfg = tmp_path / "map.ini"
+        cfg.write_text("[scan]\nresolution = 3\nmethod = null_space\n")
+        script = (
+            "import sys\n"
+            "from rydberg_receiver.cli import main\n"
+            f"assert main(['fidelity-map', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=package_env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-1] == "False"
 
 
 def _mp_sqrt(m):

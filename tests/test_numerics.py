@@ -278,6 +278,17 @@ class TestWriteCsv:
         expected = "a,b\r\n" + "".join((fmt + "\r\n") % row for row in rows)
         assert path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("fmt, blocks, counts", [
+        ("%d,%d", [([1, 2],)], "1 columns for 2 cells"),  # wrote the row "1,2," with no CRLF
+        ("%d", [([1, 2], [3, 4])], "2 columns for 1 cells"),  # dropped a column
+        ("%d", [([1],), ()], "0 columns for 1 cells"),  # ZeroDivisionError after the header
+    ])
+    def test_column_count_must_equal_cell_count(self, tmp_path, fmt, blocks, counts):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=counts):
+            write_csv(path, "a,b", fmt, blocks)
+        assert not path.exists()
+
     def test_a_short_cell_and_its_comma_share_a_word(self):
         # "1," is one word, so a demod row is 16 words wide, not 17
         cells = split_format("%d,%.9g,%.12g,%.12g")
